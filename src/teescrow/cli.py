@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from .config import (
     NODE_STRATEGIES,
@@ -51,7 +52,6 @@ def _kv_table(obj: dict) -> str:
 def _load_config(path: str | None, seed: int | None) -> ScenarioConfig:
     config = ScenarioConfig.from_file(path) if path else ScenarioConfig()
     if seed is not None:
-        from dataclasses import replace
         config = replace(config, rng_seed=seed)
     return config
 

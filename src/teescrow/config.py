@@ -16,7 +16,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields, replace
 
-from .ledger import GasSchedule, TIERS
+from .ledger import (
+    DEFAULT_CONFIRMATION_DELAY,
+    DEFAULT_GAS_PER_FUNCTION,
+    DEFAULT_GAS_PRICE_PER_TIER,
+    GasSchedule,
+    TIERS,
+)
 
 UNIT = 10**18
 
@@ -35,6 +41,21 @@ NODE_STRATEGIES = (NODE_HONEST, NODE_CLAIM_ONLY, NODE_COMPUTE_NO_DELIVER)
 
 class ConfigInvalid(Exception):
     pass
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# Field annotation -> (check, description) for values read from JSON.
+# ``inputs`` is annotated ``object`` and takes any JSON value.
+_TYPE_CHECKS = {
+    "int": (_is_int, "an integer"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "dict": (lambda v: isinstance(v, dict) and all(map(_is_int, v.values())),
+             "an object of integers"),
+}
 
 
 @dataclass(frozen=True)
@@ -107,13 +128,18 @@ class ScenarioConfig:
         )
 
     def gas_schedule(self) -> GasSchedule:
-        schedule = GasSchedule()
-        schedule.per_function.update(self.gas_per_function)
-        schedule.gas_price_per_tier.update(self.gas_price_per_tier)
-        schedule.confirmation_delay_per_tier.update(
-            self.confirmation_delay_per_tier
-        )
-        return schedule
+        try:
+            return GasSchedule(
+                per_function={**DEFAULT_GAS_PER_FUNCTION,
+                              **self.gas_per_function},
+                gas_price_per_tier={**DEFAULT_GAS_PRICE_PER_TIER,
+                                    **self.gas_price_per_tier},
+                confirmation_delay_per_tier={
+                    **DEFAULT_CONFIRMATION_DELAY,
+                    **self.confirmation_delay_per_tier},
+            )
+        except ValueError as exc:
+            raise ConfigInvalid(str(exc)) from None
 
     # ------------------------------------------------------------------
 
@@ -135,6 +161,12 @@ class ScenarioConfig:
         unknown = set(data) - known
         if unknown:
             raise ConfigInvalid(f"unknown config keys: {sorted(unknown)}")
+        for f in fields(cls):
+            if f.name in data and f.type in _TYPE_CHECKS:
+                check, expected = _TYPE_CHECKS[f.type]
+                if not check(data[f.name]):
+                    raise ConfigInvalid(
+                        f"{f.name} must be {expected}, got {data[f.name]!r}")
         return cls(**data)
 
     @classmethod

@@ -27,13 +27,11 @@ evident slips:
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from enum import Enum
 
+from .crypto import DIGEST_LENGTH, sha256_digest
 from .ledger import ContractCall, CallContext, Ledger, NULL_ACCOUNT
-
-DIGEST_LENGTH = 32
 
 
 class RefusalReason(str, Enum):
@@ -232,7 +230,7 @@ class EscrowContract:
             return CallOutcome.refused(RefusalReason.NOT_CLAIMED)
         if task.completed:
             return CallOutcome.refused(RefusalReason.ALREADY_COMPLETED)
-        if hashlib.sha256(secret).digest() != task.hash_lock:
+        if sha256_digest(secret) != task.hash_lock:
             return CallOutcome.refused(RefusalReason.BAD_SECRET)
         task.completed = True
         ctx.transfer_from_contract(ctx.sender, task.execution_node_deposit)

@@ -17,6 +17,7 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -73,33 +74,37 @@ class ResultKeyPair:
     """Per-task key material held by the requestor.
 
     The encryption key and signing key are provisioned into the enclave
-    over the attested channel; the verify key may be public.
+    over the attested channel; the verify key may be public.  The Ed25519
+    key, the verify key and the key id are derived on first use, once: a
+    task that is never provisioned never pays for them.
     """
 
     encryption_key: bytes
     signing_key_seed: bytes
-    verify_key: bytes
-    key_id: str
+
+    @cached_property
+    def _private_key(self) -> Ed25519PrivateKey:
+        return Ed25519PrivateKey.from_private_bytes(self.signing_key_seed)
+
+    @cached_property
+    def verify_key(self) -> bytes:
+        return self._private_key.public_key().public_bytes_raw()
+
+    @cached_property
+    def key_id(self) -> str:
+        return sha256_digest(self.encryption_key + self.verify_key).hex()[:16]
 
     def signing_key(self) -> Ed25519PrivateKey:
-        return Ed25519PrivateKey.from_private_bytes(self.signing_key_seed)
+        return self._private_key
 
 
 def new_result_keys(rng: random.Random) -> ResultKeyPair:
+    # Both draws stay eager so the caller's RNG stream does not depend on
+    # whether the keys are ever used.
     encryption_key = rng.randbytes(32)
-    signing_seed = rng.randbytes(32)
-    verify_key = (
-        Ed25519PrivateKey.from_private_bytes(signing_seed)
-        .public_key()
-        .public_bytes_raw()
-    )
-    key_id = sha256_digest(encryption_key + verify_key).hex()[:16]
-    return ResultKeyPair(
-        encryption_key=encryption_key,
-        signing_key_seed=signing_seed,
-        verify_key=verify_key,
-        key_id=key_id,
-    )
+    signing_key_seed = rng.randbytes(32)
+    return ResultKeyPair(encryption_key=encryption_key,
+                         signing_key_seed=signing_key_seed)
 
 
 @dataclass(frozen=True)

@@ -130,13 +130,17 @@ class FunctionImage:
     body: object  # callable inputs -> result, excluded from the measurement hash
     resource_cost: int
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_measurement", crypto.sha256_digest(
+            crypto.canonical_json_bytes({
+                "name": self.name,
+                "bodyId": self.body_id,
+                "version": self.version,
+            })))
+
     @property
     def measurement(self) -> bytes:
-        return crypto.sha256_digest(crypto.canonical_json_bytes({
-            "name": self.name,
-            "bodyId": self.body_id,
-            "version": self.version,
-        }))
+        return self._measurement
 
 
 def _body_sum(inputs):
@@ -385,11 +389,10 @@ class EnclaveHost:
         instance.provisioned = Provisioned(
             secret=bytes.fromhex(payload["secret"]),
             inputs=payload["inputs"],
+            # The verify key and key id are derived again from the seed.
             result_keys=ResultKeyPair(
                 encryption_key=bytes.fromhex(keys["encryptionKey"]),
                 signing_key_seed=bytes.fromhex(keys["signingKeySeed"]),
-                verify_key=bytes.fromhex(keys["verifyKey"]),
-                key_id=keys["keyId"],
             ),
         )
         instance.channel_requestor = payload["requestor"]

@@ -17,7 +17,7 @@ import hashlib
 import json
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import actors, crypto
 from .actors import (
@@ -77,21 +77,26 @@ PARTY_THIRD = "third-party"
 # trace
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 class Trace:
-    """Append-only list of JSON-safe records with a stable serialization."""
+    """Append-only list of JSON-safe records with a stable serialization.
+
+    Each record is encoded once, when it is added; a record must not be
+    mutated afterwards.
+    """
 
     def __init__(self) -> None:
         self.records: list[dict] = []
+        self._lines: list[str] = []
 
     def add(self, record: dict) -> None:
         self.records.append(record)
+        self._lines.append(_ENCODER.encode(record) + "\n")
 
     def to_jsonl(self) -> str:
-        lines = [
-            json.dumps(r, sort_keys=True, separators=(",", ":"))
-            for r in self.records
-        ]
-        return "\n".join(lines) + ("\n" if lines else "")
+        return "".join(self._lines)
 
     def content_id(self) -> str:
         return hashlib.sha256(self.to_jsonl().encode()).hexdigest()[:16]
@@ -187,7 +192,7 @@ class ScenarioRunner:
         self.trace = Trace()
         self.delivery_tamper = None  # test hook: ProtectedResult -> ProtectedResult
         self._queue: deque = deque()
-        self._expiry_fired: set[int] = set()
+        self._next_expiry = 0  # lowest task id not yet armed or skipped
         self._last_receipt_time = 0
         self._ran = False
 
@@ -230,11 +235,18 @@ class ScenarioRunner:
                 self._execute(recipient, action)
 
     def _arm_expiry(self) -> bool:
-        """Advance to the expiry of a still-open task, once per task."""
-        for task_id, task in sorted(self.contract.tasks.items()):
-            if task.dead or task_id in self._expiry_fired:
+        """Advance to the expiry of a still-open task, once per task.
+
+        Task ids only grow, and a task that is dead, deleted or already
+        armed never becomes eligible again, so a cursor over the ids finds
+        the lowest eligible one.
+        """
+        while self._next_expiry < self.contract.num_tasks:
+            task_id = self._next_expiry
+            self._next_expiry += 1
+            task = self.contract.tasks.get(task_id)
+            if task is None or task.dead:
                 continue
-            self._expiry_fired.add(task_id)
             deadline = task.start + task.expires + 1
             if self.ledger.now < deadline:
                 self.ledger.advance_time(deadline - self.ledger.now)
@@ -644,8 +656,6 @@ def latency_report(tier: str,
                    config: ScenarioConfig | None = None) -> LatencyReport:
     """End-to-end honest-run latency: four sequential confirmations (one
     per contract call) plus the configured execution delay."""
-    from dataclasses import replace
-
     config = config or ScenarioConfig()
     config = replace(config, tier=tier,
                      requestor_strategy=REQUESTOR_HONEST,

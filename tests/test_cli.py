@@ -175,3 +175,16 @@ def test_config_file_unknown_key_exits_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, "scenario", "--config", str(bad))
     assert code == 2
     assert "config error" in err
+
+
+@pytest.mark.parametrize("override, message", [
+    ({"payment": "10"}, "payment must be an integer"),
+    ({"gas_per_function": {"submitTask": 0}}, "must be positive"),
+    ({"expires": 1.5}, "expires must be an integer"),
+], ids=["string-amount", "zero-gas", "float-seconds"])
+def test_config_file_bad_value_exits_2(capsys, tmp_path, override, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(SMALL, **override)))
+    code, _, err = run_cli(capsys, "scenario", "--config", str(bad))
+    assert code == 2
+    assert message in err

@@ -4,6 +4,7 @@ import hashlib
 import random
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -67,6 +68,24 @@ def test_any_flipped_bit_changes_digest(secret, position):
 
 def keys(seed=0):
     return crypto.new_result_keys(random.Random(seed))
+
+
+def test_lazy_keys_equal_eager_derivation():
+    rng = random.Random(5)
+    encryption_key, seed = rng.randbytes(32), rng.randbytes(32)
+    verify_key = (Ed25519PrivateKey.from_private_bytes(seed)
+                  .public_key().public_bytes_raw())
+    k = keys(5)
+    assert (k.encryption_key, k.signing_key_seed) == (encryption_key, seed)
+    assert k.verify_key == verify_key
+    assert k.key_id == hashlib.sha256(
+        encryption_key + verify_key).hexdigest()[:16]
+    assert k.signing_key() is k.signing_key()
+
+
+def test_unused_keys_derive_nothing():
+    k = keys()
+    assert not {"_private_key", "verify_key", "key_id"} & set(vars(k))
 
 
 def test_protect_open_roundtrip():

@@ -211,6 +211,30 @@ def test_seal_restore_skips_reattestation(host):
     assert json.loads(crypto.open_result(protected, keys)) == inputs
 
 
+def test_sealed_payload_format_and_restored_keys(host):
+    instance, secret, inputs, keys = provisioned(host)
+    blob = host.seal_state(instance)
+    payload = json.loads(crypto.unseal(instance.image.measurement, blob))
+    assert payload == {
+        "secret": secret.hex(),
+        "inputs": inputs,
+        "requestor": REQUESTOR,
+        "labelPrefix": "task0",
+        "keys": {
+            "encryptionKey": keys.encryption_key.hex(),
+            "signingKeySeed": keys.signing_key_seed.hex(),
+            "verifyKey": keys.verify_key.hex(),
+            "keyId": keys.key_id,
+        },
+    }
+    restarted = host.instantiate("identity")
+    host.restore(restarted, blob)
+    restored = restarted.provisioned.result_keys
+    assert restored == keys
+    assert restored.verify_key.hex() == payload["keys"]["verifyKey"]
+    assert restored.key_id == payload["keys"]["keyId"]
+
+
 def test_restore_rejects_other_image(host):
     instance, *_ = provisioned(host)
     blob = host.seal_state(instance)

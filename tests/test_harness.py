@@ -1,11 +1,18 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import random
+from itertools import product
 
 import pytest
 
-from teescrow.config import ConfigInvalid, ScenarioConfig
+from teescrow.config import (
+    NODE_STRATEGIES,
+    REQUESTOR_STRATEGIES,
+    ConfigInvalid,
+    ScenarioConfig,
+)
 from teescrow.contract import RefusalReason
 from teescrow.harness import (
     ScenarioRunner,
@@ -106,6 +113,19 @@ def test_trace_determinism_same_seed():
     b = ScenarioRunner(config)
     b.run()
     assert a.trace.to_jsonl() == b.trace.to_jsonl()
+
+
+@pytest.mark.parametrize(
+    "pair", list(product(REQUESTOR_STRATEGIES, NODE_STRATEGIES)))
+def test_stored_trace_lines_match_records(pair):
+    # Records are encoded when added; a record mutated afterwards would
+    # make the stored line and a fresh encoding differ.
+    runner = ScenarioRunner(CFG.with_strategies(*pair))
+    runner.run()
+    assert runner.trace.to_jsonl() == "".join(
+        json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n"
+        for r in runner.trace.records
+    )
 
 
 def test_different_seeds_change_secrets_not_payoffs():
