@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -365,3 +366,182 @@ def test_state_dump_round_trips_through_json(funded):
     assert task["claimed"] is True
     assert task["hashLock"] == LOCK.hex()
     assert task["executionNode"] == node.hex()
+
+
+# ----------------------------------------------------------------------
+# refusal table: every function x task state x sender, recorded before the
+# task state became one stored enum
+
+PARTIES = ("requestor", "claimant", "stranger")
+CALLS = {
+    "submitTask": (15, {"function_name": "identity", "hash_lock": LOCK,
+                        "expires": 100}),
+    "claimTask": (6, {"task_id": 0}),
+    "finalizeExecutionNode": (0, {"task_id": 0, "secret": SECRET}),
+    "finalizeRequestor": (0, {"task_id": 0}),
+    "timeout": (0, {"task_id": 0}),
+}
+
+# function, state of task 0, sender -> outcome, then task 0's state_dump()
+# entry after the call ("-": no record): requestor, execution node,
+# execution node deposit, claimed, completed, start, state.  Every call is
+# made after the task's expiry.
+REFUSAL_TABLE = """
+submitTask            none           requestor ok               requestor nobody    0 n n 101 Open
+submitTask            none           claimant  ok               claimant  nobody    0 n n 101 Open
+submitTask            none           stranger  ok               stranger  nobody    0 n n 101 Open
+submitTask            open           requestor ok               requestor nobody    0 n n 0   Open
+submitTask            open           claimant  ok               requestor nobody    0 n n 0   Open
+submitTask            open           stranger  ok               requestor nobody    0 n n 0   Open
+submitTask            claimed        requestor ok               requestor claimant  6 y n 0   Claimed
+submitTask            claimed        claimant  ok               requestor claimant  6 y n 0   Claimed
+submitTask            claimed        stranger  ok               requestor claimant  6 y n 0   Claimed
+submitTask            completed      requestor ok               requestor claimant  6 y y 0   Completed
+submitTask            completed      claimant  ok               requestor claimant  6 y y 0   Completed
+submitTask            completed      stranger  ok               requestor claimant  6 y y 0   Completed
+submitTask            dead-claimed   requestor ok               requestor claimant  6 y n 0   TimedOutDead
+submitTask            dead-claimed   claimant  ok               requestor claimant  6 y n 0   TimedOutDead
+submitTask            dead-claimed   stranger  ok               requestor claimant  6 y n 0   TimedOutDead
+submitTask            dead-unclaimed requestor ok               requestor nobody    0 n n 0   TimedOutDead
+submitTask            dead-unclaimed claimant  ok               requestor nobody    0 n n 0   TimedOutDead
+submitTask            dead-unclaimed stranger  ok               requestor nobody    0 n n 0   TimedOutDead
+submitTask            deleted        requestor ok               -
+submitTask            deleted        claimant  ok               -
+submitTask            deleted        stranger  ok               -
+claimTask             none           requestor NoSuchTask       -
+claimTask             none           claimant  NoSuchTask       -
+claimTask             none           stranger  NoSuchTask       -
+claimTask             open           requestor ok               requestor requestor 6 y n 0   Claimed
+claimTask             open           claimant  ok               requestor claimant  6 y n 0   Claimed
+claimTask             open           stranger  ok               requestor stranger  6 y n 0   Claimed
+claimTask             claimed        requestor AlreadyClaimed   requestor claimant  6 y n 0   Claimed
+claimTask             claimed        claimant  AlreadyClaimed   requestor claimant  6 y n 0   Claimed
+claimTask             claimed        stranger  AlreadyClaimed   requestor claimant  6 y n 0   Claimed
+claimTask             completed      requestor AlreadyClaimed   requestor claimant  6 y y 0   Completed
+claimTask             completed      claimant  AlreadyClaimed   requestor claimant  6 y y 0   Completed
+claimTask             completed      stranger  AlreadyClaimed   requestor claimant  6 y y 0   Completed
+claimTask             dead-claimed   requestor TaskDead         requestor claimant  6 y n 0   TimedOutDead
+claimTask             dead-claimed   claimant  TaskDead         requestor claimant  6 y n 0   TimedOutDead
+claimTask             dead-claimed   stranger  TaskDead         requestor claimant  6 y n 0   TimedOutDead
+claimTask             dead-unclaimed requestor TaskDead         requestor nobody    0 n n 0   TimedOutDead
+claimTask             dead-unclaimed claimant  TaskDead         requestor nobody    0 n n 0   TimedOutDead
+claimTask             dead-unclaimed stranger  TaskDead         requestor nobody    0 n n 0   TimedOutDead
+claimTask             deleted        requestor NoSuchTask       -
+claimTask             deleted        claimant  NoSuchTask       -
+claimTask             deleted        stranger  NoSuchTask       -
+finalizeExecutionNode none           requestor NotClaimant      -
+finalizeExecutionNode none           claimant  NotClaimant      -
+finalizeExecutionNode none           stranger  NotClaimant      -
+finalizeExecutionNode open           requestor NotClaimant      requestor nobody    0 n n 0   Open
+finalizeExecutionNode open           claimant  NotClaimant      requestor nobody    0 n n 0   Open
+finalizeExecutionNode open           stranger  NotClaimant      requestor nobody    0 n n 0   Open
+finalizeExecutionNode claimed        requestor NotClaimant      requestor claimant  6 y n 0   Claimed
+finalizeExecutionNode claimed        claimant  ok               requestor claimant  6 y y 0   Completed
+finalizeExecutionNode claimed        stranger  NotClaimant      requestor claimant  6 y n 0   Claimed
+finalizeExecutionNode completed      requestor NotClaimant      requestor claimant  6 y y 0   Completed
+finalizeExecutionNode completed      claimant  AlreadyCompleted requestor claimant  6 y y 0   Completed
+finalizeExecutionNode completed      stranger  NotClaimant      requestor claimant  6 y y 0   Completed
+finalizeExecutionNode dead-claimed   requestor NotClaimant      requestor claimant  6 y n 0   TimedOutDead
+finalizeExecutionNode dead-claimed   claimant  TaskDead         requestor claimant  6 y n 0   TimedOutDead
+finalizeExecutionNode dead-claimed   stranger  NotClaimant      requestor claimant  6 y n 0   TimedOutDead
+finalizeExecutionNode dead-unclaimed requestor NotClaimant      requestor nobody    0 n n 0   TimedOutDead
+finalizeExecutionNode dead-unclaimed claimant  NotClaimant      requestor nobody    0 n n 0   TimedOutDead
+finalizeExecutionNode dead-unclaimed stranger  NotClaimant      requestor nobody    0 n n 0   TimedOutDead
+finalizeExecutionNode deleted        requestor NotClaimant      -
+finalizeExecutionNode deleted        claimant  NotClaimant      -
+finalizeExecutionNode deleted        stranger  NotClaimant      -
+finalizeRequestor     none           requestor NotRequestor     -
+finalizeRequestor     none           claimant  NotRequestor     -
+finalizeRequestor     none           stranger  NotRequestor     -
+finalizeRequestor     open           requestor NotClaimed       requestor nobody    0 n n 0   Open
+finalizeRequestor     open           claimant  NotRequestor     requestor nobody    0 n n 0   Open
+finalizeRequestor     open           stranger  NotRequestor     requestor nobody    0 n n 0   Open
+finalizeRequestor     claimed        requestor NotCompleted     requestor claimant  6 y n 0   Claimed
+finalizeRequestor     claimed        claimant  NotRequestor     requestor claimant  6 y n 0   Claimed
+finalizeRequestor     claimed        stranger  NotRequestor     requestor claimant  6 y n 0   Claimed
+finalizeRequestor     completed      requestor ok               -
+finalizeRequestor     completed      claimant  NotRequestor     requestor claimant  6 y y 0   Completed
+finalizeRequestor     completed      stranger  NotRequestor     requestor claimant  6 y y 0   Completed
+finalizeRequestor     dead-claimed   requestor TaskDead         requestor claimant  6 y n 0   TimedOutDead
+finalizeRequestor     dead-claimed   claimant  NotRequestor     requestor claimant  6 y n 0   TimedOutDead
+finalizeRequestor     dead-claimed   stranger  NotRequestor     requestor claimant  6 y n 0   TimedOutDead
+finalizeRequestor     dead-unclaimed requestor TaskDead         requestor nobody    0 n n 0   TimedOutDead
+finalizeRequestor     dead-unclaimed claimant  NotRequestor     requestor nobody    0 n n 0   TimedOutDead
+finalizeRequestor     dead-unclaimed stranger  NotRequestor     requestor nobody    0 n n 0   TimedOutDead
+finalizeRequestor     deleted        requestor NotRequestor     -
+finalizeRequestor     deleted        claimant  NotRequestor     -
+finalizeRequestor     deleted        stranger  NotRequestor     -
+timeout               none           requestor NotRequestor     -
+timeout               none           claimant  NotRequestor     -
+timeout               none           stranger  NotRequestor     -
+timeout               open           requestor ok               requestor nobody    0 n n 0   TimedOutDead
+timeout               open           claimant  NotRequestor     requestor nobody    0 n n 0   Open
+timeout               open           stranger  NotRequestor     requestor nobody    0 n n 0   Open
+timeout               claimed        requestor ok               requestor claimant  6 y n 0   TimedOutDead
+timeout               claimed        claimant  NotRequestor     requestor claimant  6 y n 0   Claimed
+timeout               claimed        stranger  NotRequestor     requestor claimant  6 y n 0   Claimed
+timeout               completed      requestor AlreadyCompleted requestor claimant  6 y y 0   Completed
+timeout               completed      claimant  NotRequestor     requestor claimant  6 y y 0   Completed
+timeout               completed      stranger  NotRequestor     requestor claimant  6 y y 0   Completed
+timeout               dead-claimed   requestor TaskDead         requestor claimant  6 y n 0   TimedOutDead
+timeout               dead-claimed   claimant  NotRequestor     requestor claimant  6 y n 0   TimedOutDead
+timeout               dead-claimed   stranger  NotRequestor     requestor claimant  6 y n 0   TimedOutDead
+timeout               dead-unclaimed requestor TaskDead         requestor nobody    0 n n 0   TimedOutDead
+timeout               dead-unclaimed claimant  NotRequestor     requestor nobody    0 n n 0   TimedOutDead
+timeout               dead-unclaimed stranger  NotRequestor     requestor nobody    0 n n 0   TimedOutDead
+timeout               deleted        requestor NotRequestor     -
+timeout               deleted        claimant  NotRequestor     -
+timeout               deleted        stranger  NotRequestor     -
+"""
+
+
+def task_in_state(state):
+    """A fresh chain whose task 0 is in ``state``, past its expiry."""
+    ledger = Ledger(zero_delay_schedule())
+    contract = EscrowContract(ledger, THRESHOLD)
+    party = {name: ledger.create_account(1000) for name in PARTIES}
+    if state != "none":
+        submit(ledger, party["requestor"], expires=100)
+    if state in ("claimed", "completed", "dead-claimed", "deleted"):
+        call(ledger, party["claimant"], "claimTask", value=6, task_id=0)
+    if state in ("completed", "deleted"):
+        call(ledger, party["claimant"], "finalizeExecutionNode", task_id=0,
+             secret=SECRET)
+    if state == "deleted":
+        call(ledger, party["requestor"], "finalizeRequestor", task_id=0)
+    ledger.advance_time(101)
+    if state.startswith("dead"):
+        call(ledger, party["requestor"], "timeout", task_id=0)
+    return ledger, contract, party
+
+
+def observe(function, state, sender):
+    """The table columns after ``function`` from ``sender`` on ``state``."""
+    ledger, contract, party = task_in_state(state)
+    value, args = CALLS[function]
+    outcome = call(ledger, party[sender], function, value=value,
+                   **args).outcome
+    row = ["ok" if outcome.accepted else outcome.reason.value]
+    entry = contract.state_dump()["tasks"].get("0")
+    if entry is None:
+        return row + ["-"]
+    assert {k: entry[k] for k in ("functionName", "hashLock", "payment",
+                                  "requestorDeposit", "expires")} == {
+        "functionName": "identity", "hashLock": LOCK.hex(), "payment": 10,
+        "requestorDeposit": THRESHOLD, "expires": 100}
+    name = {account.hex(): n for n, account in party.items()}
+    name[bytes(20).hex()] = "nobody"
+    return row + [
+        name[entry["requestor"]], name[entry["executionNode"]],
+        str(entry["executionNodeDeposit"]),
+        "y" if entry["claimed"] else "n", "y" if entry["completed"] else "n",
+        str(entry["start"]), entry["state"],
+    ]
+
+
+@pytest.mark.parametrize(
+    "row", REFUSAL_TABLE.strip().splitlines(),
+    ids=lambda row: "-".join(row.split()[:3]))
+def test_refusal_table(row):
+    function, state, sender, *expected = row.split()
+    assert observe(function, state, sender) == expected
