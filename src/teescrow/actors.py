@@ -1,11 +1,22 @@
 """Strategy-driven requestor and execution-node behaviours.
 
 Actors are deterministic state machines: the scheduler feeds them one
-observation at a time (a chain event, a transaction receipt, an enclave
-notification, a delivered message or an expiry tick) and they answer with
-a list of protocol actions for the scheduler to execute.  They never issue
-a dependent chain call before the previous call's receipt has been
-observed.
+observation at a time and they answer with a list of protocol actions for
+the scheduler to execute.  They never issue a dependent chain call before
+the previous call's receipt has been observed.  Each actor's ``step`` looks
+the observation's type up in one handler table and ignores any type the
+table does not name.  The runner routes each message to one party:
+
+    Start               requestor
+    ledger.Receipt      the party that sent the transaction
+    ledger.LedgerEvent  node (the requestor acts on no chain event)
+    InstanceCreated     node, then requestor
+    AttestOk            requestor
+    ProvisionAck        node
+    ExecutionDone       node
+    Deliver             its ``destination``: requestor or third party
+    ThirdPartyAck       requestor
+    Expiry              requestor
 
 Honest behaviour follows the protocol sequence: the requestor generates a
 secret, submits the task with payment + deposit, attests and provisions the
@@ -32,7 +43,6 @@ from .config import (
     REQUESTOR_WITHHOLD_INPUT,
     ScenarioConfig,
 )
-from .contract import CallOutcome
 from .crypto import ProtectedResult, ResultKeyPair
 from .enclave import REQUESTOR, EnclaveInstance, InfoFlowLedger
 from .ledger import ContractCall, LedgerEvent, Receipt
@@ -44,22 +54,6 @@ from .ledger import ContractCall, LedgerEvent, Receipt
 @dataclass(frozen=True)
 class Start:
     pass
-
-
-@dataclass(frozen=True)
-class ChainEvent:
-    event: LedgerEvent
-
-
-@dataclass(frozen=True)
-class TxReceipt:
-    receipt: Receipt
-
-
-@dataclass(frozen=True)
-class EnclaveReady:
-    instance: EnclaveInstance
-    task_id: int
 
 
 @dataclass(frozen=True)
@@ -86,12 +80,6 @@ class ExecutionDone:
     task_id: int
     protected: ProtectedResult
     secret: bytes
-
-
-@dataclass(frozen=True)
-class ResultDelivery:
-    task_id: int
-    protected: ProtectedResult
 
 
 @dataclass(frozen=True)
@@ -173,33 +161,29 @@ class _TaskKeys:
 class RequestorActor:
     """The requesting device: submits, attests, provisions, confirms."""
 
-    def __init__(self, config: ScenarioConfig, account: bytes,
-                 rng: random.Random, flow: InfoFlowLedger,
+    def __init__(self, config: ScenarioConfig, rng: random.Random,
+                 flow: InfoFlowLedger,
                  measurement_allow_list: dict[str, bytes]) -> None:
         self.config = config
-        self.account = account
         self.rng = rng
         self.flow = flow
         self.allow_list = measurement_allow_list
-        self.task_id: int | None = None
         self.received_valid_result = False
         self.confirmed = False
-        self.result_plaintext: bytes | None = None
         self._keys_by_task: dict[int, _TaskKeys] = {}
-        self._submits = 0
         self._resubmits_left = config.max_resubmits
+
+    def verify_key(self, task_id: int) -> bytes:
+        """The public key that checks the signature on a task's result."""
+        return self._keys_by_task[task_id].result_keys.verify_key
 
     # A single requestor driving a fresh contract gets sequential task ids,
     # so the ordinal of the submission doubles as the info-flow prefix.
     def _prepare_task(self) -> _TaskKeys:
-        ordinal = self._submits
-        self._submits += 1
-        keys = _TaskKeys(
-            secret=crypto.generate_secret(self.rng),
-            hash_lock=b"",
-            result_keys=crypto.new_result_keys(self.rng),
-        )
-        keys.hash_lock = crypto.hash_secret(keys.secret)
+        ordinal = len(self._keys_by_task)
+        secret = crypto.generate_secret(self.rng)
+        keys = _TaskKeys(secret, crypto.hash_secret(secret),
+                         crypto.new_result_keys(self.rng))
         self._keys_by_task[ordinal] = keys
         self.flow.grant(f"task{ordinal}:secret", REQUESTOR)
         self.flow.grant(f"task{ordinal}:enc-key", REQUESTOR)
@@ -217,68 +201,62 @@ class RequestorActor:
         )
 
     def step(self, obs: Observation) -> list[Action]:
-        if isinstance(obs, Start):
+        handler = self._HANDLERS.get(type(obs))
+        return handler(self, obs) if handler else []
+
+    def _on_start(self, obs: Start) -> list[Action]:
+        return [self._submit_action()]
+
+    def _on_receipt(self, receipt: Receipt) -> list[Action]:
+        if (receipt.call.function == "timeout" and receipt.outcome.accepted
+                and self._resubmits_left > 0):
+            # A resubmission always carries a fresh secret and hash.
+            self._resubmits_left -= 1
+            self.received_valid_result = False
             return [self._submit_action()]
+        return []
 
-        if isinstance(obs, TxReceipt):
-            receipt = obs.receipt
-            outcome = receipt.outcome
-            if (receipt.call.function == "submitTask"
-                    and isinstance(outcome, CallOutcome) and outcome.accepted):
-                self.task_id = outcome.task_id
-            elif (receipt.call.function == "timeout"
-                    and isinstance(outcome, CallOutcome) and outcome.accepted
-                    and self._resubmits_left > 0):
-                # A resubmission always carries a fresh secret and hash.
-                self._resubmits_left -= 1
-                self.received_valid_result = False
-                return [self._submit_action()]
+    def _on_instance_created(self, obs: InstanceCreated) -> list[Action]:
+        if self.config.requestor_strategy == REQUESTOR_WITHHOLD_INPUT:
             return []
+        expected = self.allow_list[self.config.function_name]
+        return [Attest(
+            instance=obs.instance,
+            task_id=obs.task_id,
+            expected_measurement=expected,
+            nonce=self.rng.randbytes(16),
+        )]
 
-        if isinstance(obs, EnclaveReady):
-            if self.config.requestor_strategy == REQUESTOR_WITHHOLD_INPUT:
-                return []
-            expected = self.allow_list[self.config.function_name]
-            return [Attest(
-                instance=obs.instance,
-                task_id=obs.task_id,
-                expected_measurement=expected,
-                nonce=self.rng.randbytes(16),
-            )]
+    def _on_attest_ok(self, obs: AttestOk) -> list[Action]:
+        keys = self._keys_by_task[obs.task_id]
+        return [Provision(
+            instance=obs.instance,
+            task_id=obs.task_id,
+            secret=keys.secret,
+            inputs=self.config.inputs,
+            result_keys=keys.result_keys,
+        )]
 
-        if isinstance(obs, AttestOk):
-            keys = self._keys_by_task[obs.task_id]
-            return [Provision(
-                instance=obs.instance,
-                task_id=obs.task_id,
-                secret=keys.secret,
-                inputs=self.config.inputs,
-                result_keys=keys.result_keys,
-            )]
-
-        if isinstance(obs, ResultDelivery):
-            keys = self._keys_by_task[obs.task_id]
-            try:
-                plaintext = crypto.open_result(obs.protected, keys.result_keys)
-            except crypto.CryptoError:
-                # Bad delivery: fall through to the timeout path.
-                return []
-            self.result_plaintext = plaintext
-            self.received_valid_result = True
-            self.flow.grant(f"task{obs.task_id}:result", REQUESTOR)
-            return self._maybe_confirm(obs.task_id)
-
-        if isinstance(obs, ThirdPartyAck):
-            if not obs.signature_valid:
-                return []
-            self.received_valid_result = True
-            return self._maybe_confirm(obs.task_id)
-
-        if isinstance(obs, Expiry):
-            if not self.received_valid_result:
-                return [SubmitTx(ContractCall("timeout", {"task_id": obs.task_id}))]
+    def _on_delivery(self, obs: Deliver) -> list[Action]:
+        keys = self._keys_by_task[obs.task_id]
+        try:
+            crypto.open_result(obs.protected, keys.result_keys)
+        except crypto.CryptoError:
+            # Bad delivery: fall through to the timeout path.
             return []
+        self.received_valid_result = True
+        self.flow.grant(f"task{obs.task_id}:result", REQUESTOR)
+        return self._maybe_confirm(obs.task_id)
 
+    def _on_third_party_ack(self, obs: ThirdPartyAck) -> list[Action]:
+        if not obs.signature_valid:
+            return []
+        self.received_valid_result = True
+        return self._maybe_confirm(obs.task_id)
+
+    def _on_expiry(self, obs: Expiry) -> list[Action]:
+        if not self.received_valid_result:
+            return [SubmitTx(ContractCall("timeout", {"task_id": obs.task_id}))]
         return []
 
     def _maybe_confirm(self, task_id: int) -> list[Action]:
@@ -287,74 +265,85 @@ class RequestorActor:
         self.confirmed = True
         return [SubmitTx(ContractCall("finalizeRequestor", {"task_id": task_id}))]
 
+    _HANDLERS = {
+        Start: _on_start,
+        Receipt: _on_receipt,
+        InstanceCreated: _on_instance_created,
+        AttestOk: _on_attest_ok,
+        Deliver: _on_delivery,
+        ThirdPartyAck: _on_third_party_ack,
+        Expiry: _on_expiry,
+    }
+
 
 class ExecutionNodeActor:
     """The executing node's untrusted host-side client."""
 
-    def __init__(self, config: ScenarioConfig, account: bytes) -> None:
+    def __init__(self, config: ScenarioConfig) -> None:
         self.config = config
-        self.account = account
-        self.claimed_task_id: int | None = None
-        self.instances: dict[int, EnclaveInstance] = {}
+        self._instance_by_task: dict[int, EnclaveInstance] = {}
         self._function_by_task: dict[int, str] = {}
         self._protected_by_task: dict[int, ProtectedResult] = {}
 
     def step(self, obs: Observation) -> list[Action]:
-        strategy = self.config.node_strategy
+        handler = self._HANDLERS.get(type(obs))
+        return handler(self, obs) if handler else []
 
-        if isinstance(obs, ChainEvent) and obs.event.kind == "TaskSubmitted":
-            self._function_by_task[obs.event.task_id] = (
-                obs.event.payload["functionName"]
-            )
-            return [SubmitTx(
-                call=ContractCall("claimTask", {"task_id": obs.event.task_id}),
-                value=self.config.node_deposit,
-            )]
+    def _on_event(self, event: LedgerEvent) -> list[Action]:
+        if event.kind != "TaskSubmitted":
+            return []
+        self._function_by_task[event.task_id] = event.payload["functionName"]
+        return [SubmitTx(
+            call=ContractCall("claimTask", {"task_id": event.task_id}),
+            value=self.config.node_deposit,
+        )]
 
-        if isinstance(obs, TxReceipt):
-            receipt = obs.receipt
-            outcome = receipt.outcome
-            if not (isinstance(outcome, CallOutcome) and outcome.accepted):
+    def _on_receipt(self, receipt: Receipt) -> list[Action]:
+        if not receipt.outcome.accepted:
+            return []
+        task_id = receipt.call.args["task_id"]
+        if receipt.call.function == "claimTask":
+            if self.config.node_strategy == NODE_CLAIM_ONLY:
                 return []
-            if receipt.call.function == "claimTask":
-                task_id = receipt.call.args["task_id"]
-                self.claimed_task_id = task_id
-                if strategy == NODE_CLAIM_ONLY:
-                    return []
-                return [Instantiate(
-                    function_name=self._function_by_task[task_id],
+            return [Instantiate(
+                function_name=self._function_by_task[task_id],
+                task_id=task_id,
+            )]
+        if receipt.call.function == "finalizeExecutionNode":
+            instance = self._instance_by_task[task_id]
+            actions: list[Action] = []
+            if self.config.node_strategy == NODE_HONEST:
+                destination = (
+                    "third-party" if self.config.deliver_to_third_party
+                    else "requestor"
+                )
+                actions.append(Deliver(
                     task_id=task_id,
-                )]
-            if receipt.call.function == "finalizeExecutionNode":
-                task_id = receipt.call.args["task_id"]
-                instance = self.instances[task_id]
-                actions: list[Action] = []
-                if strategy == NODE_HONEST:
-                    destination = (
-                        "third-party" if self.config.deliver_to_third_party
-                        else "requestor"
-                    )
-                    actions.append(Deliver(
-                        task_id=task_id,
-                        protected=self._protected_by_task[task_id],
-                        destination=destination,
-                    ))
-                actions.append(Destroy(instance))
-                return actions
-            return []
-
-        if isinstance(obs, InstanceCreated):
-            self.instances[obs.task_id] = obs.instance
-            return []
-
-        if isinstance(obs, ProvisionAck):
-            return [Execute(instance=obs.instance, task_id=obs.task_id)]
-
-        if isinstance(obs, ExecutionDone):
-            self._protected_by_task[obs.task_id] = obs.protected
-            return [SubmitTx(ContractCall("finalizeExecutionNode", {
-                "task_id": obs.task_id,
-                "secret": obs.secret,
-            }))]
-
+                    protected=self._protected_by_task[task_id],
+                    destination=destination,
+                ))
+            actions.append(Destroy(instance))
+            return actions
         return []
+
+    def _on_instance_created(self, obs: InstanceCreated) -> list[Action]:
+        self._instance_by_task[obs.task_id] = obs.instance
+        return []
+
+    def _on_provision_ack(self, obs: ProvisionAck) -> list[Action]:
+        return [Execute(instance=obs.instance, task_id=obs.task_id)]
+
+    def _on_execution_done(self, obs: ExecutionDone) -> list[Action]:
+        self._protected_by_task[obs.task_id] = obs.protected
+        return [SubmitTx(ContractCall("finalizeExecutionNode", {
+            "task_id": obs.task_id,
+            "secret": obs.secret,
+        }))]
+
+    _HANDLERS = {
+        LedgerEvent: _on_event,
+        Receipt: _on_receipt,
+        InstanceCreated: _on_instance_created,
+        ProvisionAck: _on_provision_ack,
+        ExecutionDone: _on_execution_done,
+    }

@@ -65,9 +65,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     scenario = sub.add_parser("scenario", help="run one scenario")
-    scenario.add_argument("--requestor", choices=REQUESTOR_STRATEGIES,
-                          default="honest")
-    scenario.add_argument("--node", choices=NODE_STRATEGIES, default="honest")
+    # Without the flag, the config's strategy (by default "honest") runs.
+    scenario.add_argument("--requestor", choices=REQUESTOR_STRATEGIES)
+    scenario.add_argument("--node", choices=NODE_STRATEGIES)
     scenario.add_argument("--config", metavar="FILE")
     scenario.add_argument("--seed", type=int)
     scenario.add_argument("--format", choices=("json", "table"),
@@ -102,7 +102,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_scenario(args) -> int:
     config = _load_config(args.config, args.seed)
-    config = config.with_strategies(args.requestor, args.node)
+    config = config.with_strategies(
+        args.requestor or config.requestor_strategy,
+        args.node or config.node_strategy)
     runner = ScenarioRunner(config)
     outcome = runner.run()
     if args.export_trace:
@@ -117,7 +119,10 @@ def _cmd_payoffs(args) -> int:
     configs = []
     if args.grid:
         with open(args.grid, encoding="utf-8") as handle:
-            entries = json.load(handle)
+            try:
+                entries = json.load(handle)
+            except json.JSONDecodeError as exc:
+                raise ConfigInvalid(f"grid is not valid JSON: {exc}") from exc
         if not isinstance(entries, list):
             raise ConfigInvalid("grid file must hold a JSON list")
         configs = [ScenarioConfig.from_dict(entry) for entry in entries]
@@ -152,22 +157,29 @@ def _cmd_latency(args) -> int:
 
 
 def _cmd_inspect(args) -> int:
-    records = load_trace(args.trace)
-    config_rec = next((r for r in records if r.get("type") == "scenario"), None)
-    outcome_rec = next((r for r in records if r.get("type") == "outcome"), None)
-    if config_rec is None or outcome_rec is None:
-        print("trace is missing its scenario or outcome record",
-              file=sys.stderr)
+    try:
+        records = load_trace(args.trace)
+        config_rec = next(
+            (r for r in records if r.get("type") == "scenario"), None)
+        outcome_rec = next(
+            (r for r in records if r.get("type") == "outcome"), None)
+        if config_rec is None or outcome_rec is None:
+            print("trace is missing its scenario or outcome record",
+                  file=sys.stderr)
+            return 1
+        value = config_rec["config"]["value_of_result"]
+        expected_requestor = outcome_rec["requestorBalanceDelta"] + (
+            value if outcome_rec["receivedValidResult"] else 0
+        )
+        expected_node = (outcome_rec["nodeBalanceDelta"]
+                         - outcome_rec["resourceCostConsumed"])
+        ok = (expected_requestor == outcome_rec["requestorPayoff"]
+              and expected_node == outcome_rec["nodePayoff"]
+              and not outcome_rec["infoFlowViolations"])
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        # Not JSON lines, a record that is no object, or a missing field.
+        print(f"malformed trace: {exc!r}", file=sys.stderr)
         return 1
-    value = config_rec["config"]["value_of_result"]
-    expected_requestor = outcome_rec["requestorBalanceDelta"] + (
-        value if outcome_rec["receivedValidResult"] else 0
-    )
-    expected_node = (outcome_rec["nodeBalanceDelta"]
-                     - outcome_rec["resourceCostConsumed"])
-    ok = (expected_requestor == outcome_rec["requestorPayoff"]
-          and expected_node == outcome_rec["nodePayoff"]
-          and not outcome_rec["infoFlowViolations"])
     obj = dict(outcome_rec)
     obj.pop("type", None)
     obj["reconstructionOk"] = ok
@@ -192,6 +204,9 @@ def main(argv=None) -> int:
         return 2
     except FileNotFoundError as exc:
         print(f"file not found: {exc.filename}", file=sys.stderr)
+        return 2
+    except IsADirectoryError as exc:
+        print(f"not a file: {exc.filename}", file=sys.stderr)
         return 2
 
 

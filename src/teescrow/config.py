@@ -114,9 +114,23 @@ class ScenarioConfig:
             raise ConfigInvalid("expires must be positive")
         if self.execution_delay < 0:
             raise ConfigInvalid("execution_delay must be non-negative")
-        needed = self.payment + self.threshold
-        if self.initial_balance < max(needed, self.node_deposit):
-            raise ConfigInvalid("initial_balance cannot fund the scenario")
+        if self.max_resubmits < 0:
+            raise ConfigInvalid("max_resubmits must be non-negative")
+        # Each of the 1 + max_resubmits tasks can lock both deposits and
+        # costs each party the gas of the calls it sends for the task; a
+        # timeout refunds the payment, so only one payment is at stake.
+        schedule = self.gas_schedule()
+        price = schedule.gas_price_per_tier[self.tier] if self.gas_charging else 0
+        gas = schedule.per_function
+        gas_r = price * (gas["submitTask"]
+                         + max(gas["finalizeRequestor"], gas["timeout"]))
+        gas_n = price * (gas["claimTask"] + gas["finalizeExecutionNode"])
+        tasks = self.max_resubmits + 1
+        if (self.initial_balance
+                < self.payment + tasks * (self.threshold + gas_r)):
+            raise ConfigInvalid("initial_balance cannot fund the requestor")
+        if self.initial_balance < tasks * (self.node_deposit + gas_n):
+            raise ConfigInvalid("initial_balance cannot fund the node")
 
     @property
     def in_rational_regime(self) -> bool:
@@ -128,6 +142,12 @@ class ScenarioConfig:
         )
 
     def gas_schedule(self) -> GasSchedule:
+        for name, known in (("gas_per_function", DEFAULT_GAS_PER_FUNCTION),
+                            ("gas_price_per_tier", TIERS),
+                            ("confirmation_delay_per_tier", TIERS)):
+            unknown = set(getattr(self, name)) - set(known)
+            if unknown:
+                raise ConfigInvalid(f"unknown {name} keys: {sorted(unknown)}")
         try:
             return GasSchedule(
                 per_function={**DEFAULT_GAS_PER_FUNCTION,
@@ -157,6 +177,8 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
+        if not isinstance(data, dict):
+            raise ConfigInvalid(f"a config must be a JSON object, got {data!r}")
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:
@@ -176,6 +198,4 @@ class ScenarioConfig:
                 data = json.load(handle)
             except json.JSONDecodeError as exc:
                 raise ConfigInvalid(f"config is not valid JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigInvalid("config file must hold a JSON object")
         return cls.from_dict(data)

@@ -38,7 +38,6 @@ class RefusalReason(str, Enum):
     VALUE_BELOW_THRESHOLD = "ValueBelowThreshold"
     NO_SUCH_TASK = "NoSuchTask"
     ALREADY_CLAIMED = "AlreadyClaimed"
-    TASK_COMPLETED = "Completed"
     NOT_CLAIMANT = "NotClaimant"
     NOT_CLAIMED = "NotClaimed"
     ALREADY_COMPLETED = "AlreadyCompleted"
@@ -76,7 +75,6 @@ class TaskState(str, Enum):
     OPEN = "Open"
     CLAIMED = "Claimed"
     COMPLETED = "Completed"
-    CLOSED = "Closed"
     TIMED_OUT_DEAD = "TimedOutDead"
 
 
@@ -89,21 +87,9 @@ class Task:
     requestor_deposit: int
     execution_node: bytes = NULL_ACCOUNT
     execution_node_deposit: int = 0
-    claimed: bool = False
-    completed: bool = False
     start: int = 0
     expires: int = 0
-    dead: bool = False
-
-    @property
-    def state(self) -> TaskState:
-        if self.dead:
-            return TaskState.TIMED_OUT_DEAD
-        if self.completed:
-            return TaskState.COMPLETED
-        if self.claimed:
-            return TaskState.CLAIMED
-        return TaskState.OPEN
+    state: TaskState = TaskState.OPEN
 
     def to_json_obj(self) -> dict:
         return {
@@ -114,8 +100,9 @@ class Task:
             "requestorDeposit": self.requestor_deposit,
             "executionNode": self.execution_node.hex(),
             "executionNodeDeposit": self.execution_node_deposit,
-            "claimed": self.claimed,
-            "completed": self.completed,
+            # A timed-out task still shows whether it had been claimed.
+            "claimed": self.execution_node != NULL_ACCOUNT,
+            "completed": self.state is TaskState.COMPLETED,
             "start": self.start,
             "expires": self.expires,
             "state": self.state.value,
@@ -194,21 +181,18 @@ class EscrowContract:
         if task is None:
             self._refund(ctx)
             return CallOutcome.refused(RefusalReason.NO_SUCH_TASK)
-        if task.dead:
+        if task.state is TaskState.TIMED_OUT_DEAD:
             self._refund(ctx)
             return CallOutcome.refused(RefusalReason.TASK_DEAD)
         if ctx.value < self.threshold:
             self._refund(ctx)
             return CallOutcome.refused(RefusalReason.VALUE_BELOW_THRESHOLD)
-        if task.claimed:
+        if task.state is not TaskState.OPEN:
             self._refund(ctx)
             return CallOutcome.refused(RefusalReason.ALREADY_CLAIMED)
-        if task.completed:
-            self._refund(ctx)
-            return CallOutcome.refused(RefusalReason.TASK_COMPLETED)
         task.execution_node = ctx.sender
         task.execution_node_deposit = ctx.value
-        task.claimed = True
+        task.state = TaskState.CLAIMED
         ctx.emit("TaskClaimed", task_id, {
             "executionNode": ctx.sender.hex(),
             "executionNodeDeposit": ctx.value,
@@ -222,17 +206,16 @@ class EscrowContract:
         task = self.tasks.get(task_id)
         if task is None or task.execution_node != ctx.sender:
             # A missing record behaves like the zeroed default: nobody is
-            # its claimant.
+            # its claimant.  Only a claim fills the slot, so the sender
+            # matching it means the task was claimed.
             return CallOutcome.refused(RefusalReason.NOT_CLAIMANT)
-        if task.dead:
+        if task.state is TaskState.TIMED_OUT_DEAD:
             return CallOutcome.refused(RefusalReason.TASK_DEAD)
-        if not task.claimed:
-            return CallOutcome.refused(RefusalReason.NOT_CLAIMED)
-        if task.completed:
+        if task.state is TaskState.COMPLETED:
             return CallOutcome.refused(RefusalReason.ALREADY_COMPLETED)
         if sha256_digest(secret) != task.hash_lock:
             return CallOutcome.refused(RefusalReason.BAD_SECRET)
-        task.completed = True
+        task.state = TaskState.COMPLETED
         ctx.transfer_from_contract(ctx.sender, task.execution_node_deposit)
         ctx.emit("TaskFinished", task_id, {
             "executionNode": ctx.sender.hex(),
@@ -245,11 +228,11 @@ class EscrowContract:
         task = self.tasks.get(task_id)
         if task is None or task.requestor != ctx.sender:
             return CallOutcome.refused(RefusalReason.NOT_REQUESTOR)
-        if task.dead:
+        if task.state is TaskState.TIMED_OUT_DEAD:
             return CallOutcome.refused(RefusalReason.TASK_DEAD)
-        if not task.claimed:
+        if task.state is TaskState.OPEN:
             return CallOutcome.refused(RefusalReason.NOT_CLAIMED)
-        if not task.completed:
+        if task.state is TaskState.CLAIMED:
             return CallOutcome.refused(RefusalReason.NOT_COMPLETED)
         ctx.transfer_from_contract(task.requestor, task.requestor_deposit)
         ctx.transfer_from_contract(task.execution_node, task.payment)
@@ -261,13 +244,13 @@ class EscrowContract:
         task = self.tasks.get(task_id)
         if task is None or task.requestor != ctx.sender:
             return CallOutcome.refused(RefusalReason.NOT_REQUESTOR)
-        if task.dead:
+        if task.state is TaskState.TIMED_OUT_DEAD:
             return CallOutcome.refused(RefusalReason.TASK_DEAD)
-        if task.completed:
+        if task.state is TaskState.COMPLETED:
             return CallOutcome.refused(RefusalReason.ALREADY_COMPLETED)
         if not ctx.now > task.start + task.expires:  # strict: exact expiry is too early
             return CallOutcome.refused(RefusalReason.NOT_EXPIRED)
-        task.dead = True
+        task.state = TaskState.TIMED_OUT_DEAD
         ctx.transfer_from_contract(task.requestor, task.payment)
         ctx.emit("TaskTimedOut", task_id, {
             "paymentReturned": task.payment,

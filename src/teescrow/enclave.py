@@ -27,7 +27,6 @@ from .crypto import ProtectedResult, ResultKeyPair, SealedBlob
 
 REQUESTOR = "requestor"
 NODE_HOST = "node-host"
-THIRD_PARTY = "third-party"
 
 
 def enclave_principal(instance_id: int) -> str:
@@ -81,10 +80,6 @@ class InfoFlowLedger:
 
     def _tick(self) -> int:
         self._step += 1
-        return self._step
-
-    @property
-    def step(self) -> int:
         return self._step
 
     def grant(self, label: str, principal: str) -> None:
@@ -176,17 +171,6 @@ class FunctionStore:
     def measurement_of(self, name: str) -> bytes:
         return self.get(name).measurement
 
-    def manifest(self) -> dict:
-        """Name -> measurement/cost map, the requestor's allow-list input."""
-        return {
-            name: {
-                "measurement": image.measurement.hex(),
-                "resourceCost": image.resource_cost,
-                "version": image.version,
-            }
-            for name, image in sorted(self._images.items())
-        }
-
     @classmethod
     def default(cls) -> "FunctionStore":
         store = cls()
@@ -194,29 +178,6 @@ class FunctionStore:
             store.register(FunctionImage(
                 name=name, version="1", body_id=name,
                 body=BUILTIN_BODIES[name], resource_cost=cost,
-            ))
-        return store
-
-    @classmethod
-    def from_manifest(cls, path: str) -> "FunctionStore":
-        """Load images from a JSON manifest.
-
-        Format: {"functions": [{"name": ..., "body": <builtin body id>,
-        "version": ..., "resourceCost": ...}, ...]}
-        """
-        with open(path, encoding="utf-8") as handle:
-            spec_obj = json.load(handle)
-        store = cls()
-        for entry in spec_obj["functions"]:
-            body_id = entry["body"]
-            if body_id not in BUILTIN_BODIES:
-                raise UnknownFunction(body_id)
-            store.register(FunctionImage(
-                name=entry["name"],
-                version=str(entry.get("version", "1")),
-                body_id=body_id,
-                body=BUILTIN_BODIES[body_id],
-                resource_cost=int(entry["resourceCost"]),
             ))
         return store
 

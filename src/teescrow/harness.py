@@ -19,27 +19,24 @@ import random
 from collections import deque
 from dataclasses import dataclass, field, replace
 
-from . import actors, crypto
+from . import crypto
 from .actors import (
     Attest,
     AttestOk,
-    ChainEvent,
     Deliver,
     Destroy,
-    EnclaveReady,
     Execute,
     ExecutionDone,
     ExecutionNodeActor,
     Expiry,
+    Instantiate,
     InstanceCreated,
     Provision,
     ProvisionAck,
     RequestorActor,
-    ResultDelivery,
     Start,
     SubmitTx,
     ThirdPartyAck,
-    TxReceipt,
 )
 from .config import (
     NODE_HONEST,
@@ -49,7 +46,7 @@ from .config import (
     ConfigInvalid,
     ScenarioConfig,
 )
-from .contract import EscrowContract
+from .contract import EscrowContract, TaskState
 from .enclave import (
     NODE_HOST,
     REQUESTOR,
@@ -163,8 +160,7 @@ def _hexify(value):
 class ScenarioRunner:
     """One deterministic protocol run for a single task."""
 
-    def __init__(self, config: ScenarioConfig,
-                 function_store: FunctionStore | None = None) -> None:
+    def __init__(self, config: ScenarioConfig) -> None:
         config.validate()
         self.config = config
         self.ledger = Ledger(config.gas_schedule(),
@@ -174,21 +170,17 @@ class ScenarioRunner:
             config.initial_balance)
         self.node_account = self.ledger.create_account(config.initial_balance)
         self.flow = InfoFlowLedger()
-        self.store = function_store or self._scenario_store()
+        self.store = self._scenario_store()
         self.host = EnclaveHost(
             self.store, self.flow,
             random.Random(f"{config.rng_seed}:host"),
         )
-        allow_list = {
-            name: bytes.fromhex(entry["measurement"])
-            for name, entry in self.store.manifest().items()
-        }
+        name = config.function_name
         self.requestor = RequestorActor(
-            config, self.requestor_account,
-            random.Random(f"{config.rng_seed}:requestor"),
-            self.flow, allow_list,
+            config, random.Random(f"{config.rng_seed}:requestor"),
+            self.flow, {name: self.store.measurement_of(name)},
         )
-        self.node = ExecutionNodeActor(config, self.node_account)
+        self.node = ExecutionNodeActor(config)
         self.trace = Trace()
         self.delivery_tamper = None  # test hook: ProtectedResult -> ProtectedResult
         self._queue: deque = deque()
@@ -245,7 +237,7 @@ class ScenarioRunner:
             task_id = self._next_expiry
             self._next_expiry += 1
             task = self.contract.tasks.get(task_id)
-            if task is None or task.dead:
+            if task is None or task.state is TaskState.TIMED_OUT_DEAD:
                 continue
             deadline = task.start + task.expires + 1
             if self.ledger.now < deadline:
@@ -261,32 +253,16 @@ class ScenarioRunner:
     # ------------------------------------------------------------------
 
     def _execute(self, who: str, action) -> None:
-        if isinstance(action, SubmitTx):
-            self._do_tx(who, action)
-        elif isinstance(action, actors.Instantiate):
-            self._do_instantiate(who, action)
-        elif isinstance(action, Attest):
-            self._do_attest(action)
-        elif isinstance(action, Provision):
-            self._do_provision(action)
-        elif isinstance(action, Execute):
-            self._do_execute(action)
-        elif isinstance(action, Deliver):
-            self._do_deliver(action)
-        elif isinstance(action, Destroy):
-            self.host.destroy(action.instance)
-            self.trace.add({"type": "enclave", "op": "destroy", "ok": True})
-        else:
+        handler = self._ACTIONS.get(type(action))
+        if handler is None:
             raise TypeError(f"unknown action {action!r}")
-
-    def _account_of(self, who: str) -> bytes:
-        return (self.requestor_account if who == PARTY_REQUESTOR
-                else self.node_account)
+        handler(self, who, action)
 
     def _do_tx(self, who: str, action: SubmitTx) -> None:
+        sender = (self.requestor_account if who == PARTY_REQUESTOR
+                  else self.node_account)
         receipt = self.ledger.submit_transaction(
-            self._account_of(who), action.call, action.value, self.config.tier,
-        )
+            sender, action.call, action.value, self.config.tier)
         self._last_receipt_time = receipt.timestamp
         self.trace.add({
             "type": "call",
@@ -304,12 +280,11 @@ class ScenarioRunner:
         })
         for event in receipt.events:
             self.trace.add({"type": "event", **event.to_json_obj()})
-        self._queue.append((who, TxReceipt(receipt)))
+        self._queue.append((who, receipt))
         for event in receipt.events:
-            self._queue.append((PARTY_REQUESTOR, ChainEvent(event)))
-            self._queue.append((PARTY_NODE, ChainEvent(event)))
+            self._queue.append((PARTY_NODE, event))
 
-    def _do_instantiate(self, who: str, action: actors.Instantiate) -> None:
+    def _do_instantiate(self, who: str, action: Instantiate) -> None:
         try:
             instance = self.host.instantiate(action.function_name)
         except EnclaveError as exc:
@@ -321,12 +296,11 @@ class ScenarioRunner:
             "instanceId": instance.instance_id,
             "measurement": instance.image.measurement.hex(),
         })
-        self._queue.append((PARTY_NODE,
-                            InstanceCreated(instance, action.task_id)))
-        self._queue.append((PARTY_REQUESTOR,
-                            EnclaveReady(instance, action.task_id)))
+        created = InstanceCreated(instance, action.task_id)
+        self._queue.append((PARTY_NODE, created))
+        self._queue.append((PARTY_REQUESTOR, created))
 
-    def _do_attest(self, action: Attest) -> None:
+    def _do_attest(self, who: str, action: Attest) -> None:
         try:
             self.host.attest(
                 action.instance, action.expected_measurement, action.nonce,
@@ -341,7 +315,7 @@ class ScenarioRunner:
         self._queue.append((PARTY_REQUESTOR,
                             AttestOk(action.instance, action.task_id)))
 
-    def _do_provision(self, action: Provision) -> None:
+    def _do_provision(self, who: str, action: Provision) -> None:
         self.host.provision(
             action.instance, REQUESTOR, action.secret, action.inputs,
             action.result_keys, label_prefix=f"task{action.task_id}",
@@ -352,7 +326,7 @@ class ScenarioRunner:
         self._queue.append((PARTY_NODE,
                             ProvisionAck(action.instance, action.task_id)))
 
-    def _do_execute(self, action: Execute) -> None:
+    def _do_execute(self, who: str, action: Execute) -> None:
         try:
             protected, secret = self.host.execute(action.instance)
         except EnclaveError as exc:
@@ -368,27 +342,36 @@ class ScenarioRunner:
             action.instance, action.task_id, protected, secret,
         )))
 
-    def _do_deliver(self, action: Deliver) -> None:
-        protected = action.protected
+    def _do_deliver(self, who: str, action: Deliver) -> None:
         if self.delivery_tamper is not None:
-            protected = self.delivery_tamper(protected)
+            action = replace(
+                action, protected=self.delivery_tamper(action.protected))
         self.trace.add({
             "type": "message", "kind": "result-delivery",
             "destination": action.destination,
-            "taskId": action.task_id, "keyId": protected.key_id,
+            "taskId": action.task_id, "keyId": action.protected.key_id,
         })
-        if action.destination == PARTY_THIRD:
-            self._queue.append((PARTY_THIRD,
-                                ResultDelivery(action.task_id, protected)))
-        else:
-            self._queue.append((PARTY_REQUESTOR,
-                                ResultDelivery(action.task_id, protected)))
+        # The destination names the recipient party.
+        self._queue.append((action.destination, action))
 
-    def _third_party(self, obs: ResultDelivery) -> None:
+    def _do_destroy(self, who: str, action: Destroy) -> None:
+        self.host.destroy(action.instance)
+        self.trace.add({"type": "enclave", "op": "destroy", "ok": True})
+
+    _ACTIONS = {
+        SubmitTx: _do_tx,
+        Instantiate: _do_instantiate,
+        Attest: _do_attest,
+        Provision: _do_provision,
+        Execute: _do_execute,
+        Deliver: _do_deliver,
+        Destroy: _do_destroy,
+    }
+
+    def _third_party(self, obs: Deliver) -> None:
         """The cloud endpoint: checks the public signature, acks back."""
-        keys = self.requestor._keys_by_task[obs.task_id]
         valid = crypto.verify_result_signature(
-            obs.protected, keys.result_keys.verify_key)
+            obs.protected, self.requestor.verify_key(obs.task_id))
         self.trace.add({"type": "message", "kind": "third-party-ack",
                         "taskId": obs.task_id, "signatureValid": valid})
         self._queue.append((PARTY_REQUESTOR,
@@ -398,8 +381,8 @@ class ScenarioRunner:
 
     def _infoflow_violations(self) -> tuple[str, ...]:
         violations = []
-        for ordinal in range(self.requestor._submits):
-            prefix = f"task{ordinal}"
+        for task_id in range(self.contract.num_tasks):
+            prefix = f"task{task_id}"
             for label in (f"{prefix}:enc-key", f"{prefix}:result"):
                 if self.flow.ever_seen(label, NODE_HOST):
                     violations.append(f"{NODE_HOST} saw {label}")
@@ -445,9 +428,8 @@ class ScenarioRunner:
         return outcome
 
 
-def run_scenario(config: ScenarioConfig,
-                 function_store: FunctionStore | None = None) -> ScenarioOutcome:
-    return ScenarioRunner(config, function_store).run()
+def run_scenario(config: ScenarioConfig) -> ScenarioOutcome:
+    return ScenarioRunner(config).run()
 
 
 # ----------------------------------------------------------------------

@@ -17,7 +17,6 @@ accounting excludes gas either way.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 ADDRESS_LENGTH = 20
@@ -231,9 +230,6 @@ class Ledger:
         except KeyError:
             raise UnknownAccount(account.hex()) from None
 
-    def accounts(self) -> dict[bytes, int]:
-        return dict(self._accounts)
-
     def _transfer(self, frm: bytes, to: bytes, amount: int) -> None:
         if amount < 0:
             raise ValueError("transfer amount must be non-negative")
@@ -343,10 +339,3 @@ class Ledger:
             if (kind is None or e.kind == kind)
             and (task_id is None or e.task_id == task_id)
         ]
-
-    def export_events_jsonl(self) -> str:
-        lines = [
-            json.dumps(e.to_json_obj(), sort_keys=True, separators=(",", ":"))
-            for e in self._events
-        ]
-        return "\n".join(lines) + ("\n" if lines else "")

@@ -188,3 +188,87 @@ def test_config_file_bad_value_exits_2(capsys, tmp_path, override, message):
     code, _, err = run_cli(capsys, "scenario", "--config", str(bad))
     assert code == 2
     assert message in err
+
+
+@pytest.mark.parametrize("override, message", [
+    ({"gas_per_function": {"submitTsk": 5}},
+     "unknown gas_per_function keys: ['submitTsk']"),
+    ({"gas_price_per_tier": {"medium": 5}},
+     "unknown gas_price_per_tier keys: ['medium']"),
+    ({"confirmation_delay_per_tier": {"medium": 5}},
+     "unknown confirmation_delay_per_tier keys: ['medium']"),
+], ids=["gas-per-function", "gas-price-per-tier", "delay-per-tier"])
+def test_override_map_unknown_key_exits_2(capsys, tmp_path, override,
+                                          message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(SMALL, **override)))
+    for argv in (["scenario"], ["gas", "--tier", "slow"]):
+        code, out, err = run_cli(capsys, *argv, "--config", str(bad))
+        assert code == 2
+        assert message in err
+        assert out == ""
+
+
+@pytest.mark.parametrize("config, argv, message", [
+    ({"initial_balance": 11 * UNIT, "max_resubmits": 5},
+     ["--requestor", "withhold-input"], "cannot fund the requestor"),
+    ({"gas_charging": True, "initial_balance": 10 * UNIT + 5 * 10**17},
+     [], "cannot fund the requestor"),
+    (dict(SMALL, node_deposit=400, max_resubmits=2),
+     ["--node", "claim-only"], "cannot fund the node"),
+    (dict(SMALL, max_resubmits=-1), [], "max_resubmits must be non-negative"),
+], ids=["resubmits", "gas", "node-deposits", "negative-resubmits"])
+def test_unfundable_config_exits_2(capsys, tmp_path, config, argv, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(config))
+    code, _, err = run_cli(capsys, "scenario", "--config", str(bad), *argv)
+    assert code == 2
+    assert message in err
+
+
+def test_scenario_strategy_from_config_file(capsys, tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(SMALL, requestor_strategy="no-confirm")))
+    code, out, _ = run_cli(capsys, "scenario", "--config", str(path),
+                           "--format", "json")
+    assert code == 0
+    assert json.loads(out)["requestorPayoff"] == 85  # no-confirm, not honest
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[1, 2]", "a config must be a JSON object"),
+    ("nope", "grid is not valid JSON"),
+], ids=["entry-not-an-object", "not-json"])
+def test_payoffs_bad_grid_exits_2(capsys, tmp_path, text, message):
+    grid = tmp_path / "grid.json"
+    grid.write_text(text)
+    code, _, err = run_cli(capsys, "payoffs", "--grid", str(grid))
+    assert code == 2
+    assert f"config error: {message}" in err
+
+
+def test_inspect_directory_exits_2(capsys, tmp_path):
+    code, _, err = run_cli(capsys, "inspect", "--trace", str(tmp_path))
+    assert code == 2
+    assert "not a file" in err
+
+
+def test_inspect_non_json_trace_exits_1(capsys, tmp_path):
+    trace_file = tmp_path / "trace.jsonl"
+    trace_file.write_text("not json\n")
+    code, _, err = run_cli(capsys, "inspect", "--trace", str(trace_file))
+    assert code == 1
+    assert "malformed trace" in err
+
+
+def test_inspect_record_missing_field_exits_1(capsys, tmp_path, config_file):
+    trace_file = tmp_path / "trace.jsonl"
+    run_cli(capsys, "scenario", "--config", config_file,
+            "--export-trace", str(trace_file))
+    records = [json.loads(line)
+               for line in trace_file.read_text().splitlines()]
+    del records[-1]["nodeBalanceDelta"]  # the outcome record
+    trace_file.write_text("".join(json.dumps(r) + "\n" for r in records))
+    code, _, err = run_cli(capsys, "inspect", "--trace", str(trace_file))
+    assert code == 1
+    assert "malformed trace: KeyError('nodeBalanceDelta')" in err

@@ -87,7 +87,7 @@ def test_claim_exact_threshold_accepted(funded):
     task = contract.tasks[task_id]
     assert task.execution_node == node
     assert task.execution_node_deposit == THRESHOLD
-    assert task.claimed
+    assert task.state is TaskState.CLAIMED
 
 
 def test_claim_nonexistent_task_refused(funded):
@@ -103,7 +103,7 @@ def test_claim_below_threshold_refused(funded):
     receipt = call(ledger, node, "claimTask", value=THRESHOLD - 1,
                    task_id=task_id)
     assert receipt.outcome.reason is RefusalReason.VALUE_BELOW_THRESHOLD
-    assert not contract.tasks[task_id].claimed
+    assert contract.tasks[task_id].state is TaskState.OPEN
 
 
 @settings(max_examples=60, deadline=None)
@@ -145,7 +145,7 @@ def test_correct_secret_returns_deposit(funded):
                    task_id=task_id, secret=SECRET)
     assert receipt.outcome.accepted
     assert ledger.balance(node) == before + 6
-    assert contract.tasks[task_id].completed
+    assert contract.tasks[task_id].state is TaskState.COMPLETED
 
 
 def test_correct_secret_from_non_claimant_refused(funded):
@@ -155,7 +155,7 @@ def test_correct_secret_from_non_claimant_refused(funded):
                    task_id=task_id, secret=SECRET)
     assert receipt.outcome.reason is RefusalReason.NOT_CLAIMANT
     assert ledger.balance(other) == 100
-    assert not contract.tasks[task_id].completed
+    assert contract.tasks[task_id].state is TaskState.CLAIMED
 
 
 def test_flipped_bit_secret_refused(funded):
@@ -164,7 +164,7 @@ def test_flipped_bit_secret_refused(funded):
     receipt = call(ledger, node, "finalizeExecutionNode",
                    task_id=task_id, secret=tampered)
     assert receipt.outcome.reason is RefusalReason.BAD_SECRET
-    assert not contract.tasks[task_id].completed
+    assert contract.tasks[task_id].state is TaskState.CLAIMED
 
 
 def test_finalize_unclaimed_task_refused(funded):
@@ -327,10 +327,9 @@ def test_state_machine_transitions(funded):
          secret=SECRET)
     states.append(contract.tasks[task_id].state)
     call(ledger, requestor, "finalizeRequestor", task_id=task_id)
-    states.append(TaskState.CLOSED if task_id not in contract.tasks
-                  else contract.tasks[task_id].state)
     assert states == [TaskState.OPEN, TaskState.CLAIMED,
-                      TaskState.COMPLETED, TaskState.CLOSED]
+                      TaskState.COMPLETED]
+    assert task_id not in contract.tasks  # a closed task has no record
 
 
 def test_requestor_cannot_steal_payment_while_claimed(funded):
@@ -344,7 +343,7 @@ def test_requestor_cannot_steal_payment_while_claimed(funded):
     call(ledger, requestor, "timeout", task_id=task_id)
     assert ledger.balance(requestor) == baseline
     task = contract.tasks[task_id]
-    assert task.claimed and not task.completed and not task.dead
+    assert task.state is TaskState.CLAIMED
 
 
 def test_refused_calls_keep_tasks_bit_identical(funded):

@@ -260,26 +260,3 @@ def test_only_forward_sequences_accepted(host):
         host.execute(instance)
     host.destroy(instance)
     assert instance.state is EnclaveState.DESTROYED
-
-
-# ----------------------------------------------------------------------
-# function store manifest
-
-
-def test_manifest_file_round_trip(tmp_path):
-    manifest = {
-        "functions": [
-            {"name": "identity", "body": "identity", "version": "2",
-             "resourceCost": 11},
-            {"name": "adder", "body": "sum", "resourceCost": 4},
-        ]
-    }
-    path = tmp_path / "functions.json"
-    path.write_text(json.dumps(manifest))
-    store = FunctionStore.from_manifest(str(path))
-    listing = store.manifest()
-    assert set(listing) == {"identity", "adder"}
-    assert listing["identity"]["resourceCost"] == 11
-    assert listing["adder"]["measurement"] == (
-        FunctionImage("adder", "1", "sum", None, 4).measurement.hex()
-    )

@@ -13,7 +13,7 @@ from teescrow.config import (
     ConfigInvalid,
     ScenarioConfig,
 )
-from teescrow.contract import RefusalReason
+from teescrow.contract import RefusalReason, TaskState
 from teescrow.harness import (
     ScenarioRunner,
     dominance_check,
@@ -165,6 +165,36 @@ def test_config_validation_errors():
         ScenarioRunner(dataclasses.replace(CFG, node_deposit=1))
     with pytest.raises(ConfigInvalid):
         ScenarioRunner(dataclasses.replace(CFG, requestor_deposit=7))
+    with pytest.raises(ConfigInvalid, match="max_resubmits"):
+        ScenarioRunner(dataclasses.replace(CFG, max_resubmits=-1))
+
+
+def minimum_balance(config: ScenarioConfig) -> int:
+    """The least initial balance that funds both parties' transactions."""
+    schedule = config.gas_schedule()
+    price = schedule.gas_price_per_tier[config.tier] * config.gas_charging
+    gas = schedule.per_function
+    tasks = config.max_resubmits + 1
+    requestor = config.payment + tasks * config.threshold + tasks * price * (
+        gas["submitTask"] + max(gas["finalizeRequestor"], gas["timeout"]))
+    node = tasks * config.node_deposit + tasks * price * (
+        gas["claimTask"] + gas["finalizeExecutionNode"])
+    return max(requestor, node)
+
+
+@pytest.mark.parametrize("gas_charging", [False, True])
+@pytest.mark.parametrize("pair", list(product(REQUESTOR_STRATEGIES,
+                                              NODE_STRATEGIES)),
+                         ids="/".join)
+def test_minimum_funding_runs_and_one_less_is_refused(pair, gas_charging):
+    config = dataclasses.replace(
+        CFG.with_strategies(*pair), gas_charging=gas_charging,
+        max_resubmits=2, node_deposit=8, tier="fast")
+    balance = minimum_balance(config)
+    # Every transaction either party sends is funded: no InsufficientBalance.
+    run_scenario(dataclasses.replace(config, initial_balance=balance))
+    with pytest.raises(ConfigInvalid, match="cannot fund"):
+        ScenarioRunner(dataclasses.replace(config, initial_balance=balance - 1))
 
 
 # ----------------------------------------------------------------------
@@ -273,4 +303,4 @@ def test_claim_race_first_funded_wins():
 def test_claim_race_none_funded():
     receipts, contract, _ = run_claim_race([1, 2, 3], threshold=5)
     assert not any(r.outcome.accepted for r in receipts)
-    assert not contract.tasks[0].claimed
+    assert contract.tasks[0].state is TaskState.OPEN

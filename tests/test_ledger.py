@@ -165,15 +165,6 @@ def test_query_events_filters(funded):
     assert ledger.query_events(task_id=second + 1) == []
 
 
-def test_event_export_schema(funded):
-    ledger, _, requestor, _ = funded
-    call(ledger, requestor, "submitTask", value=15,
-         function_name="f", hash_lock=bytes(32), expires=100)
-    lines = ledger.export_events_jsonl().strip().split("\n")
-    record = json.loads(lines[0])
-    assert set(record) == {"kind", "taskId", "blockHeight", "payload"}
-
-
 def test_submitted_events_match_created_tasks(funded):
     ledger, contract, requestor, _ = funded
     for value in (15, 2, 30):  # the 2 is refused, creates nothing
