@@ -89,6 +89,30 @@ def test_on_chain_outcome_identical_for_both_starvation_causes():
     assert withheld.locked_in_contract == silent.locked_in_contract
 
 
+def test_wrong_measurement_stops_before_provision():
+    runner = ScenarioRunner(CFG.with_strategies("honest", "honest"))
+    runner.requestor.allow_list[CFG.function_name] = bytes(32)
+    outcome = runner.run()
+    attest = [r for r in runner.trace.records if r["type"] == "enclave"][-1]
+    assert attest["op"] == "attest" and attest["ok"] is False
+    assert enclave_ops(runner) == ["instantiate", "attest"]
+    assert calls(runner) == ["submitTask", "claimTask", "timeout"]
+    timeout_record = [r for r in runner.trace.records
+                      if r["type"] == "call"][-1]
+    assert timeout_record["outcome"]["accepted"]
+    assert (outcome.requestor_payoff, outcome.node_payoff) == (-5, -5)
+
+
+def test_execution_fault_stops_before_finalize():
+    runner, outcome = run(function_name="sum", inputs=["a", "b"])
+    execute = [r for r in runner.trace.records if r["type"] == "enclave"][-1]
+    assert execute["op"] == "execute" and execute["ok"] is False
+    assert enclave_ops(runner) == ["instantiate", "attest", "provision",
+                                   "execute"]
+    assert calls(runner) == ["submitTask", "claimTask", "timeout"]
+    assert not outcome.received_valid_result
+
+
 def test_tampered_delivery_is_not_confirmed():
     config = CFG.with_strategies("honest", "honest")
     runner = ScenarioRunner(config)

@@ -7,12 +7,13 @@ be made on purpose (and these values re-derived) or not at all.
 
 from __future__ import annotations
 
+import dataclasses
 from itertools import product
 
 import pytest
 
 from teescrow.config import NODE_STRATEGIES, REQUESTOR_STRATEGIES, ScenarioConfig
-from teescrow.harness import run_scenario
+from teescrow.harness import ScenarioRunner
 from teescrow.ledger import TIERS
 
 
@@ -31,7 +32,32 @@ def golden_configs() -> dict[str, ScenarioConfig]:
     cases["execution-delay-5"] = ScenarioConfig(execution_delay=5)
     cases["withhold-chain-3"] = ScenarioConfig(
         requestor_strategy="withhold-input", max_resubmits=3)
+    cases["wrong-measurement"] = ScenarioConfig()
+    cases["execution-fault"] = ScenarioConfig(function_name="sum",
+                                              inputs=("a", "b"))
+    cases["delivery-tamper"] = ScenarioConfig()
+    cases["gas-in-payoffs"] = ScenarioConfig(gas_charging=True,
+                                             include_gas_in_payoffs=True)
     return cases
+
+
+def _expect_wrong_measurement(runner: ScenarioRunner) -> None:
+    runner.requestor.allow_list[runner.config.function_name] = bytes(32)
+
+
+def _flip_first_ciphertext_bit(runner: ScenarioRunner) -> None:
+    runner.delivery_tamper = lambda protected: dataclasses.replace(
+        protected,
+        ciphertext=bytes([protected.ciphertext[0] ^ 1])
+        + protected.ciphertext[1:],
+    )
+
+
+#: Cases that reach a failure path through a runner hook, not the config.
+RUNNER_SETUPS = {
+    "wrong-measurement": _expect_wrong_measurement,
+    "delivery-tamper": _flip_first_ciphertext_bit,
+}
 
 
 GOLDEN_TRACE_IDS = {
@@ -67,6 +93,10 @@ GOLDEN_TRACE_IDS = {
     "sha256-hex-64": "421d8e711c80231c",
     "execution-delay-5": "da05e4cef0c03411",
     "withhold-chain-3": "b024bf3ed0d068ee",
+    "wrong-measurement": "3e0933b4d0c033aa",
+    "execution-fault": "2ef8945a8e726f7f",
+    "delivery-tamper": "817c4df3be54d1d2",
+    "gas-in-payoffs": "f02c74bb93a2b73a",
 }
 
 
@@ -76,5 +106,6 @@ def test_every_case_is_pinned():
 
 @pytest.mark.parametrize("name", sorted(golden_configs()))
 def test_trace_id_unchanged(name):
-    outcome = run_scenario(golden_configs()[name])
-    assert outcome.trace_id == GOLDEN_TRACE_IDS[name]
+    runner = ScenarioRunner(golden_configs()[name])
+    RUNNER_SETUPS.get(name, lambda runner: None)(runner)
+    assert runner.run().trace_id == GOLDEN_TRACE_IDS[name]
