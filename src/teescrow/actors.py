@@ -10,19 +10,19 @@ table does not name.  The runner routes each message to one party:
     Start               requestor
     ledger.Receipt      the party that sent the transaction
     ledger.LedgerEvent  node (the requestor acts on no chain event)
-    InstanceCreated     node, then requestor
-    AttestOk            requestor
-    ProvisionAck        node
+    InstanceCreated     requestor
     ExecutionDone       node
     Deliver             its ``destination``: requestor or third party
     ThirdPartyAck       requestor
     Expiry              requestor
 
 Honest behaviour follows the protocol sequence: the requestor generates a
-secret, submits the task with payment + deposit, attests and provisions the
-claimed enclave, and confirms once a valid result arrives; the node claims,
-executes, reveals the secret on-chain and delivers the result.  Deviations
-cut the sequence short:
+secret, submits the task with payment + deposit, provisions the claimed
+enclave (the runner attests it, provisions it and runs the function in one
+session, since no party decides anything in between), and confirms once a
+valid result arrives; the node claims, instantiates the enclave, reveals
+the secret on-chain and delivers the result.  Deviations cut the sequence
+short:
 
 * ``no-confirm``   requestor keeps the result but never confirms;
 * ``withhold-input``  requestor never provisions after the claim;
@@ -57,19 +57,7 @@ class Start:
 
 
 @dataclass(frozen=True)
-class AttestOk:
-    instance: EnclaveInstance
-    task_id: int
-
-
-@dataclass(frozen=True)
 class InstanceCreated:
-    instance: EnclaveInstance
-    task_id: int
-
-
-@dataclass(frozen=True)
-class ProvisionAck:
     instance: EnclaveInstance
     task_id: int
 
@@ -110,26 +98,16 @@ class Instantiate:
 
 
 @dataclass(frozen=True)
-class Attest:
+class Provision:
+    """Attest the instance, provision it and run the function."""
+
     instance: EnclaveInstance
     task_id: int
     expected_measurement: bytes
     nonce: bytes
-
-
-@dataclass(frozen=True)
-class Provision:
-    instance: EnclaveInstance
-    task_id: int
     secret: bytes
     inputs: object
     result_keys: ResultKeyPair
-
-
-@dataclass(frozen=True)
-class Execute:
-    instance: EnclaveInstance
-    task_id: int
 
 
 @dataclass(frozen=True)
@@ -169,7 +147,6 @@ class RequestorActor:
         self.flow = flow
         self.allow_list = measurement_allow_list
         self.received_valid_result = False
-        self.confirmed = False
         self._keys_by_task: dict[int, _TaskKeys] = {}
         self._resubmits_left = config.max_resubmits
 
@@ -219,19 +196,12 @@ class RequestorActor:
     def _on_instance_created(self, obs: InstanceCreated) -> list[Action]:
         if self.config.requestor_strategy == REQUESTOR_WITHHOLD_INPUT:
             return []
-        expected = self.allow_list[self.config.function_name]
-        return [Attest(
-            instance=obs.instance,
-            task_id=obs.task_id,
-            expected_measurement=expected,
-            nonce=self.rng.randbytes(16),
-        )]
-
-    def _on_attest_ok(self, obs: AttestOk) -> list[Action]:
         keys = self._keys_by_task[obs.task_id]
         return [Provision(
             instance=obs.instance,
             task_id=obs.task_id,
+            expected_measurement=self.allow_list[self.config.function_name],
+            nonce=self.rng.randbytes(16),
             secret=keys.secret,
             inputs=self.config.inputs,
             result_keys=keys.result_keys,
@@ -262,14 +232,12 @@ class RequestorActor:
     def _maybe_confirm(self, task_id: int) -> list[Action]:
         if self.config.requestor_strategy != REQUESTOR_HONEST:
             return []
-        self.confirmed = True
         return [SubmitTx(ContractCall("finalizeRequestor", {"task_id": task_id}))]
 
     _HANDLERS = {
         Start: _on_start,
         Receipt: _on_receipt,
         InstanceCreated: _on_instance_created,
-        AttestOk: _on_attest_ok,
         Deliver: _on_delivery,
         ThirdPartyAck: _on_third_party_ack,
         Expiry: _on_expiry,
@@ -281,9 +249,8 @@ class ExecutionNodeActor:
 
     def __init__(self, config: ScenarioConfig) -> None:
         self.config = config
-        self._instance_by_task: dict[int, EnclaveInstance] = {}
         self._function_by_task: dict[int, str] = {}
-        self._protected_by_task: dict[int, ProtectedResult] = {}
+        self._done_by_task: dict[int, ExecutionDone] = {}
 
     def step(self, obs: Observation) -> list[Action]:
         handler = self._HANDLERS.get(type(obs))
@@ -310,7 +277,7 @@ class ExecutionNodeActor:
                 task_id=task_id,
             )]
         if receipt.call.function == "finalizeExecutionNode":
-            instance = self._instance_by_task[task_id]
+            done = self._done_by_task[task_id]
             actions: list[Action] = []
             if self.config.node_strategy == NODE_HONEST:
                 destination = (
@@ -319,22 +286,15 @@ class ExecutionNodeActor:
                 )
                 actions.append(Deliver(
                     task_id=task_id,
-                    protected=self._protected_by_task[task_id],
+                    protected=done.protected,
                     destination=destination,
                 ))
-            actions.append(Destroy(instance))
+            actions.append(Destroy(done.instance))
             return actions
         return []
 
-    def _on_instance_created(self, obs: InstanceCreated) -> list[Action]:
-        self._instance_by_task[obs.task_id] = obs.instance
-        return []
-
-    def _on_provision_ack(self, obs: ProvisionAck) -> list[Action]:
-        return [Execute(instance=obs.instance, task_id=obs.task_id)]
-
     def _on_execution_done(self, obs: ExecutionDone) -> list[Action]:
-        self._protected_by_task[obs.task_id] = obs.protected
+        self._done_by_task[obs.task_id] = obs
         return [SubmitTx(ContractCall("finalizeExecutionNode", {
             "task_id": obs.task_id,
             "secret": obs.secret,
@@ -343,7 +303,5 @@ class ExecutionNodeActor:
     _HANDLERS = {
         LedgerEvent: _on_event,
         Receipt: _on_receipt,
-        InstanceCreated: _on_instance_created,
-        ProvisionAck: _on_provision_ack,
         ExecutionDone: _on_execution_done,
     }

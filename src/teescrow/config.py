@@ -84,9 +84,9 @@ class ScenarioConfig:
     confirmation_delay_per_tier: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.requestor_deposit < 0:
+        if self.requestor_deposit == -1:
             object.__setattr__(self, "requestor_deposit", self.threshold)
-        if self.node_deposit < 0:
+        if self.node_deposit == -1:
             object.__setattr__(self, "node_deposit", self.threshold)
 
     # ------------------------------------------------------------------

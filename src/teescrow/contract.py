@@ -112,14 +112,6 @@ class Task:
 class EscrowContract:
     """Contract state plus the five dispatchable functions."""
 
-    functions = (
-        "submitTask",
-        "claimTask",
-        "finalizeExecutionNode",
-        "finalizeRequestor",
-        "timeout",
-    )
-
     def __init__(self, ledger: Ledger, threshold: int) -> None:
         if threshold <= 0:
             raise ValueError("threshold must be positive")
@@ -131,14 +123,7 @@ class EscrowContract:
     # ------------------------------------------------------------------
 
     def dispatch(self, ctx: CallContext, call: ContractCall) -> CallOutcome:
-        handler = {
-            "submitTask": self._submit_task,
-            "claimTask": self._claim_task,
-            "finalizeExecutionNode": self._finalize_execution_node,
-            "finalizeRequestor": self._finalize_requestor,
-            "timeout": self._timeout,
-        }[call.function]
-        return handler(ctx, **call.args)
+        return self.functions[call.function](self, ctx, **call.args)
 
     def _refund(self, ctx: CallContext) -> None:
         if ctx.value:
@@ -258,6 +243,15 @@ class EscrowContract:
             "lockedExecutionNodeDeposit": task.execution_node_deposit,
         })
         return CallOutcome.ok(task_id)
+
+    #: Function name -> method; the ledger refuses any name not listed.
+    functions = {
+        "submitTask": _submit_task,
+        "claimTask": _claim_task,
+        "finalizeExecutionNode": _finalize_execution_node,
+        "finalizeRequestor": _finalize_requestor,
+        "timeout": _timeout,
+    }
 
     # ------------------------------------------------------------------
 

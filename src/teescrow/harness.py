@@ -21,18 +21,14 @@ from dataclasses import dataclass, field, replace
 
 from . import crypto
 from .actors import (
-    Attest,
-    AttestOk,
     Deliver,
     Destroy,
-    Execute,
     ExecutionDone,
     ExecutionNodeActor,
     Expiry,
     Instantiate,
     InstanceCreated,
     Provision,
-    ProvisionAck,
     RequestorActor,
     Start,
     SubmitTx,
@@ -284,62 +280,55 @@ class ScenarioRunner:
         for event in receipt.events:
             self._queue.append((PARTY_NODE, event))
 
+    def _enclave_failed(self, op: str, exc: EnclaveError) -> None:
+        self.trace.add({"type": "enclave", "op": op, "ok": False,
+                        "detail": str(exc)})
+
     def _do_instantiate(self, who: str, action: Instantiate) -> None:
         try:
             instance = self.host.instantiate(action.function_name)
         except EnclaveError as exc:
-            self.trace.add({"type": "enclave", "op": "instantiate",
-                            "ok": False, "detail": str(exc)})
+            self._enclave_failed("instantiate", exc)
             return
         self.trace.add({
             "type": "enclave", "op": "instantiate", "ok": True,
             "instanceId": instance.instance_id,
             "measurement": instance.image.measurement.hex(),
         })
-        created = InstanceCreated(instance, action.task_id)
-        self._queue.append((PARTY_NODE, created))
-        self._queue.append((PARTY_REQUESTOR, created))
-
-    def _do_attest(self, who: str, action: Attest) -> None:
-        try:
-            self.host.attest(
-                action.instance, action.expected_measurement, action.nonce,
-                requestor=REQUESTOR,
-            )
-        except EnclaveError as exc:
-            self.trace.add({"type": "enclave", "op": "attest",
-                            "ok": False, "detail": str(exc)})
-            return
-        self.trace.add({"type": "enclave", "op": "attest", "ok": True,
-                        "instanceId": action.instance.instance_id})
         self._queue.append((PARTY_REQUESTOR,
-                            AttestOk(action.instance, action.task_id)))
+                            InstanceCreated(instance, action.task_id)))
 
     def _do_provision(self, who: str, action: Provision) -> None:
+        """The attested session: attest, provision, execute; stops at the
+        first enclave error."""
+        instance = action.instance
+        try:
+            self.host.attest(instance, action.expected_measurement,
+                             action.nonce, requestor=REQUESTOR)
+        except EnclaveError as exc:
+            self._enclave_failed("attest", exc)
+            return
+        self.trace.add({"type": "enclave", "op": "attest", "ok": True,
+                        "instanceId": instance.instance_id})
         self.host.provision(
-            action.instance, REQUESTOR, action.secret, action.inputs,
+            instance, REQUESTOR, action.secret, action.inputs,
             action.result_keys, label_prefix=f"task{action.task_id}",
         )
         self.flow.grant(f"task{action.task_id}:inputs", REQUESTOR)
         self.trace.add({"type": "enclave", "op": "provision", "ok": True,
-                        "instanceId": action.instance.instance_id})
-        self._queue.append((PARTY_NODE,
-                            ProvisionAck(action.instance, action.task_id)))
-
-    def _do_execute(self, who: str, action: Execute) -> None:
+                        "instanceId": instance.instance_id})
         try:
-            protected, secret = self.host.execute(action.instance)
+            protected, secret = self.host.execute(instance)
         except EnclaveError as exc:
-            self.trace.add({"type": "enclave", "op": "execute",
-                            "ok": False, "detail": str(exc)})
+            self._enclave_failed("execute", exc)
             return
         if self.config.execution_delay:
             self.ledger.advance_time(self.config.execution_delay)
         self.trace.add({"type": "enclave", "op": "execute", "ok": True,
-                        "instanceId": action.instance.instance_id,
-                        "resourceCost": action.instance.image.resource_cost})
+                        "instanceId": instance.instance_id,
+                        "resourceCost": instance.image.resource_cost})
         self._queue.append((PARTY_NODE, ExecutionDone(
-            action.instance, action.task_id, protected, secret,
+            instance, action.task_id, protected, secret,
         )))
 
     def _do_deliver(self, who: str, action: Deliver) -> None:
@@ -361,9 +350,7 @@ class ScenarioRunner:
     _ACTIONS = {
         SubmitTx: _do_tx,
         Instantiate: _do_instantiate,
-        Attest: _do_attest,
         Provision: _do_provision,
-        Execute: _do_execute,
         Deliver: _do_deliver,
         Destroy: _do_destroy,
     }

@@ -127,7 +127,7 @@ def test_tampered_delivery_is_not_confirmed():
     runner.delivery_tamper = flip
     outcome = runner.run()
     assert not outcome.received_valid_result
-    assert not runner.requestor.confirmed
+    assert "finalizeRequestor" not in calls(runner)
     # Escalates to the timeout path, which the completed task refuses.
     assert calls(runner)[-1] == "timeout"
     assert outcome.requestor_payoff == -(CFG.payment + CFG.threshold)

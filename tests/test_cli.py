@@ -181,7 +181,10 @@ def test_config_file_unknown_key_exits_2(capsys, tmp_path):
     ({"payment": "10"}, "payment must be an integer"),
     ({"gas_per_function": {"submitTask": 0}}, "must be positive"),
     ({"expires": 1.5}, "expires must be an integer"),
-], ids=["string-amount", "zero-gas", "float-seconds"])
+    ({"requestor_deposit": -3}, "requestor_deposit must equal threshold"),
+    ({"node_deposit": -7}, "node_deposit must be at least the threshold"),
+], ids=["string-amount", "zero-gas", "float-seconds",
+        "negative-requestor-deposit", "negative-node-deposit"])
 def test_config_file_bad_value_exits_2(capsys, tmp_path, override, message):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(dict(SMALL, **override)))
