@@ -6,6 +6,9 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_golden_traces import RUNNER_SETUPS, golden_configs
 
 from teescrow.config import (
     NODE_STRATEGIES,
@@ -16,6 +19,7 @@ from teescrow.config import (
 from teescrow.contract import RefusalReason, TaskState
 from teescrow.harness import (
     ScenarioRunner,
+    Trace,
     dominance_check,
     gas_report,
     latency_report,
@@ -115,17 +119,112 @@ def test_trace_determinism_same_seed():
     assert a.trace.to_jsonl() == b.trace.to_jsonl()
 
 
-@pytest.mark.parametrize(
-    "pair", list(product(REQUESTOR_STRATEGIES, NODE_STRATEGIES)))
-def test_stored_trace_lines_match_records(pair):
-    # Records are encoded when added; a record mutated afterwards would
-    # make the stored line and a fresh encoding differ.
-    runner = ScenarioRunner(CFG.with_strategies(*pair))
+def _canonical_lines(records) -> str:
+    return "".join(json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n"
+                   for r in records)
+
+
+#: The nine strategy pairs on ``CFG``, then every golden-trace case, so the
+#: refused, timeout, third-party, gas, tamper and enclave-failure records
+#: are all encoded and compared.
+_STORED_TRACE_CASES = [
+    pytest.param(CFG.with_strategies(*pair), None, id=f"pair{i}")
+    for i, pair in enumerate(product(REQUESTOR_STRATEGIES, NODE_STRATEGIES))
+] + [
+    pytest.param(config, RUNNER_SETUPS.get(name), id=name)
+    for name, config in sorted(golden_configs().items())
+]
+
+
+@pytest.mark.parametrize("config, setup", _STORED_TRACE_CASES)
+def test_stored_trace_lines_match_records(config, setup):
+    # Records are encoded when added; a record mutated afterwards, or a
+    # line writer that drops or misspells a field, would make the stored
+    # line and a fresh encoding differ.
+    runner = ScenarioRunner(config)
+    if setup is not None:
+        setup(runner)
     runner.run()
-    assert runner.trace.to_jsonl() == "".join(
-        json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n"
-        for r in runner.trace.records
-    )
+    assert runner.trace.to_jsonl() == _canonical_lines(runner.trace.records)
+
+
+# Strings that need escaping or are not ASCII, and ints at and past the
+# edges of fixed-width types; hypothesis mixes in arbitrary values too.
+_TEXT = st.text(st.sampled_from('"\\/\x00\x1f\x7f\u00e9\u2028\U0001f600aZ09')
+                | st.characters())
+_INT = st.sampled_from([0, -1, 2**63, 2**64, 2**64 + 1, -(2**64) - 1]) | st.integers()
+
+
+def _record(**fields):
+    return st.fixed_dictionaries(
+        {key: st.just(value) if isinstance(value, str) else value
+         for key, value in fields.items()})
+
+
+_OUTCOMES = (_record(accepted=st.just(True), taskId=_INT)
+             | _record(accepted=st.just(False), reason=_TEXT))
+_CALL_ARGS = {
+    "submitTask": _record(expires=_INT, function_name=_TEXT, hash_lock=_TEXT),
+    "claimTask": _record(task_id=_INT),
+    "finalizeExecutionNode": _record(secret=_TEXT, task_id=_INT),
+    "finalizeRequestor": _record(task_id=_INT),
+    "timeout": _record(task_id=_INT),
+}
+_EVENT_PAYLOADS = {
+    "TaskSubmitted": _record(
+        functionName=_TEXT, hashLock=_TEXT, requestor=_TEXT, payment=_INT,
+        requestorDeposit=_INT, expires=_INT),
+    "TaskClaimed": _record(executionNode=_TEXT, executionNodeDeposit=_INT),
+    "TaskFinished": _record(executionNode=_TEXT, depositReturned=_INT),
+    "TaskTimedOut": _record(
+        paymentReturned=_INT, lockedRequestorDeposit=_INT,
+        lockedExecutionNodeDeposit=_INT),
+}
+
+#: One strategy per record shape a run writes.
+TRACE_RECORDS = {
+    **{f"call/{function}": _record(
+        type="call", sender=_TEXT, function=function, args=args, value=_INT,
+        tier=_TEXT, blockHeight=_INT, timestamp=_INT, gasUsed=_INT,
+        gasCost=_INT, outcome=_OUTCOMES, conservationOk=st.booleans())
+       for function, args in _CALL_ARGS.items()},
+    **{f"event/{kind}": _record(
+        type="event", kind=kind, taskId=_INT, blockHeight=_INT,
+        payload=payload)
+       for kind, payload in _EVENT_PAYLOADS.items()},
+    "clock": _record(type="clock", now=_INT, reason=_TEXT),
+    "enclave/instantiate": _record(
+        type="enclave", op="instantiate", ok=st.just(True), instanceId=_INT,
+        measurement=_TEXT),
+    "enclave/attest": _record(type="enclave", op="attest", ok=st.just(True),
+                              instanceId=_INT),
+    "enclave/provision": _record(type="enclave", op="provision",
+                                 ok=st.just(True), instanceId=_INT),
+    "enclave/execute": _record(type="enclave", op="execute", ok=st.just(True),
+                               instanceId=_INT, resourceCost=_INT),
+    "enclave/destroy": _record(type="enclave", op="destroy", ok=st.just(True)),
+    "enclave/failed": _record(
+        type="enclave", op=st.sampled_from(["instantiate", "attest", "execute"]),
+        ok=st.just(False), detail=_TEXT),
+    "message/result-delivery": _record(
+        type="message", kind="result-delivery", destination=_TEXT,
+        taskId=_INT, keyId=_TEXT),
+    "message/third-party-ack": _record(
+        type="message", kind="third-party-ack", taskId=_INT,
+        signatureValid=st.booleans()),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(TRACE_RECORDS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_trace_lines_match_json_dumps(shape, data):
+    records = data.draw(st.lists(TRACE_RECORDS[shape], min_size=1,
+                                 max_size=3))
+    trace = Trace()
+    for record in records:
+        trace.add(record)
+    assert trace.to_jsonl() == _canonical_lines(records)
 
 
 def test_different_seeds_change_secrets_not_payoffs():
