@@ -72,6 +72,117 @@ PARTY_THIRD = "third-party"
 
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
+# Line writers for the records every transaction and enclave step leaves.
+# Each one builds exactly the line ``_ENCODER`` would: keys sorted, ints as
+# ``str``, strings quoted and escaped by ``_q`` (the encoder's own ASCII
+# escaper).  A new key or record shape goes into its writer; the tests
+# compare every line with ``json.dumps``.  Keys that select a writer (type,
+# function, kind, op, accepted) are written as the literal they matched.
+_q = json.encoder.encode_basestring_ascii
+_BOOL = {True: "true", False: "false"}
+
+
+_CALL_ARGS = {
+    "submitTask": lambda a: (
+        f'{{"expires":{a["expires"]},"function_name":{_q(a["function_name"])},'
+        f'"hash_lock":{_q(a["hash_lock"])}}}'),
+    "finalizeExecutionNode": lambda a: (
+        f'{{"secret":{_q(a["secret"])},"task_id":{a["task_id"]}}}'),
+    **dict.fromkeys(("claimTask", "finalizeRequestor", "timeout"),
+                    lambda a: f'{{"task_id":{a["task_id"]}}}'),
+}
+
+_CALL_OUTCOME = {
+    True: lambda o: f'{{"accepted":true,"taskId":{o["taskId"]}}}',
+    False: lambda o: f'{{"accepted":false,"reason":{_q(o["reason"])}}}',
+}
+
+
+def _call_line(r: dict) -> str:
+    function = r["function"]
+    return (
+        f'{{"args":{_CALL_ARGS[function](r["args"])},'
+        f'"blockHeight":{r["blockHeight"]},'
+        f'"conservationOk":{_BOOL[r["conservationOk"]]},'
+        f'"function":"{function}","gasCost":{r["gasCost"]},'
+        f'"gasUsed":{r["gasUsed"]},'
+        f'"outcome":{_CALL_OUTCOME[r["outcome"]["accepted"]](r["outcome"])},'
+        f'"sender":{_q(r["sender"])},"tier":{_q(r["tier"])},'
+        f'"timestamp":{r["timestamp"]},"type":"call","value":{r["value"]}}}\n'
+    )
+
+
+_EVENT_PAYLOAD = {
+    "TaskSubmitted": lambda p: (
+        f'{{"expires":{p["expires"]},"functionName":{_q(p["functionName"])},'
+        f'"hashLock":{_q(p["hashLock"])},"payment":{p["payment"]},'
+        f'"requestor":{_q(p["requestor"])},'
+        f'"requestorDeposit":{p["requestorDeposit"]}}}'),
+    "TaskClaimed": lambda p: (
+        f'{{"executionNode":{_q(p["executionNode"])},'
+        f'"executionNodeDeposit":{p["executionNodeDeposit"]}}}'),
+    "TaskFinished": lambda p: (
+        f'{{"depositReturned":{p["depositReturned"]},'
+        f'"executionNode":{_q(p["executionNode"])}}}'),
+    "TaskTimedOut": lambda p: (
+        f'{{"lockedExecutionNodeDeposit":{p["lockedExecutionNodeDeposit"]},'
+        f'"lockedRequestorDeposit":{p["lockedRequestorDeposit"]},'
+        f'"paymentReturned":{p["paymentReturned"]}}}'),
+}
+
+
+def _event_line(r: dict) -> str:
+    kind = r["kind"]
+    return (
+        f'{{"blockHeight":{r["blockHeight"]},"kind":"{kind}",'
+        f'"payload":{_EVENT_PAYLOAD[kind](r["payload"])},'
+        f'"taskId":{r["taskId"]},"type":"event"}}\n'
+    )
+
+
+_ENCLAVE_OK = {
+    "instantiate": lambda r: (
+        f'{{"instanceId":{r["instanceId"]},"measurement":{_q(r["measurement"])},'
+        f'"ok":true,"op":"instantiate","type":"enclave"}}\n'),
+    **dict.fromkeys(("attest", "provision"), lambda r: (
+        f'{{"instanceId":{r["instanceId"]},"ok":true,"op":"{r["op"]}",'
+        f'"type":"enclave"}}\n')),
+    "execute": lambda r: (
+        f'{{"instanceId":{r["instanceId"]},"ok":true,"op":"execute",'
+        f'"resourceCost":{r["resourceCost"]},"type":"enclave"}}\n'),
+    "destroy": lambda r: '{"ok":true,"op":"destroy","type":"enclave"}\n',
+}
+
+
+def _enclave_line(r: dict) -> str:
+    if not r["ok"]:
+        # Rare, and its free-text detail is best left to the encoder.
+        return _ENCODER.encode(r) + "\n"
+    return _ENCLAVE_OK[r["op"]](r)
+
+
+_MESSAGE = {
+    "result-delivery": lambda r: (
+        f'{{"destination":{_q(r["destination"])},"keyId":{_q(r["keyId"])},'
+        f'"kind":"result-delivery","taskId":{r["taskId"]},'
+        f'"type":"message"}}\n'),
+    "third-party-ack": lambda r: (
+        f'{{"kind":"third-party-ack",'
+        f'"signatureValid":{_BOOL[r["signatureValid"]]},'
+        f'"taskId":{r["taskId"]},"type":"message"}}\n'),
+}
+
+#: Writer per record type; the once-per-run records (scenario,
+#: contract_state, outcome) have none and go through ``_ENCODER``.
+_LINE_WRITERS = {
+    "call": _call_line,
+    "event": _event_line,
+    "clock": lambda r: (f'{{"now":{r["now"]},"reason":{_q(r["reason"])},'
+                        f'"type":"clock"}}\n'),
+    "enclave": _enclave_line,
+    "message": lambda r: _MESSAGE[r["kind"]](r),
+}
+
 
 class Trace:
     """Append-only list of JSON-safe records with a stable serialization.
@@ -86,7 +197,9 @@ class Trace:
 
     def add(self, record: dict) -> None:
         self.records.append(record)
-        self._lines.append(_ENCODER.encode(record) + "\n")
+        write = _LINE_WRITERS.get(record["type"])
+        self._lines.append(_ENCODER.encode(record) + "\n" if write is None
+                           else write(record))
 
     def to_jsonl(self) -> str:
         return "".join(self._lines)
