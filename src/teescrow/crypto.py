@@ -199,6 +199,10 @@ def unseal(measurement: bytes, blob: SealedBlob) -> bytes:
         ) from None
 
 
+#: The one canonical JSON form: sorted keys, no spaces, ASCII only.
+CANONICAL_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json_bytes(value) -> bytes:
     """Stable serialization used for plaintexts and measurements."""
-    return json.dumps(value, sort_keys=True, separators=(",", ":")).encode()
+    return CANONICAL_JSON.encode(value).encode()

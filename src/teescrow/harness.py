@@ -70,7 +70,7 @@ PARTY_THIRD = "third-party"
 # trace
 
 
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_ENCODER = crypto.CANONICAL_JSON
 
 # Line writers for the records every transaction and enclave step leaves.
 # Each one builds exactly the line ``_ENCODER`` would: keys sorted, ints as
