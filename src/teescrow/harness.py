@@ -413,13 +413,14 @@ class ScenarioRunner:
 
     def _do_provision(self, who: str, action: Provision) -> None:
         """The attested session: attest, provision, execute; stops at the
-        first enclave error."""
+        first enclave error and destroys the instance."""
         instance = action.instance
         try:
             self.host.attest(instance, action.expected_measurement,
                              action.nonce, requestor=REQUESTOR)
         except EnclaveError as exc:
             self._enclave_failed("attest", exc)
+            self._do_destroy(who, Destroy(instance))
             return
         self.trace.add({"type": "enclave", "op": "attest", "ok": True,
                         "instanceId": instance.instance_id})
@@ -433,7 +434,10 @@ class ScenarioRunner:
         try:
             protected, secret = self.host.execute(instance)
         except EnclaveError as exc:
+            # The instance holds the secret and inputs: it must not outlive
+            # the failed session.
             self._enclave_failed("execute", exc)
+            self._do_destroy(who, Destroy(instance))
             return
         if self.config.execution_delay:
             self.ledger.advance_time(self.config.execution_delay)

@@ -6,6 +6,7 @@ import pytest
 
 from teescrow.config import ScenarioConfig
 from teescrow.crypto import ProtectedResult
+from teescrow.enclave import enclave_principal
 from teescrow.harness import ScenarioRunner
 
 CFG = ScenarioConfig(value_of_result=100, payment=10, compute_cost=3,
@@ -31,6 +32,15 @@ def enclave_ops(runner):
 
 def events(runner):
     return [r["kind"] for r in runner.trace.records if r["type"] == "event"]
+
+
+def assert_enclave_erased(runner):
+    """The destroyed instance no longer holds task 0's secret or inputs."""
+    [created] = [r for r in runner.trace.records
+                 if r["type"] == "enclave" and r["op"] == "instantiate"]
+    principal = enclave_principal(created["instanceId"])
+    for label in ("task0:secret", "task0:inputs"):
+        assert principal not in runner.flow.visible(label)
 
 
 def test_honest_run_call_sequence():
@@ -93,9 +103,10 @@ def test_wrong_measurement_stops_before_provision():
     runner = ScenarioRunner(CFG.with_strategies("honest", "honest"))
     runner.requestor.allow_list[CFG.function_name] = bytes(32)
     outcome = runner.run()
-    attest = [r for r in runner.trace.records if r["type"] == "enclave"][-1]
+    attest = [r for r in runner.trace.records if r["type"] == "enclave"][-2]
     assert attest["op"] == "attest" and attest["ok"] is False
-    assert enclave_ops(runner) == ["instantiate", "attest"]
+    assert enclave_ops(runner) == ["instantiate", "attest", "destroy"]
+    assert_enclave_erased(runner)
     assert calls(runner) == ["submitTask", "claimTask", "timeout"]
     timeout_record = [r for r in runner.trace.records
                       if r["type"] == "call"][-1]
@@ -105,10 +116,11 @@ def test_wrong_measurement_stops_before_provision():
 
 def test_execution_fault_stops_before_finalize():
     runner, outcome = run(function_name="sum", inputs=["a", "b"])
-    execute = [r for r in runner.trace.records if r["type"] == "enclave"][-1]
+    execute = [r for r in runner.trace.records if r["type"] == "enclave"][-2]
     assert execute["op"] == "execute" and execute["ok"] is False
     assert enclave_ops(runner) == ["instantiate", "attest", "provision",
-                                   "execute"]
+                                   "execute", "destroy"]
+    assert_enclave_erased(runner)
     assert calls(runner) == ["submitTask", "claimTask", "timeout"]
     assert not outcome.received_valid_result
 

@@ -93,8 +93,8 @@ GOLDEN_TRACE_IDS = {
     "sha256-hex-64": "421d8e711c80231c",
     "execution-delay-5": "da05e4cef0c03411",
     "withhold-chain-3": "b024bf3ed0d068ee",
-    "wrong-measurement": "3e0933b4d0c033aa",
-    "execution-fault": "2ef8945a8e726f7f",
+    "wrong-measurement": "f55b0be73107df8d",
+    "execution-fault": "407c4de3bd62d1d7",
     "delivery-tamper": "817c4df3be54d1d2",
     "gas-in-payoffs": "f02c74bb93a2b73a",
 }
