@@ -82,6 +82,10 @@ _q = json.encoder.encode_basestring_ascii
 _BOOL = {True: "true", False: "false"}
 
 
+def _encoded_line(r: dict) -> str:
+    return _ENCODER.encode(r) + "\n"
+
+
 _CALL_ARGS = {
     "submitTask": lambda a: (
         f'{{"expires":{a["expires"]},"function_name":{_q(a["function_name"])},'
@@ -155,10 +159,8 @@ _ENCLAVE_OK = {
 
 
 def _enclave_line(r: dict) -> str:
-    if not r["ok"]:
-        # Rare, and its free-text detail is best left to the encoder.
-        return _ENCODER.encode(r) + "\n"
-    return _ENCLAVE_OK[r["op"]](r)
+    # A failure is rare, and its free-text detail is left to the encoder.
+    return _ENCLAVE_OK[r["op"]](r) if r["ok"] else _encoded_line(r)
 
 
 _MESSAGE = {
@@ -197,9 +199,8 @@ class Trace:
 
     def add(self, record: dict) -> None:
         self.records.append(record)
-        write = _LINE_WRITERS.get(record["type"])
-        self._lines.append(_ENCODER.encode(record) + "\n" if write is None
-                           else write(record))
+        write = _LINE_WRITERS.get(record["type"], _encoded_line)
+        self._lines.append(write(record))
 
     def to_jsonl(self) -> str:
         return "".join(self._lines)
