@@ -146,8 +146,9 @@ def _event_line(r: dict) -> str:
 
 _ENCLAVE_OK = {
     "instantiate": lambda r: (
-        f'{{"instanceId":{r["instanceId"]},"measurement":{_q(r["measurement"])},'
-        f'"ok":true,"op":"instantiate","type":"enclave"}}\n'),
+        f'{{"instanceId":{r["instanceId"]},'
+        f'"measurement":{_q(r["measurement"])},"ok":true,"op":"instantiate",'
+        f'"type":"enclave"}}\n'),
     **dict.fromkeys(("attest", "provision"), lambda r: (
         f'{{"instanceId":{r["instanceId"]},"ok":true,"op":"{r["op"]}",'
         f'"type":"enclave"}}\n')),

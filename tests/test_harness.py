@@ -152,7 +152,8 @@ def test_stored_trace_lines_match_records(config, setup):
 # edges of fixed-width types; hypothesis mixes in arbitrary values too.
 _TEXT = st.text(st.sampled_from('"\\/\x00\x1f\x7f\u00e9\u2028\U0001f600aZ09')
                 | st.characters())
-_INT = st.sampled_from([0, -1, 2**63, 2**64, 2**64 + 1, -(2**64) - 1]) | st.integers()
+_INT = (st.sampled_from([0, -1, 2**63, 2**64, 2**64 + 1, -(2**64) - 1])
+        | st.integers())
 
 
 def _record(**fields):
@@ -204,8 +205,8 @@ TRACE_RECORDS = {
                                instanceId=_INT, resourceCost=_INT),
     "enclave/destroy": _record(type="enclave", op="destroy", ok=st.just(True)),
     "enclave/failed": _record(
-        type="enclave", op=st.sampled_from(["instantiate", "attest", "execute"]),
-        ok=st.just(False), detail=_TEXT),
+        type="enclave", ok=st.just(False), detail=_TEXT,
+        op=st.sampled_from(["instantiate", "attest", "execute"])),
     "message/result-delivery": _record(
         type="message", kind="result-delivery", destination=_TEXT,
         taskId=_INT, keyId=_TEXT),
