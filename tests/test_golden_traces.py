@@ -32,12 +32,22 @@ def golden_configs() -> dict[str, ScenarioConfig]:
     cases["execution-delay-5"] = ScenarioConfig(execution_delay=5)
     cases["withhold-chain-3"] = ScenarioConfig(
         requestor_strategy="withhold-input", max_resubmits=3)
+    # Twelve tasks: the contract state's keys "10" and "11" sort before "2".
+    cases["withhold-chain-11"] = ScenarioConfig(
+        requestor_strategy="withhold-input", max_resubmits=11)
     cases["wrong-measurement"] = ScenarioConfig()
     cases["execution-fault"] = ScenarioConfig(function_name="sum",
                                               inputs=("a", "b"))
     cases["delivery-tamper"] = ScenarioConfig()
     cases["gas-in-payoffs"] = ScenarioConfig(gas_charging=True,
                                              include_gas_in_payoffs=True)
+    # Strings that need escaping, nested lists and objects, a float, null,
+    # both bools and an int past 64 bits.
+    cases["hostile-inputs"] = ScenarioConfig(inputs=(
+        'q"uote', "back\\slash", "bell\x07",
+        "n\u00f6n-ASCII \u2713 \U0001f600",
+        [[1.5, None], [[-0.25]], []], {"b": [None], "a": 1},
+        True, False, 2**64 + 1))
     return cases
 
 
@@ -97,6 +107,8 @@ GOLDEN_TRACE_IDS = {
     "execution-fault": "407c4de3bd62d1d7",
     "delivery-tamper": "817c4df3be54d1d2",
     "gas-in-payoffs": "f02c74bb93a2b73a",
+    "withhold-chain-11": "f45bce724b65ebaa",
+    "hostile-inputs": "9bde6494bd0555d7",
 }
 
 
