@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields, replace
 
+from .crypto import CANONICAL_JSON
 from .ledger import (
     DEFAULT_CONFIRMATION_DELAY,
     DEFAULT_GAS_PER_FUNCTION,
@@ -88,6 +89,10 @@ class ScenarioConfig:
             object.__setattr__(self, "requestor_deposit", self.threshold)
         if self.node_deposit == -1:
             object.__setattr__(self, "node_deposit", self.threshold)
+        # Holds the encoded ``inputs`` once a run asks for it.  Every config
+        # built by ``__init__`` (``dataclasses.replace`` too) gets its own;
+        # ``with_strategies`` hands the derived config this one.
+        object.__setattr__(self, "_inputs_json", [])
 
     # ------------------------------------------------------------------
 
@@ -164,7 +169,22 @@ class ScenarioConfig:
     # ------------------------------------------------------------------
 
     def with_strategies(self, requestor: str, node: str) -> "ScenarioConfig":
-        return replace(self, requestor_strategy=requestor, node_strategy=node)
+        """This config with other strategies; it shares the encoded
+        ``inputs``, so a payoff matrix encodes them once."""
+        derived = replace(self, requestor_strategy=requestor,
+                          node_strategy=node)
+        object.__setattr__(derived, "_inputs_json", self._inputs_json)
+        return derived
+
+    def inputs_json(self) -> str:
+        """``inputs`` as canonical JSON, encoded on first use.
+
+        The result is kept, so ``inputs`` must not be mutated after a run.
+        """
+        encoded = self._inputs_json
+        if not encoded:
+            encoded.append(CANONICAL_JSON.encode(self.inputs))
+        return encoded[0]
 
     def to_json_obj(self) -> dict:
         obj = {}

@@ -55,6 +55,7 @@ from .enclave import (
 )
 from .ledger import (
     CONTRACT_ACCOUNT,
+    NULL_ACCOUNT,
     ContractCall,
     GasSchedule,
     Ledger,
@@ -72,12 +73,12 @@ PARTY_THIRD = "third-party"
 
 _ENCODER = crypto.CANONICAL_JSON
 
-# Line writers for the records every transaction and enclave step leaves.
-# Each one builds exactly the line ``_ENCODER`` would: keys sorted, ints as
-# ``str``, strings quoted and escaped by ``_q`` (the encoder's own ASCII
-# escaper).  A new key or record shape goes into its writer; the tests
-# compare every line with ``json.dumps``.  Keys that select a writer (type,
-# function, kind, op, accepted) are written as the literal they matched.
+# Line writers, one per record shape.  Each one builds exactly the line
+# ``_ENCODER`` would: keys sorted, ints as ``str``, bytes as hex, strings
+# quoted and escaped by ``_q`` (the encoder's own ASCII escaper).  A new key
+# or record shape goes into its writer; the tests compare every line with
+# ``json.dumps``.  Keys that select a writer (type, function, kind, op,
+# accepted) are written as the literal they matched.
 _q = json.encoder.encode_basestring_ascii
 _BOOL = {True: "true", False: "false"}
 
@@ -89,9 +90,9 @@ def _encoded_line(r: dict) -> str:
 _CALL_ARGS = {
     "submitTask": lambda a: (
         f'{{"expires":{a["expires"]},"function_name":{_q(a["function_name"])},'
-        f'"hash_lock":{_q(a["hash_lock"])}}}'),
+        f'"hash_lock":"{a["hash_lock"].hex()}"}}'),
     "finalizeExecutionNode": lambda a: (
-        f'{{"secret":{_q(a["secret"])},"task_id":{a["task_id"]}}}'),
+        f'{{"secret":"{a["secret"].hex()}","task_id":{a["task_id"]}}}'),
     **dict.fromkeys(("claimTask", "finalizeRequestor", "timeout"),
                     lambda a: f'{{"task_id":{a["task_id"]}}}'),
 }
@@ -175,8 +176,7 @@ _MESSAGE = {
         f'"taskId":{r["taskId"]},"type":"message"}}\n'),
 }
 
-#: Writer per record type; the once-per-run records (scenario,
-#: contract_state, outcome) have none and go through ``_ENCODER``.
+#: Writer per record type of ``Trace.add``.
 _LINE_WRITERS = {
     "call": _call_line,
     "event": _event_line,
@@ -188,20 +188,77 @@ _LINE_WRITERS = {
 
 
 class Trace:
-    """Append-only list of JSON-safe records with a stable serialization.
+    """Append-only JSON-lines trace: each record is stored as its line.
 
-    Each record is encoded once, when it is added; a record must not be
-    mutated afterwards.
+    ``add`` writes the records of transactions, events, clock advances,
+    enclave steps and messages; the once-per-run records are written
+    straight from the config, the contract and the outcome.
     """
 
     def __init__(self) -> None:
-        self.records: list[dict] = []
         self._lines: list[str] = []
 
+    @property
+    def records(self) -> list[dict]:
+        """The records, parsed from the stored lines."""
+        return [json.loads(line) for line in self._lines]
+
     def add(self, record: dict) -> None:
-        self.records.append(record)
-        write = _LINE_WRITERS.get(record["type"], _encoded_line)
-        self._lines.append(write(record))
+        self._lines.append(_LINE_WRITERS[record["type"]](record))
+
+    def scenario(self, c: ScenarioConfig) -> None:
+        self._lines.append(
+            f'{{"config":{{"compute_cost":{c.compute_cost},'
+            f'"confirmation_delay_per_tier":'
+            f'{_ENCODER.encode(c.confirmation_delay_per_tier)},'
+            f'"deliver_to_third_party":{_BOOL[c.deliver_to_third_party]},'
+            f'"execution_delay":{c.execution_delay},"expires":{c.expires},'
+            f'"function_name":{_q(c.function_name)},'
+            f'"gas_charging":{_BOOL[c.gas_charging]},'
+            f'"gas_per_function":{_ENCODER.encode(c.gas_per_function)},'
+            f'"gas_price_per_tier":{_ENCODER.encode(c.gas_price_per_tier)},'
+            f'"include_gas_in_payoffs":{_BOOL[c.include_gas_in_payoffs]},'
+            f'"initial_balance":{c.initial_balance},'
+            f'"inputs":{c.inputs_json()},"max_resubmits":{c.max_resubmits},'
+            f'"node_deposit":{c.node_deposit},'
+            f'"node_strategy":{_q(c.node_strategy)},"payment":{c.payment},'
+            f'"requestor_deposit":{c.requestor_deposit},'
+            f'"requestor_strategy":{_q(c.requestor_strategy)},'
+            f'"rng_seed":{c.rng_seed},"threshold":{c.threshold},'
+            f'"tier":{_q(c.tier)},"value_of_result":{c.value_of_result}}},'
+            f'"type":"scenario"}}\n')
+
+    def contract_state(self, contract: EscrowContract) -> None:
+        # Task ids are keys, so they sort as strings: "10" before "2".
+        tasks = ",".join(
+            f'"{task_id}":{{"claimed":{_BOOL[t.execution_node != NULL_ACCOUNT]},'
+            f'"completed":{_BOOL[t.state is TaskState.COMPLETED]},'
+            f'"executionNode":"{t.execution_node.hex()}",'
+            f'"executionNodeDeposit":{t.execution_node_deposit},'
+            f'"expires":{t.expires},"functionName":{_q(t.function_name)},'
+            f'"hashLock":"{t.hash_lock.hex()}","payment":{t.payment},'
+            f'"requestor":"{t.requestor.hex()}",'
+            f'"requestorDeposit":{t.requestor_deposit},"start":{t.start},'
+            f'"state":"{t.state.value}"}}'
+            for task_id, t in sorted(
+                (str(task_id), t) for task_id, t in contract.tasks.items()))
+        self._lines.append(
+            f'{{"state":{{"numTasks":{contract.num_tasks},"tasks":{{{tasks}}},'
+            f'"threshold":{contract.threshold}}},"type":"contract_state"}}\n')
+
+    def outcome(self, o: ScenarioOutcome) -> None:
+        self._lines.append(
+            f'{{"endToEndSeconds":{o.end_to_end_seconds},'
+            f'"gasByParty":{_ENCODER.encode(o.gas_by_party)},'
+            f'"infoFlowViolations":{_ENCODER.encode(o.infoflow_violations)},'
+            f'"lockedInContract":{o.locked_in_contract},'
+            f'"nodeBalanceDelta":{o.node_balance_delta},'
+            f'"nodePayoff":{o.node_payoff},'
+            f'"receivedValidResult":{_BOOL[o.received_valid_result]},'
+            f'"requestorBalanceDelta":{o.requestor_balance_delta},'
+            f'"requestorPayoff":{o.requestor_payoff},'
+            f'"resourceCostConsumed":{o.resource_cost_consumed},'
+            f'"traceId":{_q(o.trace_id)},"type":"outcome"}}\n')
 
     def to_jsonl(self) -> str:
         return "".join(self._lines)
@@ -252,16 +309,6 @@ class ScenarioOutcome:
             "endToEndSeconds": self.end_to_end_seconds,
             "infoFlowViolations": list(self.infoflow_violations),
         }
-
-
-def _hexify(value):
-    if isinstance(value, bytes):
-        return value.hex()
-    if isinstance(value, dict):
-        return {k: _hexify(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_hexify(v) for v in value]
-    return value
 
 
 # ----------------------------------------------------------------------
@@ -319,7 +366,7 @@ class ScenarioRunner:
         if self._ran:
             raise RuntimeError("a runner is single-use")
         self._ran = True
-        self.trace.add({"type": "scenario", "config": self.config.to_json_obj()})
+        self.trace.scenario(self.config)
         self._queue.append((PARTY_REQUESTOR, Start()))
         while True:
             self._drain()
@@ -379,7 +426,7 @@ class ScenarioRunner:
             "type": "call",
             "sender": who,
             "function": action.call.function,
-            "args": _hexify(action.call.args),
+            "args": action.call.args,
             "value": action.value,
             "tier": receipt.tier,
             "blockHeight": receipt.block_height,
@@ -514,8 +561,7 @@ class ScenarioRunner:
             node_delta += gas_node
         value_received = (cfg.value_of_result
                           if self.requestor.received_valid_result else 0)
-        self.trace.add({"type": "contract_state",
-                        "state": self.contract.state_dump()})
+        self.trace.contract_state(self.contract)
         trace_id = self.trace.content_id()
         outcome = ScenarioOutcome(
             requestor_payoff=requestor_delta + value_received,
@@ -530,7 +576,7 @@ class ScenarioRunner:
             end_to_end_seconds=self._last_receipt_time,
             infoflow_violations=self._infoflow_violations(),
         )
-        self.trace.add({"type": "outcome", **outcome.to_json_obj()})
+        self.trace.outcome(outcome)
         return outcome
 
 

@@ -10,14 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_golden_traces import RUNNER_SETUPS, golden_configs
 
+from teescrow import config as config_module
 from teescrow.config import (
     NODE_STRATEGIES,
     REQUESTOR_STRATEGIES,
     ConfigInvalid,
     ScenarioConfig,
 )
-from teescrow.contract import RefusalReason, TaskState
+from teescrow.contract import EscrowContract, RefusalReason, Task, TaskState
 from teescrow.harness import (
+    ScenarioOutcome,
     ScenarioRunner,
     Trace,
     dominance_check,
@@ -27,6 +29,7 @@ from teescrow.harness import (
     run_claim_race,
     run_scenario,
 )
+from teescrow.ledger import NULL_ACCOUNT, Ledger
 
 CFG = ScenarioConfig(value_of_result=100, payment=10, compute_cost=3,
                      threshold=5, initial_balance=1000)
@@ -120,7 +123,9 @@ def test_trace_determinism_same_seed():
 
 
 def _canonical_lines(records) -> str:
-    return "".join(json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n"
+    # Bytes values (the hash lock and secret args) are written as hex.
+    return "".join(json.dumps(r, sort_keys=True, separators=(",", ":"),
+                              default=bytes.hex) + "\n"
                    for r in records)
 
 
@@ -138,9 +143,8 @@ _STORED_TRACE_CASES = [
 
 @pytest.mark.parametrize("config, setup", _STORED_TRACE_CASES)
 def test_stored_trace_lines_match_records(config, setup):
-    # Records are encoded when added; a record mutated afterwards, or a
-    # line writer that drops or misspells a field, would make the stored
-    # line and a fresh encoding differ.
+    # The records are parsed from the stored lines, so every line must be
+    # its own canonical encoding.
     runner = ScenarioRunner(config)
     if setup is not None:
         setup(runner)
@@ -154,6 +158,7 @@ _TEXT = st.text(st.sampled_from('"\\/\x00\x1f\x7f\u00e9\u2028\U0001f600aZ09')
                 | st.characters())
 _INT = (st.sampled_from([0, -1, 2**63, 2**64, 2**64 + 1, -(2**64) - 1])
         | st.integers())
+_BYTES = st.binary(max_size=40)
 
 
 def _record(**fields):
@@ -165,9 +170,10 @@ def _record(**fields):
 _OUTCOMES = (_record(accepted=st.just(True), taskId=_INT)
              | _record(accepted=st.just(False), reason=_TEXT))
 _CALL_ARGS = {
-    "submitTask": _record(expires=_INT, function_name=_TEXT, hash_lock=_TEXT),
+    "submitTask": _record(expires=_INT, function_name=_TEXT,
+                          hash_lock=_BYTES),
     "claimTask": _record(task_id=_INT),
-    "finalizeExecutionNode": _record(secret=_TEXT, task_id=_INT),
+    "finalizeExecutionNode": _record(secret=_BYTES, task_id=_INT),
     "finalizeRequestor": _record(task_id=_INT),
     "timeout": _record(task_id=_INT),
 }
@@ -226,6 +232,108 @@ def test_trace_lines_match_json_dumps(shape, data):
     for record in records:
         trace.add(record)
     assert trace.to_jsonl() == _canonical_lines(records)
+
+
+_INT_MAPS = st.dictionaries(_TEXT, _INT, min_size=1, max_size=3)
+_JSON = st.recursive(
+    st.none() | st.booleans() | _INT | st.floats() | _TEXT,
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(_TEXT, inner, max_size=3)),
+    max_leaves=12)
+_CONFIGS = st.builds(
+    ScenarioConfig,
+    requestor_strategy=st.sampled_from(REQUESTOR_STRATEGIES),
+    node_strategy=st.sampled_from(NODE_STRATEGIES),
+    **dict.fromkeys(
+        ("value_of_result", "payment", "compute_cost", "threshold",
+         "requestor_deposit", "node_deposit", "expires", "rng_seed",
+         "execution_delay", "initial_balance", "max_resubmits"), _INT),
+    **dict.fromkeys(("gas_charging", "include_gas_in_payoffs",
+                     "deliver_to_third_party"), st.booleans()),
+    tier=_TEXT, function_name=_TEXT,
+    inputs=_JSON | st.lists(_JSON, max_size=4).map(tuple),
+    **dict.fromkeys(("gas_per_function", "gas_price_per_tier",
+                     "confirmation_delay_per_tier"), _INT_MAPS),
+)
+_TASKS = st.builds(
+    Task, function_name=_TEXT, hash_lock=_BYTES, requestor=_BYTES,
+    payment=_INT, requestor_deposit=_INT,
+    execution_node=st.just(NULL_ACCOUNT) | _BYTES,
+    execution_node_deposit=_INT, start=_INT, expires=_INT,
+    state=st.sampled_from(TaskState))
+
+
+@st.composite
+def _contracts(draw):
+    contract = EscrowContract(Ledger(), draw(_INT.filter(
+        lambda threshold: threshold > 0)))
+    ids = draw(st.sets(st.integers(0, 40), max_size=15))
+    contract.tasks = {task_id: draw(_TASKS) for task_id in ids}
+    contract.num_tasks = draw(st.integers(max(ids, default=-1) + 1))
+    return contract
+
+
+_OUTCOMES_DRAWN = st.builds(
+    ScenarioOutcome,
+    **dict.fromkeys(
+        ("requestor_payoff", "node_payoff", "locked_in_contract",
+         "resource_cost_consumed", "requestor_balance_delta",
+         "node_balance_delta", "end_to_end_seconds"), _INT),
+    gas_by_party=st.dictionaries(_TEXT, _INT, max_size=3), trace_id=_TEXT,
+    received_valid_result=st.booleans(),
+    infoflow_violations=st.lists(_TEXT, max_size=3).map(tuple))
+
+#: Once-per-run record kind -> (the source its ``Trace`` method reads, the
+#: record built from the source's own JSON form).
+RUN_RECORDS = {
+    "scenario": (_CONFIGS, lambda config: {
+        "type": "scenario", "config": config.to_json_obj()}),
+    "contract_state": (_contracts(), lambda contract: {
+        "type": "contract_state", "state": contract.state_dump()}),
+    "outcome": (_OUTCOMES_DRAWN, lambda outcome: {
+        "type": "outcome", **outcome.to_json_obj()}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(RUN_RECORDS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_run_record_lines_match_json_dumps(kind, data):
+    sources, record = RUN_RECORDS[kind]
+    source = data.draw(sources)
+    trace = Trace()
+    getattr(trace, kind)(source)
+    assert trace.to_jsonl() == _canonical_lines([record(source)])
+
+
+def test_with_strategies_configs_share_one_inputs_encoding(monkeypatch):
+    encoded = []
+
+    class CountingEncoder:
+        def encode(self, value):
+            encoded.append(value)
+            return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+    monkeypatch.setattr(config_module, "CANONICAL_JSON", CountingEncoder())
+    base = dataclasses.replace(CFG, inputs=[[1.5, None], "\u00e9", 2**70])
+    pairs = list(product(REQUESTOR_STRATEGIES, NODE_STRATEGIES))
+    shared = [base.with_strategies(*pair) for pair in pairs]
+    alone = [dataclasses.replace(base, requestor_strategy=r, node_strategy=n)
+             for r, n in pairs]
+
+    def trace_of(config):
+        runner = ScenarioRunner(config)
+        runner.run()
+        return runner.trace.to_jsonl()
+
+    assert encoded == []  # deriving the configs encodes nothing
+    shared_traces = [trace_of(config) for config in shared]
+    assert len(encoded) == 1
+    assert shared_traces == [trace_of(config) for config in alone]
+    assert len(encoded) == 1 + len(pairs)
+    # A config replaced after a run writes its own inputs.
+    other = trace_of(dataclasses.replace(shared[0], inputs=[7, 8]))
+    assert json.loads(other.split("\n")[0])["config"]["inputs"] == [7, 8]
 
 
 def test_different_seeds_change_secrets_not_payoffs():
