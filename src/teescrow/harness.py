@@ -83,10 +83,6 @@ _q = json.encoder.encode_basestring_ascii
 _BOOL = {True: "true", False: "false"}
 
 
-def _encoded_line(r: dict) -> str:
-    return _ENCODER.encode(r) + "\n"
-
-
 _CALL_ARGS = {
     "submitTask": lambda a: (
         f'{{"expires":{a["expires"]},"function_name":{_q(a["function_name"])},'
@@ -162,7 +158,7 @@ _ENCLAVE_OK = {
 
 def _enclave_line(r: dict) -> str:
     # A failure is rare, and its free-text detail is left to the encoder.
-    return _ENCLAVE_OK[r["op"]](r) if r["ok"] else _encoded_line(r)
+    return _ENCLAVE_OK[r["op"]](r) if r["ok"] else _ENCODER.encode(r) + "\n"
 
 
 _MESSAGE = {
@@ -231,7 +227,8 @@ class Trace:
     def contract_state(self, contract: EscrowContract) -> None:
         # Task ids are keys, so they sort as strings: "10" before "2".
         tasks = ",".join(
-            f'"{task_id}":{{"claimed":{_BOOL[t.execution_node != NULL_ACCOUNT]},'
+            f'"{task_id}":{{'
+            f'"claimed":{_BOOL[t.execution_node != NULL_ACCOUNT]},'
             f'"completed":{_BOOL[t.state is TaskState.COMPLETED]},'
             f'"executionNode":"{t.execution_node.hex()}",'
             f'"executionNodeDeposit":{t.execution_node_deposit},'

@@ -273,7 +273,7 @@ def _contracts(draw):
     return contract
 
 
-_OUTCOMES_DRAWN = st.builds(
+_SCENARIO_OUTCOMES = st.builds(
     ScenarioOutcome,
     **dict.fromkeys(
         ("requestor_payoff", "node_payoff", "locked_in_contract",
@@ -290,7 +290,7 @@ RUN_RECORDS = {
         "type": "scenario", "config": config.to_json_obj()}),
     "contract_state": (_contracts(), lambda contract: {
         "type": "contract_state", "state": contract.state_dump()}),
-    "outcome": (_OUTCOMES_DRAWN, lambda outcome: {
+    "outcome": (_SCENARIO_OUTCOMES, lambda outcome: {
         "type": "outcome", **outcome.to_json_obj()}),
 }
 
@@ -308,11 +308,12 @@ def test_run_record_lines_match_json_dumps(kind, data):
 
 def test_with_strategies_configs_share_one_inputs_encoding(monkeypatch):
     encoded = []
+    encoder = config_module.CANONICAL_JSON
 
     class CountingEncoder:
         def encode(self, value):
             encoded.append(value)
-            return json.dumps(value, sort_keys=True, separators=(",", ":"))
+            return encoder.encode(value)
 
     monkeypatch.setattr(config_module, "CANONICAL_JSON", CountingEncoder())
     base = dataclasses.replace(CFG, inputs=[[1.5, None], "\u00e9", 2**70])
