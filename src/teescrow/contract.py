@@ -62,14 +62,6 @@ class CallOutcome:
     def refused(reason: RefusalReason) -> "CallOutcome":
         return CallOutcome(accepted=False, reason=reason)
 
-    def to_json_obj(self) -> dict:
-        obj: dict = {"accepted": self.accepted}
-        if self.reason is not None:
-            obj["reason"] = self.reason.value
-        if self.task_id is not None:
-            obj["taskId"] = self.task_id
-        return obj
-
 
 class TaskState(str, Enum):
     OPEN = "Open"

@@ -116,14 +116,6 @@ class ProtectedResult:
     signature: bytes
     key_id: str
 
-    def to_json_obj(self) -> dict:
-        return {
-            "nonce": self.nonce.hex(),
-            "ciphertext": self.ciphertext.hex(),
-            "signature": self.signature.hex(),
-            "keyId": self.key_id,
-        }
-
 
 def protect_result(plaintext: bytes, keys: ResultKeyPair,
                    rng: random.Random) -> ProtectedResult:

@@ -49,6 +49,7 @@ from .enclave import (
     BUILTIN_BODIES,
     EnclaveError,
     EnclaveHost,
+    EnclaveInstance,
     FunctionImage,
     FunctionStore,
     InfoFlowLedger,
@@ -73,12 +74,11 @@ PARTY_THIRD = "third-party"
 
 _ENCODER = crypto.CANONICAL_JSON
 
-# Line writers, one per record shape.  Each one builds exactly the line
-# ``_ENCODER`` would: keys sorted, ints as ``str``, bytes as hex, strings
-# quoted and escaped by ``_q`` (the encoder's own ASCII escaper).  A new key
-# or record shape goes into its writer; the tests compare every line with
-# ``json.dumps``.  Keys that select a writer (type, function, kind, op,
-# accepted) are written as the literal they matched.
+# ``Trace`` writes each line itself, exactly as ``_ENCODER`` would: keys
+# sorted, ints as ``str``, bytes as hex, strings quoted and escaped by ``_q``
+# (the encoder's own ASCII escaper).  A new key or record shape goes into its
+# writer; the tests compare every line with ``json.dumps``.  Names from a
+# fixed set (function, event kind, enclave op) are written unescaped.
 _q = json.encoder.encode_basestring_ascii
 _BOOL = {True: "true", False: "false"}
 
@@ -92,26 +92,6 @@ _CALL_ARGS = {
     **dict.fromkeys(("claimTask", "finalizeRequestor", "timeout"),
                     lambda a: f'{{"task_id":{a["task_id"]}}}'),
 }
-
-_CALL_OUTCOME = {
-    True: lambda o: f'{{"accepted":true,"taskId":{o["taskId"]}}}',
-    False: lambda o: f'{{"accepted":false,"reason":{_q(o["reason"])}}}',
-}
-
-
-def _call_line(r: dict) -> str:
-    function = r["function"]
-    return (
-        f'{{"args":{_CALL_ARGS[function](r["args"])},'
-        f'"blockHeight":{r["blockHeight"]},'
-        f'"conservationOk":{_BOOL[r["conservationOk"]]},'
-        f'"function":"{function}","gasCost":{r["gasCost"]},'
-        f'"gasUsed":{r["gasUsed"]},'
-        f'"outcome":{_CALL_OUTCOME[r["outcome"]["accepted"]](r["outcome"])},'
-        f'"sender":{_q(r["sender"])},"tier":{_q(r["tier"])},'
-        f'"timestamp":{r["timestamp"]},"type":"call","value":{r["value"]}}}\n'
-    )
-
 
 _EVENT_PAYLOAD = {
     "TaskSubmitted": lambda p: (
@@ -132,63 +112,13 @@ _EVENT_PAYLOAD = {
 }
 
 
-def _event_line(r: dict) -> str:
-    kind = r["kind"]
-    return (
-        f'{{"blockHeight":{r["blockHeight"]},"kind":"{kind}",'
-        f'"payload":{_EVENT_PAYLOAD[kind](r["payload"])},'
-        f'"taskId":{r["taskId"]},"type":"event"}}\n'
-    )
-
-
-_ENCLAVE_OK = {
-    "instantiate": lambda r: (
-        f'{{"instanceId":{r["instanceId"]},'
-        f'"measurement":{_q(r["measurement"])},"ok":true,"op":"instantiate",'
-        f'"type":"enclave"}}\n'),
-    **dict.fromkeys(("attest", "provision"), lambda r: (
-        f'{{"instanceId":{r["instanceId"]},"ok":true,"op":"{r["op"]}",'
-        f'"type":"enclave"}}\n')),
-    "execute": lambda r: (
-        f'{{"instanceId":{r["instanceId"]},"ok":true,"op":"execute",'
-        f'"resourceCost":{r["resourceCost"]},"type":"enclave"}}\n'),
-    "destroy": lambda r: '{"ok":true,"op":"destroy","type":"enclave"}\n',
-}
-
-
-def _enclave_line(r: dict) -> str:
-    # A failure is rare, and its free-text detail is left to the encoder.
-    return _ENCLAVE_OK[r["op"]](r) if r["ok"] else _ENCODER.encode(r) + "\n"
-
-
-_MESSAGE = {
-    "result-delivery": lambda r: (
-        f'{{"destination":{_q(r["destination"])},"keyId":{_q(r["keyId"])},'
-        f'"kind":"result-delivery","taskId":{r["taskId"]},'
-        f'"type":"message"}}\n'),
-    "third-party-ack": lambda r: (
-        f'{{"kind":"third-party-ack",'
-        f'"signatureValid":{_BOOL[r["signatureValid"]]},'
-        f'"taskId":{r["taskId"]},"type":"message"}}\n'),
-}
-
-#: Writer per record type of ``Trace.add``.
-_LINE_WRITERS = {
-    "call": _call_line,
-    "event": _event_line,
-    "clock": lambda r: (f'{{"now":{r["now"]},"reason":{_q(r["reason"])},'
-                        f'"type":"clock"}}\n'),
-    "enclave": _enclave_line,
-    "message": lambda r: _MESSAGE[r["kind"]](r),
-}
-
-
 class Trace:
     """Append-only JSON-lines trace: each record is stored as its line.
 
-    ``add`` writes the records of transactions, events, clock advances,
-    enclave steps and messages; the once-per-run records are written
-    straight from the config, the contract and the outcome.
+    Every record kind has a writer method that builds its line from the
+    values the run already holds: a transaction's receipt, a clock advance,
+    an enclave step, a message, and the once-per-run config, contract and
+    outcome.
     """
 
     def __init__(self) -> None:
@@ -199,8 +129,62 @@ class Trace:
         """The records, parsed from the stored lines."""
         return [json.loads(line) for line in self._lines]
 
-    def add(self, record: dict) -> None:
-        self._lines.append(_LINE_WRITERS[record["type"]](record))
+    def call(self, sender: str, receipt: Receipt) -> None:
+        """The call line, then one event line per event the call emitted."""
+        call, o = receipt.call, receipt.outcome
+        outcome = (f'{{"accepted":true,"taskId":{o.task_id}}}' if o.accepted
+                   else f'{{"accepted":false,"reason":{_q(o.reason.value)}}}')
+        self._lines.append(
+            f'{{"args":{_CALL_ARGS[call.function](call.args)},'
+            f'"blockHeight":{receipt.block_height},'
+            # submit_transaction raises otherwise.
+            f'"conservationOk":true,'
+            f'"function":"{call.function}","gasCost":{receipt.gas_cost},'
+            f'"gasUsed":{receipt.gas_used},"outcome":{outcome},'
+            f'"sender":{_q(sender)},"tier":{_q(receipt.tier)},'
+            f'"timestamp":{receipt.timestamp},"type":"call",'
+            f'"value":{receipt.value}}}\n')
+        for e in receipt.events:
+            self._lines.append(
+                f'{{"blockHeight":{e.block_height},"kind":"{e.kind}",'
+                f'"payload":{_EVENT_PAYLOAD[e.kind](e.payload)},'
+                f'"taskId":{e.task_id},"type":"event"}}\n')
+
+    def clock(self, now: int, reason: str) -> None:
+        self._lines.append(
+            f'{{"now":{now},"reason":{_q(reason)},"type":"clock"}}\n')
+
+    def enclave(self, op: str, instance: EnclaveInstance) -> None:
+        """A successful ``instantiate``, ``attest``, ``provision``,
+        ``execute`` or ``destroy`` of ``instance``."""
+        if op == "destroy":
+            self._lines.append('{"ok":true,"op":"destroy","type":"enclave"}\n')
+            return
+        measurement = (f'"measurement":"{instance.image.measurement.hex()}",'
+                       if op == "instantiate" else "")
+        cost = (f'"resourceCost":{instance.image.resource_cost},'
+                if op == "execute" else "")
+        self._lines.append(
+            f'{{"instanceId":{instance.instance_id},{measurement}"ok":true,'
+            f'"op":"{op}",{cost}"type":"enclave"}}\n')
+
+    def enclave_failed(self, op: str, detail: str) -> None:
+        self._lines.append(
+            f'{{"detail":{_q(detail)},"ok":false,"op":"{op}",'
+            f'"type":"enclave"}}\n')
+
+    def result_delivery(self, action: Deliver) -> None:
+        self._lines.append(
+            f'{{"destination":{_q(action.destination)},'
+            f'"keyId":{_q(action.protected.key_id)},'
+            f'"kind":"result-delivery","taskId":{action.task_id},'
+            f'"type":"message"}}\n')
+
+    def third_party_ack(self, ack: ThirdPartyAck) -> None:
+        self._lines.append(
+            f'{{"kind":"third-party-ack",'
+            f'"signatureValid":{_BOOL[ack.signature_valid]},'
+            f'"taskId":{ack.task_id},"type":"message"}}\n')
 
     def scenario(self, c: ScenarioConfig) -> None:
         self._lines.append(
@@ -397,10 +381,7 @@ class ScenarioRunner:
             deadline = task.start + task.expires + 1
             if self.ledger.now < deadline:
                 self.ledger.advance_time(deadline - self.ledger.now)
-                self.trace.add({
-                    "type": "clock", "now": self.ledger.now,
-                    "reason": f"expiry of task {task_id}",
-                })
+                self.trace.clock(self.ledger.now, f"expiry of task {task_id}")
             self._queue.append((PARTY_REQUESTOR, Expiry(task_id)))
             return True
         return False
@@ -419,41 +400,18 @@ class ScenarioRunner:
         receipt = self.ledger.submit_transaction(
             sender, action.call, action.value, self.config.tier)
         self._last_receipt_time = receipt.timestamp
-        self.trace.add({
-            "type": "call",
-            "sender": who,
-            "function": action.call.function,
-            "args": action.call.args,
-            "value": action.value,
-            "tier": receipt.tier,
-            "blockHeight": receipt.block_height,
-            "timestamp": receipt.timestamp,
-            "gasUsed": receipt.gas_used,
-            "gasCost": receipt.gas_cost,
-            "outcome": receipt.outcome.to_json_obj(),
-            "conservationOk": True,  # submit_transaction raises otherwise
-        })
-        for event in receipt.events:
-            self.trace.add({"type": "event", **event.to_json_obj()})
+        self.trace.call(who, receipt)
         self._queue.append((who, receipt))
         for event in receipt.events:
             self._queue.append((PARTY_NODE, event))
-
-    def _enclave_failed(self, op: str, exc: EnclaveError) -> None:
-        self.trace.add({"type": "enclave", "op": op, "ok": False,
-                        "detail": str(exc)})
 
     def _do_instantiate(self, who: str, action: Instantiate) -> None:
         try:
             instance = self.host.instantiate(action.function_name)
         except EnclaveError as exc:
-            self._enclave_failed("instantiate", exc)
+            self.trace.enclave_failed("instantiate", str(exc))
             return
-        self.trace.add({
-            "type": "enclave", "op": "instantiate", "ok": True,
-            "instanceId": instance.instance_id,
-            "measurement": instance.image.measurement.hex(),
-        })
+        self.trace.enclave("instantiate", instance)
         self._queue.append((PARTY_REQUESTOR,
                             InstanceCreated(instance, action.task_id)))
 
@@ -465,31 +423,27 @@ class ScenarioRunner:
             self.host.attest(instance, action.expected_measurement,
                              action.nonce, requestor=REQUESTOR)
         except EnclaveError as exc:
-            self._enclave_failed("attest", exc)
+            self.trace.enclave_failed("attest", str(exc))
             self._do_destroy(who, Destroy(instance))
             return
-        self.trace.add({"type": "enclave", "op": "attest", "ok": True,
-                        "instanceId": instance.instance_id})
+        self.trace.enclave("attest", instance)
         self.host.provision(
             instance, REQUESTOR, action.secret, action.inputs,
             action.result_keys, label_prefix=f"task{action.task_id}",
         )
         self.flow.grant(f"task{action.task_id}:inputs", REQUESTOR)
-        self.trace.add({"type": "enclave", "op": "provision", "ok": True,
-                        "instanceId": instance.instance_id})
+        self.trace.enclave("provision", instance)
         try:
             protected, secret = self.host.execute(instance)
         except EnclaveError as exc:
             # The instance holds the secret and inputs: it must not outlive
             # the failed session.
-            self._enclave_failed("execute", exc)
+            self.trace.enclave_failed("execute", str(exc))
             self._do_destroy(who, Destroy(instance))
             return
         if self.config.execution_delay:
             self.ledger.advance_time(self.config.execution_delay)
-        self.trace.add({"type": "enclave", "op": "execute", "ok": True,
-                        "instanceId": instance.instance_id,
-                        "resourceCost": instance.image.resource_cost})
+        self.trace.enclave("execute", instance)
         self._queue.append((PARTY_NODE, ExecutionDone(
             instance, action.task_id, protected, secret,
         )))
@@ -498,17 +452,13 @@ class ScenarioRunner:
         if self.delivery_tamper is not None:
             action = replace(
                 action, protected=self.delivery_tamper(action.protected))
-        self.trace.add({
-            "type": "message", "kind": "result-delivery",
-            "destination": action.destination,
-            "taskId": action.task_id, "keyId": action.protected.key_id,
-        })
+        self.trace.result_delivery(action)
         # The destination names the recipient party.
         self._queue.append((action.destination, action))
 
     def _do_destroy(self, who: str, action: Destroy) -> None:
         self.host.destroy(action.instance)
-        self.trace.add({"type": "enclave", "op": "destroy", "ok": True})
+        self.trace.enclave("destroy", action.instance)
 
     _ACTIONS = {
         SubmitTx: _do_tx,
@@ -522,10 +472,9 @@ class ScenarioRunner:
         """The cloud endpoint: checks the public signature, acks back."""
         valid = crypto.verify_result_signature(
             obs.protected, self.requestor.verify_key(obs.task_id))
-        self.trace.add({"type": "message", "kind": "third-party-ack",
-                        "taskId": obs.task_id, "signatureValid": valid})
-        self._queue.append((PARTY_REQUESTOR,
-                            ThirdPartyAck(obs.task_id, valid)))
+        ack = ThirdPartyAck(obs.task_id, valid)
+        self.trace.third_party_ack(ack)
+        self._queue.append((PARTY_REQUESTOR, ack))
 
     # ------------------------------------------------------------------
 

@@ -129,14 +129,6 @@ class LedgerEvent:
     index: int
     payload: dict
 
-    def to_json_obj(self) -> dict:
-        return {
-            "kind": self.kind,
-            "taskId": self.task_id,
-            "blockHeight": self.block_height,
-            "payload": self.payload,
-        }
-
 
 @dataclass(frozen=True)
 class ContractCall:

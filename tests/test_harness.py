@@ -17,7 +17,16 @@ from teescrow.config import (
     ConfigInvalid,
     ScenarioConfig,
 )
-from teescrow.contract import EscrowContract, RefusalReason, Task, TaskState
+from teescrow.actors import Deliver, ThirdPartyAck
+from teescrow.contract import (
+    CallOutcome,
+    EscrowContract,
+    RefusalReason,
+    Task,
+    TaskState,
+)
+from teescrow.crypto import ProtectedResult
+from teescrow.enclave import EnclaveInstance, FunctionImage
 from teescrow.harness import (
     ScenarioOutcome,
     ScenarioRunner,
@@ -29,7 +38,13 @@ from teescrow.harness import (
     run_claim_race,
     run_scenario,
 )
-from teescrow.ledger import NULL_ACCOUNT, Ledger
+from teescrow.ledger import (
+    NULL_ACCOUNT,
+    ContractCall,
+    Ledger,
+    LedgerEvent,
+    Receipt,
+)
 
 CFG = ScenarioConfig(value_of_result=100, payment=10, compute_cost=3,
                      threshold=5, initial_balance=1000)
@@ -162,13 +177,11 @@ _BYTES = st.binary(max_size=40)
 
 
 def _record(**fields):
-    return st.fixed_dictionaries(
-        {key: st.just(value) if isinstance(value, str) else value
-         for key, value in fields.items()})
+    return st.fixed_dictionaries(fields)
 
 
-_OUTCOMES = (_record(accepted=st.just(True), taskId=_INT)
-             | _record(accepted=st.just(False), reason=_TEXT))
+_OUTCOMES = (st.builds(CallOutcome.ok, _INT)
+             | st.builds(CallOutcome.refused, st.sampled_from(RefusalReason)))
 _CALL_ARGS = {
     "submitTask": _record(expires=_INT, function_name=_TEXT,
                           hash_lock=_BYTES),
@@ -188,50 +201,104 @@ _EVENT_PAYLOADS = {
         lockedExecutionNodeDeposit=_INT),
 }
 
-#: One strategy per record shape a run writes.
-TRACE_RECORDS = {
-    **{f"call/{function}": _record(
-        type="call", sender=_TEXT, function=function, args=args, value=_INT,
-        tier=_TEXT, blockHeight=_INT, timestamp=_INT, gasUsed=_INT,
-        gasCost=_INT, outcome=_OUTCOMES, conservationOk=st.booleans())
-       for function, args in _CALL_ARGS.items()},
-    **{f"event/{kind}": _record(
-        type="event", kind=kind, taskId=_INT, blockHeight=_INT,
-        payload=payload)
-       for kind, payload in _EVENT_PAYLOADS.items()},
-    "clock": _record(type="clock", now=_INT, reason=_TEXT),
-    "enclave/instantiate": _record(
-        type="enclave", op="instantiate", ok=st.just(True), instanceId=_INT,
-        measurement=_TEXT),
-    "enclave/attest": _record(type="enclave", op="attest", ok=st.just(True),
-                              instanceId=_INT),
-    "enclave/provision": _record(type="enclave", op="provision",
-                                 ok=st.just(True), instanceId=_INT),
-    "enclave/execute": _record(type="enclave", op="execute", ok=st.just(True),
-                               instanceId=_INT, resourceCost=_INT),
-    "enclave/destroy": _record(type="enclave", op="destroy", ok=st.just(True)),
-    "enclave/failed": _record(
-        type="enclave", ok=st.just(False), detail=_TEXT,
-        op=st.sampled_from(["instantiate", "attest", "execute"])),
-    "message/result-delivery": _record(
-        type="message", kind="result-delivery", destination=_TEXT,
-        taskId=_INT, keyId=_TEXT),
-    "message/third-party-ack": _record(
-        type="message", kind="third-party-ack", taskId=_INT,
-        signatureValid=st.booleans()),
+
+def _events(kind):
+    return st.lists(st.builds(
+        LedgerEvent, kind=st.just(kind), task_id=_INT, block_height=_INT,
+        index=_INT, payload=_EVENT_PAYLOADS[kind]), min_size=1, max_size=3)
+
+
+def _calls(functions, events):
+    """``Trace.call`` arguments: a sender party and a receipt."""
+    receipts = st.sampled_from(functions).flatmap(lambda function: st.builds(
+        Receipt, sender=_BYTES,
+        call=st.builds(ContractCall, st.just(function),
+                       _CALL_ARGS[function]),
+        value=_INT, tier=_TEXT, block_height=_INT, timestamp=_INT,
+        gas_used=_INT, gas_cost=_INT, events=events, outcome=_OUTCOMES))
+    return st.tuples(_TEXT, receipts)
+
+
+def _call_records(sender, receipt):
+    o = receipt.outcome
+    return [{
+        "type": "call", "sender": sender, "function": receipt.call.function,
+        "args": receipt.call.args, "value": receipt.value,
+        "tier": receipt.tier, "blockHeight": receipt.block_height,
+        "timestamp": receipt.timestamp, "gasUsed": receipt.gas_used,
+        "gasCost": receipt.gas_cost, "conservationOk": True,
+        "outcome": ({"accepted": True, "taskId": o.task_id} if o.accepted
+                    else {"accepted": False, "reason": o.reason.value}),
+    }] + [{"type": "event", "kind": e.kind, "taskId": e.task_id,
+           "blockHeight": e.block_height, "payload": e.payload}
+          for e in receipt.events]
+
+
+_INSTANCES = st.builds(EnclaveInstance, instance_id=_INT, image=st.builds(
+    FunctionImage, name=_TEXT, version=_TEXT, body_id=_TEXT, body=st.none(),
+    resource_cost=_INT))
+#: Enclave op -> the fields its success record reads from the instance.
+_ENCLAVE_FIELDS = {
+    "instantiate": lambda i: {"instanceId": i.instance_id,
+                              "measurement": i.image.measurement.hex()},
+    "attest": lambda i: {"instanceId": i.instance_id},
+    "provision": lambda i: {"instanceId": i.instance_id},
+    "execute": lambda i: {"instanceId": i.instance_id,
+                          "resourceCost": i.image.resource_cost},
+    "destroy": lambda i: {},
+}
+_DELIVERIES = st.builds(
+    Deliver, task_id=_INT, destination=_TEXT, protected=st.builds(
+        ProtectedResult, nonce=_BYTES, ciphertext=_BYTES, signature=_BYTES,
+        key_id=_TEXT))
+
+#: Per-transaction record shape -> (the ``Trace`` writer, its arguments as
+#: drawn from their sources, the records built from the sources' fields).
+TRACE_WRITERS = {
+    **{f"call/{function}": ("call", _calls([function], st.just([])),
+                            _call_records)
+       for function in _CALL_ARGS},
+    # A call's events follow its line.
+    **{f"event/{kind}": ("call", _calls(sorted(_CALL_ARGS), _events(kind)),
+                         _call_records)
+       for kind in _EVENT_PAYLOADS},
+    "clock": ("clock", st.tuples(_INT, _TEXT), lambda now, reason: [
+        {"type": "clock", "now": now, "reason": reason}]),
+    **{f"enclave/{op}": (
+        "enclave", st.tuples(st.just(op), _INSTANCES), lambda op, i: [
+            {"type": "enclave", "op": op, "ok": True,
+             **_ENCLAVE_FIELDS[op](i)}])
+       for op in _ENCLAVE_FIELDS},
+    "enclave/failed": (
+        "enclave_failed",
+        st.tuples(st.sampled_from(["instantiate", "attest", "execute"]),
+                  _TEXT),
+        lambda op, detail: [
+            {"type": "enclave", "op": op, "ok": False, "detail": detail}]),
+    "message/result-delivery": (
+        "result_delivery", st.tuples(_DELIVERIES), lambda d: [
+            {"type": "message", "kind": "result-delivery",
+             "destination": d.destination, "taskId": d.task_id,
+             "keyId": d.protected.key_id}]),
+    "message/third-party-ack": (
+        "third_party_ack",
+        st.tuples(st.builds(ThirdPartyAck, _INT, st.booleans())), lambda a: [
+            {"type": "message", "kind": "third-party-ack",
+             "taskId": a.task_id, "signatureValid": a.signature_valid}]),
 }
 
 
-@pytest.mark.parametrize("shape", sorted(TRACE_RECORDS))
+@pytest.mark.parametrize("shape", sorted(TRACE_WRITERS))
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_trace_lines_match_json_dumps(shape, data):
-    records = data.draw(st.lists(TRACE_RECORDS[shape], min_size=1,
-                                 max_size=3))
+    method, arguments, records = TRACE_WRITERS[shape]
+    drawn = data.draw(st.lists(arguments, min_size=1, max_size=3))
     trace = Trace()
-    for record in records:
-        trace.add(record)
-    assert trace.to_jsonl() == _canonical_lines(records)
+    for args in drawn:
+        getattr(trace, method)(*args)
+    assert trace.to_jsonl() == _canonical_lines(
+        [record for args in drawn for record in records(*args)])
 
 
 _INT_MAPS = st.dictionaries(_TEXT, _INT, min_size=1, max_size=3)
