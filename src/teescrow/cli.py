@@ -24,6 +24,7 @@ from .config import (
     REQUESTOR_STRATEGIES,
     ConfigInvalid,
     ScenarioConfig,
+    load_json_file,
 )
 from .harness import (
     ScenarioRunner,
@@ -118,11 +119,7 @@ def _cmd_scenario(args) -> int:
 def _cmd_payoffs(args) -> int:
     configs = []
     if args.grid:
-        with open(args.grid, encoding="utf-8") as handle:
-            try:
-                entries = json.load(handle)
-            except json.JSONDecodeError as exc:
-                raise ConfigInvalid(f"grid is not valid JSON: {exc}") from exc
+        entries = load_json_file(args.grid, "grid")
         if not isinstance(entries, list):
             raise ConfigInvalid("grid file must hold a JSON list")
         configs = [ScenarioConfig.from_dict(entry) for entry in entries]

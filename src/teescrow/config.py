@@ -14,6 +14,7 @@ exact integer arithmetic.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields, replace
 
 from .crypto import CANONICAL_JSON
@@ -42,6 +43,24 @@ NODE_STRATEGIES = (NODE_HONEST, NODE_CLAIM_ONLY, NODE_COMPUTE_NO_DELIVER)
 
 class ConfigInvalid(Exception):
     pass
+
+
+def _finite(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise ConfigInvalid(f"{token} is not a finite number")
+    return value
+
+
+def load_json_file(path: str, what: str):
+    """The JSON value in ``path``.  ``NaN``, ``Infinity`` and floats that
+    overflow are refused: strict JSON, such as a trace, cannot hold them."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            return json.load(handle, parse_float=_finite,
+                             parse_constant=_finite)
+        except ValueError as exc:  # also bad UTF-8 and over-long ints
+            raise ConfigInvalid(f"{what} is not valid JSON: {exc}") from exc
 
 
 def _is_int(value) -> bool:
@@ -213,9 +232,4 @@ class ScenarioConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "ScenarioConfig":
-        with open(path, encoding="utf-8") as handle:
-            try:
-                data = json.load(handle)
-            except json.JSONDecodeError as exc:
-                raise ConfigInvalid(f"config is not valid JSON: {exc}") from exc
-        return cls.from_dict(data)
+        return cls.from_dict(load_json_file(path, "config"))

@@ -250,6 +250,42 @@ def test_payoffs_bad_grid_exits_2(capsys, tmp_path, text, message):
     assert f"config error: {message}" in err
 
 
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_non_finite_number_exits_2(capsys, tmp_path, token):
+    # A trace that repeated the value would not be strict JSON.
+    config = tmp_path / "config.json"
+    config.write_text(f'{{"inputs": [1.5, {token}]}}')
+    grid = tmp_path / "grid.json"
+    grid.write_text(f'[{{"inputs": [{token}]}}]')
+    trace = tmp_path / "trace.jsonl"
+    for argv in (["scenario", "--config", str(config),
+                  "--export-trace", str(trace)],
+                 ["payoffs", "--config", str(config)],
+                 ["payoffs", "--grid", str(grid)]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert f"config error: {token} is not a finite number" in err
+        assert out == ""
+    assert not trace.exists()
+
+
+@pytest.mark.parametrize("data, message", [
+    (b'{"inputs": "\xff"}', "'utf-8' codec can't decode"),
+    (b'{"rng_seed": ' + b"1" * 5000 + b"}", "Exceeds the limit"),
+], ids=["not-utf-8", "int-past-digit-limit"])
+def test_unreadable_json_exits_2(capsys, tmp_path, data, message):
+    config = tmp_path / "config.json"
+    config.write_bytes(data)
+    grid = tmp_path / "grid.json"
+    grid.write_bytes(b"[" + data + b"]")
+    for flag, path, what in (("--config", config, "config"),
+                             ("--grid", grid, "grid")):
+        code, _, err = run_cli(capsys, "payoffs", flag, str(path))
+        assert code == 2
+        assert f"config error: {what} is not valid JSON: " in err
+        assert message in err
+
+
 def test_inspect_directory_exits_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, "inspect", "--trace", str(tmp_path))
     assert code == 2
