@@ -125,8 +125,10 @@ def test_execution_fault_stops_before_finalize():
     assert not outcome.received_valid_result
 
 
-def test_tampered_delivery_is_not_confirmed():
-    config = CFG.with_strategies("honest", "honest")
+def run_tampered(**overrides):
+    """A run whose delivered ciphertext has its first bit flipped."""
+    config = dataclasses.replace(
+        CFG.with_strategies("honest", "honest"), **overrides)
     runner = ScenarioRunner(config)
 
     def flip(protected: ProtectedResult) -> ProtectedResult:
@@ -137,11 +139,29 @@ def test_tampered_delivery_is_not_confirmed():
         )
 
     runner.delivery_tamper = flip
-    outcome = runner.run()
+    return runner, runner.run()
+
+
+def test_tampered_delivery_is_not_confirmed():
+    runner, outcome = run_tampered()
     assert not outcome.received_valid_result
     assert "finalizeRequestor" not in calls(runner)
     # Escalates to the timeout path, which the completed task refuses.
     assert calls(runner)[-1] == "timeout"
+    assert outcome.requestor_payoff == -(CFG.payment + CFG.threshold)
+
+
+def test_tampered_third_party_delivery_is_not_confirmed():
+    runner, outcome = run_tampered(deliver_to_third_party=True)
+    [ack] = [r for r in runner.trace.records
+             if r["type"] == "message" and r["kind"] == "third-party-ack"]
+    assert ack["signatureValid"] is False
+    assert not outcome.received_valid_result
+    assert "finalizeRequestor" not in calls(runner)
+    timeout = [r for r in runner.trace.records if r["type"] == "call"][-1]
+    assert timeout["function"] == "timeout"
+    assert timeout["outcome"] == {"accepted": False,
+                                  "reason": "AlreadyCompleted"}
     assert outcome.requestor_payoff == -(CFG.payment + CFG.threshold)
 
 

@@ -39,6 +39,8 @@ def golden_configs() -> dict[str, ScenarioConfig]:
     cases["execution-fault"] = ScenarioConfig(function_name="sum",
                                               inputs=("a", "b"))
     cases["delivery-tamper"] = ScenarioConfig()
+    cases["delivery-tamper-third-party"] = ScenarioConfig(
+        deliver_to_third_party=True)
     cases["gas-in-payoffs"] = ScenarioConfig(gas_charging=True,
                                              include_gas_in_payoffs=True)
     # Strings that need escaping, nested lists and objects, a float, null,
@@ -67,6 +69,7 @@ def _flip_first_ciphertext_bit(runner: ScenarioRunner) -> None:
 RUNNER_SETUPS = {
     "wrong-measurement": _expect_wrong_measurement,
     "delivery-tamper": _flip_first_ciphertext_bit,
+    "delivery-tamper-third-party": _flip_first_ciphertext_bit,
 }
 
 
@@ -109,6 +112,7 @@ GOLDEN_TRACE_IDS = {
     "gas-in-payoffs": "f02c74bb93a2b73a",
     "withhold-chain-11": "f45bce724b65ebaa",
     "hostile-inputs": "9bde6494bd0555d7",
+    "delivery-tamper-third-party": "89aed20b3e447648",
 }
 
 
