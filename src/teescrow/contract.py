@@ -83,23 +83,6 @@ class Task:
     expires: int = 0
     state: TaskState = TaskState.OPEN
 
-    def to_json_obj(self) -> dict:
-        return {
-            "functionName": self.function_name,
-            "hashLock": self.hash_lock.hex(),
-            "requestor": self.requestor.hex(),
-            "payment": self.payment,
-            "requestorDeposit": self.requestor_deposit,
-            "executionNode": self.execution_node.hex(),
-            "executionNodeDeposit": self.execution_node_deposit,
-            # A timed-out task still shows whether it had been claimed.
-            "claimed": self.execution_node != NULL_ACCOUNT,
-            "completed": self.state is TaskState.COMPLETED,
-            "start": self.start,
-            "expires": self.expires,
-            "state": self.state.value,
-        }
-
 
 class EscrowContract:
     """Contract state plus the five dispatchable functions."""
@@ -244,16 +227,3 @@ class EscrowContract:
         "finalizeRequestor": _finalize_requestor,
         "timeout": _timeout,
     }
-
-    # ------------------------------------------------------------------
-
-    def state_dump(self) -> dict:
-        """JSON-safe snapshot of the whole contract, tasks keyed by id."""
-        return {
-            "threshold": self.threshold,
-            "numTasks": self.num_tasks,
-            "tasks": {
-                str(task_id): task.to_json_obj()
-                for task_id, task in sorted(self.tasks.items())
-            },
-        }

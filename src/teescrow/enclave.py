@@ -171,16 +171,6 @@ class FunctionStore:
     def measurement_of(self, name: str) -> bytes:
         return self.get(name).measurement
 
-    @classmethod
-    def default(cls) -> "FunctionStore":
-        store = cls()
-        for name, cost in (("identity", 3), ("sum", 5), ("sha256-hex", 7)):
-            store.register(FunctionImage(
-                name=name, version="1", body_id=name,
-                body=BUILTIN_BODIES[name], resource_cost=cost,
-            ))
-        return store
-
 
 # ----------------------------------------------------------------------
 # instances
@@ -192,13 +182,6 @@ class EnclaveState(str, Enum):
     PROVISIONED = "Provisioned"
     EXECUTED = "Executed"
     DESTROYED = "Destroyed"
-
-
-@dataclass(frozen=True)
-class AttestationQuote:
-    measurement: bytes
-    channel_binding_key: bytes
-    nonce_echo: bytes
 
 
 @dataclass
@@ -248,7 +231,7 @@ class EnclaveHost:
         return EnclaveInstance(instance_id=self._instance_counter, image=image)
 
     def attest(self, instance: EnclaveInstance, expected_measurement: bytes,
-               nonce: bytes, requestor: str = REQUESTOR) -> AttestationQuote:
+               nonce: bytes, requestor: str = REQUESTOR) -> None:
         """Verify the instance against the requestor's expected measurement.
 
         On success the instance is Attested and the secure channel is bound
@@ -264,15 +247,9 @@ class EnclaveHost:
                 f"enclave reports {instance.image.measurement.hex()}, "
                 f"expected {expected_measurement.hex()}"
             )
-        binding_key = self.rng.randbytes(32)
         instance.state = EnclaveState.ATTESTED
         instance.channel_requestor = requestor
-        instance.channel_binding_key = binding_key
-        return AttestationQuote(
-            measurement=instance.image.measurement,
-            channel_binding_key=binding_key,
-            nonce_echo=nonce,
-        )
+        instance.channel_binding_key = self.rng.randbytes(32)
 
     def provision(self, instance: EnclaveInstance, requestor: str,
                   secret: bytes, inputs: object,

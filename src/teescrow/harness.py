@@ -57,7 +57,6 @@ from .enclave import (
 from .ledger import (
     CONTRACT_ACCOUNT,
     NULL_ACCOUNT,
-    ContractCall,
     GasSchedule,
     Ledger,
     Receipt,
@@ -321,7 +320,6 @@ class ScenarioRunner:
         )
         self.node = ExecutionNodeActor(config)
         self.trace = Trace()
-        self.delivery_tamper = None  # test hook: ProtectedResult -> ProtectedResult
         self._queue: deque = deque()
         self._next_expiry = 0  # lowest task id not yet armed or skipped
         self._last_receipt_time = 0
@@ -449,9 +447,6 @@ class ScenarioRunner:
         )))
 
     def _do_deliver(self, who: str, action: Deliver) -> None:
-        if self.delivery_tamper is not None:
-            action = replace(
-                action, protected=self.delivery_tamper(action.protected))
         self.trace.result_delivery(action)
         # The destination names the recipient party.
         self._queue.append((action.destination, action))
@@ -542,10 +537,6 @@ class PayoffMatrix:
         self.config = config
         self.cells = cells
 
-    def outcome(self, requestor_strategy: str,
-                node_strategy: str) -> ScenarioOutcome:
-        return self.cells[(requestor_strategy, node_strategy)]
-
     def to_json_obj(self) -> dict:
         return {
             "config": self.config.to_json_obj(),
@@ -589,21 +580,10 @@ def payoff_matrix(config: ScenarioConfig) -> PayoffMatrix:
 class DominanceReport:
     draws: int = 0
     violations: list[str] = field(default_factory=list)
-    no_confirm_positive: int = 0
-    honest_honest_both_positive: bool = True
 
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def to_json_obj(self) -> dict:
-        return {
-            "draws": self.draws,
-            "ok": self.ok,
-            "violations": list(self.violations),
-            "noConfirmPayoffPositiveCount": self.no_confirm_positive,
-            "honestHonestBothPositive": self.honest_honest_both_positive,
-        }
 
 
 def dominance_check(configs) -> DominanceReport:
@@ -611,8 +591,8 @@ def dominance_check(configs) -> DominanceReport:
     honest counterparty; the honest pair is the only one where both gain.
 
     A cheating requestor that skips confirmation can still net a positive
-    absolute payoff when the result is valuable enough; that is reported,
-    not asserted against.
+    absolute payoff when the result is valuable enough; that is not
+    asserted against.
     """
     report = DominanceReport()
     for config in configs:
@@ -622,7 +602,6 @@ def dominance_check(configs) -> DominanceReport:
         honest = run_scenario(
             config.with_strategies(REQUESTOR_HONEST, NODE_HONEST))
         if honest.requestor_payoff <= 0 or honest.node_payoff <= 0:
-            report.honest_honest_both_positive = False
             report.violations.append(
                 f"draw {report.draws}: honest/honest payoffs not both positive"
             )
@@ -637,8 +616,6 @@ def dominance_check(configs) -> DominanceReport:
                     f"({outcome.requestor_payoff}) not dominated by honest "
                     f"({honest.requestor_payoff})"
                 )
-            if deviation == "no-confirm" and outcome.requestor_payoff > 0:
-                report.no_confirm_positive += 1
         for deviation in NODE_STRATEGIES:
             if deviation == NODE_HONEST:
                 continue
@@ -750,36 +727,3 @@ def latency_report(tier: str,
         total_seconds=outcome.end_to_end_seconds,
     )
 
-
-# ----------------------------------------------------------------------
-# claim races
-
-
-def run_claim_race(arrival_deposits: list[int], threshold: int = 5,
-                   payment: int = 10) -> tuple[list[Receipt], EscrowContract, Ledger]:
-    """Submit one task, then fire one claim per arrival in order.
-
-    ``arrival_deposits[i]`` is the value the i-th claimant attaches.  Used
-    to check first-claim exclusivity over seeded arrival permutations.
-    """
-    ledger = Ledger()
-    contract = EscrowContract(ledger, threshold)
-    requestor = ledger.create_account(10**6)
-    receipt = ledger.submit_transaction(
-        requestor,
-        ContractCall("submitTask", {
-            "function_name": "identity",
-            "hash_lock": bytes(32),
-            "expires": 10_000,
-        }),
-        payment + threshold, "standard",
-    )
-    task_id = receipt.outcome.task_id
-    receipts = []
-    for deposit in arrival_deposits:
-        claimant = ledger.create_account(10**6)
-        receipts.append(ledger.submit_transaction(
-            claimant, ContractCall("claimTask", {"task_id": task_id}),
-            deposit, "standard",
-        ))
-    return receipts, contract, ledger

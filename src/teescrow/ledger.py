@@ -1,8 +1,8 @@
 """Simulated single-chain ledger.
 
 Accounts with integer balances in a wei-like smallest unit, a monotone block
-clock, transaction application with per-function gas charging, and an
-append-only event log.  The ledger is the sole serialization point of the
+clock, and transaction application with per-function gas charging; each
+receipt carries the events its call emitted.  The ledger is the sole serialization point of the
 whole simulation: every contract interaction goes through
 ``submit_transaction`` and each transaction occupies its own block, so the
 confirmation-latency accounting of sequential calls is exact.
@@ -121,12 +121,11 @@ class GasSchedule:
 
 @dataclass(frozen=True)
 class LedgerEvent:
-    """One contract event, totally ordered by (block_height, index)."""
+    """One contract event, emitted by the call in block ``block_height``."""
 
     kind: str
     task_id: int
     block_height: int
-    index: int
     payload: dict
 
 
@@ -172,15 +171,12 @@ class CallContext:
     def emit(self, kind: str, task_id: int, payload: dict) -> None:
         if kind not in EVENT_KINDS:
             raise ValueError(f"unknown event kind {kind!r}")
-        event = LedgerEvent(
+        self.events.append(LedgerEvent(
             kind=kind,
             task_id=task_id,
             block_height=self._ledger.block_height,
-            index=self._ledger._next_event_index(),
             payload=payload,
-        )
-        self.events.append(event)
-        self._ledger._events.append(event)
+        ))
 
 
 class Ledger:
@@ -199,8 +195,6 @@ class Ledger:
             NULL_ACCOUNT: 0,
             CONTRACT_ACCOUNT: 0,
         }
-        self._events: list[LedgerEvent] = []
-        self._event_counter = 0
         self._account_counter = 0
         self._contract = None
 
@@ -316,18 +310,3 @@ class Ledger:
                 f"balances sum to {total}, expected "
                 f"{self.total_supply - self.total_gas_burned}"
             )
-
-    # ------------------------------------------------------------------
-    # events
-
-    def _next_event_index(self) -> int:
-        self._event_counter += 1
-        return self._event_counter
-
-    def query_events(self, kind: str | None = None,
-                     task_id: int | None = None) -> list[LedgerEvent]:
-        return [
-            e for e in self._events
-            if (kind is None or e.kind == kind)
-            and (task_id is None or e.task_id == task_id)
-        ]

@@ -25,12 +25,11 @@ from teescrow.harness import (
     dominance_check,
     gas_report,
     latency_report,
-    run_claim_race,
     run_scenario,
 )
 from teescrow.ledger import ContractCall, Ledger
 
-from conftest import call, zero_delay_schedule
+from conftest import call, run_claim_race, zero_delay_schedule
 
 N_DRAWS = 1000
 

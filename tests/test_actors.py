@@ -3,9 +3,9 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
+from conftest import flip_first_ciphertext_bit
 
 from teescrow.config import ScenarioConfig
-from teescrow.crypto import ProtectedResult
 from teescrow.enclave import enclave_principal
 from teescrow.harness import ScenarioRunner
 
@@ -126,19 +126,11 @@ def test_execution_fault_stops_before_finalize():
 
 
 def run_tampered(**overrides):
-    """A run whose delivered ciphertext has its first bit flipped."""
+    """A run whose enclave result has its first ciphertext bit flipped."""
     config = dataclasses.replace(
         CFG.with_strategies("honest", "honest"), **overrides)
     runner = ScenarioRunner(config)
-
-    def flip(protected: ProtectedResult) -> ProtectedResult:
-        return dataclasses.replace(
-            protected,
-            ciphertext=bytes([protected.ciphertext[0] ^ 1])
-            + protected.ciphertext[1:],
-        )
-
-    runner.delivery_tamper = flip
+    flip_first_ciphertext_bit(runner)
     return runner, runner.run()
 
 

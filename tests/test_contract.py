@@ -1,14 +1,14 @@
 from __future__ import annotations
 
+import copy
 import hashlib
-import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from teescrow.contract import EscrowContract, RefusalReason, TaskState
-from teescrow.ledger import CONTRACT_ACCOUNT, Ledger
+from teescrow.ledger import CONTRACT_ACCOUNT, NULL_ACCOUNT, Ledger
 
 from conftest import THRESHOLD, call, zero_delay_schedule
 
@@ -348,23 +348,14 @@ def test_requestor_cannot_steal_payment_while_claimed(funded):
 
 def test_refused_calls_keep_tasks_bit_identical(funded):
     ledger, contract, requestor, node, task_id = claimed_task(funded)
-    snapshot = json.dumps(contract.state_dump(), sort_keys=True)
+    snapshot = copy.deepcopy(contract.tasks), contract.num_tasks
     other = ledger.create_account(50)
     call(ledger, other, "claimTask", value=9, task_id=task_id)
     call(ledger, other, "finalizeExecutionNode", task_id=task_id,
          secret=SECRET)
     call(ledger, other, "timeout", task_id=task_id)
-    assert json.dumps(contract.state_dump(), sort_keys=True) == snapshot
+    assert (contract.tasks, contract.num_tasks) == snapshot
     assert ledger.balance(other) == 50
-
-
-def test_state_dump_round_trips_through_json(funded):
-    ledger, contract, requestor, node, task_id = claimed_task(funded)
-    dumped = json.loads(json.dumps(contract.state_dump()))
-    task = dumped["tasks"][str(task_id)]
-    assert task["claimed"] is True
-    assert task["hashLock"] == LOCK.hex()
-    assert task["executionNode"] == node.hex()
 
 
 # ----------------------------------------------------------------------
@@ -381,9 +372,9 @@ CALLS = {
     "timeout": (0, {"task_id": 0}),
 }
 
-# function, state of task 0, sender -> outcome, then task 0's state_dump()
-# entry after the call ("-": no record): requestor, execution node,
-# execution node deposit, claimed, completed, start, state.  Every call is
+# function, state of task 0, sender -> outcome, then task 0's fields after
+# the call ("-": no record): requestor, execution node, execution node
+# deposit, claimed (a node is set), completed, start, state.  Every call is
 # made after the task's expiry.
 REFUSAL_TABLE = """
 submitTask            none           requestor ok               requestor nobody    0 n n 101 Open
@@ -521,20 +512,20 @@ def observe(function, state, sender):
     outcome = call(ledger, party[sender], function, value=value,
                    **args).outcome
     row = ["ok" if outcome.accepted else outcome.reason.value]
-    entry = contract.state_dump()["tasks"].get("0")
-    if entry is None:
+    task = contract.tasks.get(0)
+    if task is None:
         return row + ["-"]
-    assert {k: entry[k] for k in ("functionName", "hashLock", "payment",
-                                  "requestorDeposit", "expires")} == {
-        "functionName": "identity", "hashLock": LOCK.hex(), "payment": 10,
-        "requestorDeposit": THRESHOLD, "expires": 100}
-    name = {account.hex(): n for n, account in party.items()}
-    name[bytes(20).hex()] = "nobody"
+    assert (task.function_name, task.hash_lock, task.payment,
+            task.requestor_deposit, task.expires) == (
+        "identity", LOCK, 10, THRESHOLD, 100)
+    name = {account: n for n, account in party.items()}
+    name[NULL_ACCOUNT] = "nobody"
     return row + [
-        name[entry["requestor"]], name[entry["executionNode"]],
-        str(entry["executionNodeDeposit"]),
-        "y" if entry["claimed"] else "n", "y" if entry["completed"] else "n",
-        str(entry["start"]), entry["state"],
+        name[task.requestor], name[task.execution_node],
+        str(task.execution_node_deposit),
+        "n" if task.execution_node == NULL_ACCOUNT else "y",
+        "y" if task.state is TaskState.COMPLETED else "n",
+        str(task.start), task.state.value,
     ]
 
 

@@ -7,10 +7,10 @@ be made on purpose (and these values re-derived) or not at all.
 
 from __future__ import annotations
 
-import dataclasses
 from itertools import product
 
 import pytest
+from conftest import flip_first_ciphertext_bit
 
 from teescrow.config import NODE_STRATEGIES, REQUESTOR_STRATEGIES, ScenarioConfig
 from teescrow.harness import ScenarioRunner
@@ -57,19 +57,11 @@ def _expect_wrong_measurement(runner: ScenarioRunner) -> None:
     runner.requestor.allow_list[runner.config.function_name] = bytes(32)
 
 
-def _flip_first_ciphertext_bit(runner: ScenarioRunner) -> None:
-    runner.delivery_tamper = lambda protected: dataclasses.replace(
-        protected,
-        ciphertext=bytes([protected.ciphertext[0] ^ 1])
-        + protected.ciphertext[1:],
-    )
-
-
 #: Cases that reach a failure path through a runner hook, not the config.
 RUNNER_SETUPS = {
     "wrong-measurement": _expect_wrong_measurement,
-    "delivery-tamper": _flip_first_ciphertext_bit,
-    "delivery-tamper-third-party": _flip_first_ciphertext_bit,
+    "delivery-tamper": flip_first_ciphertext_bit,
+    "delivery-tamper-third-party": flip_first_ciphertext_bit,
 }
 
 

@@ -8,6 +8,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import run_claim_race
 from test_golden_traces import RUNNER_SETUPS, golden_configs
 
 from teescrow import config as config_module
@@ -35,7 +36,6 @@ from teescrow.harness import (
     gas_report,
     latency_report,
     payoff_matrix,
-    run_claim_race,
     run_scenario,
 )
 from teescrow.ledger import (
@@ -88,7 +88,7 @@ def test_payoff_matrix_random_draws():
         matrix = payoff_matrix(config)
         for cell, (req, node) in table_payoffs(
                 value, payment, cost, threshold, deposit).items():
-            outcome = matrix.outcome(*cell)
+            outcome = matrix.cells[cell]
             assert (outcome.requestor_payoff, outcome.node_payoff) == (req, node)
 
 
@@ -205,7 +205,7 @@ _EVENT_PAYLOADS = {
 def _events(kind):
     return st.lists(st.builds(
         LedgerEvent, kind=st.just(kind), task_id=_INT, block_height=_INT,
-        index=_INT, payload=_EVENT_PAYLOADS[kind]), min_size=1, max_size=3)
+        payload=_EVENT_PAYLOADS[kind]), min_size=1, max_size=3)
 
 
 def _calls(functions, events):
@@ -340,6 +340,22 @@ def _contracts(draw):
     return contract
 
 
+def _contract_state_record(contract):
+    return {"type": "contract_state", "state": {
+        "threshold": contract.threshold, "numTasks": contract.num_tasks,
+        "tasks": {str(task_id): {
+            "functionName": t.function_name, "hashLock": t.hash_lock.hex(),
+            "requestor": t.requestor.hex(), "payment": t.payment,
+            "requestorDeposit": t.requestor_deposit,
+            "executionNode": t.execution_node.hex(),
+            "executionNodeDeposit": t.execution_node_deposit,
+            # A timed-out task still shows whether it had been claimed.
+            "claimed": t.execution_node != NULL_ACCOUNT,
+            "completed": t.state is TaskState.COMPLETED,
+            "start": t.start, "expires": t.expires, "state": t.state.value,
+        } for task_id, t in contract.tasks.items()}}}
+
+
 _SCENARIO_OUTCOMES = st.builds(
     ScenarioOutcome,
     **dict.fromkeys(
@@ -351,12 +367,11 @@ _SCENARIO_OUTCOMES = st.builds(
     infoflow_violations=st.lists(_TEXT, max_size=3).map(tuple))
 
 #: Once-per-run record kind -> (the source its ``Trace`` method reads, the
-#: record built from the source's own JSON form).
+#: record built from the source's JSON form or its fields).
 RUN_RECORDS = {
     "scenario": (_CONFIGS, lambda config: {
         "type": "scenario", "config": config.to_json_obj()}),
-    "contract_state": (_contracts(), lambda contract: {
-        "type": "contract_state", "state": contract.state_dump()}),
+    "contract_state": (_contracts(), _contract_state_record),
     "outcome": (_SCENARIO_OUTCOMES, lambda outcome: {
         "type": "outcome", **outcome.to_json_obj()}),
 }
@@ -493,19 +508,18 @@ def test_dominance_report_on_random_draws():
     report = dominance_check(configs)
     assert report.ok
     assert report.draws == 10
-    assert report.honest_honest_both_positive
 
 
 def test_dominance_example_inequalities():
     # node: honest 7 beats claim-only -5 and compute-no-deliver -3;
     # requestor: honest 90 beats no-confirm 85.
     matrix = payoff_matrix(CFG)
-    honest = matrix.outcome("honest", "honest")
-    assert honest.node_payoff > matrix.outcome("honest", "claim-only").node_payoff
-    assert honest.node_payoff > matrix.outcome(
-        "honest", "compute-no-deliver").node_payoff
-    assert honest.requestor_payoff > matrix.outcome(
-        "no-confirm", "honest").requestor_payoff
+    honest = matrix.cells[("honest", "honest")]
+    assert honest.node_payoff > matrix.cells[("honest", "claim-only")].node_payoff
+    assert honest.node_payoff > matrix.cells[
+        ("honest", "compute-no-deliver")].node_payoff
+    assert honest.requestor_payoff > matrix.cells[
+        ("no-confirm", "honest")].requestor_payoff
 
 
 def test_dominance_requires_rational_regime():
