@@ -17,7 +17,6 @@ import json
 import math
 from dataclasses import dataclass, field, fields, replace
 
-from .crypto import CANONICAL_JSON
 from .ledger import (
     DEFAULT_CONFIRMATION_DELAY,
     DEFAULT_GAS_PER_FUNCTION,
@@ -43,6 +42,12 @@ NODE_STRATEGIES = (NODE_HONEST, NODE_CLAIM_ONLY, NODE_COMPUTE_NO_DELIVER)
 
 class ConfigInvalid(Exception):
     pass
+
+
+#: ``crypto.CANONICAL_JSON`` that refuses ``NaN`` and infinities: the
+#: ``inputs`` go into the trace, which is strict JSON.
+STRICT_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                               allow_nan=False)
 
 
 def _finite(token: str) -> float:
@@ -140,6 +145,7 @@ class ScenarioConfig:
             raise ConfigInvalid("execution_delay must be non-negative")
         if self.max_resubmits < 0:
             raise ConfigInvalid("max_resubmits must be non-negative")
+        self.inputs_json()
         # Each of the 1 + max_resubmits tasks can lock both deposits and
         # costs each party the gas of the calls it sends for the task; a
         # timeout refunds the payment, so only one payment is at stake.
@@ -199,10 +205,15 @@ class ScenarioConfig:
         """``inputs`` as canonical JSON, encoded on first use.
 
         The result is kept, so ``inputs`` must not be mutated after a run.
+        Raises ``ConfigInvalid`` for a value strict JSON cannot hold.
         """
         encoded = self._inputs_json
         if not encoded:
-            encoded.append(CANONICAL_JSON.encode(self.inputs))
+            try:
+                encoded.append(STRICT_JSON.encode(self.inputs))
+            except (TypeError, ValueError, RecursionError) as exc:
+                raise ConfigInvalid(
+                    f"inputs must be strict JSON: {exc}") from None
         return encoded[0]
 
     def to_json_obj(self) -> dict:

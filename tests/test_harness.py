@@ -12,6 +12,7 @@ from conftest import run_claim_race
 from test_golden_traces import RUNNER_SETUPS, golden_configs
 
 from teescrow import config as config_module
+from teescrow import crypto
 from teescrow.config import (
     NODE_STRATEGIES,
     REQUESTOR_STRATEGIES,
@@ -303,7 +304,8 @@ def test_trace_lines_match_json_dumps(shape, data):
 
 _INT_MAPS = st.dictionaries(_TEXT, _INT, min_size=1, max_size=3)
 _JSON = st.recursive(
-    st.none() | st.booleans() | _INT | st.floats() | _TEXT,
+    st.none() | st.booleans() | _INT
+    | st.floats(allow_nan=False, allow_infinity=False) | _TEXT,
     lambda inner: (st.lists(inner, max_size=3)
                    | st.dictionaries(_TEXT, inner, max_size=3)),
     max_leaves=12)
@@ -388,16 +390,36 @@ def test_run_record_lines_match_json_dumps(kind, data):
     assert trace.to_jsonl() == _canonical_lines([record(source)])
 
 
+def _nested(depth):
+    value = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+@pytest.mark.parametrize("inputs", [
+    (float("nan"), float("inf")), [-float("inf")], {1, 2}, _nested(5000),
+], ids=["nan-inf", "minus-inf", "set", "nested-5000"])
+def test_inputs_strict_json_cannot_hold_are_invalid(inputs):
+    config = dataclasses.replace(CFG, inputs=inputs)
+    with pytest.raises(ConfigInvalid, match="inputs must be strict JSON"):
+        config.validate()
+    trace = Trace()
+    with pytest.raises(ConfigInvalid):
+        trace.scenario(config)
+    assert trace.to_jsonl() == ""
+
+
 def test_with_strategies_configs_share_one_inputs_encoding(monkeypatch):
     encoded = []
-    encoder = config_module.CANONICAL_JSON
+    encoder = config_module.STRICT_JSON
 
     class CountingEncoder:
         def encode(self, value):
             encoded.append(value)
             return encoder.encode(value)
 
-    monkeypatch.setattr(config_module, "CANONICAL_JSON", CountingEncoder())
+    monkeypatch.setattr(config_module, "STRICT_JSON", CountingEncoder())
     base = dataclasses.replace(CFG, inputs=[[1.5, None], "\u00e9", 2**70])
     pairs = list(product(REQUESTOR_STRATEGIES, NODE_STRATEGIES))
     shared = [base.with_strategies(*pair) for pair in pairs]
@@ -411,12 +433,18 @@ def test_with_strategies_configs_share_one_inputs_encoding(monkeypatch):
 
     assert encoded == []  # deriving the configs encodes nothing
     shared_traces = [trace_of(config) for config in shared]
-    assert len(encoded) == 1
+    assert len(encoded) == 1  # validate() encodes, the writer reuses it
+    assert shared[0].inputs_json() == crypto.CANONICAL_JSON.encode(base.inputs)
     assert shared_traces == [trace_of(config) for config in alone]
     assert len(encoded) == 1 + len(pairs)
     # A config replaced after a run writes its own inputs.
     other = trace_of(dataclasses.replace(shared[0], inputs=[7, 8]))
     assert json.loads(other.split("\n")[0])["config"]["inputs"] == [7, 8]
+    # Inputs that fail to encode are refused by every cell that shares them.
+    bad = dataclasses.replace(base, inputs=[float("nan")])
+    for pair in pairs:
+        with pytest.raises(ConfigInvalid):
+            ScenarioRunner(bad.with_strategies(*pair))
 
 
 def test_different_seeds_change_secrets_not_payoffs():
