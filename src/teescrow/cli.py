@@ -173,8 +173,10 @@ def _cmd_inspect(args) -> int:
         ok = (expected_requestor == outcome_rec["requestorPayoff"]
               and expected_node == outcome_rec["nodePayoff"]
               and not outcome_rec["infoFlowViolations"])
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
-        # Not JSON lines, a record that is no object, or a missing field.
+    except (ValueError, RecursionError, KeyError, TypeError,
+            AttributeError) as exc:
+        # Not JSON lines (or nested too deep to parse), a record that is no
+        # object, or a missing field.
         print(f"malformed trace: {exc!r}", file=sys.stderr)
         return 1
     obj = dict(outcome_rec)

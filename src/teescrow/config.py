@@ -64,7 +64,8 @@ def load_json_file(path: str, what: str):
         try:
             return json.load(handle, parse_float=_finite,
                              parse_constant=_finite)
-        except ValueError as exc:  # also bad UTF-8 and over-long ints
+        except (ValueError, RecursionError) as exc:
+            # Also bad UTF-8, over-long ints and nesting past the stack.
             raise ConfigInvalid(f"{what} is not valid JSON: {exc}") from exc
 
 

@@ -272,7 +272,9 @@ def test_non_finite_number_exits_2(capsys, tmp_path, token):
 @pytest.mark.parametrize("data, message", [
     (b'{"inputs": "\xff"}', "'utf-8' codec can't decode"),
     (b'{"rng_seed": ' + b"1" * 5000 + b"}", "Exceeds the limit"),
-], ids=["not-utf-8", "int-past-digit-limit"])
+    (b'{"inputs": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+     "maximum recursion depth exceeded"),
+], ids=["not-utf-8", "int-past-digit-limit", "nested-100000"])
 def test_unreadable_json_exits_2(capsys, tmp_path, data, message):
     config = tmp_path / "config.json"
     config.write_bytes(data)
@@ -294,10 +296,11 @@ def test_inspect_directory_exits_2(capsys, tmp_path):
 
 def test_inspect_non_json_trace_exits_1(capsys, tmp_path):
     trace_file = tmp_path / "trace.jsonl"
-    trace_file.write_text("not json\n")
-    code, _, err = run_cli(capsys, "inspect", "--trace", str(trace_file))
-    assert code == 1
-    assert "malformed trace" in err
+    for text in ("not json\n", "[" * 100_000 + "]" * 100_000 + "\n"):
+        trace_file.write_text(text)
+        code, _, err = run_cli(capsys, "inspect", "--trace", str(trace_file))
+        assert code == 1
+        assert "malformed trace" in err
 
 
 def test_inspect_record_missing_field_exits_1(capsys, tmp_path, config_file):
