@@ -146,7 +146,7 @@ class ScenarioConfig:
             raise ConfigInvalid("execution_delay must be non-negative")
         if self.max_resubmits < 0:
             raise ConfigInvalid("max_resubmits must be non-negative")
-        self.inputs_json()
+        self.inputs_json()  # the trace cannot hold every Python value
         # Each of the 1 + max_resubmits tasks can lock both deposits and
         # costs each party the gas of the calls it sends for the task; a
         # timeout refunds the payment, so only one payment is at stake.

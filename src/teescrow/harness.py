@@ -726,4 +726,3 @@ def latency_report(tier: str,
         execution_delay=config.execution_delay,
         total_seconds=outcome.end_to_end_seconds,
     )
-

@@ -2,10 +2,10 @@
 
 Accounts with integer balances in a wei-like smallest unit, a monotone block
 clock, and transaction application with per-function gas charging; each
-receipt carries the events its call emitted.  The ledger is the sole serialization point of the
-whole simulation: every contract interaction goes through
-``submit_transaction`` and each transaction occupies its own block, so the
-confirmation-latency accounting of sequential calls is exact.
+receipt carries the events its call emitted.  The ledger is the sole
+serialization point of the whole simulation: every contract interaction goes
+through ``submit_transaction`` and each transaction occupies its own block,
+so the confirmation-latency accounting of sequential calls is exact.
 
 Gas is burned, not redistributed, which keeps the conservation invariant
 
