@@ -183,8 +183,11 @@ def test_config_file_unknown_key_exits_2(capsys, tmp_path):
     ({"expires": 1.5}, "expires must be an integer"),
     ({"requestor_deposit": -3}, "requestor_deposit must equal threshold"),
     ({"node_deposit": -7}, "node_deposit must be at least the threshold"),
+    # -1.0 == -1, so the type check must run before -1 derives a deposit.
+    ({"node_deposit": -1.0}, "node_deposit must be an integer"),
 ], ids=["string-amount", "zero-gas", "float-seconds",
-        "negative-requestor-deposit", "negative-node-deposit"])
+        "negative-requestor-deposit", "negative-node-deposit",
+        "float-derive-deposit"])
 def test_config_file_bad_value_exits_2(capsys, tmp_path, override, message):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(dict(SMALL, **override)))

@@ -169,16 +169,17 @@ def test_execute_requires_provisioned_state(host):
 
 
 def test_execution_fault_propagates(host):
-    store = FunctionStore()
-    store.register(FunctionImage("boom", "1", "boom",
-                                 lambda _: 1 / 0, 1))
-    failing = EnclaveHost(store, InfoFlowLedger(), random.Random(0))
-    instance = failing.instantiate("boom")
-    failing.attest(instance, store.measurement_of("boom"), b"n")
-    secret, inputs, keys = provisioning_material()
-    failing.provision(instance, REQUESTOR, secret, inputs, keys)
-    with pytest.raises(ExecutionFault):
-        failing.execute(instance)
+    # A body that raises, and one whose result canonical JSON cannot hold.
+    for body in (lambda _: 1 / 0, lambda _: {1, 2}):
+        store = FunctionStore()
+        store.register(FunctionImage("boom", "1", "boom", body, 1))
+        failing = EnclaveHost(store, InfoFlowLedger(), random.Random(0))
+        instance = failing.instantiate("boom")
+        failing.attest(instance, store.measurement_of("boom"), b"n")
+        secret, inputs, keys = provisioning_material()
+        failing.provision(instance, REQUESTOR, secret, inputs, keys)
+        with pytest.raises(ExecutionFault):
+            failing.execute(instance)
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import random
 from itertools import product
@@ -157,14 +158,21 @@ _STORED_TRACE_CASES = [
 ]
 
 
+def _refuse_constant(token):
+    raise ValueError(f"{token} is not strict JSON")
+
+
 @pytest.mark.parametrize("config, setup", _STORED_TRACE_CASES)
 def test_stored_trace_lines_match_records(config, setup):
     # The records are parsed from the stored lines, so every line must be
-    # its own canonical encoding.
+    # strict JSON (``json`` reads and writes NaN and infinities unless told
+    # not to) and its own canonical encoding.
     runner = ScenarioRunner(config)
     if setup is not None:
         setup(runner)
     runner.run()
+    for line in runner.trace.to_jsonl().splitlines():
+        json.loads(line, parse_constant=_refuse_constant)
     assert runner.trace.to_jsonl() == _canonical_lines(runner.trace.records)
 
 
@@ -486,6 +494,30 @@ def test_config_validation_errors():
         ScenarioRunner(dataclasses.replace(CFG, requestor_deposit=7))
     with pytest.raises(ConfigInvalid, match="max_resubmits"):
         ScenarioRunner(dataclasses.replace(CFG, max_resubmits=-1))
+
+
+@pytest.mark.parametrize("build", [
+    ScenarioConfig, functools.partial(dataclasses.replace, CFG),
+], ids=["init", "replace"])
+@pytest.mark.parametrize("name, value", [
+    ("payment", "10"),
+    ("expires", 1.5),
+    ("deliver_to_third_party", 1),
+    ("gas_per_function", {"submitTask": float("nan")}),
+    ("confirmation_delay_per_tier", {"fast": float("inf")}),
+    ("gas_price_per_tier", {"slow": 1.5}),
+    # -1.0 == -1: checked before -1 derives the deposit from the threshold.
+    ("node_deposit", -1.0),
+], ids=["string-amount", "float-seconds", "int-flag", "nan-gas",
+        "inf-delay", "float-price", "float-derive-deposit"])
+def test_wrong_typed_field_is_invalid_however_built(build, name, value):
+    with pytest.raises(ConfigInvalid, match=f"^{name} must be "):
+        build(**{name: value})
+
+
+def test_unknown_function_is_invalid_before_a_run():
+    with pytest.raises(ConfigInvalid, match="unknown function 'nope'"):
+        ScenarioConfig(function_name="nope").validate()
 
 
 def minimum_balance(config: ScenarioConfig) -> int:
