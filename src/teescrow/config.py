@@ -17,6 +17,7 @@ import json
 import math
 from dataclasses import dataclass, field, fields, replace
 
+from .enclave import BUILTIN_BODIES
 from .ledger import (
     DEFAULT_CONFIRMATION_DELAY,
     DEFAULT_GAS_PER_FUNCTION,
@@ -73,8 +74,8 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-# Field annotation -> (check, description) for values read from JSON.
-# ``inputs`` is annotated ``object`` and takes any JSON value.
+# Field annotation -> (check, description), applied to every config however
+# it is built.  ``inputs`` is annotated ``object``; ``validate()`` checks it.
 _TYPE_CHECKS = {
     "int": (_is_int, "an integer"),
     "bool": (lambda v: isinstance(v, bool), "true or false"),
@@ -110,6 +111,11 @@ class ScenarioConfig:
     confirmation_delay_per_tier: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        # Types first: ``-1.0 == -1`` would otherwise derive a deposit.
+        for name, check, expected in _TYPED_FIELDS:
+            value = getattr(self, name)
+            if not check(value):
+                raise ConfigInvalid(f"{name} must be {expected}, got {value!r}")
         if self.requestor_deposit == -1:
             object.__setattr__(self, "requestor_deposit", self.threshold)
         if self.node_deposit == -1:
@@ -162,15 +168,14 @@ class ScenarioConfig:
             raise ConfigInvalid("initial_balance cannot fund the requestor")
         if self.initial_balance < tasks * (self.node_deposit + gas_n):
             raise ConfigInvalid("initial_balance cannot fund the node")
+        if self.function_name not in BUILTIN_BODIES:
+            raise ConfigInvalid(f"unknown function {self.function_name!r}")
 
     @property
     def in_rational_regime(self) -> bool:
-        """Strict value > payment > cost > 0, positive deposits."""
-        return (
-            self.value_of_result > self.payment > self.compute_cost > 0
-            and self.requestor_deposit > 0
-            and self.node_deposit > 0
-        )
+        """Strict value > payment > cost > 0; positive deposits are
+        ``validate()``'s rule."""
+        return self.value_of_result > self.payment > self.compute_cost > 0
 
     def gas_schedule(self) -> GasSchedule:
         for name, known in (("gas_per_function", DEFAULT_GAS_PER_FUNCTION),
@@ -234,14 +239,12 @@ class ScenarioConfig:
         unknown = set(data) - known
         if unknown:
             raise ConfigInvalid(f"unknown config keys: {sorted(unknown)}")
-        for f in fields(cls):
-            if f.name in data and f.type in _TYPE_CHECKS:
-                check, expected = _TYPE_CHECKS[f.type]
-                if not check(data[f.name]):
-                    raise ConfigInvalid(
-                        f"{f.name} must be {expected}, got {data[f.name]!r}")
         return cls(**data)
 
     @classmethod
     def from_file(cls, path: str) -> "ScenarioConfig":
         return cls.from_dict(load_json_file(path, "config"))
+
+
+_TYPED_FIELDS = tuple((f.name, *_TYPE_CHECKS[f.type])
+                      for f in fields(ScenarioConfig) if f.type in _TYPE_CHECKS)

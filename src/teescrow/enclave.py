@@ -278,13 +278,13 @@ class EnclaveHost:
             raise BadState(f"execute in state {instance.state.value}")
         data = instance.provisioned
         assert data is not None
+        # A result canonical JSON cannot hold is the body's fault too.
         try:
             result = instance.image.body(data.inputs)
+            encoded = crypto.canonical_json_bytes(result)
         except Exception as exc:
             raise ExecutionFault(str(exc)) from exc
-        protected = crypto.protect_result(
-            crypto.canonical_json_bytes(result), data.result_keys, self.rng
-        )
+        protected = crypto.protect_result(encoded, data.result_keys, self.rng)
         self.resource_consumed += instance.image.resource_cost
         instance.state = EnclaveState.EXECUTED
         self.flow.mark(f"{instance.label_prefix}:executed")

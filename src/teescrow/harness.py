@@ -327,8 +327,6 @@ class ScenarioRunner:
 
     def _scenario_store(self) -> FunctionStore:
         cfg = self.config
-        if cfg.function_name not in BUILTIN_BODIES:
-            raise ConfigInvalid(f"unknown function {cfg.function_name!r}")
         store = FunctionStore()
         store.register(FunctionImage(
             name=cfg.function_name,
@@ -565,10 +563,8 @@ class PayoffMatrix:
 
 def payoff_matrix(config: ScenarioConfig) -> PayoffMatrix:
     if not config.in_rational_regime:
-        raise ConfigInvalid(
-            "parameters outside the rational regime "
-            "(need value > payment > cost > 0 and positive deposits)"
-        )
+        raise ConfigInvalid("parameters outside the rational regime "
+                            "(need value > payment > cost > 0)")
     cells = {}
     for r in REQUESTOR_STRATEGIES:
         for n in NODE_STRATEGIES:
