@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 from conftest import flip_first_ciphertext_bit
 
+from teescrow import crypto
 from teescrow.config import ScenarioConfig
 from teescrow.enclave import enclave_principal
 from teescrow.harness import ScenarioRunner
@@ -155,6 +156,22 @@ def test_tampered_third_party_delivery_is_not_confirmed():
     assert timeout["outcome"] == {"accepted": False,
                                   "reason": "AlreadyCompleted"}
     assert outcome.requestor_payoff == -(CFG.payment + CFG.threshold)
+
+
+@pytest.mark.parametrize("third_party", [False, True])
+def test_tamper_after_an_honest_run_still_fails_the_checks(third_party):
+    """The honest run fills the protect-result memo; the tampered run of the
+    same config hits it, and every check still runs on what is delivered."""
+    honest, _ = run(deliver_to_third_party=third_party)
+    assert calls(honest)[-1] == "finalizeRequestor"
+    hits = crypto._encrypt_and_sign.cache_info().hits
+    runner, outcome = run_tampered(deliver_to_third_party=third_party)
+    assert crypto._encrypt_and_sign.cache_info().hits == hits + 1
+    assert not outcome.received_valid_result
+    assert "finalizeRequestor" not in calls(runner)
+    acks = [r["signatureValid"] for r in runner.trace.records
+            if r["type"] == "message" and r["kind"] == "third-party-ack"]
+    assert acks == ([False] if third_party else [])
 
 
 def test_third_party_delivery_confirms_on_ack():

@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from teescrow import crypto
+from teescrow.config import ScenarioConfig
+from teescrow.harness import payoff_matrix
 
 # FIPS 180 reference vectors.
 SHA256_VECTORS = [
@@ -145,6 +147,55 @@ def test_independent_keys_never_open(message, seed_a, seed_b):
     else:
         with pytest.raises(crypto.CryptoError):
             crypto.open_result(protected, kb)
+
+
+# ----------------------------------------------------------------------
+# the memo of key derivation and encrypt-and-sign
+
+
+def test_memo_hit_and_miss_draw_one_nonce():
+    k = keys(3)
+    crypto._encrypt_and_sign.cache_clear()
+    for hits_and_misses in ((0, 1), (1, 1)):
+        rng, reference = random.Random(7), random.Random(7)
+        crypto.protect_result(b"payload", k, rng)
+        reference.randbytes(12)
+        assert rng.getstate() == reference.getstate()
+        assert crypto._encrypt_and_sign.cache_info()[:2] == hits_and_misses
+
+
+def test_memo_hit_equals_a_fresh_computation():
+    k = keys(3)
+    first = crypto.protect_result(b"payload", k, random.Random(7))
+    second = crypto.protect_result(b"payload", k, random.Random(7))
+    assert second is first
+    assert first == crypto._encrypt_and_sign.__wrapped__(
+        b"payload", k.encryption_key, k.signing_key_seed, first.nonce)
+
+
+def test_memo_keys_on_every_input():
+    k = keys(3)
+    base = (b"payload", k.encryption_key, k.signing_key_seed, bytes(12))
+    results = {crypto._encrypt_and_sign(*base)}
+    for index in range(len(base)):
+        changed = list(base)
+        changed[index] = bytes([base[index][0] ^ 1]) + base[index][1:]
+        results.add(crypto._encrypt_and_sign(*changed))
+    assert len(results) == len(base) + 1
+
+
+def test_matrix_cells_share_one_protected_result(monkeypatch):
+    protected = []
+    protect = crypto.protect_result
+
+    def recording(*args):
+        protected.append(protect(*args))
+        return protected[-1]
+
+    monkeypatch.setattr(crypto, "protect_result", recording)
+    payoff_matrix(ScenarioConfig())
+    assert len(protected) == 4
+    assert len(set(protected)) == 1
 
 
 # ----------------------------------------------------------------------

@@ -112,8 +112,20 @@ def test_every_case_is_pinned():
     assert set(GOLDEN_TRACE_IDS) == set(golden_configs())
 
 
-@pytest.mark.parametrize("name", sorted(golden_configs()))
-def test_trace_id_unchanged(name):
+def _trace_id(name: str) -> str:
     runner = ScenarioRunner(golden_configs()[name])
     RUNNER_SETUPS.get(name, lambda runner: None)(runner)
-    assert runner.run().trace_id == GOLDEN_TRACE_IDS[name]
+    return runner.run().trace_id
+
+
+@pytest.mark.parametrize("name", sorted(golden_configs()))
+def test_trace_id_unchanged(name):
+    assert _trace_id(name) == GOLDEN_TRACE_IDS[name]
+
+
+def test_trace_ids_do_not_depend_on_run_order():
+    """Memo state carried from one run to the next moves no trace byte."""
+    names = sorted(golden_configs())
+    forward = {name: _trace_id(name) for name in names}
+    backward = {name: _trace_id(name) for name in reversed(names)}
+    assert forward == backward == GOLDEN_TRACE_IDS
