@@ -186,6 +186,11 @@ def _cmd_inspect(args) -> int:
     return 0 if ok else 1
 
 
+#: The ``OSError`` subclasses with a wording of their own.
+_OPEN_ERRORS = {FileNotFoundError: "file not found",
+                IsADirectoryError: "not a file"}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -201,11 +206,13 @@ def main(argv=None) -> int:
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"file not found: {exc.filename}", file=sys.stderr)
-        return 2
-    except IsADirectoryError as exc:
-        print(f"not a file: {exc.filename}", file=sys.stderr)
+    except OSError as exc:
+        # A path that is missing, a directory, or otherwise cannot be opened;
+        # an error with no path (a closed standard output) is not a usage error.
+        if exc.filename is None:
+            raise
+        reason = _OPEN_ERRORS.get(type(exc), "cannot open")
+        print(f"{reason}: {exc.filename}", file=sys.stderr)
         return 2
 
 

@@ -297,6 +297,21 @@ def test_inspect_directory_exits_2(capsys, tmp_path):
     assert "not a file" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("scenario", "--config"),
+    ("payoffs", "--grid"),
+    ("inspect", "--trace"),
+    ("scenario", "--export-trace"),
+], ids=["config", "grid", "trace", "export-trace"])
+def test_path_through_a_regular_file_exits_2(capsys, tmp_path, argv):
+    regular = tmp_path / "regular"
+    regular.write_text("{}")
+    code, out, err = run_cli(capsys, *argv, str(regular / "x"))
+    assert code == 2
+    assert out == ""
+    assert err == f"cannot open: {regular / 'x'}\n"
+
+
 def test_inspect_non_json_trace_exits_1(capsys, tmp_path):
     trace_file = tmp_path / "trace.jsonl"
     for text in ("not json\n", "[" * 100_000 + "]" * 100_000 + "\n"):
