@@ -8,10 +8,13 @@ to an enclave measurement by deriving the sealing key from it.
 
 Everything is deterministic given a seeded ``random.Random``: key and nonce
 material comes from the caller's RNG, and Ed25519 signing is deterministic
-by design.  So the Ed25519 key derivation and the encrypt-then-sign step
-are pure functions of their exact bytes, and each is memoized in a small
-bounded cache: runs that share a seed (the cells of a payoff matrix)
-derive and sign once.  Verification is never memoized.
+by design.  So the encrypt-then-sign step of ``protect_result`` is a pure
+function of its exact inputs (plaintext, key pair, nonce), and it is
+memoized in a cache of ``_MEMO_SIZE`` entries: runs that share a seed (the
+cells of a payoff matrix) encrypt and sign once.  Verification is never
+memoized.  The cache lives in the host process, so up to ``_MEMO_SIZE``
+enclave plaintexts, with the key pairs that protected them, outlive the
+enclave instance that made them (``EnclaveHost.destroy`` does not clear it).
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 SECRET_LENGTH = 32
 DIGEST_LENGTH = 32
 _NONCE_LENGTH = 12
-#: Entries per memo: the runs of one payoff matrix share a single entry.
+#: Entries in the encrypt-and-sign memo: a payoff matrix uses one.
 _MEMO_SIZE = 4
 
 
@@ -74,17 +77,6 @@ def hash_secret(secret: bytes) -> bytes:
     return sha256_digest(secret)
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
-def _ed25519(signing_key_seed: bytes) -> tuple[Ed25519PrivateKey, bytes]:
-    """The Ed25519 private key and raw verify key of one signing seed."""
-    private_key = Ed25519PrivateKey.from_private_bytes(signing_key_seed)
-    return private_key, private_key.public_key().public_bytes_raw()
-
-
-def _key_id(encryption_key: bytes, verify_key: bytes) -> str:
-    return sha256_digest(encryption_key + verify_key).hex()[:16]
-
-
 @dataclass(frozen=True)
 class ResultKeyPair:
     """Per-task key material held by the requestor.
@@ -100,15 +92,15 @@ class ResultKeyPair:
 
     @cached_property
     def _private_key(self) -> Ed25519PrivateKey:
-        return _ed25519(self.signing_key_seed)[0]
+        return Ed25519PrivateKey.from_private_bytes(self.signing_key_seed)
 
     @cached_property
     def verify_key(self) -> bytes:
-        return _ed25519(self.signing_key_seed)[1]
+        return self._private_key.public_key().public_bytes_raw()
 
     @cached_property
     def key_id(self) -> str:
-        return _key_id(self.encryption_key, self.verify_key)
+        return sha256_digest(self.encryption_key + self.verify_key).hex()[:16]
 
     def signing_key(self) -> Ed25519PrivateKey:
         return self._private_key
@@ -138,20 +130,24 @@ def protect_result(plaintext: bytes, keys: ResultKeyPair,
     # The nonce is drawn on every call, hit or miss, so the caller's RNG
     # stream does not depend on the memo.
     nonce = rng.randbytes(_NONCE_LENGTH)
-    return _encrypt_and_sign(plaintext, keys.encryption_key,
-                             keys.signing_key_seed, nonce)
+    return _encrypt_and_sign(plaintext, keys, nonce)
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _encrypt_and_sign(plaintext: bytes, encryption_key: bytes,
-                      signing_key_seed: bytes, nonce: bytes) -> ProtectedResult:
-    """Deterministic, so a hit returns the bytes a fresh call would."""
-    private_key, verify_key = _ed25519(signing_key_seed)
-    key_id = _key_id(encryption_key, verify_key)
-    ciphertext = AESGCM(encryption_key).encrypt(nonce, plaintext, key_id.encode())
+def _encrypt_and_sign(plaintext: bytes, keys: ResultKeyPair,
+                      nonce: bytes) -> ProtectedResult:
+    """Deterministic, so a hit returns the bytes a fresh call would.
+
+    ``keys`` is a frozen dataclass, hashed and compared on its two byte
+    fields, so equal key material from different runs shares an entry.
+    """
+    ciphertext = AESGCM(keys.encryption_key).encrypt(
+        nonce, plaintext, keys.key_id.encode()
+    )
+    signature = keys.signing_key().sign(nonce + ciphertext)
     return ProtectedResult(
-        nonce=nonce, ciphertext=ciphertext,
-        signature=private_key.sign(nonce + ciphertext), key_id=key_id,
+        nonce=nonce, ciphertext=ciphertext, signature=signature,
+        key_id=keys.key_id,
     )
 
 

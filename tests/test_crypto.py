@@ -150,7 +150,7 @@ def test_independent_keys_never_open(message, seed_a, seed_b):
 
 
 # ----------------------------------------------------------------------
-# the memo of key derivation and encrypt-and-sign
+# the encrypt-and-sign memo
 
 
 def test_memo_hit_and_miss_draw_one_nonce():
@@ -170,17 +170,23 @@ def test_memo_hit_equals_a_fresh_computation():
     second = crypto.protect_result(b"payload", k, random.Random(7))
     assert second is first
     assert first == crypto._encrypt_and_sign.__wrapped__(
-        b"payload", k.encryption_key, k.signing_key_seed, first.nonce)
+        b"payload", k, first.nonce)
 
 
 def test_memo_keys_on_every_input():
     k = keys(3)
     base = (b"payload", k.encryption_key, k.signing_key_seed, bytes(12))
-    results = {crypto._encrypt_and_sign(*base)}
+
+    def protected(plaintext, encryption_key, signing_key_seed, nonce):
+        pair = crypto.ResultKeyPair(encryption_key=encryption_key,
+                                    signing_key_seed=signing_key_seed)
+        return crypto._encrypt_and_sign(plaintext, pair, nonce)
+
+    results = {protected(*base)}
     for index in range(len(base)):
         changed = list(base)
         changed[index] = bytes([base[index][0] ^ 1]) + base[index][1:]
-        results.add(crypto._encrypt_and_sign(*changed))
+        results.add(protected(*changed))
     assert len(results) == len(base) + 1
 
 
