@@ -11,8 +11,11 @@ Gas is burned, not redistributed, which keeps the conservation invariant
 
     sum(balances) == total_supply - total_gas_burned
 
-checkable after every transaction.  Gas charging is off by default; payoff
-accounting excludes gas either way.
+checkable after every transaction.  The check is a full recompute: balances
+live in one list, one slot per account, and after every transaction
+``assert_conservation`` sums that whole list.  It is O(accounts) per
+transaction by design; no running total is kept.  Gas charging is off by
+default; payoff accounting excludes gas either way.
 """
 
 from __future__ import annotations
@@ -191,11 +194,13 @@ class Ledger:
         self.total_supply = 0
         self.total_gas_burned = 0
         self.gas_cost_by_account: dict[bytes, int] = {}
+        # Every balance, one slot per account in creation order; each
+        # address maps to its slot.  Account n (from 1) sits in slot n + 1.
+        self._balances: list[int] = [0, 0]
         self._accounts: dict[bytes, int] = {
             NULL_ACCOUNT: 0,
-            CONTRACT_ACCOUNT: 0,
+            CONTRACT_ACCOUNT: 1,
         }
-        self._account_counter = 0
         self._contract = None
 
     # ------------------------------------------------------------------
@@ -204,29 +209,33 @@ class Ledger:
     def create_account(self, initial_balance: int = 0) -> bytes:
         if initial_balance < 0:
             raise ValueError("initial balance must be non-negative")
-        self._account_counter += 1
-        account = self._account_counter.to_bytes(ADDRESS_LENGTH, "big")
-        self._accounts[account] = initial_balance
+        slot = len(self._balances)
+        account = (slot - 1).to_bytes(ADDRESS_LENGTH, "big")
+        self._accounts[account] = slot
+        self._balances.append(initial_balance)
         self.total_supply += initial_balance
         return account
 
     def balance(self, account: bytes) -> int:
         try:
-            return self._accounts[account]
+            return self._balances[self._accounts[account]]
         except KeyError:
             raise UnknownAccount(account.hex()) from None
 
     def _transfer(self, frm: bytes, to: bytes, amount: int) -> None:
         if amount < 0:
             raise ValueError("transfer amount must be non-negative")
-        if frm not in self._accounts or to not in self._accounts:
-            raise UnknownAccount("transfer endpoint does not exist")
-        if self._accounts[frm] < amount:
+        try:
+            src, dst = self._accounts[frm], self._accounts[to]
+        except KeyError:
+            raise UnknownAccount("transfer endpoint does not exist") from None
+        balances = self._balances
+        if balances[src] < amount:
             raise InsufficientBalance(
-                f"{frm.hex()} holds {self._accounts[frm]}, needs {amount}"
+                f"{frm.hex()} holds {balances[src]}, needs {amount}"
             )
-        self._accounts[frm] -= amount
-        self._accounts[to] += amount
+        balances[src] -= amount
+        balances[dst] += amount
 
     # ------------------------------------------------------------------
     # clock
@@ -252,9 +261,12 @@ class Ledger:
         is burned from the sender at the tier price.  The clock advances by
         the tier's confirmation delay before the call runs.
         """
-        if sender == NULL_ACCOUNT:
-            raise UnknownAccount("the null account can never send")
-        if sender not in self._accounts:
+        if sender == NULL_ACCOUNT or sender == CONTRACT_ACCOUNT:
+            # Escrowed funds leave the contract account only through its
+            # handlers, never as a transaction of its own.
+            raise UnknownAccount("the null and contract accounts never send")
+        slot = self._accounts.get(sender)
+        if slot is None:
             raise UnknownAccount(sender.hex())
         if value < 0:
             raise ValueError("value must be non-negative")
@@ -268,9 +280,9 @@ class Ledger:
 
         gas_used = self.schedule.per_function[call.function]
         gas_cost = self.schedule.gas_cost(call.function, tier) if self.gas_charging else 0
-        if self._accounts[sender] < value + gas_cost:
+        if self._balances[slot] < value + gas_cost:
             raise InsufficientBalance(
-                f"{sender.hex()} holds {self._accounts[sender]}, "
+                f"{sender.hex()} holds {self._balances[slot]}, "
                 f"needs {value + gas_cost}"
             )
 
@@ -278,7 +290,7 @@ class Ledger:
         self.now += self.schedule.confirmation_delay_per_tier[tier]
 
         if gas_cost:
-            self._accounts[sender] -= gas_cost
+            self._balances[slot] -= gas_cost
             self.total_gas_burned += gas_cost
             self.gas_cost_by_account[sender] = (
                 self.gas_cost_by_account.get(sender, 0) + gas_cost
@@ -304,7 +316,7 @@ class Ledger:
         return receipt
 
     def assert_conservation(self) -> None:
-        total = sum(self._accounts.values())
+        total = sum(self._balances)
         if total != self.total_supply - self.total_gas_burned:
             raise ConservationViolation(
                 f"balances sum to {total}, expected "

@@ -3,10 +3,14 @@ from __future__ import annotations
 import copy
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from teescrow.contract import EscrowContract, RefusalReason
 from teescrow.ledger import (
+    ADDRESS_LENGTH,
     CONTRACT_ACCOUNT,
+    ConservationViolation,
     GasSchedule,
     InsufficientBalance,
     Ledger,
@@ -159,3 +163,126 @@ def test_conservation_holds_with_value_moves(funded):
     call(ledger, node, "claimTask", value=THRESHOLD, task_id=task_id)
     ledger.assert_conservation()
     assert ledger.balance(CONTRACT_ACCOUNT) == 15 + THRESHOLD
+
+
+def test_contract_account_cannot_send(funded):
+    ledger, contract, requestor, node = funded
+    task_id = call(ledger, requestor, "submitTask", value=15,
+                   function_name="f", hash_lock=bytes(32),
+                   expires=100).outcome.task_id
+    accounts = (NULL_ACCOUNT, CONTRACT_ACCOUNT, requestor, node)
+    balances = [ledger.balance(a) for a in accounts]
+    height = ledger.block_height
+    tasks = copy.deepcopy(contract.tasks)
+    # Escrowed funds must not pay a claim deposit.
+    with pytest.raises(UnknownAccount):
+        call(ledger, CONTRACT_ACCOUNT, "claimTask", value=THRESHOLD,
+             task_id=task_id)
+    assert [ledger.balance(a) for a in accounts] == balances
+    assert ledger.block_height == height
+    assert contract.tasks == tasks
+    receipt = call(ledger, node, "claimTask", value=THRESHOLD, task_id=task_id)
+    assert receipt.outcome.accepted
+    assert contract.tasks[task_id].execution_node == node
+
+
+@pytest.mark.parametrize("where", ["middle", "contract"])
+def test_conservation_check_sums_every_balance(chain, where):
+    # The corrupted slot is one the next transaction does not touch, so only
+    # a full recompute over every balance sees it.
+    ledger, _ = chain
+    accounts = [ledger.create_account(100) for _ in range(1000)]
+    victim = accounts[500] if where == "middle" else CONTRACT_ACCOUNT
+    ledger.assert_conservation()
+    ledger._balances[ledger._accounts[victim]] += 1
+    with pytest.raises(ConservationViolation):
+        call(ledger, accounts[0], "submitTask", value=15, function_name="f",
+             hash_lock=bytes(32), expires=100)
+    with pytest.raises(ConservationViolation):
+        ledger.assert_conservation()
+
+
+#: Never created under the ``funded`` fixture: the address its next
+#: create_account would return, and a far one.
+_UNCREATED = [n.to_bytes(ADDRESS_LENGTH, "big") for n in (3, 10**9)]
+
+
+def test_balance_of_uncreated_address_raises(funded):
+    ledger = funded[0]
+    for address in _UNCREATED:
+        with pytest.raises(UnknownAccount):
+            ledger.balance(address)
+
+
+def test_uncreated_address_cannot_send(funded):
+    ledger, contract, requestor, node = funded
+    accounts = (NULL_ACCOUNT, CONTRACT_ACCOUNT, requestor, node)
+    balances = [ledger.balance(a) for a in accounts]
+    for address in _UNCREATED:
+        with pytest.raises(UnknownAccount):
+            call(ledger, address, "submitTask", value=15, function_name="f",
+                 hash_lock=bytes(32), expires=100)
+    assert [ledger.balance(a) for a in accounts] == balances
+    assert (ledger.block_height, ledger.now) == (0, 0)
+    assert ledger.total_supply == 2000
+    assert contract.tasks == {}
+
+
+_GAS = {"submitTask": 277_880, "claimTask": 145_120}
+
+_LEDGER_OPS = st.lists(st.one_of(
+    st.tuples(st.just("create"), st.integers(0, 2_000_000)),
+    st.tuples(st.just("submitTask"), st.integers(0, 30), st.integers(0, 10)),
+    st.tuples(st.just("claimTask"), st.integers(0, 30), st.integers(0, 10),
+              st.integers(0, 4)),
+), max_size=40)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=_LEDGER_OPS)
+def test_balances_read_back_and_sum_to_supply(ops):
+    # One unit per gas unit, so every call burns a known amount.
+    schedule = GasSchedule(
+        gas_price_per_tier={"slow": 1, "standard": 1, "fast": 1},
+        confirmation_delay_per_tier={"slow": 0, "standard": 0, "fast": 0},
+    )
+    ledger = Ledger(schedule, gas_charging=True)
+    EscrowContract(ledger, THRESHOLD)
+    expected: dict[bytes, int] = {}
+    claimed: list[bool] = []  # per task, in submission order
+    in_contract = burned = 0
+    for op in ops:
+        if op[0] == "create":
+            expected[ledger.create_account(op[1])] = op[1]
+            continue
+        if not expected:
+            continue
+        function, who, value = op[:3]
+        sender = list(expected)[who % len(expected)]
+        args = ({"function_name": "f", "hash_lock": bytes(32), "expires": 100}
+                if function == "submitTask" else {"task_id": op[3]})
+        if expected[sender] < value + _GAS[function]:
+            with pytest.raises(InsufficientBalance):
+                call(ledger, sender, function, value=value, **args)
+            continue
+        accepted = value >= THRESHOLD and (
+            function == "submitTask"
+            or (op[3] < len(claimed) and not claimed[op[3]]))
+        receipt = call(ledger, sender, function, value=value, **args)
+        assert receipt.outcome.accepted == accepted
+        if function == "submitTask" and accepted:
+            claimed.append(False)
+        elif accepted:
+            claimed[op[3]] = True
+        kept = value if accepted else 0
+        expected[sender] -= _GAS[function] + kept
+        in_contract += kept
+        burned += _GAS[function]
+    for account, balance in expected.items():
+        assert ledger.balance(account) == balance
+    assert ledger.balance(NULL_ACCOUNT) == 0
+    assert ledger.balance(CONTRACT_ACCOUNT) == in_contract
+    assert ledger.total_gas_burned == burned
+    assert (ledger.balance(NULL_ACCOUNT) + ledger.balance(CONTRACT_ACCOUNT)
+            + sum(ledger.balance(a) for a in expected)
+            == ledger.total_supply - ledger.total_gas_burned)
