@@ -9,13 +9,15 @@ Subcommands:
 * ``inspect``   re-derive and check the outcome stored in a trace file
 
 Exit codes: 0 success, 1 scenario assertion failure (information-flow
-violation, dominance violation or trace mismatch), 2 usage or config error.
+violation, dominance violation or trace mismatch), 2 usage or config error,
+141 standard output closed before everything was written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 
@@ -190,6 +192,10 @@ def _cmd_inspect(args) -> int:
 _OPEN_ERRORS = {FileNotFoundError: "file not found",
                 IsADirectoryError: "not a file"}
 
+#: Exit code when the reader closes standard output early (``| head``):
+#: 128 + SIGPIPE, what a shell reports for a process that signal ended.
+EXIT_CLOSED_STDOUT = 141
+
 
 def main(argv=None) -> int:
     parser = build_parser()
@@ -202,18 +208,29 @@ def main(argv=None) -> int:
         "inspect": _cmd_inspect,
     }[args.subcommand]
     try:
-        return handler(args)
+        code = handler(args)
+        # Flush here rather than at exit, so that a closed pipe is caught
+        # below however little was printed.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point standard output at the null device, so the interpreter's
+        # flush at exit cannot fail again on what is still buffered.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_CLOSED_STDOUT
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         # A path that is missing, a directory, or otherwise cannot be opened;
-        # an error with no path (a closed standard output) is not a usage error.
+        # any other error with no path is not a usage error.
         if exc.filename is None:
             raise
         reason = _OPEN_ERRORS.get(type(exc), "cannot open")
         print(f"{reason}: {exc.filename}", file=sys.stderr)
         return 2
+    return code
 
 
 if __name__ == "__main__":

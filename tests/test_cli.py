@@ -1,10 +1,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from teescrow.cli import main
+import teescrow
+from teescrow.cli import EXIT_CLOSED_STDOUT, main
 
 UNIT = 10**18
 
@@ -332,3 +337,24 @@ def test_inspect_record_missing_field_exits_1(capsys, tmp_path, config_file):
     code, _, err = run_cli(capsys, "inspect", "--trace", str(trace_file))
     assert code == 1
     assert "malformed trace: KeyError('nodeBalanceDelta')" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("gas", "--tier", "slow"),
+    ("payoffs", "--format", "json"),
+], ids=["short-output", "long-output"])
+def test_closed_stdout_exits_quietly(argv):
+    # The read end is closed before the child has imported anything, so its
+    # first write (or its final flush, for short output) meets a closed pipe.
+    src = str(Path(teescrow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    with subprocess.Popen([sys.executable, "-m", "teescrow.cli", *argv],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=env) as child:
+        child.stdout.close()
+        err = child.stderr.read().decode()
+        code = child.wait(timeout=60)
+    assert "Traceback" not in err
+    assert "Exception ignored" not in err
+    assert code == EXIT_CLOSED_STDOUT
