@@ -78,9 +78,10 @@ def build_parser() -> argparse.ArgumentParser:
     scenario.add_argument("--export-trace", metavar="FILE")
 
     payoffs = sub.add_parser("payoffs", help="strategy payoff matrix")
-    payoffs.add_argument("--grid", metavar="FILE",
-                         help="JSON list of config objects, one matrix each")
-    payoffs.add_argument("--config", metavar="FILE")
+    source = payoffs.add_mutually_exclusive_group()
+    source.add_argument("--grid", metavar="FILE",
+                        help="JSON list of config objects, one matrix each")
+    source.add_argument("--config", metavar="FILE")
     payoffs.add_argument("--seed", type=int)
     payoffs.add_argument("--format", choices=("json", "table"),
                          default="table")
@@ -119,12 +120,13 @@ def _cmd_scenario(args) -> int:
 
 
 def _cmd_payoffs(args) -> int:
-    configs = []
     if args.grid:
         entries = load_json_file(args.grid, "grid")
         if not isinstance(entries, list):
             raise ConfigInvalid("grid file must hold a JSON list")
         configs = [ScenarioConfig.from_dict(entry) for entry in entries]
+        if args.seed is not None:
+            configs = [replace(c, rng_seed=args.seed) for c in configs]
     else:
         configs = [_load_config(args.config, args.seed)]
     exit_code = 0

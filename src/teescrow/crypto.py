@@ -3,8 +3,7 @@
 SHA-256 is the real thing: the contract's preimage check and its test
 vectors depend on it.  Result protection is real authenticated encryption
 (AES-256-GCM) plus a detached Ed25519 signature so that third parties can
-check integrity without holding the decryption key.  Sealing binds a blob
-to an enclave measurement by deriving the sealing key from it.
+check integrity without holding the decryption key.
 
 Everything is deterministic given a seeded ``random.Random``: key and nonce
 material comes from the caller's RNG, and Ed25519 signing is deterministic
@@ -53,10 +52,6 @@ class WrongKey(CryptoError):
 
 class TamperDetected(CryptoError):
     """Ciphertext, tag or signature fails verification."""
-
-
-class IdentityMismatch(CryptoError):
-    """Sealed blob was produced by an enclave with another measurement."""
 
 
 def sha256_digest(data: bytes) -> bytes:
@@ -175,41 +170,6 @@ def open_result(protected: ProtectedResult, keys: ResultKeyPair) -> bytes:
         )
     except InvalidTag:
         raise TamperDetected("authentication tag check failed") from None
-
-
-# ----------------------------------------------------------------------
-# sealing: enclave-identity-bound storage
-
-
-@dataclass(frozen=True)
-class SealedBlob:
-    nonce: bytes
-    ciphertext: bytes
-
-
-def _seal_key(measurement: bytes) -> bytes:
-    return sha256_digest(b"seal-key:" + measurement)
-
-
-def seal(measurement: bytes, payload: bytes, rng: random.Random) -> SealedBlob:
-    if len(measurement) != DIGEST_LENGTH:
-        raise WrongLength("measurement must be a 32-byte digest")
-    nonce = rng.randbytes(_NONCE_LENGTH)
-    ciphertext = AESGCM(_seal_key(measurement)).encrypt(nonce, payload, b"")
-    return SealedBlob(nonce=nonce, ciphertext=ciphertext)
-
-
-def unseal(measurement: bytes, blob: SealedBlob) -> bytes:
-    if len(measurement) != DIGEST_LENGTH:
-        raise WrongLength("measurement must be a 32-byte digest")
-    try:
-        return AESGCM(_seal_key(measurement)).decrypt(
-            blob.nonce, blob.ciphertext, b""
-        )
-    except InvalidTag:
-        raise IdentityMismatch(
-            "blob was sealed by an enclave with a different measurement"
-        ) from None
 
 
 #: The one canonical JSON form: sorted keys, no spaces, ASCII only.

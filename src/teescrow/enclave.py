@@ -4,26 +4,21 @@ An enclave instance walks the state machine
 
     Created -> Attested -> Provisioned -> Executed -> Destroyed
 
-with sealing/unsealing as the restart shortcut: a Provisioned instance can
-seal its state to a measurement-bound blob, and a fresh instance of the
-same image can restore from it without a new attestation.
-
-The information-flow ledger records which principal can see which value at
-which step.  It is the mechanism behind the simulator's confidentiality
-claims: the untrusted host never appears in the visibility set of the
-result-encryption key or the plaintext result, and sees the task secret
-only when execution releases it.
+The information-flow ledger records which principal is granted which value
+at which step.  It is the mechanism behind the simulator's confidentiality
+claims: the untrusted host is never granted the task inputs, the
+result-encryption key or the plaintext result, and is granted the task
+secret only when execution releases it.
 """
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from enum import Enum
 
 from . import crypto
-from .crypto import ProtectedResult, ResultKeyPair, SealedBlob
+from .crypto import ProtectedResult, ResultKeyPair
 
 REQUESTOR = "requestor"
 NODE_HOST = "node-host"
@@ -70,10 +65,9 @@ class ExecutionFault(EnclaveError):
 
 
 class InfoFlowLedger:
-    """Visibility sets per labelled value, with a monotone step counter."""
+    """First grant step per (label, principal), with a monotone step counter."""
 
     def __init__(self) -> None:
-        self._visibility: dict[str, set[str]] = {}
         self._first_seen: dict[tuple[str, str], int] = {}
         self._marks: dict[str, int] = {}
         self._step = 0
@@ -84,7 +78,6 @@ class InfoFlowLedger:
 
     def grant(self, label: str, principal: str) -> None:
         step = self._tick()
-        self._visibility.setdefault(label, set()).add(principal)
         self._first_seen.setdefault((label, principal), step)
 
     def mark(self, name: str) -> None:
@@ -93,22 +86,11 @@ class InfoFlowLedger:
     def mark_step(self, name: str) -> int | None:
         return self._marks.get(name)
 
-    def visible(self, label: str) -> frozenset[str]:
-        return frozenset(self._visibility.get(label, ()))
-
     def first_seen(self, label: str, principal: str) -> int | None:
         return self._first_seen.get((label, principal))
 
     def ever_seen(self, label: str, principal: str) -> bool:
         return (label, principal) in self._first_seen
-
-    def erase_principal(self, principal: str) -> None:
-        """Drop a principal's live access (its copies are destroyed)."""
-        for holders in self._visibility.values():
-            holders.discard(principal)
-
-    def labels(self) -> list[str]:
-        return sorted(self._visibility)
 
 
 # ----------------------------------------------------------------------
@@ -295,46 +277,3 @@ class EnclaveHost:
     def destroy(self, instance: EnclaveInstance) -> None:
         instance.provisioned = None
         instance.state = EnclaveState.DESTROYED
-        self.flow.erase_principal(instance.principal)
-
-    # -- seal/restore restart path -------------------------------------
-
-    def seal_state(self, instance: EnclaveInstance) -> SealedBlob:
-        if instance.state is not EnclaveState.PROVISIONED:
-            raise BadState(f"seal in state {instance.state.value}")
-        data = instance.provisioned
-        assert data is not None
-        payload = crypto.canonical_json_bytes({
-            "secret": data.secret.hex(),
-            "inputs": data.inputs,
-            "requestor": instance.channel_requestor,
-            "labelPrefix": instance.label_prefix,
-            "keys": {
-                "encryptionKey": data.result_keys.encryption_key.hex(),
-                "signingKeySeed": data.result_keys.signing_key_seed.hex(),
-                "verifyKey": data.result_keys.verify_key.hex(),
-                "keyId": data.result_keys.key_id,
-            },
-        })
-        return crypto.seal(instance.image.measurement, payload, self.rng)
-
-    def restore(self, instance: EnclaveInstance, blob: SealedBlob) -> None:
-        """Unseal into a fresh instance, skipping a new attestation."""
-        if instance.state is not EnclaveState.CREATED:
-            raise BadState(f"restore in state {instance.state.value}")
-        payload = json.loads(crypto.unseal(instance.image.measurement, blob))
-        keys = payload["keys"]
-        instance.provisioned = Provisioned(
-            secret=bytes.fromhex(payload["secret"]),
-            inputs=payload["inputs"],
-            # The verify key and key id are derived again from the seed.
-            result_keys=ResultKeyPair(
-                encryption_key=bytes.fromhex(keys["encryptionKey"]),
-                signing_key_seed=bytes.fromhex(keys["signingKeySeed"]),
-            ),
-        )
-        instance.channel_requestor = payload["requestor"]
-        instance.label_prefix = payload["labelPrefix"] or instance.principal
-        instance.state = EnclaveState.PROVISIONED
-        for label in ("secret", "inputs", "enc-key"):
-            self.flow.grant(f"{instance.label_prefix}:{label}", instance.principal)

@@ -475,7 +475,8 @@ class ScenarioRunner:
         violations = []
         for task_id in range(self.contract.num_tasks):
             prefix = f"task{task_id}"
-            for label in (f"{prefix}:enc-key", f"{prefix}:result"):
+            for label in (f"{prefix}:inputs", f"{prefix}:enc-key",
+                          f"{prefix}:result"):
                 if self.flow.ever_seen(label, NODE_HOST):
                     violations.append(f"{NODE_HOST} saw {label}")
             secret_seen = self.flow.first_seen(f"{prefix}:secret", NODE_HOST)

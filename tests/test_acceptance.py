@@ -357,18 +357,17 @@ def test_criterion_9_information_flow():
             outcome = runner.run()
             assert not outcome.infoflow_violations
             flow = runner.host.flow
-            for label in flow.labels():
-                if label.endswith((":enc-key", ":result", ":inputs")):
-                    assert NODE_HOST not in flow.visible(label)
-                if label.endswith(":secret"):
-                    seen = flow.first_seen(label, NODE_HOST)
-                    if seen is not None:
-                        prefix = label.rsplit(":", 1)[0]
-                        executed = flow.mark_step(f"{prefix}:executed")
-                        assert executed is not None and seen >= executed
+            for task_id in range(runner.contract.num_tasks):
+                prefix = f"task{task_id}"
+                for name in ("enc-key", "result", "inputs"):
+                    assert not flow.ever_seen(f"{prefix}:{name}", NODE_HOST)
+                seen = flow.first_seen(f"{prefix}:secret", NODE_HOST)
+                if seen is not None:
+                    executed = flow.mark_step(f"{prefix}:executed")
+                    assert executed is not None and seen >= executed
             combos += 1
-    report(9, True, f"host never sees key or result, secret only after "
-                    f"execute, across {combos} strategy combinations")
+    report(9, True, f"host never sees inputs, key or result, secret only "
+                    f"after execute, across {combos} strategy combinations")
 
 
 def test_criterion_10_determinism():

@@ -7,7 +7,7 @@ from conftest import flip_first_ciphertext_bit
 
 from teescrow import crypto
 from teescrow.config import ScenarioConfig
-from teescrow.enclave import enclave_principal
+from teescrow.enclave import EnclaveState
 from teescrow.harness import ScenarioRunner
 
 CFG = ScenarioConfig(value_of_result=100, payment=10, compute_cost=3,
@@ -35,13 +35,26 @@ def events(runner):
     return [r["kind"] for r in runner.trace.records if r["type"] == "event"]
 
 
-def assert_enclave_erased(runner):
-    """The destroyed instance no longer holds task 0's secret or inputs."""
-    [created] = [r for r in runner.trace.records
-                 if r["type"] == "enclave" and r["op"] == "instantiate"]
-    principal = enclave_principal(created["instanceId"])
-    for label in ("task0:secret", "task0:inputs"):
-        assert principal not in runner.flow.visible(label)
+def record_instances(runner):
+    """Return a list that collects every enclave instance ``runner`` creates."""
+    created = []
+    instantiate = runner.host.instantiate
+
+    def recording(function_name):
+        created.append(instantiate(function_name))
+        return created[-1]
+
+    runner.host.instantiate = recording
+    return created
+
+
+def assert_enclave_erased(runner, created):
+    """The session ends by destroying its one instance, which no longer
+    holds task 0's secret or inputs."""
+    assert enclave_ops(runner)[-1] == "destroy"
+    [instance] = created
+    assert instance.state is EnclaveState.DESTROYED
+    assert instance.provisioned is None
 
 
 def test_honest_run_call_sequence():
@@ -103,11 +116,12 @@ def test_on_chain_outcome_identical_for_both_starvation_causes():
 def test_wrong_measurement_stops_before_provision():
     runner = ScenarioRunner(CFG.with_strategies("honest", "honest"))
     runner.requestor.allow_list[CFG.function_name] = bytes(32)
+    created = record_instances(runner)
     outcome = runner.run()
     attest = [r for r in runner.trace.records if r["type"] == "enclave"][-2]
     assert attest["op"] == "attest" and attest["ok"] is False
     assert enclave_ops(runner) == ["instantiate", "attest", "destroy"]
-    assert_enclave_erased(runner)
+    assert_enclave_erased(runner, created)
     assert calls(runner) == ["submitTask", "claimTask", "timeout"]
     timeout_record = [r for r in runner.trace.records
                       if r["type"] == "call"][-1]
@@ -116,12 +130,15 @@ def test_wrong_measurement_stops_before_provision():
 
 
 def test_execution_fault_stops_before_finalize():
-    runner, outcome = run(function_name="sum", inputs=["a", "b"])
+    runner = ScenarioRunner(dataclasses.replace(
+        CFG, function_name="sum", inputs=["a", "b"]))
+    created = record_instances(runner)
+    outcome = runner.run()
     execute = [r for r in runner.trace.records if r["type"] == "enclave"][-2]
     assert execute["op"] == "execute" and execute["ok"] is False
     assert enclave_ops(runner) == ["instantiate", "attest", "provision",
                                    "execute", "destroy"]
-    assert_enclave_erased(runner)
+    assert_enclave_erased(runner, created)
     assert calls(runner) == ["submitTask", "claimTask", "timeout"]
     assert not outcome.received_valid_result
 

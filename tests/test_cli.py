@@ -132,6 +132,28 @@ def test_payoffs_grid_file(capsys, tmp_path):
     assert len(docs) == 2
 
 
+def test_payoffs_grid_and_config_exclusive(capsys, tmp_path, config_file):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps([SMALL]))
+    with pytest.raises(SystemExit) as excinfo:
+        main(["payoffs", "--grid", str(grid), "--config", config_file])
+    assert excinfo.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+def test_payoffs_seed_applies_to_every_grid_entry(capsys, tmp_path):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps([SMALL, dict(SMALL, rng_seed=3)]))
+    code, out, _ = run_cli(capsys, "payoffs", "--grid", str(grid),
+                           "--seed", "7", "--format", "json")
+    assert code == 0
+    docs = json.loads("[" + out.replace("}\n{", "},\n{") + "]")
+    assert [doc["config"]["rng_seed"] for doc in docs] == [7, 7]
+    # The same seed draws the same secrets in both matrices.
+    assert [doc["cells"]["honest/honest"]["traceId"] for doc in docs] == [
+        docs[0]["cells"]["honest/honest"]["traceId"]] * 2
+
+
 def test_payoffs_degenerate_config_exits_2(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(dict(SMALL, value_of_result=10)))

@@ -202,25 +202,3 @@ def test_matrix_cells_share_one_protected_result(monkeypatch):
     payoff_matrix(ScenarioConfig())
     assert len(protected) == 4
     assert len(set(protected)) == 1
-
-
-# ----------------------------------------------------------------------
-# sealing
-
-
-def test_seal_unseal_roundtrip():
-    measurement = hashlib.sha256(b"image-a").digest()
-    blob = crypto.seal(measurement, b"state", random.Random(3))
-    assert crypto.unseal(measurement, blob) == b"state"
-
-
-def test_unseal_wrong_measurement_rejected():
-    blob = crypto.seal(hashlib.sha256(b"image-a").digest(), b"state",
-                       random.Random(3))
-    with pytest.raises(crypto.IdentityMismatch):
-        crypto.unseal(hashlib.sha256(b"image-b").digest(), blob)
-
-
-def test_seal_requires_digest_length():
-    with pytest.raises(crypto.WrongLength):
-        crypto.seal(b"short", b"state", random.Random(3))

@@ -129,7 +129,7 @@ def test_provision_wrong_principal(host):
 def test_provisioned_values_hidden_from_host(host):
     provisioned(host)
     for label in ("task0:secret", "task0:inputs", "task0:enc-key"):
-        assert NODE_HOST not in host.flow.visible(label)
+        assert not host.flow.ever_seen(label, NODE_HOST)
 
 
 def test_execute_identity_roundtrip(host):
@@ -183,7 +183,7 @@ def test_execution_fault_propagates(host):
 
 
 # ----------------------------------------------------------------------
-# destroy and restart
+# destroy
 
 
 def test_destroy_then_provision_refused(host):
@@ -197,53 +197,10 @@ def test_destroy_then_provision_refused(host):
 def test_destroy_erases_enclave_visibility(host):
     instance, *_ = provisioned(host)
     host.destroy(instance)
+    assert instance.state is EnclaveState.DESTROYED
     assert instance.provisioned is None
-    for label in host.flow.labels():
-        assert instance.principal not in host.flow.visible(label)
-
-
-def test_seal_restore_skips_reattestation(host):
-    instance, secret, inputs, keys = provisioned(host)
-    blob = host.seal_state(instance)
-    host.destroy(instance)
-    restarted = host.instantiate("identity")
-    host.restore(restarted, blob)
-    assert restarted.state is EnclaveState.PROVISIONED
-    protected, released = host.execute(restarted)
-    assert released == secret
-    assert json.loads(crypto.open_result(protected, keys)) == inputs
-
-
-def test_sealed_payload_format_and_restored_keys(host):
-    instance, secret, inputs, keys = provisioned(host)
-    blob = host.seal_state(instance)
-    payload = json.loads(crypto.unseal(instance.image.measurement, blob))
-    assert payload == {
-        "secret": secret.hex(),
-        "inputs": inputs,
-        "requestor": REQUESTOR,
-        "labelPrefix": "task0",
-        "keys": {
-            "encryptionKey": keys.encryption_key.hex(),
-            "signingKeySeed": keys.signing_key_seed.hex(),
-            "verifyKey": keys.verify_key.hex(),
-            "keyId": keys.key_id,
-        },
-    }
-    restarted = host.instantiate("identity")
-    host.restore(restarted, blob)
-    restored = restarted.provisioned.result_keys
-    assert restored == keys
-    assert restored.verify_key.hex() == payload["keys"]["verifyKey"]
-    assert restored.key_id == payload["keys"]["keyId"]
-
-
-def test_restore_rejects_other_image(host):
-    instance, *_ = provisioned(host)
-    blob = host.seal_state(instance)
-    other = host.instantiate("sum")
-    with pytest.raises(crypto.IdentityMismatch):
-        host.restore(other, blob)
+    with pytest.raises(BadState):
+        host.execute(instance)
 
 
 # ----------------------------------------------------------------------

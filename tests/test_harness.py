@@ -29,7 +29,7 @@ from teescrow.contract import (
     TaskState,
 )
 from teescrow.crypto import ProtectedResult
-from teescrow.enclave import EnclaveInstance, FunctionImage
+from teescrow.enclave import NODE_HOST, EnclaveInstance, FunctionImage
 from teescrow.harness import (
     ScenarioOutcome,
     ScenarioRunner,
@@ -128,6 +128,19 @@ def test_locked_funds_never_decrease_after_timeout():
                 sender, ContractCall(function, args), 0, "standard")
             assert not receipt.outcome.accepted
     assert ledger.balance(CONTRACT_ACCOUNT) == locked
+
+
+@pytest.mark.parametrize("label, violation", [
+    ("task0:inputs", "node-host saw task0:inputs"),
+    ("task0:enc-key", "node-host saw task0:enc-key"),
+    ("task0:result", "node-host saw task0:result"),
+    ("task0:secret", "node-host saw task0:secret before execution"),
+], ids=["inputs", "enc-key", "result", "secret"])
+def test_outcome_names_a_host_leak(label, violation):
+    runner = ScenarioRunner(CFG)
+    # Granted before the run, so also before the task is executed.
+    runner.flow.grant(label, NODE_HOST)
+    assert runner.run().infoflow_violations == (violation,)
 
 
 def test_trace_determinism_same_seed():
