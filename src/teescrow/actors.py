@@ -51,18 +51,18 @@ from .ledger import ContractCall, LedgerEvent, Receipt
 # observations
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Start:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class InstanceCreated:
     instance: EnclaveInstance
     task_id: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ExecutionDone:
     instance: EnclaveInstance
     task_id: int
@@ -70,13 +70,13 @@ class ExecutionDone:
     secret: bytes
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ThirdPartyAck:
     task_id: int
     signature_valid: bool
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Expiry:
     task_id: int
 
@@ -85,19 +85,19 @@ class Expiry:
 # actions
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SubmitTx:
     call: ContractCall
     value: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Instantiate:
     function_name: str
     task_id: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Provision:
     """Attest the instance, provision it and run the function."""
 
@@ -110,12 +110,12 @@ class Provision:
     result_keys: ResultKeyPair
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Destroy:
     instance: EnclaveInstance
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Deliver:
     task_id: int
     protected: ProtectedResult

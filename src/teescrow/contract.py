@@ -10,8 +10,11 @@ deposit, and the funds unwind along one of three paths:
   deposit stays locked in the contract forever, record goes dead;
 * nothing: funds stay escrowed.
 
-Refused calls refund their attached value and leave task records untouched,
-so every transaction is atomic by construction.
+Refused calls refund their attached value and leave task records untouched.
+A call the contract cannot parse (a missing or unknown argument, a malformed
+hash lock) raises before any task record changes, and the ledger then rolls
+back the value, gas, block and clock it had applied, so every transaction
+is atomic.
 
 Intentional divergences from the reference pseudo-code, which contains
 evident slips:
@@ -48,7 +51,7 @@ class RefusalReason(str, Enum):
     TASK_DEAD = "TaskDead"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CallOutcome:
     accepted: bool
     reason: RefusalReason | None = None
@@ -108,7 +111,7 @@ class EscrowContract:
 
     def _submit_task(self, ctx: CallContext, function_name: str,
                      hash_lock: bytes, expires: int) -> CallOutcome:
-        if len(hash_lock) != DIGEST_LENGTH:
+        if not isinstance(hash_lock, bytes) or len(hash_lock) != DIGEST_LENGTH:
             raise ValueError("hash lock must be a 32-byte digest")
         if expires < 0:
             raise ValueError("expires must be non-negative")

@@ -29,6 +29,7 @@ NULL_ACCOUNT = bytes(ADDRESS_LENGTH)
 
 #: Distinguished account holding everything escrowed by the contract.
 CONTRACT_ACCOUNT = b"\xff" * ADDRESS_LENGTH
+_CONTRACT_SLOT = 1  # its slot in ``Ledger._balances``
 
 TIERS = ("slow", "standard", "fast")
 
@@ -122,7 +123,7 @@ class GasSchedule:
         return self.per_function[function] * self.gas_price_per_tier[tier]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LedgerEvent:
     """One contract event, emitted by the call in block ``block_height``."""
 
@@ -132,13 +133,13 @@ class LedgerEvent:
     payload: dict
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ContractCall:
     function: str
     args: dict = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(slots=True)
 class Receipt:
     """Result of one confirmed transaction (= one block)."""
 
@@ -160,6 +161,8 @@ class CallContext:
     Mirrors msg.sender / msg.value / now; transfers out of the contract
     account (refunds, payouts) go through ``transfer_from_contract``.
     """
+
+    __slots__ = ("_ledger", "sender", "value", "now", "events")
 
     def __init__(self, ledger: Ledger, sender: bytes, value: int) -> None:
         self._ledger = ledger
@@ -199,7 +202,7 @@ class Ledger:
         self._balances: list[int] = [0, 0]
         self._accounts: dict[bytes, int] = {
             NULL_ACCOUNT: 0,
-            CONTRACT_ACCOUNT: 1,
+            CONTRACT_ACCOUNT: _CONTRACT_SLOT,
         }
         self._contract = None
 
@@ -259,7 +262,9 @@ class Ledger:
         The value moves to the contract account before the call executes;
         the handler refunds it on refusal.  Gas (when charging is enabled)
         is burned from the sender at the tier price.  The clock advances by
-        the tier's confirmation delay before the call runs.
+        the tier's confirmation delay before the call runs.  A handler that
+        raises leaves no block: the value, the gas, the block height and the
+        clock are put back and the same exception propagates.
         """
         if sender == NULL_ACCOUNT or sender == CONTRACT_ACCOUNT:
             # Escrowed funds leave the contract account only through its
@@ -280,17 +285,19 @@ class Ledger:
 
         gas_used = self.schedule.per_function[call.function]
         gas_cost = self.schedule.gas_cost(call.function, tier) if self.gas_charging else 0
-        if self._balances[slot] < value + gas_cost:
+        balances = self._balances
+        held, escrowed = balances[slot], balances[_CONTRACT_SLOT]
+        if held < value + gas_cost:
             raise InsufficientBalance(
-                f"{sender.hex()} holds {self._balances[slot]}, "
-                f"needs {value + gas_cost}"
+                f"{sender.hex()} holds {held}, needs {value + gas_cost}"
             )
 
+        delay = self.schedule.confirmation_delay_per_tier[tier]
         self.block_height += 1
-        self.now += self.schedule.confirmation_delay_per_tier[tier]
+        self.now += delay
 
         if gas_cost:
-            self._balances[slot] -= gas_cost
+            balances[slot] -= gas_cost
             self.total_gas_burned += gas_cost
             self.gas_cost_by_account[sender] = (
                 self.gas_cost_by_account.get(sender, 0) + gas_cost
@@ -298,7 +305,23 @@ class Ledger:
         self._transfer(sender, CONTRACT_ACCOUNT, value)
 
         ctx = CallContext(self, sender, value)
-        outcome = self._contract.dispatch(ctx, call)
+        try:
+            outcome = self._contract.dispatch(ctx, call)
+        except BaseException:
+            # Handlers raise before they touch a task record and move funds
+            # only between the sender and the contract, so this undoes the
+            # whole transaction.
+            balances[slot], balances[_CONTRACT_SLOT] = held, escrowed
+            self.block_height -= 1
+            self.now -= delay
+            if gas_cost:
+                self.total_gas_burned -= gas_cost
+                spent = self.gas_cost_by_account[sender] - gas_cost
+                if spent:
+                    self.gas_cost_by_account[sender] = spent
+                else:
+                    del self.gas_cost_by_account[sender]
+            raise
 
         receipt = Receipt(
             sender=sender,

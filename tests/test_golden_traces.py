@@ -2,16 +2,19 @@
 
 Each value is the ``traceId`` of one seeded run.  A mismatch means the
 trace bytes changed, so the change is not behaviour-preserving and must
-be made on purpose (and these values re-derived) or not at all.
+be made on purpose (and these values re-derived) or not at all.  The
+delivered result's bytes are not in the trace, so they are pinned here too.
 """
 
 from __future__ import annotations
 
+import hashlib
 from itertools import product
 
 import pytest
 from conftest import flip_first_ciphertext_bit
 
+from teescrow.actors import Deliver
 from teescrow.config import NODE_STRATEGIES, REQUESTOR_STRATEGIES, ScenarioConfig
 from teescrow.harness import ScenarioRunner
 from teescrow.ledger import TIERS
@@ -108,8 +111,31 @@ GOLDEN_TRACE_IDS = {
 }
 
 
+#: The trace records a delivery's ``keyId`` but not its bytes, so these pin
+#: them: per delivering case, the first 16 hex digits of SHA-256 over
+#: nonce || ciphertext || signature of each ``Deliver``, in order.  A case
+#: not listed delivers nothing.
+GOLDEN_DELIVERED = {
+    "delivery-tamper": ("e4ce41c372cf641c",),
+    "delivery-tamper-third-party": ("e4ce41c372cf641c",),
+    "execution-delay-5": ("e1b20e5fc19cf4d9",),
+    "gas-in-payoffs": ("e1b20e5fc19cf4d9",),
+    "honest/honest/fast": ("e1b20e5fc19cf4d9",),
+    "honest/honest/slow": ("e1b20e5fc19cf4d9",),
+    "honest/honest/standard": ("e1b20e5fc19cf4d9",),
+    "hostile-inputs": ("eba41a555e943481",),
+    "no-confirm/honest/fast": ("e1b20e5fc19cf4d9",),
+    "no-confirm/honest/slow": ("e1b20e5fc19cf4d9",),
+    "no-confirm/honest/standard": ("e1b20e5fc19cf4d9",),
+    "sha256-hex-64": ("034167c09f28365b",),
+    "sum-64": ("273cb599285fc6ce",),
+    "third-party": ("e1b20e5fc19cf4d9",),
+}
+
+
 def test_every_case_is_pinned():
     assert set(GOLDEN_TRACE_IDS) == set(golden_configs())
+    assert set(GOLDEN_DELIVERED) <= set(golden_configs())
 
 
 def _trace_id(name: str) -> str:
@@ -121,6 +147,22 @@ def _trace_id(name: str) -> str:
 @pytest.mark.parametrize("name", sorted(golden_configs()))
 def test_trace_id_unchanged(name):
     assert _trace_id(name) == GOLDEN_TRACE_IDS[name]
+
+
+@pytest.mark.parametrize("name", sorted(golden_configs()))
+def test_delivered_bytes_unchanged(name, monkeypatch):
+    deliver = ScenarioRunner._ACTIONS[Deliver]
+    delivered = []
+
+    def recording(runner, who, action):
+        p = action.protected
+        delivered.append(hashlib.sha256(
+            p.nonce + p.ciphertext + p.signature).hexdigest()[:16])
+        deliver(runner, who, action)
+
+    monkeypatch.setitem(ScenarioRunner._ACTIONS, Deliver, recording)
+    _trace_id(name)
+    assert tuple(delivered) == GOLDEN_DELIVERED.get(name, ())
 
 
 def test_trace_ids_do_not_depend_on_run_order():

@@ -286,3 +286,55 @@ def test_balances_read_back_and_sum_to_supply(ops):
     assert (ledger.balance(NULL_ACCOUNT) + ledger.balance(CONTRACT_ACCOUNT)
             + sum(ledger.balance(a) for a in expected)
             == ledger.total_supply - ledger.total_gas_burned)
+
+
+def _chain_state(ledger: Ledger, contract: EscrowContract) -> tuple:
+    return (list(ledger._balances), ledger.block_height, ledger.now,
+            ledger.total_gas_burned, dict(ledger.gas_cost_by_account),
+            copy.deepcopy(contract.tasks), contract.num_tasks)
+
+
+#: Calls whose handler raises: (sender, function, value, args, exception).
+#: "fresh" has sent nothing before, so it has no gas entry to restore.
+_RAISING_CALLS = {
+    "short-hash-lock": ("fresh", "submitTask", 50, {
+        "function_name": "f", "hash_lock": bytes(5), "expires": 100},
+        ValueError),
+    "string-hash-lock": ("requestor", "submitTask", 50, {
+        "function_name": "f", "hash_lock": "0" * 32, "expires": 100},
+        ValueError),
+    "negative-expires": ("requestor", "submitTask", 50, {
+        "function_name": "f", "hash_lock": bytes(32), "expires": -1},
+        ValueError),
+    "missing-argument": ("fresh", "claimTask", THRESHOLD, {}, TypeError),
+    "unknown-argument": ("node", "claimTask", THRESHOLD, {
+        "task_id": 0, "colour": "red"}, TypeError),
+    # The handler refunds the attached value before the secret fails to hash.
+    "refund-then-raise": ("node", "finalizeExecutionNode", 7, {
+        "task_id": 0, "secret": None}, TypeError),
+}
+
+
+@pytest.mark.parametrize("gas_charging", [False, True],
+                         ids=["gas-off", "gas-on"])
+@pytest.mark.parametrize("case", sorted(_RAISING_CALLS))
+def test_raising_call_leaves_no_trace(case, gas_charging):
+    ledger = Ledger(GasSchedule(), gas_charging=gas_charging)
+    contract = EscrowContract(ledger, THRESHOLD)
+    parties = {name: ledger.create_account(10**18)
+               for name in ("requestor", "node", "fresh")}
+    call(ledger, parties["requestor"], "submitTask", value=15,
+         function_name="f", hash_lock=bytes(32), expires=10_000)
+    call(ledger, parties["node"], "claimTask", value=THRESHOLD, task_id=0)
+    sender, function, value, args, exception = _RAISING_CALLS[case]
+    before = _chain_state(ledger, contract)
+    with pytest.raises(exception) as raised:
+        call(ledger, parties[sender], function, value=value, **args)
+    assert type(raised.value) is exception
+    assert _chain_state(ledger, contract) == before
+    ledger.assert_conservation()
+    # The chain goes on from the restored block.
+    receipt = call(ledger, parties[sender], "submitTask", value=15,
+                   function_name="f", hash_lock=bytes(32), expires=10_000)
+    assert receipt.outcome.accepted
+    assert receipt.block_height == before[1] + 1
