@@ -24,6 +24,7 @@ from .ledger import (
     DEFAULT_GAS_PRICE_PER_TIER,
     GasSchedule,
     TIERS,
+    _is_int,
 )
 
 UNIT = 10**18
@@ -68,10 +69,6 @@ def load_json_file(path: str, what: str):
         except (ValueError, RecursionError) as exc:
             # Also bad UTF-8, over-long ints and nesting past the stack.
             raise ConfigInvalid(f"{what} is not valid JSON: {exc}") from exc
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 # Field annotation -> (check, description), applied to every config however

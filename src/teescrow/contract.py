@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .crypto import DIGEST_LENGTH, sha256_digest
-from .ledger import ContractCall, CallContext, Ledger, NULL_ACCOUNT
+from .ledger import ContractCall, CallContext, Ledger, NULL_ACCOUNT, _is_int
 
 
 class RefusalReason(str, Enum):
@@ -59,11 +59,11 @@ class CallOutcome:
 
     @staticmethod
     def ok(task_id: int | None = None) -> "CallOutcome":
-        return CallOutcome(accepted=True, task_id=task_id)
+        return CallOutcome(True, None, task_id)
 
     @staticmethod
     def refused(reason: RefusalReason) -> "CallOutcome":
-        return CallOutcome(accepted=False, reason=reason)
+        return CallOutcome(False, reason)
 
 
 class TaskState(str, Enum):
@@ -91,6 +91,8 @@ class EscrowContract:
     """Contract state plus the five dispatchable functions."""
 
     def __init__(self, ledger: Ledger, threshold: int) -> None:
+        if not _is_int(threshold):
+            raise TypeError("threshold must be an integer")
         if threshold <= 0:
             raise ValueError("threshold must be positive")
         self.threshold = threshold
@@ -113,6 +115,8 @@ class EscrowContract:
                      hash_lock: bytes, expires: int) -> CallOutcome:
         if not isinstance(hash_lock, bytes) or len(hash_lock) != DIGEST_LENGTH:
             raise ValueError("hash lock must be a 32-byte digest")
+        if not _is_int(expires):
+            raise TypeError("expires must be an integer")
         if expires < 0:
             raise ValueError("expires must be non-negative")
         if ctx.value < self.threshold:

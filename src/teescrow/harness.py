@@ -352,14 +352,19 @@ class ScenarioRunner:
         return self._finish()
 
     def _drain(self) -> None:
-        while self._queue:
-            recipient, obs = self._queue.popleft()
+        queue, actions = self._queue, self._ACTIONS
+        requestor, node = self.requestor, self.node
+        while queue:
+            recipient, obs = queue.popleft()
             if recipient == PARTY_THIRD:
                 self._third_party(obs)
                 continue
-            actor = self.requestor if recipient == PARTY_REQUESTOR else self.node
+            actor = requestor if recipient == PARTY_REQUESTOR else node
             for action in actor.step(obs):
-                self._execute(recipient, action)
+                handler = actions.get(type(action))
+                if handler is None:
+                    raise TypeError(f"unknown action {action!r}")
+                handler(self, recipient, action)
 
     def _arm_expiry(self) -> bool:
         """Advance to the expiry of a still-open task, once per task.
@@ -383,12 +388,6 @@ class ScenarioRunner:
         return False
 
     # ------------------------------------------------------------------
-
-    def _execute(self, who: str, action) -> None:
-        handler = self._ACTIONS.get(type(action))
-        if handler is None:
-            raise TypeError(f"unknown action {action!r}")
-        handler(self, who, action)
 
     def _do_tx(self, who: str, action: SubmitTx) -> None:
         sender = (self.requestor_account if who == PARTY_REQUESTOR

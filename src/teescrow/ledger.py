@@ -16,6 +16,12 @@ live in one list, one slot per account, and after every transaction
 ``assert_conservation`` sums that whole list.  It is O(accounts) per
 transaction by design; no running total is kept.  Gas charging is off by
 default; payoff accounting excludes gas either way.
+
+Value moves by slot: past its up-front checks, a transaction takes value
+and gas from the sender's slot and adds the value to the contract's fixed
+slot, and a payout looks up only its recipient.  Every amount and time is an
+``int``, never a ``bool``; anything else raises ``TypeError`` before any
+state changes, so a float cannot round a balance and mint unseen value.
 """
 
 from __future__ import annotations
@@ -69,6 +75,11 @@ DEFAULT_GAS_PRICE_PER_TIER = {
 }
 
 
+def _is_int(value) -> bool:
+    """The rule for every amount and time: an ``int``, never a ``bool``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class LedgerError(Exception):
     """Base class for ledger failures."""
 
@@ -118,9 +129,6 @@ class GasSchedule:
     @property
     def total_per_task_gas(self) -> int:
         return sum(self.per_function[name] for name in PER_TASK_FUNCTIONS)
-
-    def gas_cost(self, function: str, tier: str) -> int:
-        return self.per_function[function] * self.gas_price_per_tier[tier]
 
 
 @dataclass(slots=True)
@@ -172,17 +180,25 @@ class CallContext:
         self.events: list[LedgerEvent] = []
 
     def transfer_from_contract(self, to: bytes, amount: int) -> None:
-        self._ledger._transfer(CONTRACT_ACCOUNT, to, amount)
+        if amount < 0:
+            raise ValueError("transfer amount must be non-negative")
+        ledger = self._ledger
+        slot = ledger._accounts.get(to)
+        if slot is None:
+            raise UnknownAccount("transfer endpoint does not exist")
+        balances = ledger._balances
+        if balances[_CONTRACT_SLOT] < amount:
+            raise InsufficientBalance(
+                f"the contract holds {balances[_CONTRACT_SLOT]}, "
+                f"needs {amount}")
+        balances[_CONTRACT_SLOT] -= amount
+        balances[slot] += amount
 
     def emit(self, kind: str, task_id: int, payload: dict) -> None:
         if kind not in EVENT_KINDS:
             raise ValueError(f"unknown event kind {kind!r}")
         self.events.append(LedgerEvent(
-            kind=kind,
-            task_id=task_id,
-            block_height=self._ledger.block_height,
-            payload=payload,
-        ))
+            kind, task_id, self._ledger.block_height, payload))
 
 
 class Ledger:
@@ -210,6 +226,8 @@ class Ledger:
     # accounts
 
     def create_account(self, initial_balance: int = 0) -> bytes:
+        if not _is_int(initial_balance):
+            raise TypeError("initial balance must be an integer")
         if initial_balance < 0:
             raise ValueError("initial balance must be non-negative")
         slot = len(self._balances)
@@ -225,26 +243,13 @@ class Ledger:
         except KeyError:
             raise UnknownAccount(account.hex()) from None
 
-    def _transfer(self, frm: bytes, to: bytes, amount: int) -> None:
-        if amount < 0:
-            raise ValueError("transfer amount must be non-negative")
-        try:
-            src, dst = self._accounts[frm], self._accounts[to]
-        except KeyError:
-            raise UnknownAccount("transfer endpoint does not exist") from None
-        balances = self._balances
-        if balances[src] < amount:
-            raise InsufficientBalance(
-                f"{frm.hex()} holds {balances[src]}, needs {amount}"
-            )
-        balances[src] -= amount
-        balances[dst] += amount
-
     # ------------------------------------------------------------------
     # clock
 
     def advance_time(self, seconds: int) -> None:
         """Let wall time pass without mining (e.g. to reach an expiry)."""
+        if not _is_int(seconds):
+            raise TypeError("seconds must be an integer")
         if seconds < 0:
             raise ValueError("time can only move forward")
         self.now += seconds
@@ -273,18 +278,23 @@ class Ledger:
         slot = self._accounts.get(sender)
         if slot is None:
             raise UnknownAccount(sender.hex())
+        if type(value) is not int and not _is_int(value):  # ints skip a call
+            raise TypeError("value must be an integer")
         if value < 0:
             raise ValueError("value must be non-negative")
         if tier not in TIERS:
             raise ValueError(f"unknown tier {tier!r}")
-        if self._contract is None:
+        contract = self._contract
+        if contract is None:
             raise LedgerError("no contract registered")
-        if (call.function not in self.schedule.per_function
-                or call.function not in self._contract.functions):
-            raise UnknownFunction(call.function)
+        schedule = self.schedule
+        function = call.function
+        gas_used = schedule.per_function.get(function)
+        if gas_used is None or function not in contract.functions:
+            raise UnknownFunction(function)
 
-        gas_used = self.schedule.per_function[call.function]
-        gas_cost = self.schedule.gas_cost(call.function, tier) if self.gas_charging else 0
+        gas_cost = (gas_used * schedule.gas_price_per_tier[tier]
+                    if self.gas_charging else 0)
         balances = self._balances
         held, escrowed = balances[slot], balances[_CONTRACT_SLOT]
         if held < value + gas_cost:
@@ -292,21 +302,21 @@ class Ledger:
                 f"{sender.hex()} holds {held}, needs {value + gas_cost}"
             )
 
-        delay = self.schedule.confirmation_delay_per_tier[tier]
+        delay = schedule.confirmation_delay_per_tier[tier]
         self.block_height += 1
         self.now += delay
 
+        balances[slot] = held - value - gas_cost
+        balances[_CONTRACT_SLOT] = escrowed + value
         if gas_cost:
-            balances[slot] -= gas_cost
             self.total_gas_burned += gas_cost
             self.gas_cost_by_account[sender] = (
                 self.gas_cost_by_account.get(sender, 0) + gas_cost
             )
-        self._transfer(sender, CONTRACT_ACCOUNT, value)
 
         ctx = CallContext(self, sender, value)
         try:
-            outcome = self._contract.dispatch(ctx, call)
+            outcome = contract.dispatch(ctx, call)
         except BaseException:
             # Handlers raise before they touch a task record and move funds
             # only between the sender and the contract, so this undoes the
@@ -323,18 +333,8 @@ class Ledger:
                     del self.gas_cost_by_account[sender]
             raise
 
-        receipt = Receipt(
-            sender=sender,
-            call=call,
-            value=value,
-            tier=tier,
-            block_height=self.block_height,
-            timestamp=self.now,
-            gas_used=gas_used,
-            gas_cost=gas_cost,
-            events=ctx.events,
-            outcome=outcome,
-        )
+        receipt = Receipt(sender, call, value, tier, self.block_height,
+                          self.now, gas_used, gas_cost, ctx.events, outcome)
         self.assert_conservation()
         return receipt
 

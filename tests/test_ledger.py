@@ -1,16 +1,18 @@
 from __future__ import annotations
 
 import copy
+import hashlib
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from teescrow.contract import EscrowContract, RefusalReason
+from teescrow.contract import CallOutcome, EscrowContract, RefusalReason
 from teescrow.ledger import (
     ADDRESS_LENGTH,
     CONTRACT_ACCOUNT,
     ConservationViolation,
+    DEFAULT_GAS_PER_FUNCTION,
     GasSchedule,
     InsufficientBalance,
     Ledger,
@@ -228,61 +230,159 @@ def test_uncreated_address_cannot_send(funded):
     assert contract.tasks == {}
 
 
-_GAS = {"submitTask": 277_880, "claimTask": 145_120}
+_SECRET = b"preimage"
+_LOCK = hashlib.sha256(_SECRET).digest()
+_EXPIRES = 100
+
+_WHO = st.integers(0, 3)  # below 3: the task's own party, if it has one
+_VALUE = st.integers(0, 10)
+#: 0: the oldest task in a state the call acts on, if any; 1: the latest
+#: task; 2: an id not yet given out.
+_TASK = st.integers(0, 2)
+
+#: The task states each function acts on.
+_ACTS_ON = {
+    "claimTask": ("open",),
+    "finalizeExecutionNode": ("claimed",),
+    "finalizeRequestor": ("completed",),
+    "timeout": ("open", "claimed"),
+}
 
 _LEDGER_OPS = st.lists(st.one_of(
     st.tuples(st.just("create"), st.integers(0, 2_000_000)),
-    st.tuples(st.just("submitTask"), st.integers(0, 30), st.integers(0, 10)),
-    st.tuples(st.just("claimTask"), st.integers(0, 30), st.integers(0, 10),
-              st.integers(0, 4)),
-), max_size=40)
+    st.tuples(st.just("submitTask"), _WHO, st.integers(0, 30)),
+    st.tuples(st.just("claimTask"), _WHO, st.integers(THRESHOLD - 1, 10),
+              _TASK),
+    st.tuples(st.just("finalizeExecutionNode"), _WHO, _VALUE, _TASK,
+              st.booleans()),
+    st.tuples(st.just("finalizeRequestor"), _WHO, _VALUE, _TASK),
+    st.tuples(st.just("timeout"), _WHO, _VALUE, _TASK,
+              st.integers(0, 2 * _EXPIRES)),
+), min_size=10, max_size=60)
+
+
+class _ModelTask:
+    def __init__(self, requestor: bytes, payment: int, start: int) -> None:
+        self.requestor = requestor
+        self.payment = payment
+        self.start = start
+        self.node: bytes | None = None
+        self.node_deposit = 0
+        self.state = "open"  # then "claimed", "completed" or "dead"
+
+
+def _model_outcome(function, sender, value, task, now, right_secret):
+    """Whether the contract accepts the call, and who it then pays what."""
+    if function == "submitTask":
+        return value >= THRESHOLD, []
+    if function == "claimTask":
+        return (task is not None and task.state == "open"
+                and value >= THRESHOLD), []
+    if task is None:
+        return False, []
+    if function == "finalizeExecutionNode":
+        if (task.node == sender and task.state == "claimed"
+                and right_secret):
+            return True, [(sender, task.node_deposit)]
+        return False, []
+    if sender != task.requestor:
+        return False, []
+    if function == "finalizeRequestor":
+        if task.state == "completed":
+            return True, [(task.requestor, THRESHOLD),
+                          (task.node, task.payment)]
+        return False, []
+    # timeout
+    if (task.state in ("open", "claimed")
+            and now > task.start + _EXPIRES):
+        return True, [(task.requestor, task.payment)]
+    return False, []
 
 
 @settings(max_examples=60, deadline=None)
-@given(ops=_LEDGER_OPS)
-def test_balances_read_back_and_sum_to_supply(ops):
+@given(funds=st.lists(st.integers(10**6, 10**7), min_size=2, max_size=4),
+       ops=_LEDGER_OPS)
+def test_balances_read_back_and_sum_to_supply(funds, ops):
     # One unit per gas unit, so every call burns a known amount.
     schedule = GasSchedule(
         gas_price_per_tier={"slow": 1, "standard": 1, "fast": 1},
         confirmation_delay_per_tier={"slow": 0, "standard": 0, "fast": 0},
     )
     ledger = Ledger(schedule, gas_charging=True)
-    EscrowContract(ledger, THRESHOLD)
-    expected: dict[bytes, int] = {}
-    claimed: list[bool] = []  # per task, in submission order
-    in_contract = burned = 0
-    for op in ops:
+    contract = EscrowContract(ledger, THRESHOLD)
+    expected = {ledger.create_account(amount): amount for amount in funds}
+    tasks: list[_ModelTask | None] = []  # by task id; None once deleted
+    in_contract = burned = now = 0
+    for op in [("submitTask", 0, 30), *ops]:  # start from one open task
         if op[0] == "create":
             expected[ledger.create_account(op[1])] = op[1]
             continue
-        if not expected:
-            continue
         function, who, value = op[:3]
-        sender = list(expected)[who % len(expected)]
-        args = ({"function_name": "f", "hash_lock": bytes(32), "expires": 100}
-                if function == "submitTask" else {"task_id": op[3]})
-        if expected[sender] < value + _GAS[function]:
+        task_id = task = None
+        if function != "submitTask":
+            task_id = len(tasks)
+            if op[3] == 0:
+                task_id = next((i for i, t in enumerate(tasks)
+                                if t is not None
+                                and t.state in _ACTS_ON[function]), task_id)
+            elif op[3] == 1 and tasks:
+                task_id -= 1
+            task = tasks[task_id] if task_id < len(tasks) else None
+        party = None
+        if task is not None:
+            party = (task.node if function == "finalizeExecutionNode"
+                     else task.requestor)
+        sender = (party if who < 3 and party is not None
+                  else list(expected)[who % len(expected)])
+        if function == "submitTask":
+            args = {"function_name": "f", "hash_lock": _LOCK,
+                    "expires": _EXPIRES}
+        else:
+            args = {"task_id": task_id}
+        if function == "finalizeExecutionNode":
+            args["secret"] = _SECRET if op[4] else b"wrong"
+        if function == "timeout":
+            ledger.advance_time(op[4])
+            now += op[4]
+        gas = DEFAULT_GAS_PER_FUNCTION[function]
+        if expected[sender] < value + gas:
             with pytest.raises(InsufficientBalance):
                 call(ledger, sender, function, value=value, **args)
             continue
-        accepted = value >= THRESHOLD and (
-            function == "submitTask"
-            or (op[3] < len(claimed) and not claimed[op[3]]))
+        accepted, payouts = _model_outcome(
+            function, sender, value, task, now,
+            function == "finalizeExecutionNode" and op[4])
         receipt = call(ledger, sender, function, value=value, **args)
         assert receipt.outcome.accepted == accepted
-        if function == "submitTask" and accepted:
-            claimed.append(False)
-        elif accepted:
-            claimed[op[3]] = True
-        kept = value if accepted else 0
-        expected[sender] -= _GAS[function] + kept
+        # Only submitTask and claimTask keep an accepted call's value.
+        kept = (value if accepted and function in ("submitTask", "claimTask")
+                else 0)
+        expected[sender] -= gas + kept
         in_contract += kept
-        burned += _GAS[function]
+        burned += gas
+        for to, amount in payouts:
+            expected[to] += amount
+            in_contract -= amount
+        if accepted:
+            if function == "submitTask":
+                tasks.append(_ModelTask(sender, value - THRESHOLD, now))
+            elif function == "claimTask":
+                task.node, task.node_deposit = sender, value
+                task.state = "claimed"
+            elif function == "finalizeExecutionNode":
+                task.state = "completed"
+            elif function == "finalizeRequestor":
+                tasks[task_id] = None
+            else:
+                task.state = "dead"
+        assert ledger.balance(CONTRACT_ACCOUNT) == in_contract
     for account, balance in expected.items():
         assert ledger.balance(account) == balance
     assert ledger.balance(NULL_ACCOUNT) == 0
     assert ledger.balance(CONTRACT_ACCOUNT) == in_contract
     assert ledger.total_gas_burned == burned
+    assert ledger.now == now
+    assert contract.num_tasks == len(tasks)
     assert (ledger.balance(NULL_ACCOUNT) + ledger.balance(CONTRACT_ACCOUNT)
             + sum(ledger.balance(a) for a in expected)
             == ledger.total_supply - ledger.total_gas_burned)
@@ -291,7 +391,8 @@ def test_balances_read_back_and_sum_to_supply(ops):
 def _chain_state(ledger: Ledger, contract: EscrowContract) -> tuple:
     return (list(ledger._balances), ledger.block_height, ledger.now,
             ledger.total_gas_burned, dict(ledger.gas_cost_by_account),
-            copy.deepcopy(contract.tasks), contract.num_tasks)
+            copy.deepcopy(contract.tasks), contract.num_tasks,
+            ledger.total_supply, dict(ledger._accounts), ledger._contract)
 
 
 #: Calls whose handler raises: (sender, function, value, args, exception).
@@ -306,6 +407,12 @@ _RAISING_CALLS = {
     "negative-expires": ("requestor", "submitTask", 50, {
         "function_name": "f", "hash_lock": bytes(32), "expires": -1},
         ValueError),
+    "float-expires": ("requestor", "submitTask", 50, {
+        "function_name": "f", "hash_lock": bytes(32), "expires": 10.5},
+        TypeError),
+    "bool-expires": ("fresh", "submitTask", 50, {
+        "function_name": "f", "hash_lock": bytes(32), "expires": True},
+        TypeError),
     "missing-argument": ("fresh", "claimTask", THRESHOLD, {}, TypeError),
     "unknown-argument": ("node", "claimTask", THRESHOLD, {
         "task_id": 0, "colour": "red"}, TypeError),
@@ -338,3 +445,92 @@ def test_raising_call_leaves_no_trace(case, gas_charging):
                    function_name="f", hash_lock=bytes(32), expires=10_000)
     assert receipt.outcome.accepted
     assert receipt.block_height == before[1] + 1
+
+
+#: Amounts and times that are not a plain integer: a float, a whole float,
+#: a bool (an int subclass) and a string.
+_NOT_INTS = [5.5, 5.0, True, "5"]
+
+
+@pytest.mark.parametrize("amount", _NOT_INTS, ids=repr)
+def test_non_integer_amounts_and_times_refused(funded, amount):
+    ledger, contract, requestor, _ = funded
+    call(ledger, requestor, "submitTask", value=15, function_name="f",
+         hash_lock=bytes(32), expires=100)
+    before = _chain_state(ledger, contract)
+    with pytest.raises(TypeError):
+        ledger.create_account(amount)
+    with pytest.raises(TypeError):
+        call(ledger, requestor, "submitTask", value=amount,
+             function_name="f", hash_lock=bytes(32), expires=100)
+    with pytest.raises(TypeError):
+        ledger.advance_time(amount)
+    with pytest.raises(TypeError):
+        EscrowContract(ledger, amount)
+    assert _chain_state(ledger, contract) == before
+    ledger.assert_conservation()
+
+
+def test_float_value_cannot_mint():
+    # Were it accepted, 10**21 - 5.5 would round back to 10**21 as a
+    # float: the sender would keep its balance while the contract gained
+    # 5.5, and the float sum of the balances would still match the supply.
+    ledger = Ledger(zero_delay_schedule())
+    EscrowContract(ledger, THRESHOLD)
+    requestor = ledger.create_account(10**21)
+    with pytest.raises(TypeError):
+        call(ledger, requestor, "submitTask", value=5.5, function_name="f",
+             hash_lock=bytes(32), expires=100)
+    assert ledger.balance(requestor) == 10**21
+    assert type(ledger.balance(requestor)) is int
+    assert ledger.balance(CONTRACT_ACCOUNT) == 0
+    assert sum(ledger._balances) == ledger.total_supply
+
+
+class _PayingContract(EscrowContract):
+    """The escrow contract plus one function whose handler pays
+    ``amount`` out of the contract account to ``to``."""
+
+    def _pay(self, ctx, to, amount):
+        ctx.transfer_from_contract(to, amount)
+        return CallOutcome.ok()
+
+    # Under a name the gas schedule prices, so the ledger dispatches it.
+    functions = {**EscrowContract.functions, "timeout": _pay}
+
+
+def _paying_chain():
+    ledger = Ledger(GasSchedule(), gas_charging=True)
+    contract = _PayingContract(ledger, THRESHOLD)
+    requestor = ledger.create_account(10**18)
+    call(ledger, requestor, "submitTask", value=15, function_name="f",
+         hash_lock=bytes(32), expires=100)
+    return ledger, contract, requestor
+
+
+def test_transfer_from_contract_pays_out():
+    ledger, _, requestor = _paying_chain()
+    before = ledger.balance(requestor)
+    receipt = call(ledger, requestor, "timeout", value=3, to=requestor,
+                   amount=18)
+    assert receipt.outcome.accepted
+    assert ledger.balance(CONTRACT_ACCOUNT) == 0
+    assert ledger.balance(requestor) == before + 15 - receipt.gas_cost
+
+
+@pytest.mark.parametrize("payout", ["negative", "unknown-recipient",
+                                    "more-than-held"])
+def test_transfer_from_contract_refusals_roll_back(payout):
+    ledger, contract, requestor = _paying_chain()
+    # The contract holds the 15 escrowed plus the 3 this call attaches.
+    to, amount, exception = {
+        "negative": (requestor, -1, ValueError),
+        "unknown-recipient": (_UNCREATED[0], 1, UnknownAccount),
+        "more-than-held": (requestor, 15 + 3 + 1, InsufficientBalance),
+    }[payout]
+    before = _chain_state(ledger, contract)
+    with pytest.raises(exception) as raised:
+        call(ledger, requestor, "timeout", value=3, to=to, amount=amount)
+    assert type(raised.value) is exception
+    assert _chain_state(ledger, contract) == before
+    ledger.assert_conservation()
