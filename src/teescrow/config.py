@@ -117,10 +117,10 @@ class ScenarioConfig:
             object.__setattr__(self, "requestor_deposit", self.threshold)
         if self.node_deposit == -1:
             object.__setattr__(self, "node_deposit", self.threshold)
-        # Holds the encoded ``inputs`` once a run asks for it.  Every config
-        # built by ``__init__`` (``dataclasses.replace`` too) gets its own;
-        # ``with_strategies`` hands the derived config this one.
-        object.__setattr__(self, "_inputs_json", [])
+        # Holds the encoded ``inputs`` and the gas schedule once a run asks
+        # for them.  Every config built by ``__init__`` (``replace`` too) gets
+        # its own; ``with_strategies`` hands the derived config this one.
+        object.__setattr__(self, "_built", {})
 
     # ------------------------------------------------------------------
 
@@ -175,6 +175,13 @@ class ScenarioConfig:
         return self.value_of_result > self.payment > self.compute_cost > 0
 
     def gas_schedule(self) -> GasSchedule:
+        """The defaults with the override maps merged in, built on first use
+        and kept like ``inputs_json()``: the maps must not be mutated after
+        a run, nor the schedule ever.  A build that raises ``ConfigInvalid``
+        is not kept, so it raises on every call."""
+        schedule = self._built.get("gas_schedule")
+        if schedule is not None:
+            return schedule
         for name, known in (("gas_per_function", DEFAULT_GAS_PER_FUNCTION),
                             ("gas_price_per_tier", TIERS),
                             ("confirmation_delay_per_tier", TIERS)):
@@ -182,7 +189,7 @@ class ScenarioConfig:
             if unknown:
                 raise ConfigInvalid(f"unknown {name} keys: {sorted(unknown)}")
         try:
-            return GasSchedule(
+            schedule = GasSchedule(
                 per_function={**DEFAULT_GAS_PER_FUNCTION,
                               **self.gas_per_function},
                 gas_price_per_tier={**DEFAULT_GAS_PRICE_PER_TIER,
@@ -193,15 +200,18 @@ class ScenarioConfig:
             )
         except ValueError as exc:
             raise ConfigInvalid(str(exc)) from None
+        self._built["gas_schedule"] = schedule
+        return schedule
 
     # ------------------------------------------------------------------
 
     def with_strategies(self, requestor: str, node: str) -> "ScenarioConfig":
         """This config with other strategies; it shares the encoded
-        ``inputs``, so a payoff matrix encodes them once."""
+        ``inputs`` and the gas schedule, so a payoff matrix builds each
+        once."""
         derived = replace(self, requestor_strategy=requestor,
                           node_strategy=node)
-        object.__setattr__(derived, "_inputs_json", self._inputs_json)
+        object.__setattr__(derived, "_built", self._built)
         return derived
 
     def inputs_json(self) -> str:
@@ -210,14 +220,15 @@ class ScenarioConfig:
         The result is kept, so ``inputs`` must not be mutated after a run.
         Raises ``ConfigInvalid`` for a value strict JSON cannot hold.
         """
-        encoded = self._inputs_json
-        if not encoded:
+        encoded = self._built.get("inputs_json")
+        if encoded is None:
             try:
-                encoded.append(STRICT_JSON.encode(self.inputs))
+                encoded = STRICT_JSON.encode(self.inputs)
             except (TypeError, ValueError, RecursionError) as exc:
                 raise ConfigInvalid(
                     f"inputs must be strict JSON: {exc}") from None
-        return encoded[0]
+            self._built["inputs_json"] = encoded
+        return encoded
 
     def to_json_obj(self) -> dict:
         obj = {}

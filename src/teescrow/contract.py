@@ -12,9 +12,9 @@ deposit, and the funds unwind along one of three paths:
 
 Refused calls refund their attached value and leave task records untouched.
 A call the contract cannot parse (a missing or unknown argument, a malformed
-hash lock) raises before any task record changes, and the ledger then rolls
-back the value, gas, block and clock it had applied, so every transaction
-is atomic.
+hash lock, a task id that is not an integer) raises before any task record
+changes, and the ledger then rolls back the value, gas, block and clock it
+had applied, so every transaction is atomic.
 
 Intentional divergences from the reference pseudo-code, which contains
 evident slips:
@@ -144,6 +144,9 @@ class EscrowContract:
         return CallOutcome.ok(task_id)
 
     def _claim_task(self, ctx: CallContext, task_id: int) -> CallOutcome:
+        # The claim race's hot path: an int skips the call.
+        if type(task_id) is not int and not _is_int(task_id):
+            raise TypeError("task_id must be an integer")
         task = self.tasks.get(task_id)
         if task is None:
             self._refund(ctx)
@@ -168,6 +171,8 @@ class EscrowContract:
 
     def _finalize_execution_node(self, ctx: CallContext, task_id: int,
                                  secret: bytes) -> CallOutcome:
+        if not _is_int(task_id):
+            raise TypeError("task_id must be an integer")
         # Not payable: a mistakenly attached value is always returned.
         self._refund(ctx)
         task = self.tasks.get(task_id)
@@ -191,6 +196,8 @@ class EscrowContract:
         return CallOutcome.ok(task_id)
 
     def _finalize_requestor(self, ctx: CallContext, task_id: int) -> CallOutcome:
+        if not _is_int(task_id):
+            raise TypeError("task_id must be an integer")
         self._refund(ctx)
         task = self.tasks.get(task_id)
         if task is None or task.requestor != ctx.sender:
@@ -207,6 +214,8 @@ class EscrowContract:
         return CallOutcome.ok(task_id)
 
     def _timeout(self, ctx: CallContext, task_id: int) -> CallOutcome:
+        if not _is_int(task_id):
+            raise TypeError("task_id must be an integer")
         self._refund(ctx)
         task = self.tasks.get(task_id)
         if task is None or task.requestor != ctx.sender:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property, lru_cache
 
 from . import crypto
 from .crypto import ProtectedResult, ResultKeyPair
@@ -97,6 +98,17 @@ class InfoFlowLedger:
 # function images
 
 
+@lru_cache(maxsize=16, typed=True)
+def _measure(name: str, body_id: str, version: str) -> bytes:
+    """The measurement hash of the three measured fields; every run of a
+    matrix measures the same image, so the digest is kept."""
+    return crypto.sha256_digest(crypto.canonical_json_bytes({
+        "name": name,
+        "bodyId": body_id,
+        "version": version,
+    }))
+
+
 @dataclass(frozen=True)
 class FunctionImage:
     """A measured, deterministic function the node can instantiate."""
@@ -108,12 +120,8 @@ class FunctionImage:
     resource_cost: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_measurement", crypto.sha256_digest(
-            crypto.canonical_json_bytes({
-                "name": self.name,
-                "bodyId": self.body_id,
-                "version": self.version,
-            })))
+        object.__setattr__(self, "_measurement", _measure(
+            self.name, self.body_id, self.version))
 
     @property
     def measurement(self) -> bytes:
@@ -197,13 +205,19 @@ class EnclaveHost:
     """
 
     def __init__(self, store: FunctionStore, flow: InfoFlowLedger,
-                 rng: random.Random) -> None:
+                 seed: int | str) -> None:
         self.store = store
         self.flow = flow
-        self.rng = rng
+        self._seed = seed
         self.resource_consumed = 0
         self._instance_counter = 0
         self._seen_nonces: set[bytes] = set()
+
+    @cached_property
+    def rng(self) -> random.Random:
+        """The host's RNG, seeded on first draw: a run that never attests
+        never pays for seeding, and the stream is the same either way."""
+        return random.Random(self._seed)
 
     # -- lifecycle ------------------------------------------------------
 

@@ -71,15 +71,22 @@ PARTY_THIRD = "third-party"
 # trace
 
 
-_ENCODER = crypto.CANONICAL_JSON
-
-# ``Trace`` writes each line itself, exactly as ``_ENCODER`` would: keys
-# sorted, ints as ``str``, bytes as hex, strings quoted and escaped by ``_q``
-# (the encoder's own ASCII escaper).  A new key or record shape goes into its
-# writer; the tests compare every line with ``json.dumps``.  Names from a
-# fixed set (function, event kind, enclave op) are written unescaped.
+# ``Trace`` writes each line itself, exactly as ``crypto.CANONICAL_JSON``
+# would: keys sorted, ints as ``str``, bytes as hex, strings quoted and
+# escaped by ``_q`` (the encoder's own ASCII escaper).  A new key or record
+# shape goes into its writer; the tests compare every line with
+# ``json.dumps``.  Names from a fixed set (function, event kind, enclave op)
+# are written unescaped.
 _q = json.encoder.encode_basestring_ascii
 _BOOL = {True: "true", False: "false"}
+
+
+def _int_map(mapping: dict[str, int]) -> str:
+    """An object of integers with string keys."""
+    if not mapping:
+        return "{}"
+    items = ",".join(f"{_q(key)}:{mapping[key]}" for key in sorted(mapping))
+    return f"{{{items}}}"
 
 
 _CALL_ARGS = {
@@ -189,13 +196,13 @@ class Trace:
         self._lines.append(
             f'{{"config":{{"compute_cost":{c.compute_cost},'
             f'"confirmation_delay_per_tier":'
-            f'{_ENCODER.encode(c.confirmation_delay_per_tier)},'
+            f'{_int_map(c.confirmation_delay_per_tier)},'
             f'"deliver_to_third_party":{_BOOL[c.deliver_to_third_party]},'
             f'"execution_delay":{c.execution_delay},"expires":{c.expires},'
             f'"function_name":{_q(c.function_name)},'
             f'"gas_charging":{_BOOL[c.gas_charging]},'
-            f'"gas_per_function":{_ENCODER.encode(c.gas_per_function)},'
-            f'"gas_price_per_tier":{_ENCODER.encode(c.gas_price_per_tier)},'
+            f'"gas_per_function":{_int_map(c.gas_per_function)},'
+            f'"gas_price_per_tier":{_int_map(c.gas_price_per_tier)},'
             f'"include_gas_in_payoffs":{_BOOL[c.include_gas_in_payoffs]},'
             f'"initial_balance":{c.initial_balance},'
             f'"inputs":{c.inputs_json()},"max_resubmits":{c.max_resubmits},'
@@ -229,8 +236,8 @@ class Trace:
     def outcome(self, o: ScenarioOutcome) -> None:
         self._lines.append(
             f'{{"endToEndSeconds":{o.end_to_end_seconds},'
-            f'"gasByParty":{_ENCODER.encode(o.gas_by_party)},'
-            f'"infoFlowViolations":{_ENCODER.encode(o.infoflow_violations)},'
+            f'"gasByParty":{_int_map(o.gas_by_party)},'
+            f'"infoFlowViolations":[{",".join(map(_q, o.infoflow_violations))}],'
             f'"lockedInContract":{o.locked_in_contract},'
             f'"nodeBalanceDelta":{o.node_balance_delta},'
             f'"nodePayoff":{o.node_payoff},'
@@ -309,10 +316,8 @@ class ScenarioRunner:
         self.node_account = self.ledger.create_account(config.initial_balance)
         self.flow = InfoFlowLedger()
         self.store = self._scenario_store()
-        self.host = EnclaveHost(
-            self.store, self.flow,
-            random.Random(f"{config.rng_seed}:host"),
-        )
+        self.host = EnclaveHost(self.store, self.flow,
+                                f"{config.rng_seed}:host")
         name = config.function_name
         self.requestor = RequestorActor(
             config, random.Random(f"{config.rng_seed}:requestor"),

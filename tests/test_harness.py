@@ -468,6 +468,75 @@ def test_with_strategies_configs_share_one_inputs_encoding(monkeypatch):
             ScenarioRunner(bad.with_strategies(*pair))
 
 
+def test_with_strategies_configs_share_one_gas_schedule(monkeypatch):
+    built = []
+
+    class CountingSchedule(config_module.GasSchedule):
+        def __post_init__(self):
+            built.append(self)
+            super().__post_init__()
+
+    monkeypatch.setattr(config_module, "GasSchedule", CountingSchedule)
+    base = dataclasses.replace(
+        CFG, initial_balance=10**9, gas_charging=True,
+        gas_per_function={"timeout": 30_000},
+        gas_price_per_tier={"standard": 2},
+        confirmation_delay_per_tier={"standard": 7})
+    matrix = payoff_matrix(base)
+    assert len(built) == 1  # validate() and the nine runners share it
+    assert base.gas_schedule() is built[0]
+    # A config built by replace builds its own, once.
+    alone = {pair: dataclasses.replace(base, requestor_strategy=pair[0],
+                                       node_strategy=pair[1])
+             for pair in matrix.cells}
+    alone[("honest", "honest")].validate()
+    alone[("honest", "honest")].validate()
+    assert len(built) == 2
+
+    def trace_of(config):
+        runner = ScenarioRunner(config)
+        runner.run()
+        return runner.trace.to_jsonl()
+
+    assert ([trace_of(base.with_strategies(*pair)) for pair in alone]
+            == [trace_of(config) for config in alone.values()])
+    assert len(built) == 1 + len(alone)
+    # A build that fails is not kept: every validate() raises.
+    bad = dataclasses.replace(base, gas_per_function={"mint": 1})
+    for config in (bad, bad, bad.with_strategies("honest", "claim-only")):
+        with pytest.raises(ConfigInvalid, match="unknown gas_per_function"):
+            config.validate()
+    bad_price = dataclasses.replace(base, gas_price_per_tier={"fast": 0})
+    for _ in range(2):
+        with pytest.raises(ConfigInvalid, match="gas price"):
+            bad_price.gas_schedule()
+
+
+@pytest.mark.parametrize("pair", [("withhold-input", "honest"),
+                                  ("honest", "claim-only")])
+def test_host_rng_unseeded_when_nothing_attests(pair):
+    runner = ScenarioRunner(CFG.with_strategies(*pair))
+    runner.run()
+    assert "rng" not in vars(runner.host)
+
+
+def test_host_rng_stream_unchanged_by_lazy_seeding():
+    config = dataclasses.replace(CFG, rng_seed=42)
+    runner = ScenarioRunner(config)
+    instances = []
+    instantiate = runner.host.instantiate
+
+    def keep(function_name):
+        instances.append(instantiate(function_name))
+        return instances[-1]
+
+    runner.host.instantiate = keep
+    assert runner.run().received_valid_result
+    [instance] = instances
+    assert (instance.channel_binding_key
+            == random.Random("42:host").randbytes(32))
+
+
 def test_different_seeds_change_secrets_not_payoffs():
     one = run_scenario(dataclasses.replace(CFG, rng_seed=1))
     two = run_scenario(dataclasses.replace(CFG, rng_seed=2))

@@ -419,6 +419,17 @@ _RAISING_CALLS = {
     # The handler refunds the attached value before the secret fails to hash.
     "refund-then-raise": ("node", "finalizeExecutionNode", 7, {
         "task_id": 0, "secret": None}, TypeError),
+    # A float or bool task id equals, and hashes like, an int one: each
+    # would otherwise reach task 0 or 1 and be echoed into the trace.
+    **{f"{kind}-task-id/{function}": (sender, function, value, {
+        "task_id": task_id, **extra}, TypeError)
+       for kind, task_id in (("float", 0.0), ("bool", False))
+       for sender, function, value, extra in (
+           ("fresh", "claimTask", THRESHOLD, {}),
+           ("node", "finalizeExecutionNode", 7,
+            {"secret": bytes(32)}),
+           ("requestor", "finalizeRequestor", 7, {}),
+           ("requestor", "timeout", 7, {}))},
 }
 
 
