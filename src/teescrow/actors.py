@@ -44,7 +44,7 @@ from .config import (
     ScenarioConfig,
 )
 from .crypto import ProtectedResult, ResultKeyPair
-from .enclave import REQUESTOR, EnclaveInstance, InfoFlowLedger
+from .enclave import EnclaveInstance
 from .ledger import ContractCall, LedgerEvent, Receipt
 
 # ----------------------------------------------------------------------
@@ -140,30 +140,28 @@ class RequestorActor:
     """The requesting device: submits, attests, provisions, confirms."""
 
     def __init__(self, config: ScenarioConfig, rng: random.Random,
-                 flow: InfoFlowLedger,
                  measurement_allow_list: dict[str, bytes]) -> None:
         self.config = config
         self.rng = rng
-        self.flow = flow
         self.allow_list = measurement_allow_list
         self.received_valid_result = False
         self._keys_by_task: dict[int, _TaskKeys] = {}
-        self._resubmits_left = config.max_resubmits
+        # Read only after an accepted timeout, so lowering it before a run
+        # to the number of resubmits that run made changes nothing.
+        self.resubmits_left = config.max_resubmits
 
     def verify_key(self, task_id: int) -> bytes:
         """The public key that checks the signature on a task's result."""
         return self._keys_by_task[task_id].result_keys.verify_key
 
     # A single requestor driving a fresh contract gets sequential task ids,
-    # so the ordinal of the submission doubles as the info-flow prefix.
+    # so the ordinal of the submission doubles as the task id.
     def _prepare_task(self) -> _TaskKeys:
         ordinal = len(self._keys_by_task)
         secret = crypto.generate_secret(self.rng)
         keys = _TaskKeys(secret, crypto.hash_secret(secret),
                          crypto.new_result_keys(self.rng))
         self._keys_by_task[ordinal] = keys
-        self.flow.grant(f"task{ordinal}:secret", REQUESTOR)
-        self.flow.grant(f"task{ordinal}:enc-key", REQUESTOR)
         return keys
 
     def _submit_action(self) -> SubmitTx:
@@ -186,9 +184,9 @@ class RequestorActor:
 
     def _on_receipt(self, receipt: Receipt) -> list[Action]:
         if (receipt.call.function == "timeout" and receipt.outcome.accepted
-                and self._resubmits_left > 0):
+                and self.resubmits_left > 0):
             # A resubmission always carries a fresh secret and hash.
-            self._resubmits_left -= 1
+            self.resubmits_left -= 1
             self.received_valid_result = False
             return [self._submit_action()]
         return []
@@ -215,7 +213,6 @@ class RequestorActor:
             # Bad delivery: fall through to the timeout path.
             return []
         self.received_valid_result = True
-        self.flow.grant(f"task{obs.task_id}:result", REQUESTOR)
         return self._maybe_confirm(obs.task_id)
 
     def _on_third_party_ack(self, obs: ThirdPartyAck) -> list[Action]:

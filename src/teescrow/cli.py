@@ -6,10 +6,12 @@ Subcommands:
 * ``payoffs``   run the full strategy matrix (optionally over a grid file)
 * ``gas``       per-function gas and cost for a tier
 * ``latency``   honest-run end-to-end latency for a tier
-* ``inspect``   re-derive and check the outcome stored in a trace file
+* ``inspect``   replay the config a trace file records; exit 1 on any byte
+                difference from the replay, naming the first differing line
 
 Exit codes: 0 success, 1 scenario assertion failure (information-flow
-violation, dominance violation or trace mismatch), 2 usage or config error,
+violation, dominance violation, or a trace that is malformed or not its
+config's replay), 2 usage or config error,
 141 standard output closed before everything was written.
 """
 
@@ -20,6 +22,7 @@ import json
 import os
 import sys
 from dataclasses import replace
+from itertools import zip_longest
 
 from .config import (
     NODE_STRATEGIES,
@@ -32,7 +35,6 @@ from .harness import (
     ScenarioRunner,
     gas_report,
     latency_report,
-    load_trace,
     payoff_matrix,
 )
 from .ledger import TIERS
@@ -112,7 +114,9 @@ def _cmd_scenario(args) -> int:
     runner = ScenarioRunner(config)
     outcome = runner.run()
     if args.export_trace:
-        with open(args.export_trace, "w", encoding="utf-8") as handle:
+        # newline="": the file holds the trace's own bytes on every OS.
+        with open(args.export_trace, "w", encoding="utf-8",
+                  newline="") as handle:
             handle.write(runner.trace.to_jsonl())
     obj = outcome.to_json_obj()
     print(_json(obj) if args.format == "json" else _kv_table(obj))
@@ -157,34 +161,43 @@ def _cmd_latency(args) -> int:
     return 0
 
 
+def _first_difference(data: bytes, replay: bytes) -> int:
+    """The number, from 1, of the first line where two traces differ."""
+    pairs = zip_longest(data.splitlines(True), replay.splitlines(True))
+    return next(n for n, (ours, theirs) in enumerate(pairs, 1)
+                if ours != theirs)
+
+
 def _cmd_inspect(args) -> int:
+    """Rerun the config on the trace's first line; the file passes only if
+    it is the replay's trace and the replay saw no information-flow
+    violation."""
+    with open(args.trace, "rb") as handle:
+        data = handle.read()
     try:
-        records = load_trace(args.trace)
-        config_rec = next(
-            (r for r in records if r.get("type") == "scenario"), None)
-        outcome_rec = next(
-            (r for r in records if r.get("type") == "outcome"), None)
-        if config_rec is None or outcome_rec is None:
-            print("trace is missing its scenario or outcome record",
-                  file=sys.stderr)
-            return 1
-        value = config_rec["config"]["value_of_result"]
-        expected_requestor = outcome_rec["requestorBalanceDelta"] + (
-            value if outcome_rec["receivedValidResult"] else 0
-        )
-        expected_node = (outcome_rec["nodeBalanceDelta"]
-                         - outcome_rec["resourceCostConsumed"])
-        ok = (expected_requestor == outcome_rec["requestorPayoff"]
-              and expected_node == outcome_rec["nodePayoff"]
-              and not outcome_rec["infoFlowViolations"])
+        text = data.decode("utf-8")
+        config = ScenarioConfig.from_dict(
+            json.loads(text.partition("\n")[0])["config"])
+        runner = ScenarioRunner(config)
+        # A run with k submitTask calls made k - 1 resubmits, and the replay
+        # may make no more: a forged max_resubmits cannot keep it running.
+        # Counting a line too many only loosens the bound.
+        runner.requestor.resubmits_left = min(
+            config.max_resubmits,
+            max(text.count('"function":"submitTask"') - 1, 0))
+        outcome = runner.run()
     except (ValueError, RecursionError, KeyError, TypeError,
-            AttributeError) as exc:
-        # Not JSON lines (or nested too deep to parse), a record that is no
-        # object, or a missing field.
+            ConfigInvalid) as exc:
+        # Not UTF-8 or not JSON (or nested too deep to parse), a first line
+        # without a config object, or a config the simulator refuses.
         print(f"malformed trace: {exc!r}", file=sys.stderr)
         return 1
-    obj = dict(outcome_rec)
-    obj.pop("type", None)
+    replay = runner.trace.to_jsonl().encode()
+    if data != replay:
+        print(f"trace mismatch: line {_first_difference(data, replay)} "
+              f"differs from the replay", file=sys.stderr)
+    ok = data == replay and not outcome.infoflow_violations
+    obj = outcome.to_json_obj()
     obj["reconstructionOk"] = ok
     print(_json(obj) if args.format == "json" else _kv_table(obj))
     return 0 if ok else 1

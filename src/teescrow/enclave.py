@@ -260,8 +260,6 @@ class EnclaveHost:
         )
         instance.label_prefix = label_prefix or instance.principal
         instance.state = EnclaveState.PROVISIONED
-        for label in ("secret", "inputs", "enc-key"):
-            self.flow.grant(f"{instance.label_prefix}:{label}", instance.principal)
 
     def execute(self, instance: EnclaveInstance) -> tuple[ProtectedResult, bytes]:
         """Run the measured body; release (protected result, clear secret).
@@ -285,7 +283,6 @@ class EnclaveHost:
         instance.state = EnclaveState.EXECUTED
         self.flow.mark(f"{instance.label_prefix}:executed")
         self.flow.grant(f"{instance.label_prefix}:secret", NODE_HOST)
-        self.flow.grant(f"{instance.label_prefix}:result", instance.principal)
         return protected, data.secret
 
     def destroy(self, instance: EnclaveInstance) -> None:

@@ -254,16 +254,6 @@ class Trace:
         return hashlib.sha256(self.to_jsonl().encode()).hexdigest()[:16]
 
 
-def load_trace(path: str) -> list[dict]:
-    records = []
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
-
-
 # ----------------------------------------------------------------------
 # outcome
 
@@ -321,7 +311,7 @@ class ScenarioRunner:
         name = config.function_name
         self.requestor = RequestorActor(
             config, random.Random(f"{config.rng_seed}:requestor"),
-            self.flow, {name: self.store.measurement_of(name)},
+            {name: self.store.measurement_of(name)},
         )
         self.node = ExecutionNodeActor(config)
         self.trace = Trace()
@@ -431,7 +421,6 @@ class ScenarioRunner:
             instance, REQUESTOR, action.secret, action.inputs,
             action.result_keys, label_prefix=f"task{action.task_id}",
         )
-        self.flow.grant(f"task{action.task_id}:inputs", REQUESTOR)
         self.trace.enclave("provision", instance)
         try:
             protected, secret = self.host.execute(instance)

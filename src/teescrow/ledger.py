@@ -76,8 +76,11 @@ DEFAULT_GAS_PRICE_PER_TIER = {
 
 
 def _is_int(value) -> bool:
-    """The rule for every amount and time: an ``int``, never a ``bool``."""
-    return isinstance(value, int) and not isinstance(value, bool)
+    """The rule for every amount and time: exactly an ``int``.  A ``bool``
+    or any other subclass is refused: the trace writers format integers
+    with ``format()``, and a subclass's own ``__format__`` could write a
+    token that is not JSON."""
+    return type(value) is int
 
 
 class LedgerError(Exception):
@@ -278,7 +281,7 @@ class Ledger:
         slot = self._accounts.get(sender)
         if slot is None:
             raise UnknownAccount(sender.hex())
-        if type(value) is not int and not _is_int(value):  # ints skip a call
+        if type(value) is not int:  # _is_int, inlined
             raise TypeError("value must be an integer")
         if value < 0:
             raise ValueError("value must be non-negative")

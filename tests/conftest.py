@@ -11,6 +11,14 @@ from teescrow.ledger import ContractCall, GasSchedule, Ledger, Receipt
 THRESHOLD = 5
 
 
+class FormatsAsSeven(int):
+    """An int whose ``format()``, which the trace writers use, is not a JSON
+    token."""
+
+    def __format__(self, spec):
+        return "seven"
+
+
 def zero_delay_schedule() -> GasSchedule:
     """Schedule whose confirmations are instant, so tests control `now`."""
     return GasSchedule(

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,9 +9,23 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, note, settings
+from hypothesis import strategies as st
+from conftest import FormatsAsSeven
+from test_golden_traces import RUNNER_SETUPS, golden_configs
 
 import teescrow
+from teescrow import actors
 from teescrow.cli import EXIT_CLOSED_STDOUT, main
+from teescrow.config import (
+    NODE_STRATEGIES,
+    REQUESTOR_STRATEGIES,
+    ConfigInvalid,
+    ScenarioConfig,
+)
+from teescrow.enclave import BUILTIN_BODIES
+from teescrow.harness import ScenarioRunner
+from teescrow.ledger import DEFAULT_GAS_PER_FUNCTION, TIERS
 
 UNIT = 10**18
 
@@ -83,6 +99,16 @@ def test_scenario_export_and_inspect_roundtrip(capsys, tmp_path, config_file):
     obj = json.loads(out)
     assert obj["reconstructionOk"] is True
     assert obj["requestorPayoff"] == -15
+
+
+def test_export_writes_the_trace_bytes(capsys, tmp_path, config_file):
+    # No newline translation: the file is the trace, on every OS.
+    trace_file = tmp_path / "trace.jsonl"
+    run_cli(capsys, "scenario", "--config", config_file,
+            "--export-trace", str(trace_file))
+    runner = ScenarioRunner(ScenarioConfig(**SMALL))
+    runner.run()
+    assert trace_file.read_bytes() == runner.trace.to_jsonl().encode()
 
 
 def test_inspect_rejects_edited_trace(capsys, tmp_path, config_file):
@@ -358,7 +384,9 @@ def test_inspect_record_missing_field_exits_1(capsys, tmp_path, config_file):
     trace_file.write_text("".join(json.dumps(r) + "\n" for r in records))
     code, _, err = run_cli(capsys, "inspect", "--trace", str(trace_file))
     assert code == 1
-    assert "malformed trace: KeyError('nodeBalanceDelta')" in err
+    # json.dumps puts a space after each separator, so the first line
+    # already differs from the replay's.
+    assert err == "trace mismatch: line 1 differs from the replay\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -380,3 +408,270 @@ def test_closed_stdout_exits_quietly(argv):
     assert "Traceback" not in err
     assert "Exception ignored" not in err
     assert code == EXIT_CLOSED_STDOUT
+
+
+# ----------------------------------------------------------------------
+# inspect replays the recorded config and compares bytes
+
+
+def _canonical(record) -> str:
+    return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _trace_lines(**overrides) -> list[str]:
+    runner = ScenarioRunner(ScenarioConfig(**dict(SMALL, **overrides)))
+    runner.run()
+    return runner.trace.to_jsonl().splitlines(keepends=True)
+
+
+def _inspect_bytes(path: Path, data: bytes) -> tuple[int, str, str]:
+    """``inspect`` on a file holding ``data``: (exit code, stdout, stderr)."""
+    path.write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["inspect", "--trace", str(path), "--format", "json"])
+    return code, out.getvalue(), err.getvalue()
+
+
+def _rename_confirm_zero_trace_id(lines):
+    *body, outcome = lines
+    record = json.loads(outcome)
+    record["traceId"] = "0" * 16
+    return [line.replace('"function":"finalizeRequestor"',
+                         '"function":"timeout"') for line in body
+            ] + [_canonical(record)]
+
+
+def _drop_events_and_contract_state(lines):
+    return [line for line in lines
+            if json.loads(line)["type"] not in ("event", "contract_state")]
+
+
+def _underpay(lines):
+    record = json.loads(lines[0])
+    record["config"]["payment"] = 1
+    return [_canonical(record)] + lines[1:]
+
+
+@pytest.mark.parametrize("forge", [
+    _rename_confirm_zero_trace_id, _drop_events_and_contract_state, _underpay,
+], ids=["confirm-renamed-timeout", "no-events-no-state", "payment-1"])
+def test_inspect_rejects_forged_honest_trace(tmp_path, forge):
+    lines = _trace_lines()
+    assert _inspect_bytes(tmp_path / "t", "".join(lines).encode())[0] == 0
+    code, out, err = _inspect_bytes(tmp_path / "t",
+                                    "".join(forge(lines)).encode())
+    assert code == 1
+    assert json.loads(out)["reconstructionOk"] is False
+    assert err.startswith("trace mismatch: line ")
+
+
+def _bump(record, path):
+    *keys, last = path
+    for key in keys:
+        record = record[key]
+    record[last] += 1
+
+
+#: Per record type, the path of one integer field to edit.
+_EDITS = {
+    "scenario": ("config", "expires"),
+    "call": ("blockHeight",),
+    "event": ("payload", "payment"),
+    "enclave": ("instanceId",),
+    "message": ("taskId",),
+    "clock": ("now",),
+    "contract_state": ("state", "threshold"),
+    "outcome": ("requestorPayoff",),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_EDITS))
+def test_inspect_rejects_one_edited_field(tmp_path, kind):
+    # A no-confirm requestor facing an honest node writes every record type.
+    lines = _trace_lines(requestor_strategy="no-confirm")
+    number, record = next((n, json.loads(line))
+                          for n, line in enumerate(lines, 1)
+                          if json.loads(line)["type"] == kind)
+    _bump(record, _EDITS[kind])
+    lines[number - 1] = _canonical(record)
+    code, _, err = _inspect_bytes(tmp_path / "t", "".join(lines).encode())
+    assert code == 1
+    # An edited config replays to other bytes further on.
+    if kind != "scenario":
+        assert err == f"trace mismatch: line {number} differs from the replay\n"
+
+
+@pytest.mark.parametrize("edit, line", [
+    (lambda lines: lines[:5] + lines[6:], 6),
+    (lambda lines: lines[:6] + lines[5:], 7),
+    (lambda lines: lines[:4] + [lines[5], lines[4]] + lines[6:], 5),
+    (lambda lines: lines[:-1], 16),
+    (lambda lines: [line.replace("\n", "\r\n") for line in lines], 1),
+], ids=["dropped", "duplicated", "reordered", "truncated", "crlf"])
+def test_inspect_rejects_moved_lines(tmp_path, edit, line):
+    lines = _trace_lines(requestor_strategy="no-confirm")
+    assert len(set(lines)) == len(lines) == 16
+    code, _, err = _inspect_bytes(tmp_path / "t",
+                                  "".join(edit(lines)).encode())
+    assert code == 1
+    assert err == f"trace mismatch: line {line} differs from the replay\n"
+
+
+#: The golden runs a config file can make; the rest need a runner hook.
+_FILE_CONFIGS = {name: config for name, config in golden_configs().items()
+                 if name not in RUNNER_SETUPS}
+
+
+@pytest.mark.parametrize("name", sorted(_FILE_CONFIGS))
+def test_inspect_accepts_every_exported_golden_run(capsys, tmp_path, name):
+    config_file = tmp_path / "config.json"
+    config_file.write_text(json.dumps(_FILE_CONFIGS[name].to_json_obj()))
+    trace_file = tmp_path / "trace.jsonl"
+    assert run_cli(capsys, "scenario", "--config", str(config_file),
+                   "--export-trace", str(trace_file))[0] == 0
+    code, out, err = run_cli(capsys, "inspect", "--trace", str(trace_file),
+                             "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["reconstructionOk"] is True
+
+
+@pytest.mark.parametrize("name", sorted(RUNNER_SETUPS))
+def test_inspect_rejects_a_run_its_config_does_not_make(tmp_path, name):
+    runner = ScenarioRunner(golden_configs()[name])
+    RUNNER_SETUPS[name](runner)
+    runner.run()
+    code, _, err = _inspect_bytes(tmp_path / "t",
+                                  runner.trace.to_jsonl().encode())
+    assert code == 1
+    assert err.startswith("trace mismatch: line ")
+
+
+def _first_line(config) -> bytes:
+    return _canonical({"config": config, "type": "scenario"}).encode()
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"", "JSONDecodeError"),
+    (b"\xff\n", "UnicodeDecodeError"),
+    (_first_line([1]), "a config must be a JSON object"),
+    (_first_line(dict(SMALL, fee=1)), "unknown config keys: ['fee']"),
+    (_first_line(dict(SMALL, threshold=0)), "threshold must be positive"),
+    (_first_line(dict(SMALL, payment="10")), "payment must be an integer"),
+    (b'{"type":"scenario"}\n', "KeyError('config')"),
+    # Locks 1.6 * 10^4300 in the contract: more digits than Python
+    # writes as a string.
+    (_first_line(dict(SMALL, node_strategy="claim-only",
+                      initial_balance=int("9" * 4300),
+                      threshold=6 * 10**4299, node_deposit=int("9" * 4300))),
+     "Exceeds the limit"),
+], ids=["empty", "not-utf-8", "config-not-an-object", "unknown-key",
+        "refused-by-validate", "string-amount", "no-config",
+        "unwritable-amount"])
+def test_inspect_hostile_trace_exits_1(tmp_path, data, message):
+    code, out, err = _inspect_bytes(tmp_path / "t", data)
+    assert (code, out) == (1, "")
+    assert err.startswith("malformed trace: ")
+    assert message in err
+
+
+def test_inspect_replays_no_more_tasks_than_the_file_submits(tmp_path,
+                                                             monkeypatch):
+    lines = _trace_lines(requestor_strategy="withhold-input", max_resubmits=3)
+    record = json.loads(lines[0])
+    record["config"].update(max_resubmits=10**12, initial_balance=10**40)
+    submitted = []
+    submit = actors.RequestorActor._submit_action
+
+    def counted(requestor):
+        submitted.append(None)
+        assert len(submitted) <= 4, "the replay outran the file"
+        return submit(requestor)
+
+    monkeypatch.setattr(actors.RequestorActor, "_submit_action", counted)
+    code, _, err = _inspect_bytes(tmp_path / "t", "".join(
+        [_canonical(record)] + lines[1:]).encode())
+    assert code == 1
+    assert len(submitted) == 4
+    # Only the outcome's traceId (a hash over the first line) differs.
+    assert err == f"trace mismatch: line {len(lines)} differs from the replay\n"
+
+
+# ----------------------------------------------------------------------
+# every config the simulator accepts writes a trace inspect accepts
+
+
+_INT_FIELDS = ("value_of_result", "payment", "compute_cost", "threshold",
+               "requestor_deposit", "node_deposit", "expires", "rng_seed",
+               "execution_delay", "initial_balance", "max_resubmits")
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(), inner, max_size=3)),
+    max_leaves=8)
+
+
+@st.composite
+def _config_fields(draw):
+    """Every field, drawn so that most configs pass ``validate()``."""
+    threshold = draw(st.integers(1, 20))
+    fields = dict(
+        requestor_strategy=draw(st.sampled_from(REQUESTOR_STRATEGIES)),
+        node_strategy=draw(st.sampled_from(NODE_STRATEGIES)),
+        value_of_result=draw(st.integers(0, 40)),
+        payment=draw(st.integers(0, 40)),
+        compute_cost=draw(st.integers(0, 40)),
+        threshold=threshold,
+        requestor_deposit=draw(st.sampled_from([-1, threshold])),
+        node_deposit=draw(st.just(-1) | st.integers(threshold, 3 * threshold)),
+        expires=draw(st.integers(1, 10**6)),
+        tier=draw(st.sampled_from(TIERS)),
+        rng_seed=draw(st.integers()),
+        execution_delay=draw(st.integers(0, 10**4)),
+        gas_charging=draw(st.booleans()),
+        include_gas_in_payoffs=draw(st.booleans()),
+        deliver_to_third_party=draw(st.booleans()),
+        function_name=draw(st.sampled_from(sorted(BUILTIN_BODIES))),
+        inputs=draw(_JSON_VALUES),
+        # Gas at the default prices needs about 10^16 per party.
+        initial_balance=draw(st.integers(10**16, 10**22)
+                             | st.integers(0, 200)),
+        max_resubmits=draw(st.integers(0, 3)),
+        gas_per_function=draw(st.dictionaries(
+            st.sampled_from(sorted(DEFAULT_GAS_PER_FUNCTION)),
+            st.integers(1, 10**6), max_size=2)),
+        gas_price_per_tier=draw(st.dictionaries(
+            st.sampled_from(TIERS), st.integers(1, 10**12), max_size=2)),
+        confirmation_delay_per_tier=draw(st.dictionaries(
+            st.sampled_from(TIERS), st.integers(0, 10**3), max_size=2)),
+    )
+    # In one draw of four, one integer field or override map subclassed.
+    if draw(st.sampled_from([False, False, False, True])):
+        wrapped = draw(st.sampled_from(
+            _INT_FIELDS + ("gas_per_function", "gas_price_per_tier",
+                           "confirmation_delay_per_tier")))
+        value = fields[wrapped]
+        fields[wrapped] = (
+            FormatsAsSeven(value) if wrapped in _INT_FIELDS
+            else {key: FormatsAsSeven(v) for key, v in value.items()})
+    return fields
+
+
+@settings(max_examples=150, deadline=None)
+@given(fields=_config_fields())
+def test_every_accepted_config_writes_a_trace_inspect_accepts(
+        tmp_path_factory, fields):
+    try:
+        runner = ScenarioRunner(ScenarioConfig(**fields))
+    except ConfigInvalid as exc:
+        note(f"refused: {exc}")
+        return
+    runner.run()
+    data = runner.trace.to_jsonl()
+    for line in data.splitlines(keepends=True):
+        assert _canonical(json.loads(line)) == line
+    path = tmp_path_factory.mktemp("trace") / "trace.jsonl"
+    code, out, err = _inspect_bytes(path, data.encode())
+    assert (code, err) == (0, ""), err
+    assert json.loads(out)["reconstructionOk"] is True

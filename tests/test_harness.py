@@ -9,7 +9,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import run_claim_race
+from conftest import FormatsAsSeven, run_claim_race
 from test_golden_traces import RUNNER_SETUPS, golden_configs
 
 from teescrow import config as config_module
@@ -590,8 +590,10 @@ def test_config_validation_errors():
     ("gas_price_per_tier", {"slow": 1.5}),
     # -1.0 == -1: checked before -1 derives the deposit from the threshold.
     ("node_deposit", -1.0),
+    # Accepted, it wrote "execution_delay":seven into the trace.
+    ("execution_delay", FormatsAsSeven(7)),
 ], ids=["string-amount", "float-seconds", "int-flag", "nan-gas",
-        "inf-delay", "float-price", "float-derive-deposit"])
+        "inf-delay", "float-price", "float-derive-deposit", "int-subclass"])
 def test_wrong_typed_field_is_invalid_however_built(build, name, value):
     with pytest.raises(ConfigInvalid, match=f"^{name} must be "):
         build(**{name: value})

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import enum
 import hashlib
 
 import pytest
@@ -419,11 +420,13 @@ _RAISING_CALLS = {
     # The handler refunds the attached value before the secret fails to hash.
     "refund-then-raise": ("node", "finalizeExecutionNode", 7, {
         "task_id": 0, "secret": None}, TypeError),
-    # A float or bool task id equals, and hashes like, an int one: each
-    # would otherwise reach task 0 or 1 and be echoed into the trace.
+    # A float, bool or other int-subclass task id equals, and hashes like,
+    # an int one: each would otherwise reach task 0 or 1 and be echoed into
+    # the trace.
     **{f"{kind}-task-id/{function}": (sender, function, value, {
         "task_id": task_id, **extra}, TypeError)
-       for kind, task_id in (("float", 0.0), ("bool", False))
+       for kind, task_id in (("float", 0.0), ("bool", False),
+                             ("int-enum", enum.IntEnum("Z", {"ZERO": 0}).ZERO))
        for sender, function, value, extra in (
            ("fresh", "claimTask", THRESHOLD, {}),
            ("node", "finalizeExecutionNode", 7,
@@ -459,8 +462,8 @@ def test_raising_call_leaves_no_trace(case, gas_charging):
 
 
 #: Amounts and times that are not a plain integer: a float, a whole float,
-#: a bool (an int subclass) and a string.
-_NOT_INTS = [5.5, 5.0, True, "5"]
+#: a bool and an IntEnum member (int subclasses) and a string.
+_NOT_INTS = [5.5, 5.0, True, enum.IntEnum("Five", {"FIVE": 5}).FIVE, "5"]
 
 
 @pytest.mark.parametrize("amount", _NOT_INTS, ids=repr)
