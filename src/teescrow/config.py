@@ -71,14 +71,38 @@ def load_json_file(path: str, what: str):
             raise ConfigInvalid(f"{what} is not valid JSON: {exc}") from exc
 
 
+#: No config integer reaches 2**256 in magnitude, the width of the
+#: contract's uint amounts.  Every amount a run or a gas report derives is
+#: then a sum or product of a few such integers: it stays far below the
+#: 4,300 digits Python converts to a string, and a bill in ether stays a
+#: finite float.
+INT_LIMIT = 2**256
+
+
+def _is_config_int(value) -> bool:
+    return _is_int(value) and -INT_LIMIT < value < INT_LIMIT
+
+
+def _shown(value) -> str:
+    """``repr(value)``, with an integer past the bound named by its width:
+    its digits could fill a screen, or be more than ``repr`` writes."""
+    if _is_int(value) and not _is_config_int(value):
+        return f"a {value.bit_length()}-bit integer"
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{key!r}: {_shown(item)}"
+                               for key, item in value.items()) + "}"
+    return repr(value)
+
+
 # Field annotation -> (check, description), applied to every config however
 # it is built.  ``inputs`` is annotated ``object``; ``validate()`` checks it.
 _TYPE_CHECKS = {
-    "int": (_is_int, "an integer"),
+    "int": (_is_config_int, "an integer below 2**256 in magnitude"),
     "bool": (lambda v: isinstance(v, bool), "true or false"),
     "str": (lambda v: isinstance(v, str), "a string"),
-    "dict": (lambda v: isinstance(v, dict) and all(map(_is_int, v.values())),
-             "an object of integers"),
+    "dict": (lambda v: (isinstance(v, dict)
+                        and all(map(_is_config_int, v.values()))),
+             "an object of integers below 2**256 in magnitude"),
 }
 
 
@@ -112,7 +136,8 @@ class ScenarioConfig:
         for name, check, expected in _TYPED_FIELDS:
             value = getattr(self, name)
             if not check(value):
-                raise ConfigInvalid(f"{name} must be {expected}, got {value!r}")
+                raise ConfigInvalid(
+                    f"{name} must be {expected}, got {_shown(value)}")
         if self.requestor_deposit == -1:
             object.__setattr__(self, "requestor_deposit", self.threshold)
         if self.node_deposit == -1:

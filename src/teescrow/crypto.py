@@ -3,7 +3,11 @@
 SHA-256 is the real thing: the contract's preimage check and its test
 vectors depend on it.  Result protection is real authenticated encryption
 (AES-256-GCM) plus a detached Ed25519 signature so that third parties can
-check integrity without holding the decryption key.
+check integrity without holding the decryption key.  The escrow needs only
+SHA-256, so the ``cryptography`` backend of the result channel loads on the
+first result a process protects, opens or verifies (``_backend``): a claim
+race, a ``claim-only`` or ``withhold-input`` run and ``teescrow gas`` never
+load it.
 
 Everything is deterministic given a seeded ``random.Random``: key and nonce
 material comes from the caller's RNG, and Ed25519 signing is deterministic
@@ -22,14 +26,14 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
-from cryptography.exceptions import InvalidSignature, InvalidTag
-from cryptography.hazmat.primitives.asymmetric.ed25519 import (
-    Ed25519PrivateKey,
-    Ed25519PublicKey,
-)
-from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+if TYPE_CHECKING:
+    from cryptography.hazmat.primitives.asymmetric.ed25519 import (
+        Ed25519PrivateKey,
+    )
 
 SECRET_LENGTH = 32
 DIGEST_LENGTH = 32
@@ -52,6 +56,23 @@ class WrongKey(CryptoError):
 
 class TamperDetected(CryptoError):
     """Ciphertext, tag or signature fails verification."""
+
+
+@cache
+def _backend() -> SimpleNamespace:
+    """The ``cryptography`` names the result channel uses, imported on the
+    first call and kept (see the module docstring)."""
+    from cryptography.exceptions import InvalidSignature, InvalidTag
+    from cryptography.hazmat.primitives.asymmetric.ed25519 import (
+        Ed25519PrivateKey,
+        Ed25519PublicKey,
+    )
+    from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+
+    return SimpleNamespace(
+        AESGCM=AESGCM, Ed25519PrivateKey=Ed25519PrivateKey,
+        Ed25519PublicKey=Ed25519PublicKey,
+        InvalidSignature=InvalidSignature, InvalidTag=InvalidTag)
 
 
 def sha256_digest(data: bytes) -> bytes:
@@ -87,7 +108,8 @@ class ResultKeyPair:
 
     @cached_property
     def _private_key(self) -> Ed25519PrivateKey:
-        return Ed25519PrivateKey.from_private_bytes(self.signing_key_seed)
+        return _backend().Ed25519PrivateKey.from_private_bytes(
+            self.signing_key_seed)
 
     @cached_property
     def verify_key(self) -> bytes:
@@ -136,7 +158,7 @@ def _encrypt_and_sign(plaintext: bytes, keys: ResultKeyPair,
     ``keys`` is a frozen dataclass, hashed and compared on its two byte
     fields, so equal key material from different runs shares an entry.
     """
-    ciphertext = AESGCM(keys.encryption_key).encrypt(
+    ciphertext = _backend().AESGCM(keys.encryption_key).encrypt(
         nonce, plaintext, keys.key_id.encode()
     )
     signature = keys.signing_key().sign(nonce + ciphertext)
@@ -148,12 +170,13 @@ def _encrypt_and_sign(plaintext: bytes, keys: ResultKeyPair,
 
 def verify_result_signature(protected: ProtectedResult, verify_key: bytes) -> bool:
     """Integrity check available to anyone holding the public verify key."""
+    backend = _backend()
     try:
-        Ed25519PublicKey.from_public_bytes(verify_key).verify(
+        backend.Ed25519PublicKey.from_public_bytes(verify_key).verify(
             protected.signature, protected.nonce + protected.ciphertext
         )
         return True
-    except InvalidSignature:
+    except backend.InvalidSignature:
         return False
 
 
@@ -164,11 +187,12 @@ def open_result(protected: ProtectedResult, keys: ResultKeyPair) -> bytes:
         )
     if not verify_result_signature(protected, keys.verify_key):
         raise TamperDetected("signature check failed")
+    backend = _backend()
     try:
-        return AESGCM(keys.encryption_key).decrypt(
+        return backend.AESGCM(keys.encryption_key).decrypt(
             protected.nonce, protected.ciphertext, protected.key_id.encode()
         )
-    except InvalidTag:
+    except backend.InvalidTag:
         raise TamperDetected("authentication tag check failed") from None
 
 

@@ -25,10 +25,6 @@ REQUESTOR = "requestor"
 NODE_HOST = "node-host"
 
 
-def enclave_principal(instance_id: int) -> str:
-    return f"enclave:{instance_id}"
-
-
 class EnclaveError(Exception):
     pass
 
@@ -191,10 +187,6 @@ class EnclaveInstance:
     provisioned: Provisioned | None = None
     label_prefix: str = ""  # namespace for info-flow labels, set at provision
 
-    @property
-    def principal(self) -> str:
-        return enclave_principal(self.instance_id)
-
 
 class EnclaveHost:
     """The untrusted host process managing enclave instances on one node.
@@ -250,7 +242,7 @@ class EnclaveHost:
     def provision(self, instance: EnclaveInstance, requestor: str,
                   secret: bytes, inputs: object,
                   result_keys: ResultKeyPair,
-                  label_prefix: str | None = None) -> None:
+                  label_prefix: str) -> None:
         if instance.state is not EnclaveState.ATTESTED:
             raise NotAttested(f"provision in state {instance.state.value}")
         if requestor != instance.channel_requestor:
@@ -258,7 +250,7 @@ class EnclaveHost:
         instance.provisioned = Provisioned(
             secret=secret, inputs=inputs, result_keys=result_keys
         )
-        instance.label_prefix = label_prefix or instance.principal
+        instance.label_prefix = label_prefix
         instance.state = EnclaveState.PROVISIONED
 
     def execute(self, instance: EnclaveInstance) -> tuple[ProtectedResult, bytes]:

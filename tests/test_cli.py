@@ -18,6 +18,7 @@ import teescrow
 from teescrow import actors
 from teescrow.cli import EXIT_CLOSED_STDOUT, main
 from teescrow.config import (
+    INT_LIMIT,
     NODE_STRATEGIES,
     REQUESTOR_STRATEGIES,
     ConfigInvalid,
@@ -266,6 +267,57 @@ def test_override_map_unknown_key_exits_2(capsys, tmp_path, override,
         assert code == 2
         assert message in err
         assert out == ""
+
+
+#: Amounts that each pass ``validate()``'s rules, but a claim-only run of
+#: them would lock about 1.6 * 10^4300 in the contract: more digits than
+#: Python writes as a string.
+_UNWRITABLE = dict(SMALL, node_strategy="claim-only",
+                   initial_balance=int("9" * 4300), threshold=6 * 10**4299,
+                   node_deposit=int("9" * 4300))
+
+
+@pytest.mark.parametrize("config, argv", [
+    (_UNWRITABLE, ["scenario"]),
+    (_UNWRITABLE, ["payoffs"]),
+    # Its per-task bill in ether does not fit a float.
+    ({"gas_price_per_tier": {"slow": int("9" * 331)}},
+     ["gas", "--tier", "slow", "--format", "json"]),
+], ids=["scenario", "payoffs", "gas"])
+def test_amount_too_wide_exits_2(capsys, tmp_path, config, argv):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, *argv, "--config", str(bad))
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: ")
+    assert err.count("\n") == 1
+    assert "below 2**256 in magnitude" in err
+
+
+@pytest.mark.parametrize("field", ["payment", "rng_seed", "gas_price_per_tier"])
+def test_config_integers_stop_at_2_to_the_256(field):
+    def config(value):
+        if field == "gas_price_per_tier":
+            value = {"slow": value}
+        return ScenarioConfig(**{field: value})
+
+    config(2**256 - 1)
+    config(-(2**256) + 1)
+    for value in (2**256, -(2**256), 10**5000):
+        with pytest.raises(ConfigInvalid, match="below 2\\*\\*256"):
+            config(value)
+
+
+def test_gas_report_at_the_widest_amounts(capsys, tmp_path):
+    widest = 2**256 - 1
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({
+        "gas_price_per_tier": {"slow": widest},
+        "gas_per_function": dict.fromkeys(DEFAULT_GAS_PER_FUNCTION, widest)}))
+    code, out, _ = run_cli(capsys, "gas", "--tier", "slow", "--format",
+                           "json", "--config", str(path))
+    assert code == 0
+    assert json.loads(out)["totalPerTaskCostEther"] < float("inf")
 
 
 @pytest.mark.parametrize("config, argv, message", [
@@ -559,12 +611,7 @@ def _first_line(config) -> bytes:
     (_first_line(dict(SMALL, threshold=0)), "threshold must be positive"),
     (_first_line(dict(SMALL, payment="10")), "payment must be an integer"),
     (b'{"type":"scenario"}\n', "KeyError('config')"),
-    # Locks 1.6 * 10^4300 in the contract: more digits than Python
-    # writes as a string.
-    (_first_line(dict(SMALL, node_strategy="claim-only",
-                      initial_balance=int("9" * 4300),
-                      threshold=6 * 10**4299, node_deposit=int("9" * 4300))),
-     "Exceeds the limit"),
+    (_first_line(_UNWRITABLE), "below 2**256 in magnitude"),
 ], ids=["empty", "not-utf-8", "config-not-an-object", "unknown-key",
         "refused-by-validate", "string-amount", "no-config",
         "unwritable-amount"])
@@ -604,6 +651,8 @@ def test_inspect_replays_no_more_tasks_than_the_file_submits(tmp_path,
 _INT_FIELDS = ("value_of_result", "payment", "compute_cost", "threshold",
                "requestor_deposit", "node_deposit", "expires", "rng_seed",
                "execution_delay", "initial_balance", "max_resubmits")
+_AMOUNT_FIELDS = ("value_of_result", "payment", "compute_cost", "threshold",
+                  "requestor_deposit", "node_deposit", "initial_balance")
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers()
     | st.floats(allow_nan=False, allow_infinity=False) | st.text(),
@@ -646,6 +695,17 @@ def _config_fields(draw):
         confirmation_delay_per_tier=draw(st.dictionaries(
             st.sampled_from(TIERS), st.integers(0, 10**3), max_size=2)),
     )
+    # In one draw of four, every amount scaled up to at most the config
+    # integer bound, so a run derives amounts as wide as a config allows.
+    if draw(st.sampled_from([False, False, False, True])):
+        prices = fields["gas_price_per_tier"]
+        amounts = [name for name in _AMOUNT_FIELDS if fields[name] != -1]
+        widest = max([fields[name] for name in amounts] + list(prices.values()))
+        limit = (INT_LIMIT - 1) // widest
+        factor = draw(st.integers(1, limit) | st.just(limit))
+        fields.update((name, fields[name] * factor) for name in amounts)
+        fields["gas_price_per_tier"] = {
+            tier: price * factor for tier, price in prices.items()}
     # In one draw of four, one integer field or override map subclassed.
     if draw(st.sampled_from([False, False, False, True])):
         wrapped = draw(st.sampled_from(

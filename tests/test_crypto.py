@@ -1,12 +1,18 @@
 from __future__ import annotations
 
 import hashlib
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_golden_traces import GOLDEN_TRACE_IDS
 
 from teescrow import crypto
 from teescrow.config import ScenarioConfig
@@ -202,3 +208,112 @@ def test_matrix_cells_share_one_protected_result(monkeypatch):
     payoff_matrix(ScenarioConfig())
     assert len(protected) == 4
     assert len(set(protected)) == 1
+
+
+# ----------------------------------------------------------------------
+# which runs load the ``cryptography`` backend
+#
+# Each check runs in a fresh interpreter: this module imports the backend
+# itself, so in the test process it is always loaded.
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+_NO_RESULT_CHANNEL = """
+import contextlib, io, json, sys
+import teescrow
+from teescrow import cli
+from teescrow.config import ScenarioConfig
+from teescrow.contract import EscrowContract
+from teescrow.harness import ScenarioRunner
+from teescrow.ledger import ContractCall, Ledger
+
+loaded = {"import teescrow": "cryptography" in sys.modules}
+ledger = Ledger()
+EscrowContract(ledger, 5)
+requestor = ledger.create_account(10**6)
+ledger.submit_transaction(requestor, ContractCall("submitTask", {
+    "function_name": "identity", "hash_lock": bytes(32), "expires": 100}),
+    15, "standard")
+accepted = [ledger.submit_transaction(
+    ledger.create_account(10**6), ContractCall("claimTask", {"task_id": 0}),
+    5, "standard").outcome.accepted for _ in range(50)]
+assert accepted == [True] + [False] * 49, accepted
+loaded["claim race"] = "cryptography" in sys.modules
+for requestor, node, resubmits in (("withhold-input", "honest", 3),
+                                   ("honest", "claim-only", 0)):
+    outcome = ScenarioRunner(ScenarioConfig(
+        requestor_strategy=requestor, node_strategy=node,
+        max_resubmits=resubmits)).run()
+    assert not outcome.received_valid_result
+    loaded[f"{requestor}/{node}"] = "cryptography" in sys.modules
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["gas", "--tier", "slow"]) == 0
+loaded["teescrow gas"] = "cryptography" in sys.modules
+print(json.dumps(loaded))
+"""
+
+_FIRST_CALL_OPENS = """
+import json, sys
+from teescrow import crypto
+
+keys_hex, blob_hex = json.loads(sys.argv[1])
+keys = crypto.ResultKeyPair(*map(bytes.fromhex, keys_hex))
+nonce, ciphertext, signature, key_id = blob_hex
+blob = crypto.ProtectedResult(bytes.fromhex(nonce), bytes.fromhex(ciphertext),
+                              bytes.fromhex(signature), key_id)
+assert "cryptography" not in sys.modules
+try:
+    crypto.open_result(blob, keys)
+    opened = "opened"
+except crypto.TamperDetected as exc:
+    opened = str(exc)
+forged = crypto.ProtectedResult(blob.nonce, blob.ciphertext,
+                                bytes(64), blob.key_id)
+print(json.dumps([opened, crypto.verify_result_signature(
+    forged, keys.verify_key)]))
+"""
+
+_HONEST_RUN = """
+import json, sys
+from teescrow.config import ScenarioConfig
+from teescrow.harness import ScenarioRunner
+
+outcome = ScenarioRunner(ScenarioConfig()).run()
+print(json.dumps([outcome.trace_id, "cryptography" in sys.modules]))
+"""
+
+
+def _fresh(script, *args):
+    """The JSON value a script prints, run in a new interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, check=False)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def test_runs_without_a_result_never_load_the_backend():
+    loaded = _fresh(_NO_RESULT_CHANNEL)
+    assert loaded == dict.fromkeys(
+        ["import teescrow", "claim race", "withhold-input/honest",
+         "honest/claim-only", "teescrow gas"], False)
+
+
+def test_first_call_into_the_backend_catches_its_own_exceptions():
+    k = keys()
+    protected = crypto.protect_result(b"payload", k, random.Random(1))
+    # Re-signed, so the signature passes and only the AEAD tag fails.
+    ciphertext = (bytes([protected.ciphertext[0] ^ 1])
+                  + protected.ciphertext[1:])
+    signature = k.signing_key().sign(protected.nonce + ciphertext)
+    arg = json.dumps([
+        [k.encryption_key.hex(), k.signing_key_seed.hex()],
+        [protected.nonce.hex(), ciphertext.hex(), signature.hex(),
+         protected.key_id]])
+    assert _fresh(_FIRST_CALL_OPENS, arg) == [
+        "authentication tag check failed", False]
+
+
+def test_honest_run_loads_the_backend_and_keeps_its_trace():
+    assert _fresh(_HONEST_RUN) == [
+        GOLDEN_TRACE_IDS["honest/honest/standard"], True]

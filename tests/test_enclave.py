@@ -136,14 +136,16 @@ def test_provision_before_attest(host):
     instance = host.instantiate("identity")
     secret, inputs, keys = provisioning_material()
     with pytest.raises(NotAttested):
-        host.provision(instance, REQUESTOR, secret, inputs, keys)
+        host.provision(instance, REQUESTOR, secret, inputs, keys,
+                       label_prefix="task0")
 
 
 def test_provision_wrong_principal(host):
     instance = attested(host)
     secret, inputs, keys = provisioning_material()
     with pytest.raises(WrongPrincipal):
-        host.provision(instance, "somebody-else", secret, inputs, keys)
+        host.provision(instance, "somebody-else", secret, inputs, keys,
+                       label_prefix="task0")
 
 
 def test_provisioned_values_hidden_from_host(host):
@@ -197,7 +199,8 @@ def test_execution_fault_propagates(host):
         instance = failing.instantiate("boom")
         failing.attest(instance, store.measurement_of("boom"), b"n")
         secret, inputs, keys = provisioning_material()
-        failing.provision(instance, REQUESTOR, secret, inputs, keys)
+        failing.provision(instance, REQUESTOR, secret, inputs, keys,
+                          label_prefix="task0")
         with pytest.raises(ExecutionFault):
             failing.execute(instance)
 
@@ -211,7 +214,8 @@ def test_destroy_then_provision_refused(host):
     host.destroy(instance)
     secret, inputs, keys = provisioning_material()
     with pytest.raises(NotAttested):
-        host.provision(instance, REQUESTOR, secret, inputs, keys)
+        host.provision(instance, REQUESTOR, secret, inputs, keys,
+                       label_prefix="task0")
 
 
 def test_destroy_erases_enclave_visibility(host):
@@ -234,8 +238,8 @@ def test_only_forward_sequences_accepted(host):
         host.attest(instance, expected, host.rng.randbytes(16))
     host.execute(instance)
     with pytest.raises(NotAttested):
-        host.provision(instance, REQUESTOR,
-                       *provisioning_material())
+        host.provision(instance, REQUESTOR, *provisioning_material(),
+                       label_prefix="task0")
     with pytest.raises(BadState):
         host.execute(instance)
     host.destroy(instance)
