@@ -78,6 +78,11 @@ def load_json_file(path: str, what: str):
 #: finite float.
 INT_LIMIT = 2**256
 
+#: The most fresh submissions one run may make.  Every resubmit adds a task,
+#: a block and its trace lines, all held until the run ends, so the cap
+#: bounds a run's time and memory; a run at the cap takes about a second.
+MAX_RESUBMITS = 10_000
+
 
 def _is_config_int(value) -> bool:
     return _is_int(value) and -INT_LIMIT < value < INT_LIMIT
@@ -174,6 +179,9 @@ class ScenarioConfig:
             raise ConfigInvalid("execution_delay must be non-negative")
         if self.max_resubmits < 0:
             raise ConfigInvalid("max_resubmits must be non-negative")
+        if self.max_resubmits > MAX_RESUBMITS:
+            raise ConfigInvalid(
+                f"max_resubmits must be at most {MAX_RESUBMITS}")
         self.inputs_json()  # the trace cannot hold every Python value
         # Each of the 1 + max_resubmits tasks can lock both deposits and
         # costs each party the gas of the calls it sends for the task; a

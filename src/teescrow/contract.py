@@ -10,11 +10,12 @@ deposit, and the funds unwind along one of three paths:
   deposit stays locked in the contract forever, record goes dead;
 * nothing: funds stay escrowed.
 
-Refused calls refund their attached value and leave task records untouched.
-A call the contract cannot parse (a missing or unknown argument, a malformed
-hash lock, a task id that is not an integer) raises before any task record
-changes, and the ledger then rolls back the value, gas, block and clock it
-had applied, so every transaction is atomic.
+Only the payable calls take value: ``submitTask`` and ``claimTask`` collect
+what the call attaches on their accepted path, after every check, so a
+refused call changes no balance and no task record.  A call the contract
+cannot parse (a missing or unknown argument, a malformed hash lock, a task
+id that is not an integer) raises before its first state change, and the
+ledger applies nothing of it.
 
 Intentional divergences from the reference pseudo-code, which contains
 evident slips:
@@ -86,6 +87,11 @@ class Task:
     expires: int = 0
     state: TaskState = TaskState.OPEN
 
+    @property
+    def deadline(self) -> int:
+        """The first time a timeout is accepted: exact expiry is too early."""
+        return self.start + self.expires + 1
+
 
 class EscrowContract:
     """Contract state plus the five dispatchable functions."""
@@ -105,9 +111,11 @@ class EscrowContract:
     def dispatch(self, ctx: CallContext, call: ContractCall) -> CallOutcome:
         return self.functions[call.function](self, ctx, **call.args)
 
-    def _refund(self, ctx: CallContext) -> None:
-        if ctx.value:
-            ctx.transfer_from_contract(ctx.sender, ctx.value)
+    def _task(self, task_id: int) -> Task | None:
+        # _is_int, inlined on the claim race's hot path.
+        if type(task_id) is not int:
+            raise TypeError("task_id must be an integer")
+        return self.tasks.get(task_id)
 
     # ------------------------------------------------------------------
 
@@ -120,8 +128,8 @@ class EscrowContract:
         if expires < 0:
             raise ValueError("expires must be non-negative")
         if ctx.value < self.threshold:
-            self._refund(ctx)
             return CallOutcome.refused(RefusalReason.VALUE_BELOW_THRESHOLD)
+        ctx.collect()
         task_id = self.num_tasks
         self.num_tasks += 1
         self.tasks[task_id] = Task(
@@ -144,22 +152,16 @@ class EscrowContract:
         return CallOutcome.ok(task_id)
 
     def _claim_task(self, ctx: CallContext, task_id: int) -> CallOutcome:
-        # _is_int, inlined on the claim race's hot path.
-        if type(task_id) is not int:
-            raise TypeError("task_id must be an integer")
-        task = self.tasks.get(task_id)
+        task = self._task(task_id)
         if task is None:
-            self._refund(ctx)
             return CallOutcome.refused(RefusalReason.NO_SUCH_TASK)
         if task.state is TaskState.TIMED_OUT_DEAD:
-            self._refund(ctx)
             return CallOutcome.refused(RefusalReason.TASK_DEAD)
         if ctx.value < self.threshold:
-            self._refund(ctx)
             return CallOutcome.refused(RefusalReason.VALUE_BELOW_THRESHOLD)
         if task.state is not TaskState.OPEN:
-            self._refund(ctx)
             return CallOutcome.refused(RefusalReason.ALREADY_CLAIMED)
+        ctx.collect()
         task.execution_node = ctx.sender
         task.execution_node_deposit = ctx.value
         task.state = TaskState.CLAIMED
@@ -171,11 +173,8 @@ class EscrowContract:
 
     def _finalize_execution_node(self, ctx: CallContext, task_id: int,
                                  secret: bytes) -> CallOutcome:
-        if not _is_int(task_id):
-            raise TypeError("task_id must be an integer")
-        # Not payable: a mistakenly attached value is always returned.
-        self._refund(ctx)
-        task = self.tasks.get(task_id)
+        # Not payable: a mistakenly attached value is never collected.
+        task = self._task(task_id)
         if task is None or task.execution_node != ctx.sender:
             # A missing record behaves like the zeroed default: nobody is
             # its claimant.  Only a claim fills the slot, so the sender
@@ -196,10 +195,7 @@ class EscrowContract:
         return CallOutcome.ok(task_id)
 
     def _finalize_requestor(self, ctx: CallContext, task_id: int) -> CallOutcome:
-        if not _is_int(task_id):
-            raise TypeError("task_id must be an integer")
-        self._refund(ctx)
-        task = self.tasks.get(task_id)
+        task = self._task(task_id)
         if task is None or task.requestor != ctx.sender:
             return CallOutcome.refused(RefusalReason.NOT_REQUESTOR)
         if task.state is TaskState.TIMED_OUT_DEAD:
@@ -214,17 +210,14 @@ class EscrowContract:
         return CallOutcome.ok(task_id)
 
     def _timeout(self, ctx: CallContext, task_id: int) -> CallOutcome:
-        if not _is_int(task_id):
-            raise TypeError("task_id must be an integer")
-        self._refund(ctx)
-        task = self.tasks.get(task_id)
+        task = self._task(task_id)
         if task is None or task.requestor != ctx.sender:
             return CallOutcome.refused(RefusalReason.NOT_REQUESTOR)
         if task.state is TaskState.TIMED_OUT_DEAD:
             return CallOutcome.refused(RefusalReason.TASK_DEAD)
         if task.state is TaskState.COMPLETED:
             return CallOutcome.refused(RefusalReason.ALREADY_COMPLETED)
-        if not ctx.now > task.start + task.expires:  # strict: exact expiry is too early
+        if ctx.now < task.deadline:
             return CallOutcome.refused(RefusalReason.NOT_EXPIRED)
         task.state = TaskState.TIMED_OUT_DEAD
         ctx.transfer_from_contract(task.requestor, task.payment)

@@ -374,7 +374,7 @@ class ScenarioRunner:
             task = self.contract.tasks.get(task_id)
             if task is None or task.state is TaskState.TIMED_OUT_DEAD:
                 continue
-            deadline = task.start + task.expires + 1
+            deadline = task.deadline
             if self.ledger.now < deadline:
                 self.ledger.advance_time(deadline - self.ledger.now)
                 self.trace.clock(self.ledger.now, f"expiry of task {task_id}")

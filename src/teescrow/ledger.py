@@ -17,11 +17,12 @@ live in one list, one slot per account, and after every transaction
 transaction by design; no running total is kept.  Gas charging is off by
 default; payoff accounting excludes gas either way.
 
-Value moves by slot: past its up-front checks, a transaction takes value
-and gas from the sender's slot and adds the value to the contract's fixed
-slot, and a payout looks up only its recipient.  Every amount and time is an
-``int``, never a ``bool``; anything else raises ``TypeError`` before any
-state changes, so a float cannot round a balance and mint unseen value.
+Value moves by slot: a payable handler that accepts collects the attached
+value from the sender's slot into the contract's fixed slot, a payout looks
+up only its recipient, and the gas comes off the sender's slot once the
+handler has returned.  Every amount and time is an ``int``, never a
+``bool``; anything else raises ``TypeError`` before any state changes, so a
+float cannot round a balance and mint unseen value.
 """
 
 from __future__ import annotations
@@ -169,18 +170,30 @@ class Receipt:
 class CallContext:
     """What a contract handler sees of the transaction being applied.
 
-    Mirrors msg.sender / msg.value / now; transfers out of the contract
-    account (refunds, payouts) go through ``transfer_from_contract``.
+    Mirrors msg.sender / msg.value / block.number / now, with the block
+    and the clock the transaction will have once applied.  ``collect``
+    takes the attached value into escrow; transfers out of the contract
+    account (payouts) go through ``transfer_from_contract``.
     """
 
-    __slots__ = ("_ledger", "sender", "value", "now", "events")
+    __slots__ = ("_ledger", "_slot", "sender", "value", "block_height",
+                 "now", "events")
 
-    def __init__(self, ledger: Ledger, sender: bytes, value: int) -> None:
+    def __init__(self, ledger: Ledger, slot: int, sender: bytes, value: int,
+                 block_height: int, now: int) -> None:
         self._ledger = ledger
+        self._slot = slot
         self.sender = sender
         self.value = value
-        self.now = ledger.now
+        self.block_height = block_height
+        self.now = now
         self.events: list[LedgerEvent] = []
+
+    def collect(self) -> None:
+        """Move the attached value from the sender into the contract."""
+        balances = self._ledger._balances
+        balances[self._slot] -= self.value
+        balances[_CONTRACT_SLOT] += self.value
 
     def transfer_from_contract(self, to: bytes, amount: int) -> None:
         if amount < 0:
@@ -201,7 +214,7 @@ class CallContext:
         if kind not in EVENT_KINDS:
             raise ValueError(f"unknown event kind {kind!r}")
         self.events.append(LedgerEvent(
-            kind, task_id, self._ledger.block_height, payload))
+            kind, task_id, self.block_height, payload))
 
 
 class Ledger:
@@ -267,12 +280,14 @@ class Ledger:
                            value: int, tier: str) -> Receipt:
         """Apply one transaction in its own block.
 
-        The value moves to the contract account before the call executes;
-        the handler refunds it on refusal.  Gas (when charging is enabled)
-        is burned from the sender at the tier price.  The clock advances by
-        the tier's confirmation delay before the call runs.  A handler that
-        raises leaves no block: the value, the gas, the block height and the
-        clock are put back and the same exception propagates.
+        The handler runs first, against a context that carries the next
+        block height and the clock advanced by the tier's confirmation
+        delay; the attached value moves only if the handler collects it.
+        Once the handler returns, the block and the clock are set and the
+        gas (when charging is enabled) is burned from the sender at the
+        tier price.  A handler raises only before its first state change
+        (a collect, a payout or a task write), so a call that raises leaves
+        no block and changes no balance, task or clock.
         """
         if sender == NULL_ACCOUNT or sender == CONTRACT_ACCOUNT:
             # Escrowed funds leave the contract account only through its
@@ -299,42 +314,23 @@ class Ledger:
         gas_cost = (gas_used * schedule.gas_price_per_tier[tier]
                     if self.gas_charging else 0)
         balances = self._balances
-        held, escrowed = balances[slot], balances[_CONTRACT_SLOT]
+        held = balances[slot]
         if held < value + gas_cost:
             raise InsufficientBalance(
                 f"{sender.hex()} holds {held}, needs {value + gas_cost}"
             )
 
-        delay = schedule.confirmation_delay_per_tier[tier]
-        self.block_height += 1
-        self.now += delay
-
-        balances[slot] = held - value - gas_cost
-        balances[_CONTRACT_SLOT] = escrowed + value
+        ctx = CallContext(self, slot, sender, value, self.block_height + 1,
+                          self.now + schedule.confirmation_delay_per_tier[tier])
+        outcome = contract.dispatch(ctx, call)
+        self.block_height = ctx.block_height
+        self.now = ctx.now
         if gas_cost:
+            balances[slot] -= gas_cost
             self.total_gas_burned += gas_cost
             self.gas_cost_by_account[sender] = (
                 self.gas_cost_by_account.get(sender, 0) + gas_cost
             )
-
-        ctx = CallContext(self, sender, value)
-        try:
-            outcome = contract.dispatch(ctx, call)
-        except BaseException:
-            # Handlers raise before they touch a task record and move funds
-            # only between the sender and the contract, so this undoes the
-            # whole transaction.
-            balances[slot], balances[_CONTRACT_SLOT] = held, escrowed
-            self.block_height -= 1
-            self.now -= delay
-            if gas_cost:
-                self.total_gas_burned -= gas_cost
-                spent = self.gas_cost_by_account[sender] - gas_cost
-                if spent:
-                    self.gas_cost_by_account[sender] = spent
-                else:
-                    del self.gas_cost_by_account[sender]
-            raise
 
         receipt = Receipt(sender, call, value, tier, self.block_height,
                           self.now, gas_used, gas_cost, ctx.events, outcome)

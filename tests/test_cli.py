@@ -19,6 +19,7 @@ from teescrow import actors
 from teescrow.cli import EXIT_CLOSED_STDOUT, main
 from teescrow.config import (
     INT_LIMIT,
+    MAX_RESUBMITS,
     NODE_STRATEGIES,
     REQUESTOR_STRATEGIES,
     ConfigInvalid,
@@ -337,6 +338,25 @@ def test_unfundable_config_exits_2(capsys, tmp_path, config, argv, message):
     assert message in err
 
 
+#: Funds every task a run at the resubmit cap, and one past it, can lock.
+_LONG_RUN = {"requestor_strategy": "withhold-input",
+             "initial_balance": 10**39}
+
+
+@pytest.mark.parametrize("command", ["scenario", "payoffs"])
+def test_resubmits_past_the_cap_exit_2(capsys, tmp_path, command):
+    long = tmp_path / "long.json"
+    long.write_text(json.dumps(dict(_LONG_RUN,
+                                    max_resubmits=MAX_RESUBMITS + 1)))
+    code, out, err = run_cli(capsys, command, "--config", str(long))
+    assert (code, out) == (2, "")
+    assert err == f"config error: max_resubmits must be at most {MAX_RESUBMITS}\n"
+
+
+def test_resubmits_at_the_cap_are_valid():
+    ScenarioConfig(**_LONG_RUN, max_resubmits=MAX_RESUBMITS).validate()
+
+
 def test_scenario_strategy_from_config_file(capsys, tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(dict(SMALL, requestor_strategy="no-confirm")))
@@ -626,7 +646,8 @@ def test_inspect_replays_no_more_tasks_than_the_file_submits(tmp_path,
                                                              monkeypatch):
     lines = _trace_lines(requestor_strategy="withhold-input", max_resubmits=3)
     record = json.loads(lines[0])
-    record["config"].update(max_resubmits=10**12, initial_balance=10**40)
+    record["config"].update(max_resubmits=MAX_RESUBMITS,
+                            initial_balance=10**40)
     submitted = []
     submit = actors.RequestorActor._submit_action
 

@@ -104,7 +104,7 @@ def test_gas_charged_and_burned():
     ledger.assert_conservation()
 
 
-def test_failed_call_charges_gas_but_only_refunds():
+def test_refused_call_burns_gas_and_collects_nothing():
     ledger = Ledger(zero_delay_schedule(), gas_charging=True)
     contract = EscrowContract(ledger, THRESHOLD)
     requestor = ledger.create_account(10**17)
@@ -120,7 +120,8 @@ def test_failed_call_charges_gas_but_only_refunds():
                    task_id=task_id)
     assert not receipt.outcome.accepted
     assert receipt.outcome.reason is RefusalReason.ALREADY_CLAIMED
-    # Gas is gone, the attached deposit came back, tasks are bit-identical.
+    # Gas is gone, the attached deposit was never taken, tasks are
+    # bit-identical.
     assert ledger.balance(other) == before - receipt.gas_cost
     assert receipt.gas_cost == 145_120 * ledger.schedule.gas_price_per_tier["standard"]
     assert (contract.tasks, contract.num_tasks) == snapshot
@@ -417,8 +418,8 @@ _RAISING_CALLS = {
     "missing-argument": ("fresh", "claimTask", THRESHOLD, {}, TypeError),
     "unknown-argument": ("node", "claimTask", THRESHOLD, {
         "task_id": 0, "colour": "red"}, TypeError),
-    # The handler refunds the attached value before the secret fails to hash.
-    "refund-then-raise": ("node", "finalizeExecutionNode", 7, {
+    # Past the task lookup and the claimant check, the secret fails to hash.
+    "secret-not-bytes": ("node", "finalizeExecutionNode", 7, {
         "task_id": 0, "secret": None}, TypeError),
     # A float, bool or other int-subclass task id equals, and hashes like,
     # an int one: each would otherwise reach task 0 or 1 and be echoed into
@@ -502,15 +503,21 @@ def test_float_value_cannot_mint():
 
 
 class _PayingContract(EscrowContract):
-    """The escrow contract plus one function whose handler pays
-    ``amount`` out of the contract account to ``to``."""
+    """The escrow contract with ``claimTask`` and ``timeout`` handled by a
+    payout of ``amount`` from the contract account to ``to``.  As the
+    payable ``claimTask`` it collects the attached value first; as the
+    non-payable ``timeout`` it leaves that value with the sender."""
 
     def _pay(self, ctx, to, amount):
         ctx.transfer_from_contract(to, amount)
         return CallOutcome.ok()
 
-    # Under a name the gas schedule prices, so the ledger dispatches it.
-    functions = {**EscrowContract.functions, "timeout": _pay}
+    def _collect_and_pay(self, ctx, to, amount):
+        ctx.collect()
+        return self._pay(ctx, to, amount)
+
+    functions = {**EscrowContract.functions,
+                 "claimTask": _collect_and_pay, "timeout": _pay}
 
 
 def _paying_chain():
@@ -525,7 +532,7 @@ def _paying_chain():
 def test_transfer_from_contract_pays_out():
     ledger, _, requestor = _paying_chain()
     before = ledger.balance(requestor)
-    receipt = call(ledger, requestor, "timeout", value=3, to=requestor,
+    receipt = call(ledger, requestor, "claimTask", value=3, to=requestor,
                    amount=18)
     assert receipt.outcome.accepted
     assert ledger.balance(CONTRACT_ACCOUNT) == 0
@@ -533,14 +540,18 @@ def test_transfer_from_contract_pays_out():
 
 
 @pytest.mark.parametrize("payout", ["negative", "unknown-recipient",
-                                    "more-than-held"])
+                                    "more-than-held",
+                                    "attached-not-collected"])
 def test_transfer_from_contract_refusals_roll_back(payout):
     ledger, contract, requestor = _paying_chain()
-    # The contract holds the 15 escrowed plus the 3 this call attaches.
+    # The contract holds the 15 escrowed.  The 3 this call attaches stays
+    # with the sender, since the non-payable timeout never collects it, so
+    # the refused payout is the handler's first state change.
     to, amount, exception = {
         "negative": (requestor, -1, ValueError),
         "unknown-recipient": (_UNCREATED[0], 1, UnknownAccount),
-        "more-than-held": (requestor, 15 + 3 + 1, InsufficientBalance),
+        "more-than-held": (requestor, 15 + 1, InsufficientBalance),
+        "attached-not-collected": (requestor, 15 + 3, InsufficientBalance),
     }[payout]
     before = _chain_state(ledger, contract)
     with pytest.raises(exception) as raised:

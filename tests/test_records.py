@@ -58,7 +58,7 @@ def test_message_records_are_slotted(cls):
 
 def test_call_context_is_slotted():
     assert "__slots__" in vars(CallContext)
-    ctx = CallContext(Ledger(), b"\x01" * 20, 0)
+    ctx = CallContext(Ledger(), 0, b"\x01" * 20, 0, 1, 0)
     assert not hasattr(ctx, "__dict__")
     with pytest.raises(AttributeError):
         ctx.extra = 1
