@@ -3,9 +3,10 @@
 Actors are deterministic state machines: the scheduler feeds them one
 observation at a time and they answer with a list of protocol actions for
 the scheduler to execute.  They never issue a dependent chain call before
-the previous call's receipt has been observed.  Each actor's ``step`` looks
-the observation's type up in one handler table and ignores any type the
-table does not name.  The runner routes each message to one party:
+the previous call's receipt has been observed.  The runner routes each
+message to one party, and queues a receipt or an event only if that
+party's ``ON_RECEIPT`` or ``ON_EVENT`` table names its call or kind, so
+``step`` never sees a message it would ignore:
 
     Start               requestor
     ledger.Receipt      the party that sent the transaction
@@ -129,7 +130,7 @@ Observation = object
 # ----------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class _TaskKeys:
     secret: bytes
     hash_lock: bytes
@@ -176,15 +177,16 @@ class RequestorActor:
         )
 
     def step(self, obs: Observation) -> list[Action]:
-        handler = self._HANDLERS.get(type(obs))
-        return handler(self, obs) if handler else []
+        return self._HANDLERS[type(obs)](self, obs)
 
     def _on_start(self, obs: Start) -> list[Action]:
         return [self._submit_action()]
 
     def _on_receipt(self, receipt: Receipt) -> list[Action]:
-        if (receipt.call.function == "timeout" and receipt.outcome.accepted
-                and self.resubmits_left > 0):
+        return self.ON_RECEIPT[receipt.call.function](self, receipt)
+
+    def _on_timeout(self, receipt: Receipt) -> list[Action]:
+        if receipt.outcome.accepted and self.resubmits_left > 0:
             # A resubmission always carries a fresh secret and hash.
             self.resubmits_left -= 1
             self.received_valid_result = False
@@ -231,6 +233,9 @@ class RequestorActor:
             return []
         return [SubmitTx(ContractCall("finalizeRequestor", {"task_id": task_id}))]
 
+    #: Call function -> handler of its receipt; the runner drops the rest.
+    ON_RECEIPT = {"timeout": _on_timeout}
+
     _HANDLERS = {
         Start: _on_start,
         Receipt: _on_receipt,
@@ -250,12 +255,12 @@ class ExecutionNodeActor:
         self._done_by_task: dict[int, ExecutionDone] = {}
 
     def step(self, obs: Observation) -> list[Action]:
-        handler = self._HANDLERS.get(type(obs))
-        return handler(self, obs) if handler else []
+        return self._HANDLERS[type(obs)](self, obs)
 
     def _on_event(self, event: LedgerEvent) -> list[Action]:
-        if event.kind != "TaskSubmitted":
-            return []
+        return self.ON_EVENT[event.kind](self, event)
+
+    def _on_task_submitted(self, event: LedgerEvent) -> list[Action]:
         self._function_by_task[event.task_id] = event.payload["functionName"]
         return [SubmitTx(
             call=ContractCall("claimTask", {"task_id": event.task_id}),
@@ -263,32 +268,35 @@ class ExecutionNodeActor:
         )]
 
     def _on_receipt(self, receipt: Receipt) -> list[Action]:
-        if not receipt.outcome.accepted:
+        return self.ON_RECEIPT[receipt.call.function](self, receipt)
+
+    def _on_claimed(self, receipt: Receipt) -> list[Action]:
+        if (not receipt.outcome.accepted
+                or self.config.node_strategy == NODE_CLAIM_ONLY):
             return []
         task_id = receipt.call.args["task_id"]
-        if receipt.call.function == "claimTask":
-            if self.config.node_strategy == NODE_CLAIM_ONLY:
-                return []
-            return [Instantiate(
-                function_name=self._function_by_task[task_id],
-                task_id=task_id,
-            )]
-        if receipt.call.function == "finalizeExecutionNode":
-            done = self._done_by_task[task_id]
-            actions: list[Action] = []
-            if self.config.node_strategy == NODE_HONEST:
-                destination = (
-                    "third-party" if self.config.deliver_to_third_party
-                    else "requestor"
-                )
-                actions.append(Deliver(
-                    task_id=task_id,
-                    protected=done.protected,
-                    destination=destination,
-                ))
-            actions.append(Destroy(done.instance))
-            return actions
-        return []
+        return [Instantiate(
+            function_name=self._function_by_task[task_id],
+            task_id=task_id,
+        )]
+
+    def _on_finalized(self, receipt: Receipt) -> list[Action]:
+        if not receipt.outcome.accepted:
+            return []
+        done = self._done_by_task[receipt.call.args["task_id"]]
+        actions: list[Action] = []
+        if self.config.node_strategy == NODE_HONEST:
+            destination = (
+                "third-party" if self.config.deliver_to_third_party
+                else "requestor"
+            )
+            actions.append(Deliver(
+                task_id=done.task_id,
+                protected=done.protected,
+                destination=destination,
+            ))
+        actions.append(Destroy(done.instance))
+        return actions
 
     def _on_execution_done(self, obs: ExecutionDone) -> list[Action]:
         self._done_by_task[obs.task_id] = obs
@@ -296,6 +304,11 @@ class ExecutionNodeActor:
             "task_id": obs.task_id,
             "secret": obs.secret,
         }))]
+
+    #: Event kind or call function -> handler; the runner drops the rest.
+    ON_EVENT = {"TaskSubmitted": _on_task_submitted}
+    ON_RECEIPT = {"claimTask": _on_claimed,
+                  "finalizeExecutionNode": _on_finalized}
 
     _HANDLERS = {
         LedgerEvent: _on_event,

@@ -58,14 +58,6 @@ class CallOutcome:
     reason: RefusalReason | None = None
     task_id: int | None = None
 
-    @staticmethod
-    def ok(task_id: int | None = None) -> "CallOutcome":
-        return CallOutcome(True, None, task_id)
-
-    @staticmethod
-    def refused(reason: RefusalReason) -> "CallOutcome":
-        return CallOutcome(False, reason)
-
 
 class TaskState(str, Enum):
     OPEN = "Open"
@@ -74,7 +66,7 @@ class TaskState(str, Enum):
     TIMED_OUT_DEAD = "TimedOutDead"
 
 
-@dataclass
+@dataclass(slots=True)
 class Task:
     function_name: str
     hash_lock: bytes
@@ -128,7 +120,7 @@ class EscrowContract:
         if expires < 0:
             raise ValueError("expires must be non-negative")
         if ctx.value < self.threshold:
-            return CallOutcome.refused(RefusalReason.VALUE_BELOW_THRESHOLD)
+            return CallOutcome(False, RefusalReason.VALUE_BELOW_THRESHOLD)
         ctx.collect()
         task_id = self.num_tasks
         self.num_tasks += 1
@@ -149,18 +141,18 @@ class EscrowContract:
             "requestorDeposit": self.threshold,
             "expires": expires,
         })
-        return CallOutcome.ok(task_id)
+        return CallOutcome(True, None, task_id)
 
     def _claim_task(self, ctx: CallContext, task_id: int) -> CallOutcome:
         task = self._task(task_id)
         if task is None:
-            return CallOutcome.refused(RefusalReason.NO_SUCH_TASK)
+            return CallOutcome(False, RefusalReason.NO_SUCH_TASK)
         if task.state is TaskState.TIMED_OUT_DEAD:
-            return CallOutcome.refused(RefusalReason.TASK_DEAD)
+            return CallOutcome(False, RefusalReason.TASK_DEAD)
         if ctx.value < self.threshold:
-            return CallOutcome.refused(RefusalReason.VALUE_BELOW_THRESHOLD)
+            return CallOutcome(False, RefusalReason.VALUE_BELOW_THRESHOLD)
         if task.state is not TaskState.OPEN:
-            return CallOutcome.refused(RefusalReason.ALREADY_CLAIMED)
+            return CallOutcome(False, RefusalReason.ALREADY_CLAIMED)
         ctx.collect()
         task.execution_node = ctx.sender
         task.execution_node_deposit = ctx.value
@@ -169,7 +161,7 @@ class EscrowContract:
             "executionNode": ctx.sender.hex(),
             "executionNodeDeposit": ctx.value,
         })
-        return CallOutcome.ok(task_id)
+        return CallOutcome(True, None, task_id)
 
     def _finalize_execution_node(self, ctx: CallContext, task_id: int,
                                  secret: bytes) -> CallOutcome:
@@ -179,46 +171,46 @@ class EscrowContract:
             # A missing record behaves like the zeroed default: nobody is
             # its claimant.  Only a claim fills the slot, so the sender
             # matching it means the task was claimed.
-            return CallOutcome.refused(RefusalReason.NOT_CLAIMANT)
+            return CallOutcome(False, RefusalReason.NOT_CLAIMANT)
         if task.state is TaskState.TIMED_OUT_DEAD:
-            return CallOutcome.refused(RefusalReason.TASK_DEAD)
+            return CallOutcome(False, RefusalReason.TASK_DEAD)
         if task.state is TaskState.COMPLETED:
-            return CallOutcome.refused(RefusalReason.ALREADY_COMPLETED)
+            return CallOutcome(False, RefusalReason.ALREADY_COMPLETED)
         if sha256_digest(secret) != task.hash_lock:
-            return CallOutcome.refused(RefusalReason.BAD_SECRET)
+            return CallOutcome(False, RefusalReason.BAD_SECRET)
         task.state = TaskState.COMPLETED
         ctx.transfer_from_contract(ctx.sender, task.execution_node_deposit)
         ctx.emit("TaskFinished", task_id, {
             "executionNode": ctx.sender.hex(),
             "depositReturned": task.execution_node_deposit,
         })
-        return CallOutcome.ok(task_id)
+        return CallOutcome(True, None, task_id)
 
     def _finalize_requestor(self, ctx: CallContext, task_id: int) -> CallOutcome:
         task = self._task(task_id)
         if task is None or task.requestor != ctx.sender:
-            return CallOutcome.refused(RefusalReason.NOT_REQUESTOR)
+            return CallOutcome(False, RefusalReason.NOT_REQUESTOR)
         if task.state is TaskState.TIMED_OUT_DEAD:
-            return CallOutcome.refused(RefusalReason.TASK_DEAD)
+            return CallOutcome(False, RefusalReason.TASK_DEAD)
         if task.state is TaskState.OPEN:
-            return CallOutcome.refused(RefusalReason.NOT_CLAIMED)
+            return CallOutcome(False, RefusalReason.NOT_CLAIMED)
         if task.state is TaskState.CLAIMED:
-            return CallOutcome.refused(RefusalReason.NOT_COMPLETED)
+            return CallOutcome(False, RefusalReason.NOT_COMPLETED)
         ctx.transfer_from_contract(task.requestor, task.requestor_deposit)
         ctx.transfer_from_contract(task.execution_node, task.payment)
         del self.tasks[task_id]
-        return CallOutcome.ok(task_id)
+        return CallOutcome(True, None, task_id)
 
     def _timeout(self, ctx: CallContext, task_id: int) -> CallOutcome:
         task = self._task(task_id)
         if task is None or task.requestor != ctx.sender:
-            return CallOutcome.refused(RefusalReason.NOT_REQUESTOR)
+            return CallOutcome(False, RefusalReason.NOT_REQUESTOR)
         if task.state is TaskState.TIMED_OUT_DEAD:
-            return CallOutcome.refused(RefusalReason.TASK_DEAD)
+            return CallOutcome(False, RefusalReason.TASK_DEAD)
         if task.state is TaskState.COMPLETED:
-            return CallOutcome.refused(RefusalReason.ALREADY_COMPLETED)
+            return CallOutcome(False, RefusalReason.ALREADY_COMPLETED)
         if ctx.now < task.deadline:
-            return CallOutcome.refused(RefusalReason.NOT_EXPIRED)
+            return CallOutcome(False, RefusalReason.NOT_EXPIRED)
         task.state = TaskState.TIMED_OUT_DEAD
         ctx.transfer_from_contract(task.requestor, task.payment)
         ctx.emit("TaskTimedOut", task_id, {
@@ -226,7 +218,7 @@ class EscrowContract:
             "lockedRequestorDeposit": task.requestor_deposit,
             "lockedExecutionNodeDeposit": task.execution_node_deposit,
         })
-        return CallOutcome.ok(task_id)
+        return CallOutcome(True, None, task_id)
 
     #: Function name -> method; the ledger refuses any name not listed.
     functions = {

@@ -62,10 +62,11 @@ class ExecutionFault(EnclaveError):
 
 
 class InfoFlowLedger:
-    """First grant step per (label, principal), with a monotone step counter."""
+    """First grant step per principal and label, with a monotone step
+    counter."""
 
     def __init__(self) -> None:
-        self._first_seen: dict[tuple[str, str], int] = {}
+        self._first_seen: dict[str, dict[str, int]] = {}
         self._marks: dict[str, int] = {}
         self._step = 0
 
@@ -75,7 +76,7 @@ class InfoFlowLedger:
 
     def grant(self, label: str, principal: str) -> None:
         step = self._tick()
-        self._first_seen.setdefault((label, principal), step)
+        self._first_seen.setdefault(principal, {}).setdefault(label, step)
 
     def mark(self, name: str) -> None:
         self._marks[name] = self._tick()
@@ -83,11 +84,10 @@ class InfoFlowLedger:
     def mark_step(self, name: str) -> int | None:
         return self._marks.get(name)
 
-    def first_seen(self, label: str, principal: str) -> int | None:
-        return self._first_seen.get((label, principal))
-
-    def ever_seen(self, label: str, principal: str) -> bool:
-        return (label, principal) in self._first_seen
+    def granted_to(self, principal: str) -> dict[str, int]:
+        """Every label ``principal`` was granted, with its first grant's
+        step."""
+        return dict(self._first_seen.get(principal, {}))
 
 
 # ----------------------------------------------------------------------
@@ -170,14 +170,14 @@ class EnclaveState(str, Enum):
     DESTROYED = "Destroyed"
 
 
-@dataclass
+@dataclass(slots=True)
 class Provisioned:
     secret: bytes
     inputs: object
     result_keys: ResultKeyPair
 
 
-@dataclass
+@dataclass(slots=True)
 class EnclaveInstance:
     instance_id: int
     image: FunctionImage

@@ -66,6 +66,10 @@ PARTY_REQUESTOR = "requestor"
 PARTY_NODE = "node"
 PARTY_THIRD = "third-party"
 
+#: A task's values the node host may never be granted (the secret only
+#: once the task has executed), in the order the outcome lists them.
+_HOST_LEAKS = ("inputs", "enc-key", "result", "secret")
+
 
 # ----------------------------------------------------------------------
 # trace
@@ -385,15 +389,25 @@ class ScenarioRunner:
     # ------------------------------------------------------------------
 
     def _do_tx(self, who: str, action: SubmitTx) -> None:
-        sender = (self.requestor_account if who == PARTY_REQUESTOR
-                  else self.node_account)
+        """Submit the call and queue only what a party acts on: the receipt
+        if the sender's ``ON_RECEIPT`` names the call, and each event the
+        node's ``ON_EVENT`` names."""
+        if who == PARTY_REQUESTOR:
+            actor, sender = self.requestor, self.requestor_account
+        else:
+            actor, sender = self.node, self.node_account
+        call = action.call
         receipt = self.ledger.submit_transaction(
-            sender, action.call, action.value, self.config.tier)
+            sender, call, action.value, self.config.tier)
         self._last_receipt_time = receipt.timestamp
         self.trace.call(who, receipt)
-        self._queue.append((who, receipt))
+        queue = self._queue
+        if call.function in actor.ON_RECEIPT:
+            queue.append((who, receipt))
+        on_event = self.node.ON_EVENT
         for event in receipt.events:
-            self._queue.append((PARTY_NODE, event))
+            if event.kind in on_event:
+                queue.append((PARTY_NODE, event))
 
     def _do_instantiate(self, who: str, action: Instantiate) -> None:
         try:
@@ -465,21 +479,30 @@ class ScenarioRunner:
     # ------------------------------------------------------------------
 
     def _infoflow_violations(self) -> tuple[str, ...]:
+        """One pass over the host's grants: each task value it may not
+        hold, by task id and then in ``_HOST_LEAKS`` order."""
         violations = []
-        for task_id in range(self.contract.num_tasks):
-            prefix = f"task{task_id}"
-            for label in (f"{prefix}:inputs", f"{prefix}:enc-key",
-                          f"{prefix}:result"):
-                if self.flow.ever_seen(label, NODE_HOST):
-                    violations.append(f"{NODE_HOST} saw {label}")
-            secret_seen = self.flow.first_seen(f"{prefix}:secret", NODE_HOST)
-            if secret_seen is not None:
-                executed_at = self.flow.mark_step(f"{prefix}:executed")
-                if executed_at is None or secret_seen < executed_at:
-                    violations.append(
-                        f"{NODE_HOST} saw {prefix}:secret before execution"
-                    )
-        return tuple(violations)
+        num_tasks = self.contract.num_tasks
+        for label, seen in self.flow.granted_to(NODE_HOST).items():
+            prefix, _, name = label.partition(":")
+            digits = prefix.removeprefix("task")
+            # Only "task<id>:<name>" as the runner writes it, for a task
+            # of this run; the length check spares int() a long label.
+            if (name not in _HOST_LEAKS or not digits.isascii()
+                    or not digits.isdigit()
+                    or len(digits) > len(str(num_tasks))):
+                continue
+            task_id = int(digits)
+            if prefix != f"task{task_id}" or task_id >= num_tasks:
+                continue
+            if name == "secret":
+                executed_at = self.flow.mark_step(f"task{task_id}:executed")
+                if executed_at is not None and seen >= executed_at:
+                    continue
+                label += " before execution"
+            violations.append((task_id, _HOST_LEAKS.index(name),
+                               f"{NODE_HOST} saw {label}"))
+        return tuple(text for _, _, text in sorted(violations))
 
     def _finish(self) -> ScenarioOutcome:
         cfg = self.config

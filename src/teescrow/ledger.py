@@ -287,7 +287,11 @@ class Ledger:
         gas (when charging is enabled) is burned from the sender at the
         tier price.  A handler raises only before its first state change
         (a collect, a payout or a task write), so a call that raises leaves
-        no block and changes no balance, task or clock.
+        no block and changes no balance, task or clock.  The ledger guards
+        the balance half of that rule: when a handler raises after moving
+        value in or out of the sender's or the contract's slot, the call
+        raises ``ConservationViolation``, chained from the handler's
+        exception.  A task written before the raise goes unseen.
         """
         if sender == NULL_ACCOUNT or sender == CONTRACT_ACCOUNT:
             # Escrowed funds leave the contract account only through its
@@ -322,7 +326,15 @@ class Ledger:
 
         ctx = CallContext(self, slot, sender, value, self.block_height + 1,
                           self.now + schedule.confirmation_delay_per_tier[tier])
-        outcome = contract.dispatch(ctx, call)
+        escrowed = balances[_CONTRACT_SLOT]
+        try:
+            outcome = contract.dispatch(ctx, call)
+        except Exception as exc:
+            if (balances[slot] != held
+                    or balances[_CONTRACT_SLOT] != escrowed):
+                raise ConservationViolation(
+                    f"{function} raised after moving value") from exc
+            raise
         self.block_height = ctx.block_height
         self.now = ctx.now
         if gas_cost:

@@ -357,11 +357,12 @@ def test_criterion_9_information_flow():
             outcome = runner.run()
             assert not outcome.infoflow_violations
             flow = runner.host.flow
+            granted = flow.granted_to(NODE_HOST)
             for task_id in range(runner.contract.num_tasks):
                 prefix = f"task{task_id}"
                 for name in ("enc-key", "result", "inputs"):
-                    assert not flow.ever_seen(f"{prefix}:{name}", NODE_HOST)
-                seen = flow.first_seen(f"{prefix}:secret", NODE_HOST)
+                    assert f"{prefix}:{name}" not in granted
+                seen = granted.get(f"{prefix}:secret")
                 if seen is not None:
                     executed = flow.mark_step(f"{prefix}:executed")
                     assert executed is not None and seen >= executed

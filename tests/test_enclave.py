@@ -151,7 +151,7 @@ def test_provision_wrong_principal(host):
 def test_provisioned_values_hidden_from_host(host):
     provisioned(host)
     for label in ("task0:secret", "task0:inputs", "task0:enc-key"):
-        assert not host.flow.ever_seen(label, NODE_HOST)
+        assert label not in host.flow.granted_to(NODE_HOST)
 
 
 def test_execute_identity_roundtrip(host):
@@ -176,9 +176,9 @@ def test_resource_meter_charges_image_cost(host):
 
 def test_secret_reaches_host_only_at_execute(host):
     instance, *_ = provisioned(host)
-    assert host.flow.first_seen("task0:secret", NODE_HOST) is None
+    assert "task0:secret" not in host.flow.granted_to(NODE_HOST)
     host.execute(instance)
-    seen = host.flow.first_seen("task0:secret", NODE_HOST)
+    seen = host.flow.granted_to(NODE_HOST).get("task0:secret")
     executed = host.flow.mark_step("task0:executed")
     assert seen is not None and executed is not None
     assert seen >= executed

@@ -38,6 +38,16 @@ def golden_configs() -> dict[str, ScenarioConfig]:
     # Twelve tasks: the contract state's keys "10" and "11" sort before "2".
     cases["withhold-chain-11"] = ScenarioConfig(
         requestor_strategy="withhold-input", max_resubmits=11)
+    # Chains whose receipts and events the actors do not act on: a silent
+    # claimant under each requestor that times out, and a refused timeout
+    # after a completed task that ends the run.
+    cases["claim-only-chain-3"] = ScenarioConfig(
+        node_strategy="claim-only", max_resubmits=3)
+    cases["withhold-claim-only-chain-3"] = ScenarioConfig(
+        requestor_strategy="withhold-input", node_strategy="claim-only",
+        max_resubmits=3)
+    cases["compute-no-deliver-chain-3"] = ScenarioConfig(
+        node_strategy="compute-no-deliver", max_resubmits=3)
     cases["wrong-measurement"] = ScenarioConfig()
     cases["execution-fault"] = ScenarioConfig(function_name="sum",
                                               inputs=("a", "b"))
@@ -108,6 +118,9 @@ GOLDEN_TRACE_IDS = {
     "withhold-chain-11": "f45bce724b65ebaa",
     "hostile-inputs": "9bde6494bd0555d7",
     "delivery-tamper-third-party": "89aed20b3e447648",
+    "claim-only-chain-3": "3f5ecbc7f798f6d8",
+    "withhold-claim-only-chain-3": "efd4f4f9c63d7309",
+    "compute-no-deliver-chain-3": "d4e7597f86bc096b",
 }
 
 

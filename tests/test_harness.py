@@ -143,6 +143,24 @@ def test_outcome_names_a_host_leak(label, violation):
     assert runner.run().infoflow_violations == (violation,)
 
 
+def test_outcome_orders_host_leaks_by_task_then_value():
+    # Four tasks, none executed; granted out of order, plus labels that
+    # name no task of the run or no protected value.
+    runner = ScenarioRunner(dataclasses.replace(
+        CFG, requestor_strategy="withhold-input", max_resubmits=3))
+    for label in ("task2:result", "task0:secret", "task4:inputs",
+                  "task2:inputs", "task02:enc-key", "task0:enc-key",
+                  "task1:executed", "task0:result"):
+        runner.flow.grant(label, NODE_HOST)
+    assert runner.run().infoflow_violations == (
+        "node-host saw task0:enc-key",
+        "node-host saw task0:result",
+        "node-host saw task0:secret before execution",
+        "node-host saw task2:inputs",
+        "node-host saw task2:result",
+    )
+
+
 def test_trace_determinism_same_seed():
     config = CFG.with_strategies("no-confirm", "compute-no-deliver")
     a = ScenarioRunner(config)
@@ -202,8 +220,9 @@ def _record(**fields):
     return st.fixed_dictionaries(fields)
 
 
-_OUTCOMES = (st.builds(CallOutcome.ok, _INT)
-             | st.builds(CallOutcome.refused, st.sampled_from(RefusalReason)))
+_OUTCOMES = (st.builds(CallOutcome, st.just(True), st.none(), _INT)
+             | st.builds(CallOutcome, st.just(False),
+                         st.sampled_from(RefusalReason)))
 _CALL_ARGS = {
     "submitTask": _record(expires=_INT, function_name=_TEXT,
                           hash_lock=_BYTES),

@@ -510,7 +510,7 @@ class _PayingContract(EscrowContract):
 
     def _pay(self, ctx, to, amount):
         ctx.transfer_from_contract(to, amount)
-        return CallOutcome.ok()
+        return CallOutcome(True)
 
     def _collect_and_pay(self, ctx, to, amount):
         ctx.collect()
@@ -559,3 +559,14 @@ def test_transfer_from_contract_refusals_roll_back(payout):
     assert type(raised.value) is exception
     assert _chain_state(ledger, contract) == before
     ledger.assert_conservation()
+
+
+def test_raise_after_moving_value_is_a_conservation_violation():
+    ledger, _, requestor = _paying_chain()
+    # claimTask collects the 3 attached, so the contract holds 18 when its
+    # payout of 19 is refused: the handler raised after its first state
+    # change, which the ledger cannot undo.
+    with pytest.raises(ConservationViolation, match="claimTask") as raised:
+        call(ledger, requestor, "claimTask", value=3, to=requestor,
+             amount=15 + 3 + 1)
+    assert type(raised.value.__cause__) is InsufficientBalance

@@ -3,11 +3,13 @@ records.
 
 Every transaction builds a ``ContractCall``, a ``CallContext``, a
 ``CallOutcome``, a ``Receipt`` and its events, and the runner passes actor
-messages around it; these are slotted (no per-instance ``__dict__``) and
-plain, since a frozen dataclass pays for ``object.__setattr__`` on every
-field.  Records that are hashed or handed from one run to another stay
-frozen: the encrypt-and-sign memo is keyed on a ``ResultKeyPair`` and
-returns one ``ProtectedResult`` to every run that hits it.
+messages around it; these, and the per-task records (the contract's
+``Task``, the requestor's keys, the enclave instance and what it was
+provisioned with), are slotted (no per-instance ``__dict__``) and plain,
+since a frozen dataclass pays for ``object.__setattr__`` on every field.
+Records that are hashed or handed from one run to another stay frozen: the
+encrypt-and-sign memo is keyed on a ``ResultKeyPair`` and returns one
+``ProtectedResult`` to every run that hits it.
 """
 
 from __future__ import annotations
@@ -27,11 +29,17 @@ from teescrow.actors import (
     Start,
     SubmitTx,
     ThirdPartyAck,
+    _TaskKeys,
 )
 from teescrow.config import ScenarioConfig
-from teescrow.contract import CallOutcome
+from teescrow.contract import CallOutcome, Task
 from teescrow.crypto import ProtectedResult, ResultKeyPair
-from teescrow.enclave import BUILTIN_BODIES, FunctionImage
+from teescrow.enclave import (
+    BUILTIN_BODIES,
+    EnclaveInstance,
+    FunctionImage,
+    Provisioned,
+)
 from teescrow.harness import ScenarioOutcome
 from teescrow.ledger import CallContext, ContractCall, Ledger, LedgerEvent, Receipt
 
@@ -39,6 +47,7 @@ SLOTTED = (
     ContractCall, LedgerEvent, Receipt, CallOutcome,
     Start, InstanceCreated, ExecutionDone, ThirdPartyAck, Expiry,
     SubmitTx, Instantiate, Provision, Destroy, Deliver,
+    Task, _TaskKeys, EnclaveInstance, Provisioned,
 )
 
 
