@@ -33,7 +33,6 @@ short:
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from . import crypto
@@ -47,6 +46,7 @@ from .config import (
 from .crypto import ProtectedResult, ResultKeyPair
 from .enclave import EnclaveInstance
 from .ledger import ContractCall, LedgerEvent, Receipt
+from .streams import ByteStream
 
 # ----------------------------------------------------------------------
 # observations
@@ -140,7 +140,7 @@ class _TaskKeys:
 class RequestorActor:
     """The requesting device: submits, attests, provisions, confirms."""
 
-    def __init__(self, config: ScenarioConfig, rng: random.Random,
+    def __init__(self, config: ScenarioConfig, rng: ByteStream,
                  measurement_allow_list: dict[str, bytes]) -> None:
         self.config = config
         self.rng = rng

@@ -26,6 +26,7 @@ from .ledger import (
     TIERS,
     _is_int,
 )
+from .streams import ByteStream, SeededBytes
 
 UNIT = 10**18
 
@@ -147,9 +148,11 @@ class ScenarioConfig:
             object.__setattr__(self, "requestor_deposit", self.threshold)
         if self.node_deposit == -1:
             object.__setattr__(self, "node_deposit", self.threshold)
-        # Holds the encoded ``inputs`` and the gas schedule once a run asks
-        # for them.  Every config built by ``__init__`` (``replace`` too) gets
-        # its own; ``with_strategies`` hands the derived config this one.
+        # The family's shared values (``shared``): the encoded ``inputs``,
+        # the gas schedule, the records of the seeded streams and what the
+        # runner builds alike for every run.  Every config built by
+        # ``__init__`` (``replace`` too) starts a family with its own;
+        # ``with_strategies`` hands the derived config this one.
         object.__setattr__(self, "_built", {})
 
     # ------------------------------------------------------------------
@@ -208,13 +211,12 @@ class ScenarioConfig:
         return self.value_of_result > self.payment > self.compute_cost > 0
 
     def gas_schedule(self) -> GasSchedule:
-        """The defaults with the override maps merged in, built on first use
-        and kept like ``inputs_json()``: the maps must not be mutated after
-        a run, nor the schedule ever.  A build that raises ``ConfigInvalid``
-        is not kept, so it raises on every call."""
-        schedule = self._built.get("gas_schedule")
-        if schedule is not None:
-            return schedule
+        """The defaults with the override maps merged in, built once per
+        family (``shared``): the maps must not be mutated after a run, nor
+        the schedule ever."""
+        return self.shared("gas_schedule", self._build_gas_schedule)
+
+    def _build_gas_schedule(self) -> GasSchedule:
         for name, known in (("gas_per_function", DEFAULT_GAS_PER_FUNCTION),
                             ("gas_price_per_tier", TIERS),
                             ("confirmation_delay_per_tier", TIERS)):
@@ -222,7 +224,7 @@ class ScenarioConfig:
             if unknown:
                 raise ConfigInvalid(f"unknown {name} keys: {sorted(unknown)}")
         try:
-            schedule = GasSchedule(
+            return GasSchedule(
                 per_function={**DEFAULT_GAS_PER_FUNCTION,
                               **self.gas_per_function},
                 gas_price_per_tier={**DEFAULT_GAS_PRICE_PER_TIER,
@@ -233,35 +235,49 @@ class ScenarioConfig:
             )
         except ValueError as exc:
             raise ConfigInvalid(str(exc)) from None
-        self._built["gas_schedule"] = schedule
-        return schedule
 
     # ------------------------------------------------------------------
 
     def with_strategies(self, requestor: str, node: str) -> "ScenarioConfig":
-        """This config with other strategies; it shares the encoded
-        ``inputs`` and the gas schedule, so a payoff matrix builds each
-        once."""
+        """This config with other strategies, in its family: it shares every
+        value ``shared`` keeps, so a payoff matrix builds each once and its
+        cells after the first seed no generator."""
         derived = replace(self, requestor_strategy=requestor,
                           node_strategy=node)
         object.__setattr__(derived, "_built", self._built)
         return derived
 
-    def inputs_json(self) -> str:
-        """``inputs`` as canonical JSON, encoded on first use.
+    def shared(self, key: str, build):
+        """``build()``, called once per family and kept under ``key``.
 
-        The result is kept, so ``inputs`` must not be mutated after a run.
+        Only for a value that depends on no strategy and that every run
+        sees alike; so the config's other fields, ``inputs`` and the
+        override maps included, must not be mutated after a run.  A build
+        that raises is not kept, so it raises on every call.
+        """
+        value = self._built.get(key)
+        if value is None:
+            value = self._built[key] = build()
+        return value
+
+    def stream(self, name: str) -> ByteStream:
+        """A fresh stream of ``random.Random(f"{rng_seed}:{name}")``'s bytes,
+        reading the family's record of their first ``streams.PREFIX``."""
+        return ByteStream(self.shared(
+            f"stream:{name}", lambda: SeededBytes(f"{self.rng_seed}:{name}")))
+
+    def inputs_json(self) -> str:
+        """``inputs`` as canonical JSON, encoded once per family.
+
         Raises ``ConfigInvalid`` for a value strict JSON cannot hold.
         """
-        encoded = self._built.get("inputs_json")
-        if encoded is None:
-            try:
-                encoded = STRICT_JSON.encode(self.inputs)
-            except (TypeError, ValueError, RecursionError) as exc:
-                raise ConfigInvalid(
-                    f"inputs must be strict JSON: {exc}") from None
-            self._built["inputs_json"] = encoded
-        return encoded
+        return self.shared("inputs_json", self._encode_inputs)
+
+    def _encode_inputs(self) -> str:
+        try:
+            return STRICT_JSON.encode(self.inputs)
+        except (TypeError, ValueError, RecursionError) as exc:
+            raise ConfigInvalid(f"inputs must be strict JSON: {exc}") from None
 
     def to_json_obj(self) -> dict:
         obj = {}

@@ -13,13 +13,12 @@ secret only when execution releases it.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
 
 from . import crypto
 from .crypto import ProtectedResult, ResultKeyPair
+from .streams import ByteStream
 
 REQUESTOR = "requestor"
 NODE_HOST = "node-host"
@@ -94,17 +93,6 @@ class InfoFlowLedger:
 # function images
 
 
-@lru_cache(maxsize=16, typed=True)
-def _measure(name: str, body_id: str, version: str) -> bytes:
-    """The measurement hash of the three measured fields; every run of a
-    matrix measures the same image, so the digest is kept."""
-    return crypto.sha256_digest(crypto.canonical_json_bytes({
-        "name": name,
-        "bodyId": body_id,
-        "version": version,
-    }))
-
-
 @dataclass(frozen=True)
 class FunctionImage:
     """A measured, deterministic function the node can instantiate."""
@@ -116,8 +104,13 @@ class FunctionImage:
     resource_cost: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_measurement", _measure(
-            self.name, self.body_id, self.version))
+        # The hash of the three measured fields, taken once per image.
+        object.__setattr__(self, "_measurement", crypto.sha256_digest(
+            crypto.canonical_json_bytes({
+                "name": self.name,
+                "bodyId": self.body_id,
+                "version": self.version,
+            })))
 
     @property
     def measurement(self) -> bytes:
@@ -197,19 +190,15 @@ class EnclaveHost:
     """
 
     def __init__(self, store: FunctionStore, flow: InfoFlowLedger,
-                 seed: int | str) -> None:
+                 rng: ByteStream) -> None:
         self.store = store
         self.flow = flow
-        self._seed = seed
+        # Drawn from at attestation and execution only, so a run that never
+        # attests never seeds a generator for it.
+        self.rng = rng
         self.resource_consumed = 0
         self._instance_counter = 0
         self._seen_nonces: set[bytes] = set()
-
-    @cached_property
-    def rng(self) -> random.Random:
-        """The host's RNG, seeded on first draw: a run that never attests
-        never pays for seeding, and the stream is the same either way."""
-        return random.Random(self._seed)
 
     # -- lifecycle ------------------------------------------------------
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import random
 from collections import deque
 from dataclasses import dataclass, field, replace
 
@@ -197,26 +196,10 @@ class Trace:
             f'"taskId":{ack.task_id},"type":"message"}}\n')
 
     def scenario(self, c: ScenarioConfig) -> None:
-        self._lines.append(
-            f'{{"config":{{"compute_cost":{c.compute_cost},'
-            f'"confirmation_delay_per_tier":'
-            f'{_int_map(c.confirmation_delay_per_tier)},'
-            f'"deliver_to_third_party":{_BOOL[c.deliver_to_third_party]},'
-            f'"execution_delay":{c.execution_delay},"expires":{c.expires},'
-            f'"function_name":{_q(c.function_name)},'
-            f'"gas_charging":{_BOOL[c.gas_charging]},'
-            f'"gas_per_function":{_int_map(c.gas_per_function)},'
-            f'"gas_price_per_tier":{_int_map(c.gas_price_per_tier)},'
-            f'"include_gas_in_payoffs":{_BOOL[c.include_gas_in_payoffs]},'
-            f'"initial_balance":{c.initial_balance},'
-            f'"inputs":{c.inputs_json()},"max_resubmits":{c.max_resubmits},'
-            f'"node_deposit":{c.node_deposit},'
-            f'"node_strategy":{_q(c.node_strategy)},"payment":{c.payment},'
-            f'"requestor_deposit":{c.requestor_deposit},'
-            f'"requestor_strategy":{_q(c.requestor_strategy)},'
-            f'"rng_seed":{c.rng_seed},"threshold":{c.threshold},'
-            f'"tier":{_q(c.tier)},"value_of_result":{c.value_of_result}}},'
-            f'"type":"scenario"}}\n')
+        head, middle, tail = c.shared("scenario_line",
+                                      lambda: _scenario_line(c))
+        self._lines.append(f"{head}{_q(c.node_strategy)}{middle}"
+                           f"{_q(c.requestor_strategy)}{tail}")
 
     def contract_state(self, contract: EscrowContract) -> None:
         # Task ids are keys, so they sort as strings: "10" before "2".
@@ -256,6 +239,32 @@ class Trace:
 
     def content_id(self) -> str:
         return hashlib.sha256(self.to_jsonl().encode()).hexdigest()[:16]
+
+
+def _scenario_line(c: ScenarioConfig) -> tuple[str, str, str]:
+    """The scenario line of every run of ``c``'s family, in the three parts
+    around its node and requestor strategy names."""
+    head = (
+        f'{{"config":{{"compute_cost":{c.compute_cost},'
+        f'"confirmation_delay_per_tier":'
+        f'{_int_map(c.confirmation_delay_per_tier)},'
+        f'"deliver_to_third_party":{_BOOL[c.deliver_to_third_party]},'
+        f'"execution_delay":{c.execution_delay},"expires":{c.expires},'
+        f'"function_name":{_q(c.function_name)},'
+        f'"gas_charging":{_BOOL[c.gas_charging]},'
+        f'"gas_per_function":{_int_map(c.gas_per_function)},'
+        f'"gas_price_per_tier":{_int_map(c.gas_price_per_tier)},'
+        f'"include_gas_in_payoffs":{_BOOL[c.include_gas_in_payoffs]},'
+        f'"initial_balance":{c.initial_balance},'
+        f'"inputs":{c.inputs_json()},"max_resubmits":{c.max_resubmits},'
+        f'"node_deposit":{c.node_deposit},"node_strategy":')
+    middle = (f',"payment":{c.payment},'
+              f'"requestor_deposit":{c.requestor_deposit},'
+              f'"requestor_strategy":')
+    tail = (f',"rng_seed":{c.rng_seed},"threshold":{c.threshold},'
+            f'"tier":{_q(c.tier)},"value_of_result":{c.value_of_result}}},'
+            f'"type":"scenario"}}\n')
+    return head, middle, tail
 
 
 # ----------------------------------------------------------------------
@@ -309,12 +318,11 @@ class ScenarioRunner:
             config.initial_balance)
         self.node_account = self.ledger.create_account(config.initial_balance)
         self.flow = InfoFlowLedger()
-        self.store = self._scenario_store()
-        self.host = EnclaveHost(self.store, self.flow,
-                                f"{config.rng_seed}:host")
+        self.store = config.shared("store", self._scenario_store)
+        self.host = EnclaveHost(self.store, self.flow, config.stream("host"))
         name = config.function_name
         self.requestor = RequestorActor(
-            config, random.Random(f"{config.rng_seed}:requestor"),
+            config, config.stream("requestor"),
             {name: self.store.measurement_of(name)},
         )
         self.node = ExecutionNodeActor(config)
@@ -325,6 +333,8 @@ class ScenarioRunner:
         self._ran = False
 
     def _scenario_store(self) -> FunctionStore:
+        """The store with the config's function image, built once per
+        family: nothing registers into it after."""
         cfg = self.config
         store = FunctionStore()
         store.register(FunctionImage(

@@ -378,6 +378,28 @@ def test_payoffs_bad_grid_exits_2(capsys, tmp_path, text, message):
     assert f"config error: {message}" in err
 
 
+@pytest.mark.parametrize("argv, text, message", [
+    (["scenario", "--config"], json.dumps(dict(SMALL, node_strategy="bogus")),
+     "unknown node strategy 'bogus'"),
+    (["scenario", "--config"], json.dumps(dict(SMALL, tier="medium")),
+     "unknown tier 'medium'"),
+    (["scenario", "--config"], json.dumps(dict(SMALL, payment=-1)),
+     "payment must be non-negative"),
+    (["scenario", "--config"], json.dumps(dict(SMALL, execution_delay=-1)),
+     "execution_delay must be non-negative"),
+    (["payoffs", "--grid"], json.dumps(SMALL),
+     "grid file must hold a JSON list"),
+], ids=["node-strategy", "tier", "negative-payment",
+        "negative-execution-delay", "grid-not-a-list"])
+def test_invalid_config_file_exits_2_with_one_line(capsys, tmp_path, argv,
+                                                   text, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    code, out, err = run_cli(capsys, *argv, str(bad))
+    assert (code, out) == (2, "")
+    assert err == f"config error: {message}\n"
+
+
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
 def test_non_finite_number_exits_2(capsys, tmp_path, token):
     # A trace that repeated the value would not be strict JSON.

@@ -34,7 +34,7 @@ def host():
     for name, cost in (("identity", 3), ("sum", 5), ("sha256-hex", 7)):
         store.register(FunctionImage(name, "1", name, BUILTIN_BODIES[name],
                                      cost))
-    return EnclaveHost(store, InfoFlowLedger(), 0)
+    return EnclaveHost(store, InfoFlowLedger(), random.Random(0))
 
 
 def provisioning_material(seed=0):
@@ -88,10 +88,8 @@ def test_measurement_tracks_body_identifier():
 
 @given(name=st.text(), body_ids=st.lists(st.text(), min_size=2, max_size=2,
                                          unique=True), version=st.text())
-def test_memoized_measurement_hashes_the_measured_fields(name, body_ids,
-                                                         version):
-    # Two images that differ only in the body identifier, each built twice:
-    # the second build is served by the memo.
+def test_measurement_hashes_the_measured_fields(name, body_ids, version):
+    # Two images that differ only in the body identifier, each built twice.
     for body_id in body_ids:
         expected = hashlib.sha256(crypto.canonical_json_bytes(
             {"name": name, "bodyId": body_id, "version": version})).digest()
@@ -195,7 +193,7 @@ def test_execution_fault_propagates(host):
     for body in (lambda _: 1 / 0, lambda _: {1, 2}):
         store = FunctionStore()
         store.register(FunctionImage("boom", "1", "boom", body, 1))
-        failing = EnclaveHost(store, InfoFlowLedger(), 0)
+        failing = EnclaveHost(store, InfoFlowLedger(), random.Random(0))
         instance = failing.instantiate("boom")
         failing.attest(instance, store.measurement_of("boom"), b"n")
         secret, inputs, keys = provisioning_material()

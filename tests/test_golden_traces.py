@@ -19,13 +19,14 @@ from teescrow.config import NODE_STRATEGIES, REQUESTOR_STRATEGIES, ScenarioConfi
 from teescrow.harness import ScenarioRunner
 from teescrow.ledger import TIERS
 
+PAIRS = tuple(product(REQUESTOR_STRATEGIES, NODE_STRATEGIES))
+
 
 def golden_configs() -> dict[str, ScenarioConfig]:
     cases = {
         f"{r}/{n}/{tier}": ScenarioConfig(
             requestor_strategy=r, node_strategy=n, tier=tier)
-        for (r, n), tier in product(
-            product(REQUESTOR_STRATEGIES, NODE_STRATEGIES), TIERS)
+        for (r, n), tier in product(PAIRS, TIERS)
     }
     cases["third-party"] = ScenarioConfig(deliver_to_third_party=True)
     cases["sum-64"] = ScenarioConfig(function_name="sum",
@@ -151,19 +152,14 @@ def test_every_case_is_pinned():
     assert set(GOLDEN_DELIVERED) <= set(golden_configs())
 
 
-def _trace_id(name: str) -> str:
-    runner = ScenarioRunner(golden_configs()[name])
+def _trace_id(name: str, config: ScenarioConfig | None = None) -> str:
+    runner = ScenarioRunner(config or golden_configs()[name])
     RUNNER_SETUPS.get(name, lambda runner: None)(runner)
     return runner.run().trace_id
 
 
-@pytest.mark.parametrize("name", sorted(golden_configs()))
-def test_trace_id_unchanged(name):
-    assert _trace_id(name) == GOLDEN_TRACE_IDS[name]
-
-
-@pytest.mark.parametrize("name", sorted(golden_configs()))
-def test_delivered_bytes_unchanged(name, monkeypatch):
+def _recording_deliveries(monkeypatch) -> list[str]:
+    """The pinned digest of each result delivered from now on, in order."""
     deliver = ScenarioRunner._ACTIONS[Deliver]
     delivered = []
 
@@ -174,7 +170,37 @@ def test_delivered_bytes_unchanged(name, monkeypatch):
         deliver(runner, who, action)
 
     monkeypatch.setitem(ScenarioRunner._ACTIONS, Deliver, recording)
+    return delivered
+
+
+@pytest.mark.parametrize("name", sorted(golden_configs()))
+def test_trace_id_unchanged(name):
+    assert _trace_id(name) == GOLDEN_TRACE_IDS[name]
+
+
+@pytest.mark.parametrize("name", sorted(golden_configs()))
+def test_delivered_bytes_unchanged(name, monkeypatch):
+    delivered = _recording_deliveries(monkeypatch)
     _trace_id(name)
+    assert tuple(delivered) == GOLDEN_DELIVERED.get(name, ())
+
+
+@pytest.mark.parametrize("order", ["forward", "reversed"])
+@pytest.mark.parametrize("name", sorted(golden_configs()))
+def test_pins_hold_for_a_later_cell_of_the_family(name, order, monkeypatch):
+    """The golden run as the last cell of its config family: the other
+    eight strategy pairs run first, through ``with_strategies``, so the
+    state the family shares is built by another cell."""
+    config = golden_configs()[name]
+    own = (config.requestor_strategy, config.node_strategy)
+    others = [pair for pair in PAIRS if pair != own]
+    if order == "reversed":
+        others.reverse()
+    for pair in others:
+        ScenarioRunner(config.with_strategies(*pair)).run()
+    delivered = _recording_deliveries(monkeypatch)
+    trace_id = _trace_id(name, config.with_strategies(*own))
+    assert trace_id == GOLDEN_TRACE_IDS[name]
     assert tuple(delivered) == GOLDEN_DELIVERED.get(name, ())
 
 

@@ -13,7 +13,7 @@ from conftest import FormatsAsSeven, run_claim_race
 from test_golden_traces import RUNNER_SETUPS, golden_configs
 
 from teescrow import config as config_module
-from teescrow import crypto
+from teescrow import crypto, streams
 from teescrow.config import (
     NODE_STRATEGIES,
     REQUESTOR_STRATEGIES,
@@ -533,10 +533,20 @@ def test_with_strategies_configs_share_one_gas_schedule(monkeypatch):
 
 @pytest.mark.parametrize("pair", [("withhold-input", "honest"),
                                   ("honest", "claim-only")])
-def test_host_rng_unseeded_when_nothing_attests(pair):
-    runner = ScenarioRunner(CFG.with_strategies(*pair))
-    runner.run()
-    assert "rng" not in vars(runner.host)
+def test_host_rng_unseeded_when_nothing_attests(pair, monkeypatch):
+    seeds = []
+
+    class Recording(random.Random):
+        def seed(self, a=None, version=2):
+            seeds.append(a)
+            super().seed(a, version)
+
+    monkeypatch.setattr(streams, "Random", Recording)
+    # A family of its own, so its run is the first to draw.
+    config = dataclasses.replace(CFG, requestor_strategy=pair[0],
+                                 node_strategy=pair[1])
+    ScenarioRunner(config).run()
+    assert seeds == [f"{CFG.rng_seed}:requestor"]
 
 
 def test_host_rng_stream_unchanged_by_lazy_seeding():
@@ -595,6 +605,22 @@ def test_config_validation_errors():
         ScenarioRunner(dataclasses.replace(CFG, requestor_deposit=7))
     with pytest.raises(ConfigInvalid, match="max_resubmits"):
         ScenarioRunner(dataclasses.replace(CFG, max_resubmits=-1))
+    for name, value, message in [
+        ("node_strategy", "bogus", "unknown node strategy 'bogus'"),
+        ("tier", "medium", "unknown tier 'medium'"),
+        ("value_of_result", -1, "value_of_result must be non-negative"),
+        ("payment", -1, "payment must be non-negative"),
+        ("compute_cost", -1, "compute_cost must be non-negative"),
+        ("execution_delay", -1, "execution_delay must be non-negative"),
+    ]:
+        with pytest.raises(ConfigInvalid, match=f"^{message}$"):
+            ScenarioRunner(dataclasses.replace(CFG, **{name: value}))
+    # validate() runs in full for every cell, also once its family ran.
+    family = dataclasses.replace(CFG)
+    payoff_matrix(family)
+    with pytest.raises(ConfigInvalid,
+                       match="^unknown requestor strategy 'bogus'$"):
+        ScenarioRunner(family.with_strategies("bogus", "honest"))
 
 
 @pytest.mark.parametrize("build", [
