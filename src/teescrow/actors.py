@@ -141,10 +141,10 @@ class RequestorActor:
     """The requesting device: submits, attests, provisions, confirms."""
 
     def __init__(self, config: ScenarioConfig, rng: ByteStream,
-                 measurement_allow_list: dict[str, bytes]) -> None:
+                 expected_measurement: bytes) -> None:
         self.config = config
         self.rng = rng
-        self.allow_list = measurement_allow_list
+        self.expected_measurement = expected_measurement
         self.received_valid_result = False
         self._keys_by_task: dict[int, _TaskKeys] = {}
         # Read only after an accepted timeout, so lowering it before a run
@@ -200,7 +200,7 @@ class RequestorActor:
         return [Provision(
             instance=obs.instance,
             task_id=obs.task_id,
-            expected_measurement=self.allow_list[self.config.function_name],
+            expected_measurement=self.expected_measurement,
             nonce=self.rng.randbytes(16),
             secret=keys.secret,
             inputs=self.config.inputs,

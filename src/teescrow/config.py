@@ -17,6 +17,7 @@ import json
 import math
 from dataclasses import dataclass, field, fields, replace
 
+from .crypto import CANONICAL_JSON
 from .enclave import BUILTIN_BODIES
 from .ledger import (
     DEFAULT_CONFIRMATION_DELAY,
@@ -45,12 +46,6 @@ NODE_STRATEGIES = (NODE_HONEST, NODE_CLAIM_ONLY, NODE_COMPUTE_NO_DELIVER)
 
 class ConfigInvalid(Exception):
     pass
-
-
-#: ``crypto.CANONICAL_JSON`` that refuses ``NaN`` and infinities: the
-#: ``inputs`` go into the trace, which is strict JSON.
-STRICT_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
-                               allow_nan=False)
 
 
 def _finite(token: str) -> float:
@@ -275,7 +270,7 @@ class ScenarioConfig:
 
     def _encode_inputs(self) -> str:
         try:
-            return STRICT_JSON.encode(self.inputs)
+            return CANONICAL_JSON.encode(self.inputs)
         except (TypeError, ValueError, RecursionError) as exc:
             raise ConfigInvalid(f"inputs must be strict JSON: {exc}") from None
 

@@ -196,8 +196,10 @@ def open_result(protected: ProtectedResult, keys: ResultKeyPair) -> bytes:
         raise TamperDetected("authentication tag check failed") from None
 
 
-#: The one canonical JSON form: sorted keys, no spaces, ASCII only.
-CANONICAL_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+#: The one canonical JSON form: sorted keys, no spaces, ASCII only.  It
+#: refuses ``NaN`` and infinities, which strict JSON cannot hold.
+CANONICAL_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                                  allow_nan=False)
 
 
 def canonical_json_bytes(value) -> bytes:

@@ -4,11 +4,11 @@ An enclave instance walks the state machine
 
     Created -> Attested -> Provisioned -> Executed -> Destroyed
 
-The information-flow ledger records which principal is granted which value
-at which step.  It is the mechanism behind the simulator's confidentiality
-claims: the untrusted host is never granted the task inputs, the
-result-encryption key or the plaintext result, and is granted the task
-secret only when execution releases it.
+The information-flow ledger records each task value the untrusted host is
+granted that it may not hold.  It is the mechanism behind the simulator's
+confidentiality claims: the untrusted host is never granted the task
+inputs, the result-encryption key or the plaintext result, and is granted
+the task secret only when execution releases it.
 """
 
 from __future__ import annotations
@@ -60,33 +60,35 @@ class ExecutionFault(EnclaveError):
 # information flow
 
 
+#: A task's values the node host may never be granted (the secret only
+#: once the task has executed), in the order ``violations`` lists them.
+HOST_LEAKS = ("inputs", "enc-key", "result", "secret")
+
+
 class InfoFlowLedger:
-    """First grant step per principal and label, with a monotone step
-    counter."""
+    """The task values granted to the node host that it may not hold,
+    keyed by task id."""
 
     def __init__(self) -> None:
-        self._first_seen: dict[str, dict[str, int]] = {}
-        self._marks: dict[str, int] = {}
-        self._step = 0
+        self._executed: set[int] = set()
+        self._leaks: set[tuple[int, int]] = set()  # (task id, HOST_LEAKS index)
 
-    def _tick(self) -> int:
-        self._step += 1
-        return self._step
+    def executed(self, task_id: int) -> None:
+        self._executed.add(task_id)
 
-    def grant(self, label: str, principal: str) -> None:
-        step = self._tick()
-        self._first_seen.setdefault(principal, {}).setdefault(label, step)
+    def grant(self, task_id: int, name: str) -> None:
+        """The host is handed task ``task_id``'s value ``name``, one of
+        ``HOST_LEAKS``: a leak, unless it is the secret of a task that has
+        already executed."""
+        if name != "secret" or task_id not in self._executed:
+            self._leaks.add((task_id, HOST_LEAKS.index(name)))
 
-    def mark(self, name: str) -> None:
-        self._marks[name] = self._tick()
-
-    def mark_step(self, name: str) -> int | None:
-        return self._marks.get(name)
-
-    def granted_to(self, principal: str) -> dict[str, int]:
-        """Every label ``principal`` was granted, with its first grant's
-        step."""
-        return dict(self._first_seen.get(principal, {}))
+    def violations(self) -> tuple[str, ...]:
+        """Each leak, by task id and then in ``HOST_LEAKS`` order."""
+        return tuple(
+            f"{NODE_HOST} saw task{task_id}:{HOST_LEAKS[index]}"
+            + (" before execution" if HOST_LEAKS[index] == "secret" else "")
+            for task_id, index in sorted(self._leaks))
 
 
 # ----------------------------------------------------------------------
@@ -132,25 +134,6 @@ BUILTIN_BODIES = {
 }
 
 
-class FunctionStore:
-    """The node's store of instantiable images, keyed by name."""
-
-    def __init__(self) -> None:
-        self._images: dict[str, FunctionImage] = {}
-
-    def register(self, image: FunctionImage) -> None:
-        self._images[image.name] = image
-
-    def get(self, name: str) -> FunctionImage:
-        try:
-            return self._images[name]
-        except KeyError:
-            raise UnknownFunction(name) from None
-
-    def measurement_of(self, name: str) -> bytes:
-        return self.get(name).measurement
-
-
 # ----------------------------------------------------------------------
 # instances
 
@@ -178,7 +161,7 @@ class EnclaveInstance:
     channel_requestor: str | None = None
     channel_binding_key: bytes = b""
     provisioned: Provisioned | None = None
-    label_prefix: str = ""  # namespace for info-flow labels, set at provision
+    task_id: int = -1  # the task it runs, set at provision
 
 
 class EnclaveHost:
@@ -189,9 +172,9 @@ class EnclaveHost:
     is the secret released at execution time.
     """
 
-    def __init__(self, store: FunctionStore, flow: InfoFlowLedger,
+    def __init__(self, images: dict[str, FunctionImage], flow: InfoFlowLedger,
                  rng: ByteStream) -> None:
-        self.store = store
+        self.images = images  # the instantiable images, keyed by name
         self.flow = flow
         # Drawn from at attestation and execution only, so a run that never
         # attests never seeds a generator for it.
@@ -203,7 +186,10 @@ class EnclaveHost:
     # -- lifecycle ------------------------------------------------------
 
     def instantiate(self, function_name: str) -> EnclaveInstance:
-        image = self.store.get(function_name)
+        try:
+            image = self.images[function_name]
+        except KeyError:
+            raise UnknownFunction(function_name) from None
         self._instance_counter += 1
         return EnclaveInstance(instance_id=self._instance_counter, image=image)
 
@@ -230,8 +216,7 @@ class EnclaveHost:
 
     def provision(self, instance: EnclaveInstance, requestor: str,
                   secret: bytes, inputs: object,
-                  result_keys: ResultKeyPair,
-                  label_prefix: str) -> None:
+                  result_keys: ResultKeyPair, task_id: int) -> None:
         if instance.state is not EnclaveState.ATTESTED:
             raise NotAttested(f"provision in state {instance.state.value}")
         if requestor != instance.channel_requestor:
@@ -239,7 +224,7 @@ class EnclaveHost:
         instance.provisioned = Provisioned(
             secret=secret, inputs=inputs, result_keys=result_keys
         )
-        instance.label_prefix = label_prefix
+        instance.task_id = task_id
         instance.state = EnclaveState.PROVISIONED
 
     def execute(self, instance: EnclaveInstance) -> tuple[ProtectedResult, bytes]:
@@ -262,8 +247,8 @@ class EnclaveHost:
         protected = crypto.protect_result(encoded, data.result_keys, self.rng)
         self.resource_consumed += instance.image.resource_cost
         instance.state = EnclaveState.EXECUTED
-        self.flow.mark(f"{instance.label_prefix}:executed")
-        self.flow.grant(f"{instance.label_prefix}:secret", NODE_HOST)
+        self.flow.executed(instance.task_id)
+        self.flow.grant(instance.task_id, "secret")
         return protected, data.secret
 
     def destroy(self, instance: EnclaveInstance) -> None:

@@ -43,14 +43,12 @@ from .config import (
 )
 from .contract import EscrowContract, TaskState
 from .enclave import (
-    NODE_HOST,
     REQUESTOR,
     BUILTIN_BODIES,
     EnclaveError,
     EnclaveHost,
     EnclaveInstance,
     FunctionImage,
-    FunctionStore,
     InfoFlowLedger,
 )
 from .ledger import (
@@ -64,10 +62,6 @@ from .ledger import (
 PARTY_REQUESTOR = "requestor"
 PARTY_NODE = "node"
 PARTY_THIRD = "third-party"
-
-#: A task's values the node host may never be granted (the secret only
-#: once the task has executed), in the order the outcome lists them.
-_HOST_LEAKS = ("inputs", "enc-key", "result", "secret")
 
 
 # ----------------------------------------------------------------------
@@ -318,13 +312,11 @@ class ScenarioRunner:
             config.initial_balance)
         self.node_account = self.ledger.create_account(config.initial_balance)
         self.flow = InfoFlowLedger()
-        self.store = config.shared("store", self._scenario_store)
-        self.host = EnclaveHost(self.store, self.flow, config.stream("host"))
-        name = config.function_name
-        self.requestor = RequestorActor(
-            config, config.stream("requestor"),
-            {name: self.store.measurement_of(name)},
-        )
+        image = config.shared("image", self._scenario_image)
+        self.host = EnclaveHost({image.name: image}, self.flow,
+                                config.stream("host"))
+        self.requestor = RequestorActor(config, config.stream("requestor"),
+                                        image.measurement)
         self.node = ExecutionNodeActor(config)
         self.trace = Trace()
         self._queue: deque = deque()
@@ -332,19 +324,16 @@ class ScenarioRunner:
         self._last_receipt_time = 0
         self._ran = False
 
-    def _scenario_store(self) -> FunctionStore:
-        """The store with the config's function image, built once per
-        family: nothing registers into it after."""
+    def _scenario_image(self) -> FunctionImage:
+        """The config's function image, built once per family."""
         cfg = self.config
-        store = FunctionStore()
-        store.register(FunctionImage(
+        return FunctionImage(
             name=cfg.function_name,
             version="1",
             body_id=cfg.function_name,
             body=BUILTIN_BODIES[cfg.function_name],
             resource_cost=cfg.compute_cost,
-        ))
-        return store
+        )
 
     # ------------------------------------------------------------------
 
@@ -420,11 +409,9 @@ class ScenarioRunner:
                 queue.append((PARTY_NODE, event))
 
     def _do_instantiate(self, who: str, action: Instantiate) -> None:
-        try:
-            instance = self.host.instantiate(action.function_name)
-        except EnclaveError as exc:
-            self.trace.enclave_failed("instantiate", str(exc))
-            return
+        # validate() admits only built-in functions, and the host holds
+        # the config's image, so instantiation cannot fail.
+        instance = self.host.instantiate(action.function_name)
         self.trace.enclave("instantiate", instance)
         self._queue.append((PARTY_REQUESTOR,
                             InstanceCreated(instance, action.task_id)))
@@ -443,7 +430,7 @@ class ScenarioRunner:
         self.trace.enclave("attest", instance)
         self.host.provision(
             instance, REQUESTOR, action.secret, action.inputs,
-            action.result_keys, label_prefix=f"task{action.task_id}",
+            action.result_keys, task_id=action.task_id,
         )
         self.trace.enclave("provision", instance)
         try:
@@ -488,32 +475,6 @@ class ScenarioRunner:
 
     # ------------------------------------------------------------------
 
-    def _infoflow_violations(self) -> tuple[str, ...]:
-        """One pass over the host's grants: each task value it may not
-        hold, by task id and then in ``_HOST_LEAKS`` order."""
-        violations = []
-        num_tasks = self.contract.num_tasks
-        for label, seen in self.flow.granted_to(NODE_HOST).items():
-            prefix, _, name = label.partition(":")
-            digits = prefix.removeprefix("task")
-            # Only "task<id>:<name>" as the runner writes it, for a task
-            # of this run; the length check spares int() a long label.
-            if (name not in _HOST_LEAKS or not digits.isascii()
-                    or not digits.isdigit()
-                    or len(digits) > len(str(num_tasks))):
-                continue
-            task_id = int(digits)
-            if prefix != f"task{task_id}" or task_id >= num_tasks:
-                continue
-            if name == "secret":
-                executed_at = self.flow.mark_step(f"task{task_id}:executed")
-                if executed_at is not None and seen >= executed_at:
-                    continue
-                label += " before execution"
-            violations.append((task_id, _HOST_LEAKS.index(name),
-                               f"{NODE_HOST} saw {label}"))
-        return tuple(text for _, _, text in sorted(violations))
-
     def _finish(self) -> ScenarioOutcome:
         cfg = self.config
         gas_requestor = self.ledger.gas_cost_by_account.get(
@@ -540,7 +501,7 @@ class ScenarioRunner:
             requestor_balance_delta=requestor_delta,
             node_balance_delta=node_delta,
             end_to_end_seconds=self._last_receipt_time,
-            infoflow_violations=self._infoflow_violations(),
+            infoflow_violations=self.flow.violations(),
         )
         self.trace.outcome(outcome)
         return outcome

@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 from teescrow.contract import EscrowContract
+from teescrow.enclave import EnclaveHost
 from teescrow.harness import ScenarioRunner
 from teescrow.ledger import ContractCall, GasSchedule, Ledger, Receipt
 
@@ -92,3 +93,23 @@ def flip_first_ciphertext_bit(runner: ScenarioRunner) -> None:
         ), secret
 
     runner.host.execute = tampered
+
+
+def record_grants(host: EnclaveHost) -> list:
+    """Return a list that collects each ``grant`` call's task id and value
+    name, with the state the provisioned instance was in at the call."""
+    grants = []
+    instances = {}
+    provision, grant = host.provision, host.flow.grant
+
+    def recording_provision(instance, *args, task_id):
+        instances[task_id] = instance
+        provision(instance, *args, task_id=task_id)
+
+    def recording_grant(task_id, name):
+        grants.append((task_id, name, instances[task_id].state))
+        grant(task_id, name)
+
+    host.provision = recording_provision
+    host.flow.grant = recording_grant
+    return grants

@@ -115,7 +115,7 @@ def test_on_chain_outcome_identical_for_both_starvation_causes():
 
 def test_wrong_measurement_stops_before_provision():
     runner = ScenarioRunner(CFG.with_strategies("honest", "honest"))
-    runner.requestor.allow_list[CFG.function_name] = bytes(32)
+    runner.requestor.expected_measurement = bytes(32)
     created = record_instances(runner)
     outcome = runner.run()
     attest = [r for r in runner.trace.records if r["type"] == "enclave"][-2]
@@ -138,6 +138,22 @@ def test_execution_fault_stops_before_finalize():
     assert execute["op"] == "execute" and execute["ok"] is False
     assert enclave_ops(runner) == ["instantiate", "attest", "provision",
                                    "execute", "destroy"]
+    assert_enclave_erased(runner, created)
+    assert calls(runner) == ["submitTask", "claimTask", "timeout"]
+    assert not outcome.received_valid_result
+
+
+def test_result_strict_json_cannot_hold_is_an_execution_fault():
+    # Two finite inputs whose sum overflows to infinity: canonical JSON
+    # refuses it, so no `Infinity` plaintext is delivered or accepted.
+    runner = ScenarioRunner(dataclasses.replace(
+        CFG, function_name="sum", inputs=(1e308, 1e308)))
+    created = record_instances(runner)
+    outcome = runner.run()
+    execute = [r for r in runner.trace.records if r["type"] == "enclave"][-2]
+    assert execute == {
+        "detail": "Out of range float values are not JSON compliant",
+        "ok": False, "op": "execute", "type": "enclave"}
     assert_enclave_erased(runner, created)
     assert calls(runner) == ["submitTask", "claimTask", "timeout"]
     assert not outcome.received_valid_result

@@ -7,18 +7,18 @@ import random
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from conftest import record_grants
 
 from teescrow import crypto
 from teescrow.enclave import (
     BUILTIN_BODIES,
-    NODE_HOST,
+    HOST_LEAKS,
     REQUESTOR,
     BadState,
     EnclaveHost,
     EnclaveState,
     ExecutionFault,
     FunctionImage,
-    FunctionStore,
     InfoFlowLedger,
     MeasurementMismatch,
     NotAttested,
@@ -30,11 +30,14 @@ from teescrow.enclave import (
 
 @pytest.fixture
 def host():
-    store = FunctionStore()
-    for name, cost in (("identity", 3), ("sum", 5), ("sha256-hex", 7)):
-        store.register(FunctionImage(name, "1", name, BUILTIN_BODIES[name],
-                                     cost))
-    return EnclaveHost(store, InfoFlowLedger(), random.Random(0))
+    images = {name: FunctionImage(name, "1", name, BUILTIN_BODIES[name], cost)
+              for name, cost in (("identity", 3), ("sum", 5),
+                                 ("sha256-hex", 7))}
+    return EnclaveHost(images, InfoFlowLedger(), random.Random(0))
+
+
+def measurement(host, name):
+    return host.images[name].measurement
 
 
 def provisioning_material(seed=0):
@@ -44,7 +47,7 @@ def provisioning_material(seed=0):
 
 def attested(host, name="identity", requestor=REQUESTOR):
     instance = host.instantiate(name)
-    expected = host.store.measurement_of(name)
+    expected = measurement(host, name)
     host.attest(instance, expected, host.rng.randbytes(16),
                 requestor=requestor)
     return instance
@@ -54,7 +57,7 @@ def provisioned(host, seed=0):
     instance = attested(host)
     secret, inputs, keys = provisioning_material(seed)
     host.provision(instance, REQUESTOR, secret, inputs, keys,
-                   label_prefix="task0")
+                   task_id=0)
     return instance, secret, inputs, keys
 
 
@@ -103,7 +106,7 @@ def test_measurement_hashes_the_measured_fields(name, body_ids, version):
 
 def test_attest_success_binds_channel(host):
     instance = host.instantiate("identity")
-    host.attest(instance, host.store.measurement_of("identity"), b"nonce-1")
+    host.attest(instance, measurement(host, "identity"), b"nonce-1")
     assert instance.state is EnclaveState.ATTESTED
     assert instance.channel_requestor == REQUESTOR
     assert len(instance.channel_binding_key) == 32
@@ -112,13 +115,13 @@ def test_attest_success_binds_channel(host):
 def test_attest_measurement_mismatch(host):
     instance = host.instantiate("identity")
     with pytest.raises(MeasurementMismatch):
-        host.attest(instance, host.store.measurement_of("sum"), b"nonce-1")
+        host.attest(instance, measurement(host, "sum"), b"nonce-1")
     assert instance.state is EnclaveState.CREATED
 
 
 def test_attest_replayed_nonce(host):
     first = host.instantiate("identity")
-    expected = host.store.measurement_of("identity")
+    expected = measurement(host, "identity")
     host.attest(first, expected, b"nonce-1")
     second = host.instantiate("identity")
     with pytest.raises(StaleNonce):
@@ -135,7 +138,7 @@ def test_provision_before_attest(host):
     secret, inputs, keys = provisioning_material()
     with pytest.raises(NotAttested):
         host.provision(instance, REQUESTOR, secret, inputs, keys,
-                       label_prefix="task0")
+                       task_id=0)
 
 
 def test_provision_wrong_principal(host):
@@ -143,13 +146,64 @@ def test_provision_wrong_principal(host):
     secret, inputs, keys = provisioning_material()
     with pytest.raises(WrongPrincipal):
         host.provision(instance, "somebody-else", secret, inputs, keys,
-                       label_prefix="task0")
+                       task_id=0)
 
 
 def test_provisioned_values_hidden_from_host(host):
+    grants = record_grants(host)
     provisioned(host)
-    for label in ("task0:secret", "task0:inputs", "task0:enc-key"):
-        assert label not in host.flow.granted_to(NODE_HOST)
+    assert grants == []
+    assert host.flow.violations() == ()
+
+
+def first_grant_step_violations(calls):
+    """The rule the ledger replaced, as its reference.
+
+    Every call ticks a step counter.  A task's ``executed`` call records its
+    step; a grant is kept at its first step per task and value.  Each
+    granted value is a violation, except a secret first granted at or after
+    its task's executed step.  Sorted by task, then ``HOST_LEAKS`` order.
+    """
+    step = 0
+    first_seen, executed_at = {}, {}
+    for call in calls:
+        step += 1
+        if call[0] == "executed":
+            executed_at[call[1]] = step
+        else:
+            first_seen.setdefault(call[1:], step)
+    violations = []
+    for (task_id, name), seen in first_seen.items():
+        label = f"task{task_id}:{name}"
+        if name == "secret":
+            if task_id in executed_at and seen >= executed_at[task_id]:
+                continue
+            label += " before execution"
+        violations.append((task_id, HOST_LEAKS.index(name),
+                           f"node-host saw {label}"))
+    return tuple(text for _, _, text in sorted(violations))
+
+
+_TASK_IDS = st.integers(min_value=0, max_value=3)
+
+
+@given(st.lists(st.one_of(
+    st.tuples(st.just("executed"), _TASK_IDS),
+    st.tuples(st.just("grant"), _TASK_IDS, st.sampled_from(HOST_LEAKS)),
+)))
+def test_violations_follow_the_first_grant_step_rule(calls):
+    # The host executes each task once: drop a task's later ``executed``.
+    executed, once = set(), []
+    for call in calls:
+        if call[0] == "executed":
+            if call[1] in executed:
+                continue
+            executed.add(call[1])
+        once.append(call)
+    flow = InfoFlowLedger()
+    for kind, *args in once:
+        getattr(flow, kind)(*args)
+    assert flow.violations() == first_grant_step_violations(once)
 
 
 def test_execute_identity_roundtrip(host):
@@ -173,13 +227,12 @@ def test_resource_meter_charges_image_cost(host):
 
 
 def test_secret_reaches_host_only_at_execute(host):
+    grants = record_grants(host)
     instance, *_ = provisioned(host)
-    assert "task0:secret" not in host.flow.granted_to(NODE_HOST)
+    assert grants == []
     host.execute(instance)
-    seen = host.flow.granted_to(NODE_HOST).get("task0:secret")
-    executed = host.flow.mark_step("task0:executed")
-    assert seen is not None and executed is not None
-    assert seen >= executed
+    assert grants == [(0, "secret", EnclaveState.EXECUTED)]
+    assert host.flow.violations() == ()
 
 
 def test_execute_requires_provisioned_state(host):
@@ -191,14 +244,14 @@ def test_execute_requires_provisioned_state(host):
 def test_execution_fault_propagates(host):
     # A body that raises, and one whose result canonical JSON cannot hold.
     for body in (lambda _: 1 / 0, lambda _: {1, 2}):
-        store = FunctionStore()
-        store.register(FunctionImage("boom", "1", "boom", body, 1))
-        failing = EnclaveHost(store, InfoFlowLedger(), random.Random(0))
+        image = FunctionImage("boom", "1", "boom", body, 1)
+        failing = EnclaveHost({"boom": image}, InfoFlowLedger(),
+                              random.Random(0))
         instance = failing.instantiate("boom")
-        failing.attest(instance, store.measurement_of("boom"), b"n")
+        failing.attest(instance, image.measurement, b"n")
         secret, inputs, keys = provisioning_material()
         failing.provision(instance, REQUESTOR, secret, inputs, keys,
-                          label_prefix="task0")
+                          task_id=0)
         with pytest.raises(ExecutionFault):
             failing.execute(instance)
 
@@ -213,7 +266,7 @@ def test_destroy_then_provision_refused(host):
     secret, inputs, keys = provisioning_material()
     with pytest.raises(NotAttested):
         host.provision(instance, REQUESTOR, secret, inputs, keys,
-                       label_prefix="task0")
+                       task_id=0)
 
 
 def test_destroy_erases_enclave_visibility(host):
@@ -231,13 +284,13 @@ def test_destroy_erases_enclave_visibility(host):
 
 def test_only_forward_sequences_accepted(host):
     instance, *_ = provisioned(host)
-    expected = host.store.measurement_of("identity")
+    expected = measurement(host, "identity")
     with pytest.raises(BadState):
         host.attest(instance, expected, host.rng.randbytes(16))
     host.execute(instance)
     with pytest.raises(NotAttested):
         host.provision(instance, REQUESTOR, *provisioning_material(),
-                       label_prefix="task0")
+                       task_id=0)
     with pytest.raises(BadState):
         host.execute(instance)
     host.destroy(instance)

@@ -68,7 +68,7 @@ def golden_configs() -> dict[str, ScenarioConfig]:
 
 
 def _expect_wrong_measurement(runner: ScenarioRunner) -> None:
-    runner.requestor.allow_list[runner.config.function_name] = bytes(32)
+    runner.requestor.expected_measurement = bytes(32)
 
 
 #: Cases that reach a failure path through a runner hook, not the config.

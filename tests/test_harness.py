@@ -13,6 +13,7 @@ from conftest import FormatsAsSeven, run_claim_race
 from test_golden_traces import RUNNER_SETUPS, golden_configs
 
 from teescrow import config as config_module
+from teescrow import harness as harness_module
 from teescrow import crypto, streams
 from teescrow.config import (
     NODE_STRATEGIES,
@@ -29,7 +30,7 @@ from teescrow.contract import (
     TaskState,
 )
 from teescrow.crypto import ProtectedResult
-from teescrow.enclave import NODE_HOST, EnclaveInstance, FunctionImage
+from teescrow.enclave import EnclaveInstance, FunctionImage
 from teescrow.harness import (
     ScenarioOutcome,
     ScenarioRunner,
@@ -130,28 +131,26 @@ def test_locked_funds_never_decrease_after_timeout():
     assert ledger.balance(CONTRACT_ACCOUNT) == locked
 
 
-@pytest.mark.parametrize("label, violation", [
-    ("task0:inputs", "node-host saw task0:inputs"),
-    ("task0:enc-key", "node-host saw task0:enc-key"),
-    ("task0:result", "node-host saw task0:result"),
-    ("task0:secret", "node-host saw task0:secret before execution"),
+@pytest.mark.parametrize("name, violation", [
+    ("inputs", "node-host saw task0:inputs"),
+    ("enc-key", "node-host saw task0:enc-key"),
+    ("result", "node-host saw task0:result"),
+    ("secret", "node-host saw task0:secret before execution"),
 ], ids=["inputs", "enc-key", "result", "secret"])
-def test_outcome_names_a_host_leak(label, violation):
+def test_outcome_names_a_host_leak(name, violation):
     runner = ScenarioRunner(CFG)
     # Granted before the run, so also before the task is executed.
-    runner.flow.grant(label, NODE_HOST)
+    runner.flow.grant(0, name)
     assert runner.run().infoflow_violations == (violation,)
 
 
 def test_outcome_orders_host_leaks_by_task_then_value():
-    # Four tasks, none executed; granted out of order, plus labels that
-    # name no task of the run or no protected value.
+    # Four tasks, none executed; granted out of order, one twice.
     runner = ScenarioRunner(dataclasses.replace(
         CFG, requestor_strategy="withhold-input", max_resubmits=3))
-    for label in ("task2:result", "task0:secret", "task4:inputs",
-                  "task2:inputs", "task02:enc-key", "task0:enc-key",
-                  "task1:executed", "task0:result"):
-        runner.flow.grant(label, NODE_HOST)
+    for task_id, name in ((2, "result"), (0, "secret"), (2, "inputs"),
+                          (0, "enc-key"), (2, "result"), (0, "result")):
+        runner.flow.grant(task_id, name)
     assert runner.run().infoflow_violations == (
         "node-host saw task0:enc-key",
         "node-host saw task0:result",
@@ -452,14 +451,14 @@ def test_inputs_strict_json_cannot_hold_are_invalid(inputs):
 
 def test_with_strategies_configs_share_one_inputs_encoding(monkeypatch):
     encoded = []
-    encoder = config_module.STRICT_JSON
+    encoder = crypto.CANONICAL_JSON
 
     class CountingEncoder:
         def encode(self, value):
             encoded.append(value)
             return encoder.encode(value)
 
-    monkeypatch.setattr(config_module, "STRICT_JSON", CountingEncoder())
+    monkeypatch.setattr(config_module, "CANONICAL_JSON", CountingEncoder())
     base = dataclasses.replace(CFG, inputs=[[1.5, None], "\u00e9", 2**70])
     pairs = list(product(REQUESTOR_STRATEGIES, NODE_STRATEGIES))
     shared = [base.with_strategies(*pair) for pair in pairs]
@@ -709,6 +708,59 @@ def test_dominance_example_inequalities():
         ("honest", "compute-no-deliver")].node_payoff
     assert honest.requestor_payoff > matrix.cells[
         ("no-confirm", "honest")].requestor_payoff
+
+
+# Gas counted in the payoffs: a no-confirm requestor forfeits its deposit
+# but saves the finalizeRequestor gas.  These configs pass today's
+# ``in_rational_regime``, which ignores gas.
+GAS_IN_PAYOFFS = ScenarioConfig(gas_charging=True, include_gas_in_payoffs=True,
+                                threshold=10**15, tier="standard")
+
+
+def test_dominance_reports_a_requestor_deviation_that_pays():
+    assert dominance_check([GAS_IN_PAYOFFS]).violations == [
+        "draw 1: requestor no-confirm (89995945109497737360) not dominated "
+        "by honest (89995775867417885814)",
+    ]
+    # The confirmation costs less at the slow tier's gas price.
+    slow = dataclasses.replace(GAS_IN_PAYOFFS, tier="slow")
+    assert dominance_check([slow]).ok
+
+
+def test_dominance_reports_honest_losses_and_node_deviations():
+    config = ScenarioConfig(
+        gas_charging=True, include_gas_in_payoffs=True, tier="fast",
+        value_of_result=3 * 10**15, payment=2 * 10**15, compute_cost=10**15,
+        threshold=10**13)
+    report = dominance_check([config])
+    assert report.draws == 1
+    assert report.violations == [
+        "draw 1: honest/honest payoffs not both positive",
+        "draw 1: requestor no-confirm (-7067273699863600) not dominated by "
+        "honest (-10141149685527890)",
+        "draw 1: requestor withhold-input (-9807004598063600) not dominated "
+        "by honest (-10141149685527890)",
+        "draw 1: node claim-only (-4217829132446400) not dominated by honest "
+        "(-4738850313892340)",
+    ]
+
+
+def test_dominance_reports_a_cheating_node_that_loses_nothing(monkeypatch):
+    # No valid config gets here (the node's deposit and compute cost are
+    # positive), so the claim-only cell's node payoff is replaced by 0.
+    run = harness_module.run_scenario
+
+    def claim_only_breaks_even(config):
+        outcome = run(config)
+        if config.node_strategy == "claim-only":
+            outcome = dataclasses.replace(outcome, node_payoff=0)
+        return outcome
+
+    monkeypatch.setattr(harness_module, "run_scenario", claim_only_breaks_even)
+    assert dominance_check([CFG, CFG]).violations == [
+        f"draw {draw}: cheating node claim-only did not lose funds (0)"
+        for draw in (1, 2)
+    ]
 
 
 def test_dominance_requires_rational_regime():
