@@ -1,21 +1,23 @@
 """Strategy-driven requestor and execution-node behaviours.
 
-Actors are deterministic state machines: the scheduler feeds them one
-observation at a time and they answer with a list of protocol actions for
-the scheduler to execute.  They never issue a dependent chain call before
-the previous call's receipt has been observed.  The runner routes each
-message to one party, and queues a receipt or an event only if that
-party's ``ON_RECEIPT`` or ``ON_EVENT`` table names its call or kind, so
-``step`` never sees a message it would ignore:
+Actors are deterministic state machines that act by calling the runner
+(``submit``, ``instantiate``, ``provision``, ``deliver``, ``destroy``),
+which applies the step at once and queues the handler call it produces.
+An actor never issues a dependent chain call before the previous call's
+receipt has been handled.  The runner names each handler and delivers the
+call through the party's ``step``; it queues a receipt or an event for no
+one unless a table names it.  The runner is passed in as ``run``, never
+kept, so a finished run holds no reference cycle.
 
-    Start               requestor
-    ledger.Receipt      the party that sent the transaction
-    ledger.LedgerEvent  node (the requestor acts on no chain event)
-    InstanceCreated     requestor
-    ExecutionDone       node
-    Deliver             its ``destination``: requestor or third party
-    ThirdPartyAck       requestor
-    Expiry              requestor
+    handler                    party                   queued by
+    on_start                   requestor               the run's start
+    ON_RECEIPT[call function]  the sender              ``submit``
+    ON_EVENT[event kind]       node                    ``submit``
+    on_instance_created        requestor               ``instantiate``
+    on_execution_done          node                    ``provision``
+    on_delivery                requestor, third party  ``deliver``
+    on_third_party_ack         requestor               ``acknowledge``
+    on_expiry                  requestor               the task's deadline
 
 Honest behaviour follows the protocol sequence: the requestor generates a
 secret, submits the task with payment + deposit, provisions the claimed
@@ -34,6 +36,7 @@ short:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from . import crypto
 from .config import (
@@ -48,86 +51,8 @@ from .enclave import EnclaveInstance
 from .ledger import ContractCall, LedgerEvent, Receipt
 from .streams import ByteStream
 
-# ----------------------------------------------------------------------
-# observations
-
-
-@dataclass(slots=True)
-class Start:
-    pass
-
-
-@dataclass(slots=True)
-class InstanceCreated:
-    instance: EnclaveInstance
-    task_id: int
-
-
-@dataclass(slots=True)
-class ExecutionDone:
-    instance: EnclaveInstance
-    task_id: int
-    protected: ProtectedResult
-    secret: bytes
-
-
-@dataclass(slots=True)
-class ThirdPartyAck:
-    task_id: int
-    signature_valid: bool
-
-
-@dataclass(slots=True)
-class Expiry:
-    task_id: int
-
-
-# ----------------------------------------------------------------------
-# actions
-
-
-@dataclass(slots=True)
-class SubmitTx:
-    call: ContractCall
-    value: int = 0
-
-
-@dataclass(slots=True)
-class Instantiate:
-    function_name: str
-    task_id: int
-
-
-@dataclass(slots=True)
-class Provision:
-    """Attest the instance, provision it and run the function."""
-
-    instance: EnclaveInstance
-    task_id: int
-    expected_measurement: bytes
-    nonce: bytes
-    secret: bytes
-    inputs: object
-    result_keys: ResultKeyPair
-
-
-@dataclass(slots=True)
-class Destroy:
-    instance: EnclaveInstance
-
-
-@dataclass(slots=True)
-class Deliver:
-    task_id: int
-    protected: ProtectedResult
-    destination: str  # "requestor" or "third-party"
-
-
-Action = object
-Observation = object
-
-
-# ----------------------------------------------------------------------
+if TYPE_CHECKING:
+    from .harness import ScenarioRunner
 
 
 @dataclass(slots=True)
@@ -155,95 +80,70 @@ class RequestorActor:
         """The public key that checks the signature on a task's result."""
         return self._keys_by_task[task_id].result_keys.verify_key
 
+    def step(self, run: ScenarioRunner, handler, *args) -> None:
+        handler(self, run, *args)
+
     # A single requestor driving a fresh contract gets sequential task ids,
     # so the ordinal of the submission doubles as the task id.
-    def _prepare_task(self) -> _TaskKeys:
+    def _submit_task(self, run: ScenarioRunner) -> None:
         ordinal = len(self._keys_by_task)
         secret = crypto.generate_secret(self.rng)
         keys = _TaskKeys(secret, crypto.hash_secret(secret),
                          crypto.new_result_keys(self.rng))
         self._keys_by_task[ordinal] = keys
-        return keys
+        run.submit(self, ContractCall("submitTask", {
+            "function_name": self.config.function_name,
+            "hash_lock": keys.hash_lock,
+            "expires": self.config.expires,
+        }), self.config.payment + self.config.threshold)
 
-    def _submit_action(self) -> SubmitTx:
-        keys = self._prepare_task()
-        return SubmitTx(
-            call=ContractCall("submitTask", {
-                "function_name": self.config.function_name,
-                "hash_lock": keys.hash_lock,
-                "expires": self.config.expires,
-            }),
-            value=self.config.payment + self.config.threshold,
-        )
+    def on_start(self, run: ScenarioRunner) -> None:
+        self._submit_task(run)
 
-    def step(self, obs: Observation) -> list[Action]:
-        return self._HANDLERS[type(obs)](self, obs)
-
-    def _on_start(self, obs: Start) -> list[Action]:
-        return [self._submit_action()]
-
-    def _on_receipt(self, receipt: Receipt) -> list[Action]:
-        return self.ON_RECEIPT[receipt.call.function](self, receipt)
-
-    def _on_timeout(self, receipt: Receipt) -> list[Action]:
+    def _on_timeout(self, run: ScenarioRunner, receipt: Receipt) -> None:
         if receipt.outcome.accepted and self.resubmits_left > 0:
             # A resubmission always carries a fresh secret and hash.
             self.resubmits_left -= 1
             self.received_valid_result = False
-            return [self._submit_action()]
-        return []
+            self._submit_task(run)
 
-    def _on_instance_created(self, obs: InstanceCreated) -> list[Action]:
+    def on_instance_created(self, run: ScenarioRunner,
+                            instance: EnclaveInstance, task_id: int) -> None:
         if self.config.requestor_strategy == REQUESTOR_WITHHOLD_INPUT:
-            return []
-        keys = self._keys_by_task[obs.task_id]
-        return [Provision(
-            instance=obs.instance,
-            task_id=obs.task_id,
-            expected_measurement=self.expected_measurement,
-            nonce=self.rng.randbytes(16),
-            secret=keys.secret,
-            inputs=self.config.inputs,
-            result_keys=keys.result_keys,
-        )]
+            return
+        keys = self._keys_by_task[task_id]
+        run.provision(instance, task_id, self.expected_measurement,
+                      self.rng.randbytes(16), keys.secret, self.config.inputs,
+                      keys.result_keys)
 
-    def _on_delivery(self, obs: Deliver) -> list[Action]:
-        keys = self._keys_by_task[obs.task_id]
+    def on_delivery(self, run: ScenarioRunner, task_id: int,
+                    protected: ProtectedResult) -> None:
         try:
-            crypto.open_result(obs.protected, keys.result_keys)
+            crypto.open_result(protected,
+                               self._keys_by_task[task_id].result_keys)
         except crypto.CryptoError:
             # Bad delivery: fall through to the timeout path.
-            return []
+            return
         self.received_valid_result = True
-        return self._maybe_confirm(obs.task_id)
+        self._maybe_confirm(run, task_id)
 
-    def _on_third_party_ack(self, obs: ThirdPartyAck) -> list[Action]:
-        if not obs.signature_valid:
-            return []
-        self.received_valid_result = True
-        return self._maybe_confirm(obs.task_id)
+    def on_third_party_ack(self, run: ScenarioRunner, task_id: int,
+                           signature_valid: bool) -> None:
+        if signature_valid:
+            self.received_valid_result = True
+            self._maybe_confirm(run, task_id)
 
-    def _on_expiry(self, obs: Expiry) -> list[Action]:
+    def on_expiry(self, run: ScenarioRunner, task_id: int) -> None:
         if not self.received_valid_result:
-            return [SubmitTx(ContractCall("timeout", {"task_id": obs.task_id}))]
-        return []
+            run.submit(self, ContractCall("timeout", {"task_id": task_id}))
 
-    def _maybe_confirm(self, task_id: int) -> list[Action]:
-        if self.config.requestor_strategy != REQUESTOR_HONEST:
-            return []
-        return [SubmitTx(ContractCall("finalizeRequestor", {"task_id": task_id}))]
+    def _maybe_confirm(self, run: ScenarioRunner, task_id: int) -> None:
+        if self.config.requestor_strategy == REQUESTOR_HONEST:
+            run.submit(self, ContractCall("finalizeRequestor",
+                                          {"task_id": task_id}))
 
     #: Call function -> handler of its receipt; the runner drops the rest.
     ON_RECEIPT = {"timeout": _on_timeout}
-
-    _HANDLERS = {
-        Start: _on_start,
-        Receipt: _on_receipt,
-        InstanceCreated: _on_instance_created,
-        Deliver: _on_delivery,
-        ThirdPartyAck: _on_third_party_ack,
-        Expiry: _on_expiry,
-    }
 
 
 class ExecutionNodeActor:
@@ -252,66 +152,56 @@ class ExecutionNodeActor:
     def __init__(self, config: ScenarioConfig) -> None:
         self.config = config
         self._function_by_task: dict[int, str] = {}
-        self._done_by_task: dict[int, ExecutionDone] = {}
+        self._done_by_task: dict[
+            int, tuple[EnclaveInstance, ProtectedResult]] = {}
 
-    def step(self, obs: Observation) -> list[Action]:
-        return self._HANDLERS[type(obs)](self, obs)
+    def step(self, run: ScenarioRunner, handler, *args) -> None:
+        handler(self, run, *args)
 
-    def _on_event(self, event: LedgerEvent) -> list[Action]:
-        return self.ON_EVENT[event.kind](self, event)
-
-    def _on_task_submitted(self, event: LedgerEvent) -> list[Action]:
+    def _on_task_submitted(self, run: ScenarioRunner,
+                           event: LedgerEvent) -> None:
         self._function_by_task[event.task_id] = event.payload["functionName"]
-        return [SubmitTx(
-            call=ContractCall("claimTask", {"task_id": event.task_id}),
-            value=self.config.node_deposit,
-        )]
+        run.submit(self, ContractCall("claimTask", {"task_id": event.task_id}),
+                   self.config.node_deposit)
 
-    def _on_receipt(self, receipt: Receipt) -> list[Action]:
-        return self.ON_RECEIPT[receipt.call.function](self, receipt)
+    def _on_claimed(self, run: ScenarioRunner, receipt: Receipt) -> None:
+        if (receipt.outcome.accepted
+                and self.config.node_strategy != NODE_CLAIM_ONLY):
+            task_id = receipt.call.args["task_id"]
+            run.instantiate(self._function_by_task[task_id], task_id)
 
-    def _on_claimed(self, receipt: Receipt) -> list[Action]:
-        if (not receipt.outcome.accepted
-                or self.config.node_strategy == NODE_CLAIM_ONLY):
-            return []
-        task_id = receipt.call.args["task_id"]
-        return [Instantiate(
-            function_name=self._function_by_task[task_id],
-            task_id=task_id,
-        )]
-
-    def _on_finalized(self, receipt: Receipt) -> list[Action]:
+    def _on_finalized(self, run: ScenarioRunner, receipt: Receipt) -> None:
         if not receipt.outcome.accepted:
-            return []
-        done = self._done_by_task[receipt.call.args["task_id"]]
-        actions: list[Action] = []
+            return
+        task_id = receipt.call.args["task_id"]
+        instance, protected = self._done_by_task[task_id]
         if self.config.node_strategy == NODE_HONEST:
-            destination = (
-                "third-party" if self.config.deliver_to_third_party
-                else "requestor"
-            )
-            actions.append(Deliver(
-                task_id=done.task_id,
-                protected=done.protected,
-                destination=destination,
-            ))
-        actions.append(Destroy(done.instance))
-        return actions
+            run.deliver(task_id, protected,
+                        "third-party" if self.config.deliver_to_third_party
+                        else "requestor")
+        run.destroy(instance)
 
-    def _on_execution_done(self, obs: ExecutionDone) -> list[Action]:
-        self._done_by_task[obs.task_id] = obs
-        return [SubmitTx(ContractCall("finalizeExecutionNode", {
-            "task_id": obs.task_id,
-            "secret": obs.secret,
-        }))]
+    def on_execution_done(self, run: ScenarioRunner,
+                          instance: EnclaveInstance, task_id: int,
+                          protected: ProtectedResult, secret: bytes) -> None:
+        self._done_by_task[task_id] = instance, protected
+        run.submit(self, ContractCall("finalizeExecutionNode",
+                                      {"task_id": task_id, "secret": secret}))
 
     #: Event kind or call function -> handler; the runner drops the rest.
     ON_EVENT = {"TaskSubmitted": _on_task_submitted}
     ON_RECEIPT = {"claimTask": _on_claimed,
                   "finalizeExecutionNode": _on_finalized}
 
-    _HANDLERS = {
-        LedgerEvent: _on_event,
-        Receipt: _on_receipt,
-        ExecutionDone: _on_execution_done,
-    }
+
+class ThirdParty:
+    """The cloud endpoint a result can be delivered to instead: it checks
+    the result's public signature and acks back to the requestor."""
+
+    def step(self, run: ScenarioRunner, handler, *args) -> None:
+        handler(self, run, *args)
+
+    def on_delivery(self, run: ScenarioRunner, task_id: int,
+                    protected: ProtectedResult) -> None:
+        run.acknowledge(task_id, crypto.verify_result_signature(
+            protected, run.requestor.verify_key(task_id)))

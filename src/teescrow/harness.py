@@ -18,21 +18,7 @@ import json
 from collections import deque
 from dataclasses import dataclass, field, replace
 
-from . import crypto
-from .actors import (
-    Deliver,
-    Destroy,
-    ExecutionDone,
-    ExecutionNodeActor,
-    Expiry,
-    Instantiate,
-    InstanceCreated,
-    Provision,
-    RequestorActor,
-    Start,
-    SubmitTx,
-    ThirdPartyAck,
-)
+from .actors import ExecutionNodeActor, RequestorActor, ThirdParty
 from .config import (
     NODE_HONEST,
     NODE_STRATEGIES,
@@ -42,6 +28,7 @@ from .config import (
     ScenarioConfig,
 )
 from .contract import EscrowContract, TaskState
+from .crypto import ProtectedResult, ResultKeyPair
 from .enclave import (
     REQUESTOR,
     BUILTIN_BODIES,
@@ -54,6 +41,7 @@ from .enclave import (
 from .ledger import (
     CONTRACT_ACCOUNT,
     NULL_ACCOUNT,
+    ContractCall,
     GasSchedule,
     Ledger,
     Receipt,
@@ -176,18 +164,18 @@ class Trace:
             f'{{"detail":{_q(detail)},"ok":false,"op":"{op}",'
             f'"type":"enclave"}}\n')
 
-    def result_delivery(self, action: Deliver) -> None:
+    def result_delivery(self, task_id: int, key_id: str,
+                        destination: str) -> None:
         self._lines.append(
-            f'{{"destination":{_q(action.destination)},'
-            f'"keyId":{_q(action.protected.key_id)},'
-            f'"kind":"result-delivery","taskId":{action.task_id},'
+            f'{{"destination":{_q(destination)},"keyId":{_q(key_id)},'
+            f'"kind":"result-delivery","taskId":{task_id},'
             f'"type":"message"}}\n')
 
-    def third_party_ack(self, ack: ThirdPartyAck) -> None:
+    def third_party_ack(self, task_id: int, signature_valid: bool) -> None:
         self._lines.append(
             f'{{"kind":"third-party-ack",'
-            f'"signatureValid":{_BOOL[ack.signature_valid]},'
-            f'"taskId":{ack.task_id},"type":"message"}}\n')
+            f'"signatureValid":{_BOOL[signature_valid]},'
+            f'"taskId":{task_id},"type":"message"}}\n')
 
     def scenario(self, c: ScenarioConfig) -> None:
         head, middle, tail = c.shared("scenario_line",
@@ -318,7 +306,9 @@ class ScenarioRunner:
         self.requestor = RequestorActor(config, config.stream("requestor"),
                                         image.measurement)
         self.node = ExecutionNodeActor(config)
+        self.third_party = ThirdParty()
         self.trace = Trace()
+        # (party, handler, args), run as party.step(self, handler, *args).
         self._queue: deque = deque()
         self._next_expiry = 0  # lowest task id not yet armed or skipped
         self._last_receipt_time = 0
@@ -342,7 +332,7 @@ class ScenarioRunner:
             raise RuntimeError("a runner is single-use")
         self._ran = True
         self.trace.scenario(self.config)
-        self._queue.append((PARTY_REQUESTOR, Start()))
+        self._queue.append((self.requestor, RequestorActor.on_start, ()))
         while True:
             self._drain()
             if not self._arm_expiry():
@@ -350,19 +340,10 @@ class ScenarioRunner:
         return self._finish()
 
     def _drain(self) -> None:
-        queue, actions = self._queue, self._ACTIONS
-        requestor, node = self.requestor, self.node
+        queue = self._queue
         while queue:
-            recipient, obs = queue.popleft()
-            if recipient == PARTY_THIRD:
-                self._third_party(obs)
-                continue
-            actor = requestor if recipient == PARTY_REQUESTOR else node
-            for action in actor.step(obs):
-                handler = actions.get(type(action))
-                if handler is None:
-                    raise TypeError(f"unknown action {action!r}")
-                handler(self, recipient, action)
+            party, handler, args = queue.popleft()
+            party.step(self, handler, *args)
 
     def _arm_expiry(self) -> bool:
         """Advance to the expiry of a still-open task, once per task.
@@ -381,57 +362,60 @@ class ScenarioRunner:
             if self.ledger.now < deadline:
                 self.ledger.advance_time(deadline - self.ledger.now)
                 self.trace.clock(self.ledger.now, f"expiry of task {task_id}")
-            self._queue.append((PARTY_REQUESTOR, Expiry(task_id)))
+            self._queue.append(
+                (self.requestor, RequestorActor.on_expiry, (task_id,)))
             return True
         return False
 
     # ------------------------------------------------------------------
+    # The protocol steps the parties take.  Each applies at once, writes
+    # its trace lines and queues the handler calls it produces.
 
-    def _do_tx(self, who: str, action: SubmitTx) -> None:
+    def submit(self, actor: RequestorActor | ExecutionNodeActor,
+               call: ContractCall, value: int = 0) -> None:
         """Submit the call and queue only what a party acts on: the receipt
         if the sender's ``ON_RECEIPT`` names the call, and each event the
         node's ``ON_EVENT`` names."""
-        if who == PARTY_REQUESTOR:
-            actor, sender = self.requestor, self.requestor_account
+        if actor is self.requestor:
+            who, sender = PARTY_REQUESTOR, self.requestor_account
         else:
-            actor, sender = self.node, self.node_account
-        call = action.call
+            who, sender = PARTY_NODE, self.node_account
         receipt = self.ledger.submit_transaction(
-            sender, call, action.value, self.config.tier)
+            sender, call, value, self.config.tier)
         self._last_receipt_time = receipt.timestamp
         self.trace.call(who, receipt)
-        queue = self._queue
-        if call.function in actor.ON_RECEIPT:
-            queue.append((who, receipt))
-        on_event = self.node.ON_EVENT
+        handler = actor.ON_RECEIPT.get(call.function)
+        if handler is not None:
+            self._queue.append((actor, handler, (receipt,)))
         for event in receipt.events:
-            if event.kind in on_event:
-                queue.append((PARTY_NODE, event))
+            handler = self.node.ON_EVENT.get(event.kind)
+            if handler is not None:
+                self._queue.append((self.node, handler, (event,)))
 
-    def _do_instantiate(self, who: str, action: Instantiate) -> None:
+    def instantiate(self, function_name: str, task_id: int) -> None:
         # validate() admits only built-in functions, and the host holds
         # the config's image, so instantiation cannot fail.
-        instance = self.host.instantiate(action.function_name)
+        instance = self.host.instantiate(function_name)
         self.trace.enclave("instantiate", instance)
-        self._queue.append((PARTY_REQUESTOR,
-                            InstanceCreated(instance, action.task_id)))
+        self._queue.append((self.requestor,
+                            RequestorActor.on_instance_created,
+                            (instance, task_id)))
 
-    def _do_provision(self, who: str, action: Provision) -> None:
+    def provision(self, instance: EnclaveInstance, task_id: int,
+                  expected_measurement: bytes, nonce: bytes, secret: bytes,
+                  inputs: object, result_keys: ResultKeyPair) -> None:
         """The attested session: attest, provision, execute; stops at the
         first enclave error and destroys the instance."""
-        instance = action.instance
         try:
-            self.host.attest(instance, action.expected_measurement,
-                             action.nonce, requestor=REQUESTOR)
+            self.host.attest(instance, expected_measurement, nonce,
+                             requestor=REQUESTOR)
         except EnclaveError as exc:
             self.trace.enclave_failed("attest", str(exc))
-            self._do_destroy(who, Destroy(instance))
+            self.destroy(instance)
             return
         self.trace.enclave("attest", instance)
-        self.host.provision(
-            instance, REQUESTOR, action.secret, action.inputs,
-            action.result_keys, task_id=action.task_id,
-        )
+        self.host.provision(instance, REQUESTOR, secret, inputs, result_keys,
+                            task_id=task_id)
         self.trace.enclave("provision", instance)
         try:
             protected, secret = self.host.execute(instance)
@@ -439,39 +423,31 @@ class ScenarioRunner:
             # The instance holds the secret and inputs: it must not outlive
             # the failed session.
             self.trace.enclave_failed("execute", str(exc))
-            self._do_destroy(who, Destroy(instance))
+            self.destroy(instance)
             return
         if self.config.execution_delay:
             self.ledger.advance_time(self.config.execution_delay)
         self.trace.enclave("execute", instance)
-        self._queue.append((PARTY_NODE, ExecutionDone(
-            instance, action.task_id, protected, secret,
-        )))
+        self._queue.append((self.node, ExecutionNodeActor.on_execution_done,
+                            (instance, task_id, protected, secret)))
 
-    def _do_deliver(self, who: str, action: Deliver) -> None:
-        self.trace.result_delivery(action)
-        # The destination names the recipient party.
-        self._queue.append((action.destination, action))
+    def deliver(self, task_id: int, protected: ProtectedResult,
+                destination: str) -> None:
+        self.trace.result_delivery(task_id, protected.key_id, destination)
+        recipient = (self.third_party if destination == PARTY_THIRD
+                     else self.requestor)
+        self._queue.append((recipient, type(recipient).on_delivery,
+                            (task_id, protected)))
 
-    def _do_destroy(self, who: str, action: Destroy) -> None:
-        self.host.destroy(action.instance)
-        self.trace.enclave("destroy", action.instance)
+    def destroy(self, instance: EnclaveInstance) -> None:
+        self.host.destroy(instance)
+        self.trace.enclave("destroy", instance)
 
-    _ACTIONS = {
-        SubmitTx: _do_tx,
-        Instantiate: _do_instantiate,
-        Provision: _do_provision,
-        Deliver: _do_deliver,
-        Destroy: _do_destroy,
-    }
-
-    def _third_party(self, obs: Deliver) -> None:
-        """The cloud endpoint: checks the public signature, acks back."""
-        valid = crypto.verify_result_signature(
-            obs.protected, self.requestor.verify_key(obs.task_id))
-        ack = ThirdPartyAck(obs.task_id, valid)
-        self.trace.third_party_ack(ack)
-        self._queue.append((PARTY_REQUESTOR, ack))
+    def acknowledge(self, task_id: int, signature_valid: bool) -> None:
+        """The third party's ack of a delivered result, to the requestor."""
+        self.trace.third_party_ack(task_id, signature_valid)
+        self._queue.append((self.requestor, RequestorActor.on_third_party_ack,
+                            (task_id, signature_valid)))
 
     # ------------------------------------------------------------------
 

@@ -25,7 +25,7 @@ from teescrow.config import (
     ConfigInvalid,
     ScenarioConfig,
 )
-from teescrow.enclave import BUILTIN_BODIES
+from teescrow.enclave import BUILTIN_BODIES, EnclaveHost
 from teescrow.harness import ScenarioRunner
 from teescrow.ledger import DEFAULT_GAS_PER_FUNCTION, TIERS
 
@@ -146,6 +146,30 @@ def test_payoffs_json_all_nine_cells(capsys, config_file):
     assert len(obj["cells"]) == 9
     assert obj["cells"]["honest/honest"]["requestorPayoff"] == 90
     assert obj["cells"]["honest/claim-only"]["nodePayoff"] == -5
+
+
+def test_payoffs_text_table(capsys):
+    code, out, _ = run_cli(capsys, "payoffs")
+    assert code == 0
+    header, *rows = out.splitlines()
+    assert len(rows) == 3
+    assert header.split() == ["requestor", "\\", "node", *NODE_STRATEGIES]
+    assert rows[0].startswith("honest ")
+    assert ("90000000000000000000 / 7000000000000000000"
+            in rows[0].split("  "))
+
+
+def test_payoffs_exits_1_on_a_host_leak(capsys, monkeypatch):
+    provision = EnclaveHost.provision
+
+    def leaky(self, instance, *args, task_id):
+        provision(self, instance, *args, task_id=task_id)
+        self.flow.grant(task_id, "inputs")
+
+    monkeypatch.setattr(EnclaveHost, "provision", leaky)
+    code, out, _ = run_cli(capsys, "payoffs")
+    assert code == 1
+    assert len(out.splitlines()) == 4
 
 
 def test_payoffs_grid_file(capsys, tmp_path):
@@ -671,14 +695,14 @@ def test_inspect_replays_no_more_tasks_than_the_file_submits(tmp_path,
     record["config"].update(max_resubmits=MAX_RESUBMITS,
                             initial_balance=10**40)
     submitted = []
-    submit = actors.RequestorActor._submit_action
+    submit = actors.RequestorActor._submit_task
 
-    def counted(requestor):
+    def counted(requestor, run):
         submitted.append(None)
         assert len(submitted) <= 4, "the replay outran the file"
-        return submit(requestor)
+        submit(requestor, run)
 
-    monkeypatch.setattr(actors.RequestorActor, "_submit_action", counted)
+    monkeypatch.setattr(actors.RequestorActor, "_submit_task", counted)
     code, _, err = _inspect_bytes(tmp_path / "t", "".join(
         [_canonical(record)] + lines[1:]).encode())
     assert code == 1

@@ -46,6 +46,18 @@ def test_generate_secret_deterministic():
     assert a != bytes(32)
 
 
+def test_generate_secret_redraws_the_all_zero_value():
+    # A stub stream whose first draw is the reserved all-zero secret.
+    drawn = iter([bytes(32), bytes(range(1, 33))])
+
+    class ZeroFirst:
+        def randbytes(self, n):
+            assert n == 32
+            return next(drawn)
+
+    assert crypto.generate_secret(ZeroFirst()) == bytes(range(1, 33))
+
+
 def test_generate_secret_distinct_seeds():
     assert crypto.generate_secret(random.Random(1)) != crypto.generate_secret(
         random.Random(2))

@@ -9,13 +9,18 @@ delivered result's bytes are not in the trace, so they are pinned here too.
 from __future__ import annotations
 
 import hashlib
+import random
 from itertools import product
 
 import pytest
 from conftest import flip_first_ciphertext_bit
 
-from teescrow.actors import Deliver
-from teescrow.config import NODE_STRATEGIES, REQUESTOR_STRATEGIES, ScenarioConfig
+from teescrow.config import (
+    NODE_STRATEGIES,
+    REQUESTOR_STRATEGIES,
+    UNIT,
+    ScenarioConfig,
+)
 from teescrow.harness import ScenarioRunner
 from teescrow.ledger import TIERS
 
@@ -127,8 +132,8 @@ GOLDEN_TRACE_IDS = {
 
 #: The trace records a delivery's ``keyId`` but not its bytes, so these pin
 #: them: per delivering case, the first 16 hex digits of SHA-256 over
-#: nonce || ciphertext || signature of each ``Deliver``, in order.  A case
-#: not listed delivers nothing.
+#: nonce || ciphertext || signature of each delivered result, in order.  A
+#: case not listed delivers nothing.
 GOLDEN_DELIVERED = {
     "delivery-tamper": ("e4ce41c372cf641c",),
     "delivery-tamper-third-party": ("e4ce41c372cf641c",),
@@ -160,16 +165,15 @@ def _trace_id(name: str, config: ScenarioConfig | None = None) -> str:
 
 def _recording_deliveries(monkeypatch) -> list[str]:
     """The pinned digest of each result delivered from now on, in order."""
-    deliver = ScenarioRunner._ACTIONS[Deliver]
+    deliver = ScenarioRunner.deliver
     delivered = []
 
-    def recording(runner, who, action):
-        p = action.protected
+    def recording(runner, task_id, p, destination):
         delivered.append(hashlib.sha256(
             p.nonce + p.ciphertext + p.signature).hexdigest()[:16])
-        deliver(runner, who, action)
+        deliver(runner, task_id, p, destination)
 
-    monkeypatch.setitem(ScenarioRunner._ACTIONS, Deliver, recording)
+    monkeypatch.setattr(ScenarioRunner, "deliver", recording)
     return delivered
 
 
@@ -210,3 +214,49 @@ def test_trace_ids_do_not_depend_on_run_order():
     forward = {name: _trace_id(name) for name in names}
     backward = {name: _trace_id(name) for name in reversed(names)}
     assert forward == backward == GOLDEN_TRACE_IDS
+
+
+def broad_configs(draws: int = 300) -> list[ScenarioConfig]:
+    """Seeded draws beyond the goldens: the economics, tier, function,
+    inputs (0, 3 or 64 ints), third-party delivery, execution delay,
+    resubmits and gas charging (with and without gas in payoffs) vary
+    together, so most draws are configs no golden case runs."""
+    rng = random.Random("broad-trace-digest")
+    configs = []
+    for seed in range(draws):
+        threshold = rng.randrange(1, 20) * 10**17
+        gas_charging, gas_in_payoffs = rng.choice(
+            [(False, False), (True, False), (True, True)])
+        configs.append(ScenarioConfig(
+            value_of_result=rng.randrange(0, 200) * UNIT,
+            payment=rng.randrange(0, 50) * UNIT,
+            compute_cost=rng.randrange(0, 20) * UNIT,
+            threshold=threshold,
+            node_deposit=threshold + rng.randrange(0, 3) * 10**17,
+            tier=rng.choice(TIERS),
+            rng_seed=seed,
+            function_name=rng.choice(["identity", "sum", "sha256-hex"]),
+            inputs=tuple(rng.randrange(-1000, 1000)
+                         for _ in range(rng.choice([0, 3, 64]))),
+            deliver_to_third_party=rng.random() < 0.5,
+            execution_delay=rng.choice([0, 5, 60]),
+            max_resubmits=rng.choice([0, 1, 3]),
+            gas_charging=gas_charging,
+            include_gas_in_payoffs=gas_in_payoffs,
+        ))
+    return configs
+
+
+#: SHA-256 over the traces of every broad draw under all nine strategy
+#: pairs, in order, each pair run in its draw's config family.
+BROAD_TRACE_DIGEST = "b1cc374887b3c9b6"
+
+
+def test_broad_trace_digest_unchanged():
+    digest = hashlib.sha256()
+    for config in broad_configs():
+        for pair in PAIRS:
+            runner = ScenarioRunner(config.with_strategies(*pair))
+            runner.run()
+            digest.update(runner.trace.to_jsonl().encode())
+    assert digest.hexdigest()[:16] == BROAD_TRACE_DIGEST

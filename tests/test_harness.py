@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import gc
 import json
 import random
+import weakref
 from itertools import product
 
 import pytest
@@ -21,7 +23,6 @@ from teescrow.config import (
     ConfigInvalid,
     ScenarioConfig,
 )
-from teescrow.actors import Deliver, ThirdPartyAck
 from teescrow.contract import (
     CallOutcome,
     EscrowContract,
@@ -29,7 +30,6 @@ from teescrow.contract import (
     Task,
     TaskState,
 )
-from teescrow.crypto import ProtectedResult
 from teescrow.enclave import EnclaveInstance, FunctionImage
 from teescrow.harness import (
     ScenarioOutcome,
@@ -160,6 +160,36 @@ def test_outcome_orders_host_leaks_by_task_then_value():
     )
 
 
+def test_a_runner_runs_once():
+    runner = ScenarioRunner(CFG)
+    runner.run()
+    with pytest.raises(RuntimeError, match="^a runner is single-use$"):
+        runner.run()
+
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"deliver_to_third_party": True},
+    {"requestor_strategy": "withhold-input", "max_resubmits": 3},
+    {"node_strategy": "compute-no-deliver"},
+], ids=["honest", "third-party", "withhold-chain-3", "compute-no-deliver"])
+def test_a_finished_run_is_freed_without_the_collector(overrides):
+    """No reference cycle holds a run's objects: with the cyclic collector
+    off, dropping the runner frees them all at once."""
+    runner = ScenarioRunner(dataclasses.replace(CFG, **overrides))
+    runner.run()
+    refs = [weakref.ref(obj) for obj in (
+        runner, runner.requestor, runner.node, runner.ledger, runner.host)]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del runner
+        assert [ref() for ref in refs] == [None] * len(refs)
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_trace_determinism_same_seed():
     config = CFG.with_strategies("no-confirm", "compute-no-deliver")
     a = ScenarioRunner(config)
@@ -287,11 +317,6 @@ _ENCLAVE_FIELDS = {
                           "resourceCost": i.image.resource_cost},
     "destroy": lambda i: {},
 }
-_DELIVERIES = st.builds(
-    Deliver, task_id=_INT, destination=_TEXT, protected=st.builds(
-        ProtectedResult, nonce=_BYTES, ciphertext=_BYTES, signature=_BYTES,
-        key_id=_TEXT))
-
 #: Per-transaction record shape -> (the ``Trace`` writer, its arguments as
 #: drawn from their sources, the records built from the sources' fields).
 TRACE_WRITERS = {
@@ -316,15 +341,16 @@ TRACE_WRITERS = {
         lambda op, detail: [
             {"type": "enclave", "op": op, "ok": False, "detail": detail}]),
     "message/result-delivery": (
-        "result_delivery", st.tuples(_DELIVERIES), lambda d: [
+        "result_delivery", st.tuples(_INT, _TEXT, _TEXT),
+        lambda task_id, key_id, destination: [
             {"type": "message", "kind": "result-delivery",
-             "destination": d.destination, "taskId": d.task_id,
-             "keyId": d.protected.key_id}]),
+             "destination": destination, "taskId": task_id,
+             "keyId": key_id}]),
     "message/third-party-ack": (
-        "third_party_ack",
-        st.tuples(st.builds(ThirdPartyAck, _INT, st.booleans())), lambda a: [
+        "third_party_ack", st.tuples(_INT, st.booleans()),
+        lambda task_id, valid: [
             {"type": "message", "kind": "third-party-ack",
-             "taskId": a.task_id, "signatureValid": a.signature_valid}]),
+             "taskId": task_id, "signatureValid": valid}]),
 }
 
 
@@ -611,6 +637,8 @@ def test_config_validation_errors():
         ("payment", -1, "payment must be non-negative"),
         ("compute_cost", -1, "compute_cost must be non-negative"),
         ("execution_delay", -1, "execution_delay must be non-negative"),
+        ("confirmation_delay_per_tier", {"slow": -1},
+         "missing or negative delay for 'slow'"),
     ]:
         with pytest.raises(ConfigInvalid, match=f"^{message}$"):
             ScenarioRunner(dataclasses.replace(CFG, **{name: value}))

@@ -12,11 +12,13 @@ from teescrow.contract import CallOutcome, EscrowContract, RefusalReason
 from teescrow.ledger import (
     ADDRESS_LENGTH,
     CONTRACT_ACCOUNT,
+    CallContext,
     ConservationViolation,
     DEFAULT_GAS_PER_FUNCTION,
     GasSchedule,
     InsufficientBalance,
     Ledger,
+    LedgerError,
     NULL_ACCOUNT,
     UnknownAccount,
     UnknownFunction,
@@ -484,6 +486,49 @@ def test_non_integer_amounts_and_times_refused(funded, amount):
         EscrowContract(ledger, amount)
     assert _chain_state(ledger, contract) == before
     ledger.assert_conservation()
+
+
+def _send_without_contract(_ledger, _sender):
+    ledger = Ledger(zero_delay_schedule())
+    call(ledger, ledger.create_account(10), "claimTask", task_id=0)
+
+
+#: Misuse of the ledger's and the contract's own API, on a funded chain:
+#: (the misuse, its exception, its message).
+_API_MISUSE = {
+    "negative-initial-balance": (
+        lambda ledger, _: ledger.create_account(-1),
+        ValueError, "initial balance must be non-negative"),
+    "negative-value": (
+        lambda ledger, sender: call(ledger, sender, "claimTask", value=-1,
+                                    task_id=0),
+        ValueError, "value must be non-negative"),
+    "unknown-tier": (
+        lambda ledger, sender: call(ledger, sender, "claimTask",
+                                    value=THRESHOLD, tier="medium",
+                                    task_id=0),
+        ValueError, "unknown tier 'medium'"),
+    "no-contract": (_send_without_contract,
+                    LedgerError, "no contract registered"),
+    "unknown-event-kind": (
+        lambda ledger, sender: CallContext(ledger, 1, sender, 0, 1, 0).emit(
+            "TaskPaid", 0, {}),
+        ValueError, "unknown event kind 'TaskPaid'"),
+    "zero-threshold": (lambda ledger, _: EscrowContract(ledger, 0),
+                       ValueError, "threshold must be positive"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_API_MISUSE))
+def test_api_misuse_is_refused(funded, case):
+    ledger, contract, requestor, _ = funded
+    misuse, exception, message = _API_MISUSE[case]
+    before = _chain_state(ledger, contract)
+    with pytest.raises(exception) as raised:
+        misuse(ledger, requestor)
+    assert type(raised.value) is exception
+    assert str(raised.value) == message
+    assert _chain_state(ledger, contract) == before
 
 
 def test_float_value_cannot_mint():

@@ -1,12 +1,12 @@
-"""Record layout: slotted messages on the per-transaction path, frozen memo
+"""Record layout: slotted records on the per-transaction path, frozen memo
 records.
 
 Every transaction builds a ``ContractCall``, a ``CallContext``, a
-``CallOutcome``, a ``Receipt`` and its events, and the runner passes actor
-messages around it; these, and the per-task records (the contract's
-``Task``, the requestor's keys, the enclave instance and what it was
-provisioned with), are slotted (no per-instance ``__dict__``) and plain,
-since a frozen dataclass pays for ``object.__setattr__`` on every field.
+``CallOutcome``, a ``Receipt`` and its events; these, and the per-task
+records (the contract's ``Task``, the requestor's keys, the enclave
+instance and what it was provisioned with), are slotted (no per-instance
+``__dict__``) and plain, since a frozen dataclass pays for
+``object.__setattr__`` on every field.
 Records that are hashed or handed from one run to another stay frozen: the
 encrypt-and-sign memo is keyed on a ``ResultKeyPair`` and returns one
 ``ProtectedResult`` to every run that hits it.
@@ -18,19 +18,7 @@ import dataclasses
 
 import pytest
 
-from teescrow.actors import (
-    Deliver,
-    Destroy,
-    ExecutionDone,
-    Expiry,
-    InstanceCreated,
-    Instantiate,
-    Provision,
-    Start,
-    SubmitTx,
-    ThirdPartyAck,
-    _TaskKeys,
-)
+from teescrow.actors import _TaskKeys
 from teescrow.config import ScenarioConfig
 from teescrow.contract import CallOutcome, Task
 from teescrow.crypto import ProtectedResult, ResultKeyPair
@@ -45,8 +33,6 @@ from teescrow.ledger import CallContext, ContractCall, Ledger, LedgerEvent, Rece
 
 SLOTTED = (
     ContractCall, LedgerEvent, Receipt, CallOutcome,
-    Start, InstanceCreated, ExecutionDone, ThirdPartyAck, Expiry,
-    SubmitTx, Instantiate, Provision, Destroy, Deliver,
     Task, _TaskKeys, EnclaveInstance, Provisioned,
 )
 
