@@ -54,6 +54,31 @@ def _kv_table(obj: dict) -> str:
     return "\n".join(lines)
 
 
+def _payoff_table(cells: dict) -> str:
+    """Requestor strategies down, node strategies across; each cell reads
+    "requestor payoff / node payoff"."""
+    rows = [["requestor \\ node", *NODE_STRATEGIES]]
+    for r in REQUESTOR_STRATEGIES:
+        rows.append([r, *(f"{cells[r, n].requestor_payoff} / "
+                          f"{cells[r, n].node_payoff}"
+                          for n in NODE_STRATEGIES)])
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return "\n".join("  ".join(cell.ljust(width)
+                               for cell, width in zip(row, widths))
+                     for row in rows)
+
+
+def _gas_table(report: dict) -> str:
+    gas, cost = report["perFunctionGas"], report["perFunctionCostWei"]
+    rows = [("Function", "Gas", "Cost (wei)"),
+            *((name, gas[name], cost[name]) for name in gas),
+            ("Total per task", report["totalPerTaskGas"],
+             report["totalPerTaskCostWei"])]
+    width = max(len(name) for name, _, _ in rows)
+    return "\n".join(f"{name.ljust(width)}  {g:>9}  {c:>22}"
+                     for name, g, c in rows)
+
+
 def _load_config(path: str | None, seed: int | None) -> ScenarioConfig:
     config = ScenarioConfig.from_file(path) if path else ScenarioConfig()
     if seed is not None:
@@ -75,9 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
     scenario.add_argument("--node", choices=NODE_STRATEGIES)
     scenario.add_argument("--config", metavar="FILE")
     scenario.add_argument("--seed", type=int)
-    scenario.add_argument("--format", choices=("json", "table"),
-                          default="table")
-    scenario.add_argument("--export-trace", metavar="FILE")
 
     payoffs = sub.add_parser("payoffs", help="strategy payoff matrix")
     source = payoffs.add_mutually_exclusive_group()
@@ -85,24 +107,21 @@ def build_parser() -> argparse.ArgumentParser:
                         help="JSON list of config objects, one matrix each")
     source.add_argument("--config", metavar="FILE")
     payoffs.add_argument("--seed", type=int)
-    payoffs.add_argument("--format", choices=("json", "table"),
-                         default="table")
 
-    gas = sub.add_parser("gas", help="gas cost report")
-    gas.add_argument("--tier", choices=TIERS, required=True)
-    gas.add_argument("--config", metavar="FILE")
-    gas.add_argument("--format", choices=("json", "table"), default="table")
-
-    latency = sub.add_parser("latency", help="honest-run latency report")
-    latency.add_argument("--tier", choices=TIERS, required=True)
-    latency.add_argument("--config", metavar="FILE")
-    latency.add_argument("--format", choices=("json", "table"),
-                         default="table")
+    for name, summary in (("gas", "gas cost report"),
+                          ("latency", "honest-run latency report")):
+        report = sub.add_parser(name, help=summary)
+        report.add_argument("--tier", choices=TIERS, required=True)
+        report.add_argument("--config", metavar="FILE")
 
     inspect = sub.add_parser("inspect", help="check an exported trace")
     inspect.add_argument("--trace", metavar="FILE", required=True)
-    inspect.add_argument("--format", choices=("json", "table"),
-                         default="table")
+
+    for command in sub.choices.values():
+        command.add_argument("--format", choices=("json", "table"),
+                             default="table")
+    # Last, so that scenario's usage line lists it after --format.
+    scenario.add_argument("--export-trace", metavar="FILE")
     return parser
 
 
@@ -135,12 +154,14 @@ def _cmd_payoffs(args) -> int:
         configs = [_load_config(args.config, args.seed)]
     exit_code = 0
     for config in configs:
-        matrix = payoff_matrix(config)
+        cells = payoff_matrix(config)
         if args.format == "json":
-            print(_json(matrix.to_json_obj()))
+            print(_json({"config": config.to_json_obj(),
+                         "cells": {f"{r}/{n}": outcome.to_json_obj()
+                                   for (r, n), outcome in cells.items()}}))
         else:
-            print(matrix.to_text_table())
-        if any(o.infoflow_violations for o in matrix.cells.values()):
+            print(_payoff_table(cells))
+        if any(o.infoflow_violations for o in cells.values()):
             exit_code = 1
     return exit_code
 
@@ -148,16 +169,14 @@ def _cmd_payoffs(args) -> int:
 def _cmd_gas(args) -> int:
     config = _load_config(args.config, None)
     report = gas_report(args.tier, config.gas_schedule())
-    print(_json(report.to_json_obj()) if args.format == "json"
-          else report.to_text_table())
+    print(_json(report) if args.format == "json" else _gas_table(report))
     return 0
 
 
 def _cmd_latency(args) -> int:
     config = _load_config(args.config, None)
     report = latency_report(args.tier, config)
-    obj = report.to_json_obj()
-    print(_json(obj) if args.format == "json" else _kv_table(obj))
+    print(_json(report) if args.format == "json" else _kv_table(report))
     return 0
 
 

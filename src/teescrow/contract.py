@@ -13,9 +13,9 @@ deposit, and the funds unwind along one of three paths:
 Only the payable calls take value: ``submitTask`` and ``claimTask`` collect
 what the call attaches on their accepted path, after every check, so a
 refused call changes no balance and no task record.  A call the contract
-cannot parse (a missing or unknown argument, a malformed hash lock, a task
-id that is not an integer) raises before its first state change, and the
-ledger applies nothing of it.
+cannot parse (a missing or unknown argument, a function name that is not a
+string, a malformed hash lock, a task id that is not an integer) raises
+before its first state change, and the ledger applies nothing of it.
 
 Intentional divergences from the reference pseudo-code, which contains
 evident slips:
@@ -113,6 +113,8 @@ class EscrowContract:
 
     def _submit_task(self, ctx: CallContext, function_name: str,
                      hash_lock: bytes, expires: int) -> CallOutcome:
+        if not isinstance(function_name, str):
+            raise TypeError("function name must be a string")
         if not isinstance(hash_lock, bytes) or len(hash_lock) != DIGEST_LENGTH:
             raise ValueError("hash lock must be a 32-byte digest")
         if not _is_int(expires):

@@ -9,26 +9,28 @@ first result a process protects, opens or verifies (``_backend``): a claim
 race, a ``claim-only`` or ``withhold-input`` run and ``teescrow gas`` never
 load it.
 
-Everything is deterministic given a seeded ``random.Random``: key and nonce
-material comes from the caller's RNG, and Ed25519 signing is deterministic
-by design.  So the encrypt-then-sign step of ``protect_result`` is a pure
-function of its exact inputs (plaintext, key pair, nonce), and it is
-memoized in a cache of ``_MEMO_SIZE`` entries: runs that share a seed (the
-cells of a payoff matrix) encrypt and sign once.  Verification is never
-memoized.  The cache lives in the host process, so up to ``_MEMO_SIZE``
-enclave plaintexts, with the key pairs that protected them, outlive the
-enclave instance that made them (``EnclaveHost.destroy`` does not clear it).
+Everything is deterministic given a seeded ``streams.ByteStream``: key and
+nonce material comes from the caller's stream, and Ed25519 signing is
+deterministic by design.  So the encrypt-then-sign step of
+``protect_result`` is a pure function of its exact inputs (plaintext, key
+pair, nonce), and it is memoized in a cache of ``_MEMO_SIZE`` entries: runs
+that share a seed (the cells of a payoff matrix) encrypt and sign once.
+Verification is never memoized.  The cache lives in the host process, so up
+to ``_MEMO_SIZE`` enclave plaintexts, with the key pairs that protected
+them, outlive the enclave instance that made them (``EnclaveHost.destroy``
+does not clear it).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import random
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
+
+from .streams import ByteStream
 
 if TYPE_CHECKING:
     from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -79,7 +81,7 @@ def sha256_digest(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
 
 
-def generate_secret(rng: random.Random) -> bytes:
+def generate_secret(rng: ByteStream) -> bytes:
     """Draw a fresh 32-byte secret; the all-zero value is reserved."""
     secret = rng.randbytes(SECRET_LENGTH)
     while secret == bytes(SECRET_LENGTH):
@@ -123,7 +125,7 @@ class ResultKeyPair:
         return self._private_key
 
 
-def new_result_keys(rng: random.Random) -> ResultKeyPair:
+def new_result_keys(rng: ByteStream) -> ResultKeyPair:
     # Both draws stay eager so the caller's RNG stream does not depend on
     # whether the keys are ever used.
     encryption_key = rng.randbytes(32)
@@ -143,7 +145,7 @@ class ProtectedResult:
 
 
 def protect_result(plaintext: bytes, keys: ResultKeyPair,
-                   rng: random.Random) -> ProtectedResult:
+                   rng: ByteStream) -> ProtectedResult:
     # The nonce is drawn on every call, hit or miss, so the caller's RNG
     # stream does not depend on the memo.
     nonce = rng.randbytes(_NONCE_LENGTH)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .actors import ExecutionNodeActor, RequestorActor, ThirdParty
 from .config import (
@@ -491,88 +491,43 @@ def run_scenario(config: ScenarioConfig) -> ScenarioOutcome:
 # payoff matrix and dominance
 
 
-class PayoffMatrix:
-    """Outcomes for every (requestor strategy, node strategy) pair."""
-
-    def __init__(self, config: ScenarioConfig,
-                 cells: dict[tuple[str, str], ScenarioOutcome]) -> None:
-        self.config = config
-        self.cells = cells
-
-    def to_json_obj(self) -> dict:
-        return {
-            "config": self.config.to_json_obj(),
-            "cells": {
-                f"{r}/{n}": outcome.to_json_obj()
-                for (r, n), outcome in sorted(self.cells.items())
-            },
-        }
-
-    def to_text_table(self) -> str:
-        header = ["requestor \\ node"] + list(NODE_STRATEGIES)
-        rows = [header]
-        for r in REQUESTOR_STRATEGIES:
-            row = [r]
-            for n in NODE_STRATEGIES:
-                o = self.cells[(r, n)]
-                row.append(f"{o.requestor_payoff} / {o.node_payoff}")
-            rows.append(row)
-        widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
-        lines = [
-            "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row))
-            for row in rows
-        ]
-        return "\n".join(lines)
-
-
-def payoff_matrix(config: ScenarioConfig) -> PayoffMatrix:
+def payoff_matrix(
+        config: ScenarioConfig) -> dict[tuple[str, str], ScenarioOutcome]:
+    """The outcome of every (requestor strategy, node strategy) pair."""
     if not config.in_rational_regime:
         raise ConfigInvalid("parameters outside the rational regime "
                             "(need value > payment > cost > 0)")
-    cells = {}
-    for r in REQUESTOR_STRATEGIES:
-        for n in NODE_STRATEGIES:
-            cells[(r, n)] = run_scenario(config.with_strategies(r, n))
-    return PayoffMatrix(config, cells)
+    return {(r, n): run_scenario(config.with_strategies(r, n))
+            for r in REQUESTOR_STRATEGIES for n in NODE_STRATEGIES}
 
 
-@dataclass
-class DominanceReport:
-    draws: int = 0
-    violations: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def dominance_check(configs) -> DominanceReport:
+def dominance_check(configs) -> list[str]:
     """Honesty strictly dominates every same-party deviation against an
     honest counterparty; the honest pair is the only one where both gain.
+    Returns one message per violation, each naming its draw (counted from
+    1): an empty list when honesty dominates on every draw.
 
     A cheating requestor that skips confirmation can still net a positive
     absolute payoff when the result is valuable enough; that is not
     asserted against.
     """
-    report = DominanceReport()
-    for config in configs:
+    violations = []
+    for draw, config in enumerate(configs, 1):
         if not config.in_rational_regime:
             raise ConfigInvalid("dominance check needs the rational regime")
-        report.draws += 1
         honest = run_scenario(
             config.with_strategies(REQUESTOR_HONEST, NODE_HONEST))
         if honest.requestor_payoff <= 0 or honest.node_payoff <= 0:
-            report.violations.append(
-                f"draw {report.draws}: honest/honest payoffs not both positive"
-            )
+            violations.append(
+                f"draw {draw}: honest/honest payoffs not both positive")
         for deviation in REQUESTOR_STRATEGIES:
             if deviation == REQUESTOR_HONEST:
                 continue
             outcome = run_scenario(
                 config.with_strategies(deviation, NODE_HONEST))
             if outcome.requestor_payoff >= honest.requestor_payoff:
-                report.violations.append(
-                    f"draw {report.draws}: requestor {deviation} "
+                violations.append(
+                    f"draw {draw}: requestor {deviation} "
                     f"({outcome.requestor_payoff}) not dominated by honest "
                     f"({honest.requestor_payoff})"
                 )
@@ -582,95 +537,44 @@ def dominance_check(configs) -> DominanceReport:
             outcome = run_scenario(
                 config.with_strategies(REQUESTOR_HONEST, deviation))
             if outcome.node_payoff >= honest.node_payoff:
-                report.violations.append(
-                    f"draw {report.draws}: node {deviation} "
+                violations.append(
+                    f"draw {draw}: node {deviation} "
                     f"({outcome.node_payoff}) not dominated by honest "
                     f"({honest.node_payoff})"
                 )
             if outcome.node_payoff >= 0:
-                report.violations.append(
-                    f"draw {report.draws}: cheating node {deviation} "
+                violations.append(
+                    f"draw {draw}: cheating node {deviation} "
                     f"did not lose funds ({outcome.node_payoff})"
                 )
-    return report
+    return violations
 
 
 # ----------------------------------------------------------------------
-# gas and latency reports
+# gas and latency reports, as ``teescrow gas`` and ``teescrow latency``
+# print them with ``--format json``
 
 
-@dataclass(frozen=True)
-class GasReport:
-    tier: str
-    per_function_gas: dict[str, int]
-    total_per_task_gas: int
-    gas_price: int
-    per_function_cost_wei: dict[str, int]
-    total_per_task_cost_wei: int
-
-    def to_json_obj(self) -> dict:
-        return {
-            "tier": self.tier,
-            "perFunctionGas": dict(self.per_function_gas),
-            "totalPerTaskGas": self.total_per_task_gas,
-            "gasPriceWei": self.gas_price,
-            "perFunctionCostWei": dict(self.per_function_cost_wei),
-            "totalPerTaskCostWei": self.total_per_task_cost_wei,
-            "totalPerTaskCostEther": self.total_per_task_cost_wei / 10**18,
-        }
-
-    def to_text_table(self) -> str:
-        names = list(self.per_function_gas)
-        width = max(len(n) for n in names + ["Total per task"])
-        lines = [f"{'Function'.ljust(width)}  {'Gas':>9}  {'Cost (wei)':>22}"]
-        for name in names:
-            lines.append(
-                f"{name.ljust(width)}  {self.per_function_gas[name]:>9}  "
-                f"{self.per_function_cost_wei[name]:>22}"
-            )
-        lines.append(
-            f"{'Total per task'.ljust(width)}  {self.total_per_task_gas:>9}  "
-            f"{self.total_per_task_cost_wei:>22}"
-        )
-        return "\n".join(lines)
-
-
-def gas_report(tier: str, schedule: GasSchedule | None = None) -> GasReport:
+def gas_report(tier: str, schedule: GasSchedule | None = None) -> dict:
+    """Each function's gas and its cost at ``tier``'s gas price, and the
+    per-task totals."""
     schedule = schedule or GasSchedule()
     price = schedule.gas_price_per_tier[tier]
-    per_function = dict(schedule.per_function)
-    per_cost = {name: gas * price for name, gas in per_function.items()}
     total_gas = schedule.total_per_task_gas
-    return GasReport(
-        tier=tier,
-        per_function_gas=per_function,
-        total_per_task_gas=total_gas,
-        gas_price=price,
-        per_function_cost_wei=per_cost,
-        total_per_task_cost_wei=total_gas * price,
-    )
+    total_cost = total_gas * price
+    return {
+        "tier": tier,
+        "perFunctionGas": dict(schedule.per_function),
+        "totalPerTaskGas": total_gas,
+        "gasPriceWei": price,
+        "perFunctionCostWei": {name: gas * price
+                               for name, gas in schedule.per_function.items()},
+        "totalPerTaskCostWei": total_cost,
+        "totalPerTaskCostEther": total_cost / 10**18,
+    }
 
 
-@dataclass(frozen=True)
-class LatencyReport:
-    tier: str
-    confirmation_delay: int
-    on_chain_seconds: int
-    execution_delay: int
-    total_seconds: int
-
-    def to_json_obj(self) -> dict:
-        return {
-            "tier": self.tier,
-            "confirmationDelaySeconds": self.confirmation_delay,
-            "onChainSeconds": self.on_chain_seconds,
-            "executionDelaySeconds": self.execution_delay,
-            "totalSeconds": self.total_seconds,
-        }
-
-
-def latency_report(tier: str,
-                   config: ScenarioConfig | None = None) -> LatencyReport:
+def latency_report(tier: str, config: ScenarioConfig | None = None) -> dict:
     """End-to-end honest-run latency: four sequential confirmations (one
     per contract call) plus the configured execution delay."""
     config = config or ScenarioConfig()
@@ -678,11 +582,11 @@ def latency_report(tier: str,
                      requestor_strategy=REQUESTOR_HONEST,
                      node_strategy=NODE_HONEST)
     outcome = run_scenario(config)
-    schedule = config.gas_schedule()
-    return LatencyReport(
-        tier=tier,
-        confirmation_delay=schedule.confirmation_delay_per_tier[tier],
-        on_chain_seconds=outcome.end_to_end_seconds - config.execution_delay,
-        execution_delay=config.execution_delay,
-        total_seconds=outcome.end_to_end_seconds,
-    )
+    return {
+        "tier": tier,
+        "confirmationDelaySeconds":
+            config.gas_schedule().confirmation_delay_per_tier[tier],
+        "onChainSeconds": outcome.end_to_end_seconds - config.execution_delay,
+        "executionDelaySeconds": config.execution_delay,
+        "totalSeconds": outcome.end_to_end_seconds,
+    }

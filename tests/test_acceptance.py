@@ -127,8 +127,8 @@ def test_criterion_2_gas_table():
     }
     result = gas_report("standard")
     bad = {name for name, gas in published.items()
-           if result.per_function_gas[name] != gas}
-    ok = not bad and result.total_per_task_gas == 582_159
+           if result["perFunctionGas"][name] != gas}
+    ok = not bad and result["totalPerTaskGas"] == 582_159
     report(2, ok, f"per-function gas and 582159 per-task total "
                   f"({'exact' if ok else f'wrong: {sorted(bad)}'})")
     assert ok
@@ -139,7 +139,7 @@ def test_criterion_3_latency():
                             threshold=5, initial_balance=1000)
     got = {}
     for tier, expected in (("slow", 2400), ("standard", 1200), ("fast", 480)):
-        assert latency_report(tier, config).on_chain_seconds == expected
+        assert latency_report(tier, config)["onChainSeconds"] == expected
         outcome = run_scenario(dataclasses.replace(config, tier=tier))
         got[tier] = outcome.end_to_end_seconds
     ok = got == {"slow": 2400, "standard": 1200, "fast": 480}
@@ -342,7 +342,7 @@ def test_criterion_8_dominance(draw_batch):
             initial_balance=p["value"] + p["payment"] + p["dep_r"]
             + p["dep_e"] + 1000,
         ))
-    assert dominance_check(configs).ok
+    assert not dominance_check(configs)
 
 
 def test_criterion_9_information_flow():

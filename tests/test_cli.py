@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import contextlib
+import errno
+import hashlib
 import io
 import json
 import os
@@ -15,7 +17,7 @@ from conftest import FormatsAsSeven
 from test_golden_traces import RUNNER_SETUPS, golden_configs
 
 import teescrow
-from teescrow import actors
+from teescrow import actors, cli
 from teescrow.cli import EXIT_CLOSED_STDOUT, main
 from teescrow.config import (
     INT_LIMIT,
@@ -159,6 +161,12 @@ def test_payoffs_text_table(capsys):
             in rows[0].split("  "))
 
 
+def test_matrix_text_table_lists_all_cells(capsys, config_file):
+    _, table, _ = run_cli(capsys, "payoffs", "--config", config_file)
+    assert "claim-only" in table and "withhold-input" in table
+    assert "90 / 7" in table
+
+
 def test_payoffs_exits_1_on_a_host_leak(capsys, monkeypatch):
     provision = EnclaveHost.provision
 
@@ -220,6 +228,12 @@ def test_gas_table_has_published_total(capsys):
     assert "582159" in out
 
 
+def test_gas_report_table_output(capsys):
+    _, table, _ = run_cli(capsys, "gas", "--tier", "standard")
+    assert "Total per task" in table
+    assert "582159" in table
+
+
 def test_gas_json_per_function(capsys):
     code, out, _ = run_cli(capsys, "gas", "--tier", "slow", "--format", "json")
     assert code == 0
@@ -234,6 +248,44 @@ def test_latency_json(capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["onChainSeconds"] == 480
+
+
+def _report_invocations() -> list[tuple[str, ...]]:
+    """The report commands: gas and latency on every tier, gas and latency
+    under overrides, payoffs on the default config and on a grid."""
+    invocations = []
+    for fmt in ("table", "json"):
+        for tier in TIERS:
+            invocations.append(("gas", "--tier", tier, "--format", fmt))
+            invocations.append(("latency", "--tier", tier, "--format", fmt))
+        invocations += [
+            ("gas", "--tier", "fast", "--config", "gas.json", "--format", fmt),
+            ("latency", "--tier", "slow", "--config", "gas.json",
+             "--format", fmt),
+            ("payoffs", "--format", fmt),
+            ("payoffs", "--grid", "grid.json", "--format", fmt),
+        ]
+    return invocations
+
+
+#: SHA-256 over (argv, exit code, stdout) of every report invocation, in
+#: order: the report commands' exact output.
+REPORT_OUTPUT_DIGEST = "4b9b0fe41e0b50b8"
+
+
+def test_report_output_unchanged(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("gas.json").write_text(json.dumps({
+        "gas_per_function": {"submitTask": 300_000, "claimTask": 1},
+        "gas_price_per_tier": {"fast": 7 * 10**10},
+        "confirmation_delay_per_tier": {"slow": 33},
+        "execution_delay": 5}))
+    Path("grid.json").write_text(json.dumps([SMALL, dict(SMALL, payment=20)]))
+    digest = hashlib.sha256()
+    for argv in _report_invocations():
+        code, out, _ = run_cli(capsys, *argv)
+        digest.update(json.dumps([argv, code, out]).encode())
+    assert digest.hexdigest()[:16] == REPORT_OUTPUT_DIGEST
 
 
 def test_unknown_strategy_is_usage_error(capsys):
@@ -481,6 +533,18 @@ def test_path_through_a_regular_file_exits_2(capsys, tmp_path, argv):
     assert code == 2
     assert out == ""
     assert err == f"cannot open: {regular / 'x'}\n"
+
+
+def test_an_error_with_no_path_is_raised(capsys, monkeypatch):
+    # An OSError that names no file is not a usage error: main lets it out.
+    def failing(args):
+        raise OSError(errno.EIO, "device failed")
+
+    monkeypatch.setattr(cli, "_cmd_gas", failing)
+    with pytest.raises(OSError) as raised:
+        main(["gas", "--tier", "slow"])
+    assert raised.value.errno == errno.EIO
+    assert capsys.readouterr().err == ""
 
 
 def test_inspect_non_json_trace_exits_1(capsys, tmp_path):

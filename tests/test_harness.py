@@ -91,19 +91,13 @@ def test_payoff_matrix_random_draws():
         matrix = payoff_matrix(config)
         for cell, (req, node) in table_payoffs(
                 value, payment, cost, threshold, deposit).items():
-            outcome = matrix.cells[cell]
+            outcome = matrix[cell]
             assert (outcome.requestor_payoff, outcome.node_payoff) == (req, node)
 
 
 def test_payoff_matrix_rejects_degenerate_regime():
     with pytest.raises(ConfigInvalid):
         payoff_matrix(dataclasses.replace(CFG, value_of_result=CFG.payment))
-
-
-def test_matrix_text_table_lists_all_cells():
-    table = payoff_matrix(CFG).to_text_table()
-    assert "claim-only" in table and "withhold-input" in table
-    assert "90 / 7" in table
 
 
 def test_outcome_locked_funds_claim_only():
@@ -532,7 +526,7 @@ def test_with_strategies_configs_share_one_gas_schedule(monkeypatch):
     # A config built by replace builds its own, once.
     alone = {pair: dataclasses.replace(base, requestor_strategy=pair[0],
                                        node_strategy=pair[1])
-             for pair in matrix.cells}
+             for pair in matrix}
     alone[("honest", "honest")].validate()
     alone[("honest", "honest")].validate()
     assert len(built) == 2
@@ -721,20 +715,18 @@ def test_dominance_report_on_random_draws():
             threshold=threshold,
             initial_balance=value + payment + 2 * threshold + 100,
         ))
-    report = dominance_check(configs)
-    assert report.ok
-    assert report.draws == 10
+    assert not dominance_check(configs)
 
 
 def test_dominance_example_inequalities():
     # node: honest 7 beats claim-only -5 and compute-no-deliver -3;
     # requestor: honest 90 beats no-confirm 85.
     matrix = payoff_matrix(CFG)
-    honest = matrix.cells[("honest", "honest")]
-    assert honest.node_payoff > matrix.cells[("honest", "claim-only")].node_payoff
-    assert honest.node_payoff > matrix.cells[
+    honest = matrix[("honest", "honest")]
+    assert honest.node_payoff > matrix[("honest", "claim-only")].node_payoff
+    assert honest.node_payoff > matrix[
         ("honest", "compute-no-deliver")].node_payoff
-    assert honest.requestor_payoff > matrix.cells[
+    assert honest.requestor_payoff > matrix[
         ("no-confirm", "honest")].requestor_payoff
 
 
@@ -746,13 +738,13 @@ GAS_IN_PAYOFFS = ScenarioConfig(gas_charging=True, include_gas_in_payoffs=True,
 
 
 def test_dominance_reports_a_requestor_deviation_that_pays():
-    assert dominance_check([GAS_IN_PAYOFFS]).violations == [
+    assert dominance_check([GAS_IN_PAYOFFS]) == [
         "draw 1: requestor no-confirm (89995945109497737360) not dominated "
         "by honest (89995775867417885814)",
     ]
     # The confirmation costs less at the slow tier's gas price.
     slow = dataclasses.replace(GAS_IN_PAYOFFS, tier="slow")
-    assert dominance_check([slow]).ok
+    assert not dominance_check([slow])
 
 
 def test_dominance_reports_honest_losses_and_node_deviations():
@@ -760,9 +752,7 @@ def test_dominance_reports_honest_losses_and_node_deviations():
         gas_charging=True, include_gas_in_payoffs=True, tier="fast",
         value_of_result=3 * 10**15, payment=2 * 10**15, compute_cost=10**15,
         threshold=10**13)
-    report = dominance_check([config])
-    assert report.draws == 1
-    assert report.violations == [
+    assert dominance_check([config]) == [
         "draw 1: honest/honest payoffs not both positive",
         "draw 1: requestor no-confirm (-7067273699863600) not dominated by "
         "honest (-10141149685527890)",
@@ -785,7 +775,7 @@ def test_dominance_reports_a_cheating_node_that_loses_nothing(monkeypatch):
         return outcome
 
     monkeypatch.setattr(harness_module, "run_scenario", claim_only_breaks_even)
-    assert dominance_check([CFG, CFG]).violations == [
+    assert dominance_check([CFG, CFG]) == [
         f"draw {draw}: cheating node claim-only did not lose funds (0)"
         for draw in (1, 2)
     ]
@@ -802,40 +792,35 @@ def test_dominance_requires_rational_regime():
 
 def test_gas_report_matches_published_costs():
     report = gas_report("slow")
-    assert report.per_function_gas["deploy"] == 1_260_850
-    assert report.per_function_gas["submitTask"] == 277_880
-    assert report.per_function_gas["claimTask"] == 145_120
-    assert report.per_function_gas["finalizeExecutionNode"] == 52_802
-    assert report.per_function_gas["finalizeRequestor"] == 106_357
-    assert report.total_per_task_gas == 582_159
+    gas = report["perFunctionGas"]
+    assert gas["deploy"] == 1_260_850
+    assert gas["submitTask"] == 277_880
+    assert gas["claimTask"] == 145_120
+    assert gas["finalizeExecutionNode"] == 52_802
+    assert gas["finalizeRequestor"] == 106_357
+    assert report["totalPerTaskGas"] == 582_159
     # Deploy is reported but excluded from the per-task total.
-    assert report.total_per_task_gas < report.per_function_gas["deploy"] + 582_159
+    assert report["totalPerTaskGas"] < gas["deploy"] + 582_159
 
 
 def test_gas_report_slow_tier_cost_near_reference():
     report = gas_report("slow")
-    ether = report.total_per_task_cost_wei / 10**18
+    ether = report["totalPerTaskCostWei"] / 10**18
     assert abs(ether - 0.00006) / 0.00006 < 1e-4
-
-
-def test_gas_report_table_output():
-    table = gas_report("standard").to_text_table()
-    assert "Total per task" in table
-    assert "582159" in table
 
 
 def test_latency_per_tier():
     for tier, expected in (("slow", 2400), ("standard", 1200), ("fast", 480)):
         report = latency_report(tier, CFG)
-        assert report.on_chain_seconds == expected
-        assert report.total_seconds == expected
+        assert report["onChainSeconds"] == expected
+        assert report["totalSeconds"] == expected
 
 
 def test_latency_includes_execution_delay():
     config = dataclasses.replace(CFG, execution_delay=50)
     report = latency_report("fast", config)
-    assert report.total_seconds == 480 + 50
-    assert report.on_chain_seconds == 480
+    assert report["totalSeconds"] == 480 + 50
+    assert report["onChainSeconds"] == 480
 
 
 def test_latency_zero_delay_tier():
@@ -844,8 +829,8 @@ def test_latency_zero_delay_tier():
         confirmation_delay_per_tier={"slow": 0, "standard": 0, "fast": 0},
     )
     report = latency_report("standard", config)
-    assert report.total_seconds == 50
-    assert report.on_chain_seconds == 0
+    assert report["totalSeconds"] == 50
+    assert report["onChainSeconds"] == 0
 
 
 # ----------------------------------------------------------------------

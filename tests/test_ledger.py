@@ -417,6 +417,12 @@ _RAISING_CALLS = {
     "bool-expires": ("fresh", "submitTask", 50, {
         "function_name": "f", "hash_lock": bytes(32), "expires": True},
         TypeError),
+    "int-function-name": ("fresh", "submitTask", 50, {
+        "function_name": 5, "hash_lock": bytes(32), "expires": 100},
+        TypeError),
+    "bytes-function-name": ("requestor", "submitTask", 50, {
+        "function_name": b"identity", "hash_lock": bytes(32), "expires": 100},
+        TypeError),
     "missing-argument": ("fresh", "claimTask", THRESHOLD, {}, TypeError),
     "unknown-argument": ("node", "claimTask", THRESHOLD, {
         "task_id": 0, "colour": "red"}, TypeError),
