@@ -153,16 +153,20 @@ def _cmd_payoffs(args) -> int:
     else:
         configs = [_load_config(args.config, args.seed)]
     exit_code = 0
+    docs = []
     for config in configs:
         cells = payoff_matrix(config)
         if args.format == "json":
-            print(_json({"config": config.to_json_obj(),
+            docs.append({"config": config.to_json_obj(),
                          "cells": {f"{r}/{n}": outcome.to_json_obj()
-                                   for (r, n), outcome in cells.items()}}))
+                                   for (r, n), outcome in cells.items()}})
         else:
             print(_payoff_table(cells))
         if any(o.infoflow_violations for o in cells.values()):
             exit_code = 1
+    if args.format == "json":
+        # A grid prints one list, so its output is one JSON value.
+        print(_json(docs if args.grid else docs[0]))
     return exit_code
 
 

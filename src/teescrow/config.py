@@ -145,7 +145,7 @@ class ScenarioConfig:
             object.__setattr__(self, "node_deposit", self.threshold)
         # The family's shared values (``shared``): the encoded ``inputs``,
         # the gas schedule, the records of the seeded streams and what the
-        # runner builds alike for every run.  Every config built by
+        # runner builds or plays alike for every run.  Every config built by
         # ``__init__`` (``replace`` too) starts a family with its own;
         # ``with_strategies`` hands the derived config this one.
         object.__setattr__(self, "_built", {})
@@ -235,8 +235,8 @@ class ScenarioConfig:
 
     def with_strategies(self, requestor: str, node: str) -> "ScenarioConfig":
         """This config with other strategies, in its family: it shares every
-        value ``shared`` keeps, so a payoff matrix builds each once and its
-        cells after the first seed no generator."""
+        value ``shared`` keeps: a payoff matrix builds each once, and its
+        cells after the first seed no generator and play no opening."""
         derived = replace(self, requestor_strategy=requestor,
                           node_strategy=node)
         object.__setattr__(derived, "_built", self._built)

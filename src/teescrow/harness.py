@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .actors import ExecutionNodeActor, RequestorActor, ThirdParty
 from .config import (
@@ -27,7 +27,7 @@ from .config import (
     ConfigInvalid,
     ScenarioConfig,
 )
-from .contract import EscrowContract, TaskState
+from .contract import EscrowContract, Task, TaskState
 from .crypto import ProtectedResult, ResultKeyPair
 from .enclave import (
     REQUESTOR,
@@ -287,6 +287,27 @@ class ScenarioOutcome:
 # runner
 
 
+@dataclass(frozen=True)
+class _Opening:
+    """A config family's state after the opening every strategy pair plays
+    alike, the requestor's submit and the node's claim.  Values only: no
+    runner, ledger, actor or host."""
+
+    balances: tuple[int, ...]
+    block_height: int
+    now: int
+    gas_burned: int
+    gas_by_account: dict[bytes, int]
+    num_tasks: int
+    task: tuple  # task 0's fields
+    task_keys: dict  # the requestor's, whose key pairs every cell shares
+    stream_pos: int  # the requestor stream's read position
+    function_by_task: dict[int, str]
+    lines: tuple[str, ...]  # the trace after the ``scenario`` line
+    pending: tuple  # (party attribute, handler, args) of each queued call
+    last_receipt_time: int
+
+
 class ScenarioRunner:
     """One deterministic protocol run for a single task."""
 
@@ -332,12 +353,55 @@ class ScenarioRunner:
             raise RuntimeError("a runner is single-use")
         self._ran = True
         self.trace.scenario(self.config)
-        self._queue.append((self.requestor, RequestorActor.on_start, ()))
+        opening = self.config.shared("opening", self._play_opening)
+        if not self._queue:  # an earlier run of the family played it
+            self._resume(opening)
         while True:
             self._drain()
             if not self._arm_expiry():
                 break
         return self._finish()
+
+    # The one fork point, so the one place outside their modules that reads
+    # and writes the ledger's, the actors' and the stream's private state.
+
+    def _play_opening(self) -> _Opening:
+        """Step the opening's two handler calls, the requestor's ``on_start``
+        and the node's claim on ``TaskSubmitted``, and record their state."""
+        self._queue.append((self.requestor, RequestorActor.on_start, ()))
+        for _ in range(2):
+            party, handler, args = self._queue.popleft()
+            party.step(self, handler, *args)
+        ledger, task = self.ledger, self.contract.tasks[0]
+        return _Opening(
+            tuple(ledger._balances), ledger.block_height, ledger.now,
+            ledger.total_gas_burned, dict(ledger.gas_cost_by_account),
+            self.contract.num_tasks,
+            tuple(getattr(task, f.name) for f in fields(task)),
+            dict(self.requestor._keys_by_task), self.requestor.rng._pos,
+            dict(self.node._function_by_task), tuple(self.trace._lines[1:]),
+            tuple(("node" if party is self.node else "requestor", handler,
+                   args) for party, handler, args in self._queue),
+            self._last_receipt_time)
+
+    def _resume(self, o: _Opening) -> None:
+        """Apply the family's recorded opening to the objects ``__init__``
+        built, checking conservation on the restored balances."""
+        ledger = self.ledger
+        ledger._balances[:] = o.balances
+        ledger.block_height, ledger.now = o.block_height, o.now
+        ledger.total_gas_burned = o.gas_burned
+        ledger.gas_cost_by_account.update(o.gas_by_account)
+        ledger.assert_conservation()
+        self.contract.num_tasks = o.num_tasks
+        self.contract.tasks[0] = Task(*o.task)
+        self.requestor._keys_by_task.update(o.task_keys)
+        self.requestor.rng._pos = o.stream_pos
+        self.node._function_by_task.update(o.function_by_task)
+        self.trace._lines += o.lines
+        self._queue.extend((getattr(self, role), handler, args)
+                           for role, handler, args in o.pending)
+        self._last_receipt_time = o.last_receipt_time
 
     def _drain(self) -> None:
         queue = self._queue

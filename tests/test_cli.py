@@ -187,9 +187,9 @@ def test_payoffs_grid_file(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "payoffs", "--grid", str(grid),
                            "--format", "json")
     assert code == 0
-    # One JSON document per grid entry.
-    docs = json.loads("[" + out.replace("}\n{", "},\n{") + "]")
-    assert len(docs) == 2
+    # One JSON list, with one object per grid entry.
+    docs = json.loads(out)
+    assert [doc["config"]["payment"] for doc in docs] == [10, 20]
 
 
 def test_payoffs_grid_and_config_exclusive(capsys, tmp_path, config_file):
@@ -207,7 +207,7 @@ def test_payoffs_seed_applies_to_every_grid_entry(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "payoffs", "--grid", str(grid),
                            "--seed", "7", "--format", "json")
     assert code == 0
-    docs = json.loads("[" + out.replace("}\n{", "},\n{") + "]")
+    docs = json.loads(out)
     assert [doc["config"]["rng_seed"] for doc in docs] == [7, 7]
     # The same seed draws the same secrets in both matrices.
     assert [doc["cells"]["honest/honest"]["traceId"] for doc in docs] == [
@@ -270,7 +270,7 @@ def _report_invocations() -> list[tuple[str, ...]]:
 
 #: SHA-256 over (argv, exit code, stdout) of every report invocation, in
 #: order: the report commands' exact output.
-REPORT_OUTPUT_DIGEST = "4b9b0fe41e0b50b8"
+REPORT_OUTPUT_DIGEST = "ba6155b5bebf691e"
 
 
 def test_report_output_unchanged(capsys, tmp_path, monkeypatch):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import FormatsAsSeven, run_claim_race
-from test_golden_traces import RUNNER_SETUPS, golden_configs
+from test_golden_traces import PAIRS, RUNNER_SETUPS, golden_configs
 
 from teescrow import config as config_module
 from teescrow import harness as harness_module
@@ -30,7 +30,7 @@ from teescrow.contract import (
     Task,
     TaskState,
 )
-from teescrow.enclave import EnclaveInstance, FunctionImage
+from teescrow.enclave import BUILTIN_BODIES, EnclaveInstance, FunctionImage
 from teescrow.harness import (
     ScenarioOutcome,
     ScenarioRunner,
@@ -43,6 +43,8 @@ from teescrow.harness import (
 )
 from teescrow.ledger import (
     NULL_ACCOUNT,
+    TIERS,
+    ConservationViolation,
     ContractCall,
     Ledger,
     LedgerEvent,
@@ -169,19 +171,23 @@ def test_a_runner_runs_once():
 ], ids=["honest", "third-party", "withhold-chain-3", "compute-no-deliver"])
 def test_a_finished_run_is_freed_without_the_collector(overrides):
     """No reference cycle holds a run's objects: with the cyclic collector
-    off, dropping the runner frees them all at once."""
-    runner = ScenarioRunner(dataclasses.replace(CFG, **overrides))
-    runner.run()
-    refs = [weakref.ref(obj) for obj in (
-        runner, runner.requestor, runner.node, runner.ledger, runner.host)]
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        del runner
-        assert [ref() for ref in refs] == [None] * len(refs)
-    finally:
-        if enabled:
-            gc.enable()
+    off, dropping the runner frees them all at once, whether it played its
+    family's opening or resumed from the family's record of it."""
+    family = dataclasses.replace(CFG, **overrides)
+    for _ in range(2):
+        runner = ScenarioRunner(family)
+        runner.run()
+        refs = [weakref.ref(obj) for obj in (runner, runner.requestor,
+                                             runner.node, runner.ledger,
+                                             runner.host)]
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del runner
+            assert [ref() for ref in refs] == [None] * len(refs)
+        finally:
+            if enabled:
+                gc.enable()
 
 
 def test_trace_determinism_same_seed():
@@ -696,6 +702,87 @@ def test_minimum_funding_runs_and_one_less_is_refused(pair, gas_charging):
     run_scenario(dataclasses.replace(config, initial_balance=balance))
     with pytest.raises(ConfigInvalid, match="cannot fund"):
         ScenarioRunner(dataclasses.replace(config, initial_balance=balance - 1))
+
+
+# ----------------------------------------------------------------------
+# the opening a config family plays once
+
+
+#: Config families as ``broad_configs`` draws them: gas on or off, 0-3
+#: resubmits, either delivery route, an execution delay, 0, 3 or 64 inputs.
+fork_families = st.builds(
+    ScenarioConfig,
+    value_of_result=st.just(100), payment=st.integers(4, 10),
+    compute_cost=st.just(3), threshold=st.integers(1, 5),
+    node_deposit=st.integers(5, 8), initial_balance=st.just(10**17),
+    tier=st.sampled_from(TIERS), rng_seed=st.integers(0, 2**31),
+    function_name=st.sampled_from(sorted(BUILTIN_BODIES)),
+    inputs=st.sampled_from([0, 3, 64]).map(lambda n: tuple(range(n))),
+    deliver_to_third_party=st.booleans(),
+    execution_delay=st.sampled_from([0, 5, 60]),
+    max_resubmits=st.integers(0, 3), gas_charging=st.booleans(),
+    include_gas_in_payoffs=st.booleans())
+
+
+def _recorded_run(config: ScenarioConfig):
+    """The run's trace bytes, its outcome and the bytes of every result it
+    delivers (nonce, ciphertext and signature)."""
+    runner = ScenarioRunner(config)
+    delivered = []
+    deliver = runner.deliver
+
+    def recording(task_id, protected, destination):
+        delivered.append(protected.nonce + protected.ciphertext
+                         + protected.signature)
+        deliver(task_id, protected, destination)
+
+    runner.deliver = recording
+    outcome = runner.run()
+    return runner.trace.to_jsonl(), outcome, delivered
+
+
+@settings(max_examples=25, deadline=None)
+@given(family=fork_families, order=st.permutations(PAIRS))
+def test_a_cell_resumed_from_the_opening_runs_as_in_a_fresh_family(
+        family, order):
+    for pair in order:
+        cell = family.with_strategies(*pair)
+        # replace() starts a family of its own, which plays the opening.
+        assert _recorded_run(cell) == _recorded_run(dataclasses.replace(cell))
+
+
+@pytest.mark.parametrize("family", [
+    CFG,
+    dataclasses.replace(CFG, gas_charging=True, initial_balance=10**17,
+                        max_resubmits=2, deliver_to_third_party=True,
+                        execution_delay=5, tier="fast"),
+], ids=["default", "gas-chain-third-party"])
+def test_every_strategy_pair_plays_the_same_opening(family):
+    """What a family records after its first run's opening does not depend
+    on that run's strategies: a strategy that decides before the claim
+    moves the fork point."""
+    openings = []
+    for pair in PAIRS:
+        config = dataclasses.replace(family.with_strategies(*pair))
+        ScenarioRunner(config).run()
+        openings.append(config._built["opening"])
+    assert openings == [openings[0]] * len(PAIRS)
+
+
+def test_a_resumed_cell_checks_conservation():
+    family = dataclasses.replace(CFG)
+    ScenarioRunner(family).run()
+    opening = family._built["opening"]
+    balances = list(opening.balances)
+    balances[2] += 1  # the requestor's slot
+    family._built["opening"] = dataclasses.replace(opening,
+                                                   balances=tuple(balances))
+    runner = ScenarioRunner(family.with_strategies("honest", "claim-only"))
+    with pytest.raises(ConservationViolation, match="^balances sum to "):
+        runner.run()
+    # Raised at resume, before the run's next transaction or clock advance.
+    assert (runner.ledger.block_height, runner.ledger.now) == (
+        opening.block_height, opening.now)
 
 
 # ----------------------------------------------------------------------
