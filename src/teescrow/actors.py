@@ -35,8 +35,7 @@ short:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import crypto
 from .config import (
@@ -55,8 +54,7 @@ if TYPE_CHECKING:
     from .harness import ScenarioRunner
 
 
-@dataclass(slots=True)
-class _TaskKeys:
+class _TaskKeys(NamedTuple):
     secret: bytes
     hash_lock: bytes
     result_keys: ResultKeyPair
@@ -72,9 +70,19 @@ class RequestorActor:
         self.expected_measurement = expected_measurement
         self.received_valid_result = False
         self._keys_by_task: dict[int, _TaskKeys] = {}
+        self.resubmits = 0
         # Read only after an accepted timeout, so lowering it before a run
         # to the number of resubmits that run made changes nothing.
-        self.resubmits_left = config.max_resubmits
+        self.resubmit_limit = config.max_resubmits
+
+    def snapshot(self) -> tuple:
+        """What protocol steps write: not a hook's measurement or limit."""
+        return (tuple(self._keys_by_task.items()), self.received_valid_result,
+                self.resubmits, self.rng.pos)
+
+    def restore(self, state: tuple) -> None:
+        keys, self.received_valid_result, self.resubmits, self.rng.pos = state
+        self._keys_by_task = dict(keys)
 
     def verify_key(self, task_id: int) -> bytes:
         """The public key that checks the signature on a task's result."""
@@ -101,9 +109,9 @@ class RequestorActor:
         self._submit_task(run)
 
     def _on_timeout(self, run: ScenarioRunner, receipt: Receipt) -> None:
-        if receipt.outcome.accepted and self.resubmits_left > 0:
+        if receipt.outcome.accepted and self.resubmits < self.resubmit_limit:
             # A resubmission always carries a fresh secret and hash.
-            self.resubmits_left -= 1
+            self.resubmits += 1
             self.received_valid_result = False
             self._submit_task(run)
 
@@ -154,6 +162,15 @@ class ExecutionNodeActor:
         self._function_by_task: dict[int, str] = {}
         self._done_by_task: dict[
             int, tuple[EnclaveInstance, ProtectedResult]] = {}
+
+    def snapshot(self) -> tuple:
+        if self._done_by_task:  # the host has no snapshot
+            raise RuntimeError("the node holds an enclave instance")
+        return tuple(self._function_by_task.items())
+
+    def restore(self, state: tuple) -> None:
+        self._function_by_task = dict(state)
+        self._done_by_task = {}
 
     def step(self, run: ScenarioRunner, handler, *args) -> None:
         handler(self, run, *args)

@@ -205,7 +205,7 @@ def _cmd_inspect(args) -> int:
         # A run with k submitTask calls made k - 1 resubmits, and the replay
         # may make no more: a forged max_resubmits cannot keep it running.
         # Counting a line too many only loosens the bound.
-        runner.requestor.resubmits_left = min(
+        runner.requestor.resubmit_limit = min(
             config.max_resubmits,
             max(text.count('"function":"submitTask"') - 1, 0))
         outcome = runner.run()

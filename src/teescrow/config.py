@@ -257,7 +257,7 @@ class ScenarioConfig:
 
     def stream(self, name: str) -> ByteStream:
         """A fresh stream of ``random.Random(f"{rng_seed}:{name}")``'s bytes,
-        reading the family's record of their first ``streams.PREFIX``."""
+        reading the family's record of them."""
         return ByteStream(self.shared(
             f"stream:{name}", lambda: SeededBytes(f"{self.rng_seed}:{name}")))
 

@@ -109,6 +109,16 @@ class EscrowContract:
             raise TypeError("task_id must be an integer")
         return self.tasks.get(task_id)
 
+    def snapshot(self) -> tuple:
+        """``num_tasks`` and each task's id and field values."""
+        return self.num_tasks, tuple(
+            (task_id, tuple(getattr(task, name) for name in Task.__slots__))
+            for task_id, task in self.tasks.items())
+
+    def restore(self, state: tuple) -> None:
+        self.num_tasks, tasks = state
+        self.tasks = {task_id: Task(*values) for task_id, values in tasks}
+
     # ------------------------------------------------------------------
 
     def _submit_task(self, ctx: CallContext, function_name: str,

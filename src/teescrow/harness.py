@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections import deque
-from dataclasses import dataclass, fields, replace
+from collections import deque, namedtuple
+from dataclasses import dataclass, replace
 
 from .actors import ExecutionNodeActor, RequestorActor, ThirdParty
 from .config import (
@@ -27,7 +27,7 @@ from .config import (
     ConfigInvalid,
     ScenarioConfig,
 )
-from .contract import EscrowContract, Task, TaskState
+from .contract import EscrowContract, TaskState
 from .crypto import ProtectedResult, ResultKeyPair
 from .enclave import (
     REQUESTOR,
@@ -287,25 +287,12 @@ class ScenarioOutcome:
 # runner
 
 
-@dataclass(frozen=True)
-class _Opening:
-    """A config family's state after the opening every strategy pair plays
-    alike, the requestor's submit and the node's claim.  Values only: no
-    runner, ledger, actor or host."""
-
-    balances: tuple[int, ...]
-    block_height: int
-    now: int
-    gas_burned: int
-    gas_by_account: dict[bytes, int]
-    num_tasks: int
-    task: tuple  # task 0's fields
-    task_keys: dict  # the requestor's, whose key pairs every cell shares
-    stream_pos: int  # the requestor stream's read position
-    function_by_task: dict[int, str]
-    lines: tuple[str, ...]  # the trace after the ``scenario`` line
-    pending: tuple  # (party attribute, handler, args) of each queued call
-    last_receipt_time: int
+#: A config family's state after the opening every strategy pair plays alike
+#: (the requestor's submit, the node's claim): the ledger's, the contract's
+#: and the actors' snapshots, the trace lines after ``scenario``, each queued
+#: call as (party attribute, handler, args) and the last receipt time.
+_Opening = namedtuple("_Opening", "ledger contract requestor node lines "
+                                  "pending last_receipt_time")
 
 
 class ScenarioRunner:
@@ -362,45 +349,28 @@ class ScenarioRunner:
                 break
         return self._finish()
 
-    # The one fork point, so the one place outside their modules that reads
-    # and writes the ledger's, the actors' and the stream's private state.
-
     def _play_opening(self) -> _Opening:
-        """Step the opening's two handler calls, the requestor's ``on_start``
-        and the node's claim on ``TaskSubmitted``, and record their state."""
-        self._queue.append((self.requestor, RequestorActor.on_start, ()))
-        for _ in range(2):
-            party, handler, args = self._queue.popleft()
-            party.step(self, handler, *args)
-        ledger, task = self.ledger, self.contract.tasks[0]
+        """Step the requestor's submit and the node's claim; record them."""
+        self.requestor.step(self, RequestorActor.on_start)
+        party, handler, args = self._queue.popleft()  # the node's claim
+        party.step(self, handler, *args)
         return _Opening(
-            tuple(ledger._balances), ledger.block_height, ledger.now,
-            ledger.total_gas_burned, dict(ledger.gas_cost_by_account),
-            self.contract.num_tasks,
-            tuple(getattr(task, f.name) for f in fields(task)),
-            dict(self.requestor._keys_by_task), self.requestor.rng._pos,
-            dict(self.node._function_by_task), tuple(self.trace._lines[1:]),
+            self.ledger.snapshot(), self.contract.snapshot(),
+            self.requestor.snapshot(), self.node.snapshot(),
+            tuple(self.trace._lines[1:]),
             tuple(("node" if party is self.node else "requestor", handler,
                    args) for party, handler, args in self._queue),
             self._last_receipt_time)
 
     def _resume(self, o: _Opening) -> None:
-        """Apply the family's recorded opening to the objects ``__init__``
-        built, checking conservation on the restored balances."""
-        ledger = self.ledger
-        ledger._balances[:] = o.balances
-        ledger.block_height, ledger.now = o.block_height, o.now
-        ledger.total_gas_burned = o.gas_burned
-        ledger.gas_cost_by_account.update(o.gas_by_account)
-        ledger.assert_conservation()
-        self.contract.num_tasks = o.num_tasks
-        self.contract.tasks[0] = Task(*o.task)
-        self.requestor._keys_by_task.update(o.task_keys)
-        self.requestor.rng._pos = o.stream_pos
-        self.node._function_by_task.update(o.function_by_task)
+        """Restore the family's opening into the objects ``__init__`` built."""
+        self.ledger.restore(o.ledger)
+        self.contract.restore(o.contract)
+        self.requestor.restore(o.requestor)
+        self.node.restore(o.node)
         self.trace._lines += o.lines
-        self._queue.extend((getattr(self, role), handler, args)
-                           for role, handler, args in o.pending)
+        for role, handler, args in o.pending:
+            self._queue.append((getattr(self, role), handler, args))
         self._last_receipt_time = o.last_receipt_time
 
     def _drain(self) -> None:

@@ -349,6 +349,21 @@ class Ledger:
         self.assert_conservation()
         return receipt
 
+    def snapshot(self) -> tuple:
+        """Balances, block height, clock, gas burned and gas per account."""
+        return (tuple(self._balances), self.block_height, self.now,
+                self.total_gas_burned,
+                tuple(sorted(self.gas_cost_by_account.items())))
+
+    def restore(self, state: tuple) -> None:
+        """Take back a snapshot, then check conservation on its balances."""
+        if len(state[0]) != len(self._balances):
+            raise LedgerError("a snapshot of another number of accounts")
+        balances, self.block_height, self.now, self.total_gas_burned, gas = state
+        self._balances[:] = balances
+        self.gas_cost_by_account = dict(gas)
+        self.assert_conservation()
+
     def assert_conservation(self) -> None:
         total = sum(self._balances)
         if total != self.total_supply - self.total_gas_burned:

@@ -8,7 +8,6 @@ inline, or read captured stdout). Criteria 1, 6 and 8 share one batch of
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import hashlib
 import itertools
@@ -246,19 +245,28 @@ def _fresh_claimed_task():
 
 
 def _explore(state, actions, invariant, depth):
-    """DFS over every action sequence up to the given depth."""
+    """DFS over every action sequence up to the given depth.  ``state``
+    starts with the ledger and the contract: each action runs on them
+    restored to its parent's snapshot, and the walk leaves them as it
+    found them."""
+    ledger, contract = state[:2]
+    root = ledger.snapshot(), contract.snapshot()
     nodes = 0
-    stack = [(state, 0)]
+    stack = [(root, 0)]
     while stack:
-        current, level = stack.pop()
+        (chain, tasks), level = stack.pop()
         if level == depth:
             continue
         for action in actions:
-            branch = copy.deepcopy(current)
-            action(branch)
-            invariant(branch)
+            ledger.restore(chain)
+            contract.restore(tasks)
+            action(state)
+            invariant(state)
             nodes += 1
-            stack.append((branch, level + 1))
+            stack.append(((ledger.snapshot(), contract.snapshot()),
+                          level + 1))
+    ledger.restore(root[0])
+    contract.restore(root[1])
     return nodes
 
 

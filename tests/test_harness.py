@@ -767,22 +767,63 @@ def test_every_strategy_pair_plays_the_same_opening(family):
         ScenarioRunner(config).run()
         openings.append(config._built["opening"])
     assert openings == [openings[0]] * len(PAIRS)
+    hash(openings[0][:4])  # the four snapshots are values
 
 
 def test_a_resumed_cell_checks_conservation():
     family = dataclasses.replace(CFG)
     ScenarioRunner(family).run()
     opening = family._built["opening"]
-    balances = list(opening.balances)
+    balances, block_height, now, *gas = opening.ledger
+    balances = list(balances)
     balances[2] += 1  # the requestor's slot
-    family._built["opening"] = dataclasses.replace(opening,
-                                                   balances=tuple(balances))
+    family._built["opening"] = opening._replace(
+        ledger=(tuple(balances), block_height, now, *gas))
     runner = ScenarioRunner(family.with_strategies("honest", "claim-only"))
     with pytest.raises(ConservationViolation, match="^balances sum to "):
         runner.run()
     # Raised at resume, before the run's next transaction or clock advance.
     assert (runner.ledger.block_height, runner.ledger.now) == (
-        opening.block_height, opening.now)
+        block_height, now)
+
+
+def _lower_resubmit_limit(runner):
+    runner.requestor.resubmit_limit = 1
+
+
+def _expect_another_measurement(runner):
+    runner.requestor.expected_measurement = bytes(32)
+
+
+@pytest.mark.parametrize("hook, pair", [
+    (_lower_resubmit_limit, ("withhold-input", "honest")),
+    (_expect_another_measurement, ("honest", "honest")),
+])
+def test_a_hook_set_before_run_applies_to_a_resumed_cell(hook, pair):
+    """The requestor's snapshot leaves out what a hook sets: ``inspect``'s
+    resubmit limit and the measurement the requestor expects.  Either hook
+    makes the cell a chain of timeouts, the first one shorter."""
+    family = dataclasses.replace(CFG, max_resubmits=3)
+    ScenarioRunner(family).run()  # records the opening
+
+    def hooked_trace(config):
+        runner = ScenarioRunner(config)
+        hook(runner)
+        runner.run()
+        return runner.trace.to_jsonl()
+
+    cell = family.with_strategies(*pair)
+    trace = hooked_trace(cell)
+    assert trace == hooked_trace(dataclasses.replace(cell))
+    assert trace.count('"function":"timeout"') == (
+        2 if hook is _lower_resubmit_limit else 4)
+
+
+def test_a_node_holding_an_instance_has_no_snapshot():
+    runner = ScenarioRunner(dataclasses.replace(CFG))
+    runner.run()  # the node keeps its executed instance
+    with pytest.raises(RuntimeError, match="holds an enclave instance"):
+        runner.node.snapshot()
 
 
 # ----------------------------------------------------------------------

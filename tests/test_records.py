@@ -6,7 +6,8 @@ Every transaction builds a ``ContractCall``, a ``CallContext``, a
 records (the contract's ``Task``, the requestor's keys, the enclave
 instance and what it was provisioned with), are slotted (no per-instance
 ``__dict__``) and plain, since a frozen dataclass pays for
-``object.__setattr__`` on every field.
+``object.__setattr__`` on every field.  The requestor's keys, which its
+snapshot holds, are a ``NamedTuple``: slotted, and hashable as a value.
 Records that are hashed or handed from one run to another stay frozen: the
 encrypt-and-sign memo is keyed on a ``ResultKeyPair`` and returns one
 ``ProtectedResult`` to every run that hits it.
@@ -39,6 +40,8 @@ SLOTTED = (
 
 def _blank(cls):
     """An instance with every required field set to ``None``."""
+    if issubclass(cls, tuple):  # a NamedTuple, whose fields have no defaults
+        return cls(*[None] * len(cls._fields))
     required = [f for f in dataclasses.fields(cls)
                 if f.default is dataclasses.MISSING
                 and f.default_factory is dataclasses.MISSING]
