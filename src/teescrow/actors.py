@@ -191,7 +191,7 @@ class ExecutionNodeActor:
         if not receipt.outcome.accepted:
             return
         task_id = receipt.call.args["task_id"]
-        instance, protected = self._done_by_task[task_id]
+        instance, protected = self._done_by_task.pop(task_id)
         if self.config.node_strategy == NODE_HONEST:
             run.deliver(task_id, protected,
                         "third-party" if self.config.deliver_to_third_party

@@ -33,6 +33,7 @@ from .config import (
 )
 from .harness import (
     ScenarioRunner,
+    dominance_check,
     gas_report,
     latency_report,
     payoff_matrix,
@@ -154,7 +155,7 @@ def _cmd_payoffs(args) -> int:
         configs = [_load_config(args.config, args.seed)]
     exit_code = 0
     docs = []
-    for config in configs:
+    for entry, config in enumerate(configs, 1):
         cells = payoff_matrix(config)
         if args.format == "json":
             docs.append({"config": config.to_json_obj(),
@@ -163,6 +164,10 @@ def _cmd_payoffs(args) -> int:
         else:
             print(_payoff_table(cells))
         if any(o.infoflow_violations for o in cells.values()):
+            exit_code = 1
+        for violation in dominance_check(cells):
+            where = f"entry {entry}: " if args.grid else ""
+            print(f"dominance violation: {where}{violation}", file=sys.stderr)
             exit_code = 1
     if args.format == "json":
         # A grid prints one list, so its output is one JSON value.

@@ -201,9 +201,18 @@ class ScenarioConfig:
 
     @property
     def in_rational_regime(self) -> bool:
-        """Strict value > payment > cost > 0; positive deposits are
-        ``validate()``'s rule."""
-        return self.value_of_result > self.payment > self.compute_cost > 0
+        """Honesty strictly dominates and both honest parties gain, with the
+        gas the payoffs count at the tier's price.  Read after validate()."""
+        schedule = self.gas_schedule()
+        gas = schedule.per_function
+        price = (schedule.gas_price_per_tier[self.tier]
+                 if self.gas_charging and self.include_gas_in_payoffs else 0)
+        return (self.compute_cost > 0
+                and self.value_of_result - self.payment
+                > price * (gas["submitTask"] + gas["finalizeRequestor"])
+                and self.payment - self.compute_cost
+                > price * (gas["claimTask"] + gas["finalizeExecutionNode"])
+                and self.requestor_deposit > price * gas["finalizeRequestor"])
 
     def gas_schedule(self) -> GasSchedule:
         """The defaults with the override maps merged in, built once per

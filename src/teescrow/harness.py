@@ -528,59 +528,43 @@ def run_scenario(config: ScenarioConfig) -> ScenarioOutcome:
 def payoff_matrix(
         config: ScenarioConfig) -> dict[tuple[str, str], ScenarioOutcome]:
     """The outcome of every (requestor strategy, node strategy) pair."""
+    config.validate()
     if not config.in_rational_regime:
-        raise ConfigInvalid("parameters outside the rational regime "
-                            "(need value > payment > cost > 0)")
+        raise ConfigInvalid(
+            "parameters outside the rational regime (need cost > 0, value - "
+            "payment > g(submitTask) + g(finalizeRequestor), payment - cost > "
+            "g(claimTask) + g(finalizeExecutionNode) and threshold > "
+            "g(finalizeRequestor), g(f) being f's gas cost if payoffs count "
+            "gas)")
     return {(r, n): run_scenario(config.with_strategies(r, n))
             for r in REQUESTOR_STRATEGIES for n in NODE_STRATEGIES}
 
 
-def dominance_check(configs) -> list[str]:
-    """Honesty strictly dominates every same-party deviation against an
-    honest counterparty; the honest pair is the only one where both gain.
-    Returns one message per violation, each naming its draw (counted from
-    1): an empty list when honesty dominates on every draw.
-
-    A cheating requestor that skips confirmation can still net a positive
-    absolute payoff when the result is valuable enough; that is not
-    asserted against.
-    """
+def dominance_check(cells: dict) -> list[str]:
+    """The verdict on one payoff matrix's ``cells``: one message per
+    violation, none when honesty strictly dominates every same-party
+    deviation against an honest counterparty and the honest pair gives both
+    parties a gain.  A requestor that skips confirmation may still gain
+    outright when the result is valuable enough; that is allowed."""
+    honest = cells[REQUESTOR_HONEST, NODE_HONEST]
     violations = []
-    for draw, config in enumerate(configs, 1):
-        if not config.in_rational_regime:
-            raise ConfigInvalid("dominance check needs the rational regime")
-        honest = run_scenario(
-            config.with_strategies(REQUESTOR_HONEST, NODE_HONEST))
-        if honest.requestor_payoff <= 0 or honest.node_payoff <= 0:
+    if honest.requestor_payoff <= 0 or honest.node_payoff <= 0:
+        violations.append("honest/honest payoffs not both positive")
+    for deviation in REQUESTOR_STRATEGIES[1:]:  # honest is first
+        payoff = cells[deviation, NODE_HONEST].requestor_payoff
+        if payoff >= honest.requestor_payoff:
             violations.append(
-                f"draw {draw}: honest/honest payoffs not both positive")
-        for deviation in REQUESTOR_STRATEGIES:
-            if deviation == REQUESTOR_HONEST:
-                continue
-            outcome = run_scenario(
-                config.with_strategies(deviation, NODE_HONEST))
-            if outcome.requestor_payoff >= honest.requestor_payoff:
-                violations.append(
-                    f"draw {draw}: requestor {deviation} "
-                    f"({outcome.requestor_payoff}) not dominated by honest "
-                    f"({honest.requestor_payoff})"
-                )
-        for deviation in NODE_STRATEGIES:
-            if deviation == NODE_HONEST:
-                continue
-            outcome = run_scenario(
-                config.with_strategies(REQUESTOR_HONEST, deviation))
-            if outcome.node_payoff >= honest.node_payoff:
-                violations.append(
-                    f"draw {draw}: node {deviation} "
-                    f"({outcome.node_payoff}) not dominated by honest "
-                    f"({honest.node_payoff})"
-                )
-            if outcome.node_payoff >= 0:
-                violations.append(
-                    f"draw {draw}: cheating node {deviation} "
-                    f"did not lose funds ({outcome.node_payoff})"
-                )
+                f"requestor {deviation} ({payoff}) not dominated by honest "
+                f"({honest.requestor_payoff})")
+    for deviation in NODE_STRATEGIES[1:]:
+        payoff = cells[REQUESTOR_HONEST, deviation].node_payoff
+        if payoff >= honest.node_payoff:
+            violations.append(
+                f"node {deviation} ({payoff}) not dominated by honest "
+                f"({honest.node_payoff})")
+        if payoff >= 0:
+            violations.append(
+                f"cheating node {deviation} did not lose funds ({payoff})")
     return violations
 
 

@@ -24,9 +24,10 @@ from teescrow.harness import (
     dominance_check,
     gas_report,
     latency_report,
+    payoff_matrix,
     run_scenario,
 )
-from teescrow.ledger import ContractCall, Ledger
+from teescrow.ledger import TIERS, ContractCall, GasSchedule, Ledger
 
 from conftest import call, record_grants, run_claim_race, zero_delay_schedule
 
@@ -338,7 +339,9 @@ def test_criterion_8_dominance(draw_batch):
                   f"{N_DRAWS} draws ({len(violations)} violations)")
     assert ok
 
-    # The packaged checker agrees on a subsample.
+    # The packaged checker agrees on a subsample, and on gas-charging draws
+    # inside the rational regime: each amount past its gas term, where g
+    # is the tier's price times a function's gas.
     rng = random.Random(8)
     configs = []
     for _ in range(20):
@@ -350,7 +353,25 @@ def test_criterion_8_dominance(draw_batch):
             initial_balance=p["value"] + p["payment"] + p["dep_r"]
             + p["dep_e"] + 1000,
         ))
-    assert not dominance_check(configs)
+    schedule = GasSchedule()
+    for _ in range(20):
+        tier = rng.choice(TIERS)
+        g = {name: gas * schedule.gas_price_per_tier[tier]
+             for name, gas in schedule.per_function.items()}
+        p = {name: rng.randint(1, 10**16) for name in
+             ("cost", "payment", "value", "dep_r", "dep_e")}
+        payment = (p["cost"] + g["claimTask"] + g["finalizeExecutionNode"]
+                   + p["payment"])
+        value = payment + g["submitTask"] + g["finalizeRequestor"] + p["value"]
+        dep_r = g["finalizeRequestor"] + p["dep_r"]
+        configs.append(ScenarioConfig(
+            value_of_result=value, payment=payment, compute_cost=p["cost"],
+            threshold=dep_r, node_deposit=dep_r + p["dep_e"], tier=tier,
+            gas_charging=True, include_gas_in_payoffs=True,
+            initial_balance=10**21, rng_seed=rng.randint(0, 2**31),
+        ))
+    for config in configs:
+        assert not dominance_check(payoff_matrix(config))
 
 
 def test_criterion_9_information_flow():

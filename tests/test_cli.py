@@ -180,6 +180,35 @@ def test_payoffs_exits_1_on_a_host_leak(capsys, monkeypatch):
     assert len(out.splitlines()) == 4
 
 
+#: A config whose no-confirm requestor saves more confirmation gas than it
+#: forfeits in deposit: outside the rational regime.
+GAS_IN_PAYOFFS = {"gas_charging": True, "include_gas_in_payoffs": True,
+                  "threshold": 10**15}
+NO_CONFIRM_PAYS = ("requestor no-confirm (89995945109497737360) not "
+                   "dominated by honest (89995775867417885814)")
+
+
+def test_payoffs_exits_1_on_a_dominance_violation(capsys, monkeypatch,
+                                                   tmp_path):
+    # The regime admits no config that violates dominance; made to admit
+    # this one, the command prints the same tables, then each violation.
+    monkeypatch.setattr(ScenarioConfig, "in_rational_regime", True)
+    config = tmp_path / "gas.json"
+    config.write_text(json.dumps(GAS_IN_PAYOFFS))
+    code, out, err = run_cli(capsys, "payoffs", "--config", str(config))
+    assert (code, err) == (1, f"dominance violation: {NO_CONFIRM_PAYS}\n")
+    assert len(out.splitlines()) == 4
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps([SMALL, GAS_IN_PAYOFFS]))
+    code, grid_out, err = run_cli(capsys, "payoffs", "--grid", str(grid))
+    assert (code, err) == (
+        1, f"dominance violation: entry 2: {NO_CONFIRM_PAYS}\n")
+    assert grid_out.endswith(out) and len(grid_out.splitlines()) == 8
+    # Without a violation the command exits 0 and writes no stderr.
+    grid.write_text(json.dumps([SMALL, dict(SMALL, payment=20)]))
+    assert run_cli(capsys, "payoffs", "--grid", str(grid))[::2] == (0, "")
+
+
 def test_payoffs_grid_file(capsys, tmp_path):
     other = dict(SMALL, payment=20)
     grid = tmp_path / "grid.json"
@@ -214,12 +243,18 @@ def test_payoffs_seed_applies_to_every_grid_entry(capsys, tmp_path):
         docs[0]["cells"]["honest/honest"]["traceId"]] * 2
 
 
-def test_payoffs_degenerate_config_exits_2(capsys, tmp_path):
+@pytest.mark.parametrize("config", [dict(SMALL, value_of_result=10),
+                                    GAS_IN_PAYOFFS],
+                         ids=["value-is-payment", "gas-in-payoffs"])
+def test_payoffs_degenerate_config_exits_2(capsys, tmp_path, config):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(dict(SMALL, value_of_result=10)))
-    code, _, err = run_cli(capsys, "payoffs", "--config", str(bad))
-    assert code == 2
-    assert "config error" in err
+    bad.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "payoffs", "--config", str(bad))
+    assert (code, out) == (2, "")
+    [line] = err.splitlines()
+    assert line.startswith("config error: parameters outside the rational "
+                           "regime (need cost > 0, value - payment > "
+                           "g(submitTask) + g(finalizeRequestor), ")
 
 
 def test_gas_table_has_published_total(capsys):

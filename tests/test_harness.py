@@ -42,6 +42,8 @@ from teescrow.harness import (
     run_scenario,
 )
 from teescrow.ledger import (
+    DEFAULT_GAS_PER_FUNCTION,
+    DEFAULT_GAS_PRICE_PER_TIER,
     NULL_ACCOUNT,
     TIERS,
     ConservationViolation,
@@ -821,29 +823,53 @@ def test_a_hook_set_before_run_applies_to_a_resumed_cell(hook, pair):
 
 def test_a_node_holding_an_instance_has_no_snapshot():
     runner = ScenarioRunner(dataclasses.replace(CFG))
-    runner.run()  # the node keeps its executed instance
-    with pytest.raises(RuntimeError, match="holds an enclave instance"):
-        runner.node.snapshot()
+    submit, held = runner.submit, []
+
+    def submit_while_holding(actor, call, value=0):
+        if call.function == "finalizeExecutionNode":  # the instance is held
+            with pytest.raises(RuntimeError, match="holds an enclave instance"):
+                runner.node.snapshot()
+            held.append(call)
+        submit(actor, call, value)
+
+    runner.submit = submit_while_holding
+    runner.run()
+    assert held
+    # The finished honest run's node destroyed, and so released, it.
+    assert runner.node.snapshot() == ((0, CFG.function_name),)
 
 
 # ----------------------------------------------------------------------
 # dominance
 
 
+def cells_of(config: ScenarioConfig) -> dict:
+    """Every cell of ``config``'s payoff matrix, run directly: without
+    ``payoff_matrix``'s regime check."""
+    return {(r, n): run_scenario(config.with_strategies(r, n))
+            for r in REQUESTOR_STRATEGIES for n in NODE_STRATEGIES}
+
+
 def test_dominance_report_on_random_draws():
     rng = random.Random(7)
-    configs = []
     for _ in range(10):
         cost = rng.randint(1, 20)
         payment = cost + rng.randint(1, 20)
         value = payment + rng.randint(1, 40)
         threshold = rng.randint(1, 15)
-        configs.append(ScenarioConfig(
+        config = ScenarioConfig(
             value_of_result=value, payment=payment, compute_cost=cost,
             threshold=threshold,
             initial_balance=value + payment + 2 * threshold + 100,
-        ))
-    assert not dominance_check(configs)
+        )
+        assert not dominance_check(payoff_matrix(config))
+
+
+def test_the_verdict_runs_nothing(monkeypatch):
+    cells = payoff_matrix(CFG)
+    monkeypatch.setattr(harness_module, "run_scenario", None)
+    monkeypatch.setattr(harness_module, "ScenarioRunner", None)
+    assert dominance_check(cells) == []
 
 
 def test_dominance_example_inequalities():
@@ -859,20 +885,48 @@ def test_dominance_example_inequalities():
 
 
 # Gas counted in the payoffs: a no-confirm requestor forfeits its deposit
-# but saves the finalizeRequestor gas.  These configs pass today's
-# ``in_rational_regime``, which ignores gas.
+# but saves the finalizeRequestor gas, which at the standard tier's price
+# costs more than this threshold.
 GAS_IN_PAYOFFS = ScenarioConfig(gas_charging=True, include_gas_in_payoffs=True,
                                 threshold=10**15, tier="standard")
 
+#: Each tier's price times the gas of finalizeRequestor, at the defaults:
+#: at a threshold no higher, a no-confirm requestor does as well as an
+#: honest one.
+G_FIN_REQ = {"slow": 10_961_644_427_482, "standard": 1_169_242_079_851_546,
+             "fast": 3_083_875_985_664_290}
+
 
 def test_dominance_reports_a_requestor_deviation_that_pays():
-    assert dominance_check([GAS_IN_PAYOFFS]) == [
-        "draw 1: requestor no-confirm (89995945109497737360) not dominated "
+    with pytest.raises(ConfigInvalid,
+                       match=r"threshold > g\(finalizeRequestor\)"):
+        payoff_matrix(GAS_IN_PAYOFFS)
+    assert dominance_check(cells_of(GAS_IN_PAYOFFS)) == [
+        "requestor no-confirm (89995945109497737360) not dominated "
         "by honest (89995775867417885814)",
     ]
     # The confirmation costs less at the slow tier's gas price.
     slow = dataclasses.replace(GAS_IN_PAYOFFS, tier="slow")
-    assert not dominance_check([slow])
+    assert not dominance_check(payoff_matrix(slow))
+
+
+@pytest.mark.parametrize("tier", TIERS)
+def test_the_regime_ends_at_the_confirmation_gas(tier):
+    g = G_FIN_REQ[tier]
+    assert g == (DEFAULT_GAS_PRICE_PER_TIER[tier]
+                 * DEFAULT_GAS_PER_FUNCTION["finalizeRequestor"])
+
+    def at(threshold):  # a fresh config derives both deposits from it
+        return ScenarioConfig(gas_charging=True, include_gas_in_payoffs=True,
+                              threshold=threshold, tier=tier)
+
+    assert not dominance_check(payoff_matrix(at(g + 1)))
+    for threshold in (g, g - 1):
+        config = at(threshold)
+        with pytest.raises(ConfigInvalid):
+            payoff_matrix(config)
+        [violation] = dominance_check(cells_of(config))
+        assert violation.startswith("requestor no-confirm (")
 
 
 def test_dominance_reports_honest_losses_and_node_deviations():
@@ -880,38 +934,94 @@ def test_dominance_reports_honest_losses_and_node_deviations():
         gas_charging=True, include_gas_in_payoffs=True, tier="fast",
         value_of_result=3 * 10**15, payment=2 * 10**15, compute_cost=10**15,
         threshold=10**13)
-    assert dominance_check([config]) == [
-        "draw 1: honest/honest payoffs not both positive",
-        "draw 1: requestor no-confirm (-7067273699863600) not dominated by "
+    with pytest.raises(ConfigInvalid):
+        payoff_matrix(config)
+    assert dominance_check(cells_of(config)) == [
+        "honest/honest payoffs not both positive",
+        "requestor no-confirm (-7067273699863600) not dominated by "
         "honest (-10141149685527890)",
-        "draw 1: requestor withhold-input (-9807004598063600) not dominated "
+        "requestor withhold-input (-9807004598063600) not dominated "
         "by honest (-10141149685527890)",
-        "draw 1: node claim-only (-4217829132446400) not dominated by honest "
+        "node claim-only (-4217829132446400) not dominated by honest "
         "(-4738850313892340)",
     ]
 
 
-def test_dominance_reports_a_cheating_node_that_loses_nothing(monkeypatch):
+def test_dominance_reports_a_cheating_node_that_loses_nothing():
     # No valid config gets here (the node's deposit and compute cost are
     # positive), so the claim-only cell's node payoff is replaced by 0.
-    run = harness_module.run_scenario
-
-    def claim_only_breaks_even(config):
-        outcome = run(config)
-        if config.node_strategy == "claim-only":
-            outcome = dataclasses.replace(outcome, node_payoff=0)
-        return outcome
-
-    monkeypatch.setattr(harness_module, "run_scenario", claim_only_breaks_even)
-    assert dominance_check([CFG, CFG]) == [
-        f"draw {draw}: cheating node claim-only did not lose funds (0)"
-        for draw in (1, 2)
-    ]
+    cells = payoff_matrix(CFG)
+    cells["honest", "claim-only"] = dataclasses.replace(
+        cells["honest", "claim-only"], node_payoff=0)
+    assert dominance_check(cells) == [
+        "cheating node claim-only did not lose funds (0)"]
 
 
-def test_dominance_requires_rational_regime():
-    with pytest.raises(ConfigInvalid):
-        dominance_check([dataclasses.replace(CFG, compute_cost=CFG.payment)])
+def _gas(fields: dict, *functions: str) -> int:
+    """The tier's price times the gas of ``functions`` if the payoffs count
+    gas, else 0, from the defaults and the config ``fields``' overrides."""
+    if not (fields["gas_charging"] and fields["include_gas_in_payoffs"]):
+        return 0
+    price = {**DEFAULT_GAS_PRICE_PER_TIER, **fields["gas_price_per_tier"]}
+    gas = {**DEFAULT_GAS_PER_FUNCTION, **fields["gas_per_function"]}
+    return price[fields["tier"]] * sum(gas[name] for name in functions)
+
+
+#: The rational regime's three gas terms, each as the amount it bounds, the
+#: amount that bound starts from and the functions whose gas it adds.
+REGIME_TERMS = (
+    ("payment", "compute_cost", ("claimTask", "finalizeExecutionNode")),
+    ("value_of_result", "payment", ("submitTask", "finalizeRequestor")),
+    ("threshold", None, ("finalizeRequestor",)),
+)
+
+
+@st.composite
+def gas_charging_configs(draw, failing=None):
+    """A gas-charging config whose amounts sit inside the rational regime,
+    each past its gas term by a drawn margin; the term bounding the amount
+    ``failing`` names gets a margin of at most 0 instead."""
+    fields = dict(
+        gas_charging=True,
+        include_gas_in_payoffs=failing is not None or draw(st.booleans()),
+        tier=draw(st.sampled_from(TIERS)),
+        deliver_to_third_party=draw(st.booleans()),
+        max_resubmits=draw(st.integers(0, 2)),
+        rng_seed=draw(st.integers(0, 2**32)),
+        initial_balance=10**24,
+        gas_per_function=draw(st.dictionaries(
+            st.sampled_from(sorted(DEFAULT_GAS_PER_FUNCTION)),
+            st.integers(1, 10**6), max_size=2)),
+        gas_price_per_tier=draw(st.dictionaries(
+            st.sampled_from(TIERS), st.integers(1, 10**11), max_size=2)),
+        compute_cost=draw(st.integers(1, 10**16)))
+    for amount, start, functions in REGIME_TERMS:
+        bound = fields.get(start, 0) + _gas(fields, *functions)
+        # A failing margin leaves the amount non-negative, and the threshold
+        # positive.
+        margin = (st.integers(-bound + (amount == "threshold"), 0)
+                  if amount == failing else st.integers(1, 10**16))
+        fields[amount] = bound + draw(margin)
+    fields["node_deposit"] = fields["threshold"] + draw(st.integers(0, 10**16))
+    return ScenarioConfig(**fields)
+
+
+@settings(deadline=None)
+@given(config=gas_charging_configs())
+def test_every_config_in_the_regime_gets_an_empty_verdict(config):
+    assert config.in_rational_regime
+    assert dominance_check(payoff_matrix(config)) == []
+
+
+@settings(deadline=None)
+@given(data=st.data(),
+       failing=st.sampled_from([amount for amount, _, _ in REGIME_TERMS]))
+def test_a_config_failing_one_gas_term_is_refused_and_not_dominant(
+        data, failing):
+    config = data.draw(gas_charging_configs(failing))
+    with pytest.raises(ConfigInvalid, match="rational regime"):
+        payoff_matrix(config)
+    assert dominance_check(cells_of(config))
 
 
 # ----------------------------------------------------------------------
