@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 from .crypto import CANONICAL_JSON
 from .enclave import BUILTIN_BODIES
@@ -23,11 +23,11 @@ from .ledger import (
     DEFAULT_CONFIRMATION_DELAY,
     DEFAULT_GAS_PER_FUNCTION,
     DEFAULT_GAS_PRICE_PER_TIER,
+    FrozenDict,
     GasSchedule,
     TIERS,
     _is_int,
 )
-from .streams import ByteStream, SeededBytes
 
 UNIT = 10**18
 
@@ -95,6 +95,45 @@ def _shown(value) -> str:
     return repr(value)
 
 
+def _rebuilt(value, sequence, mapping):
+    """``value`` with its lists and tuples rebuilt by ``sequence`` and its
+    dicts by ``mapping``, iteratively: deep inputs reach ``validate()``."""
+    stack, built, open_ids = [(None, iter((value,)))], [[]], set()
+    while True:
+        item, children = stack[-1]
+        for child in children:  # scalars are kept as they are
+            if isinstance(child, (list, tuple, dict)):
+                if id(child) in open_ids:
+                    raise ConfigInvalid("inputs must be strict JSON: a cycle")
+                open_ids.add(id(child))
+                stack.append((child, iter(
+                    child.values() if isinstance(child, dict) else child)))
+                built.append([])
+                break
+            built[-1].append(child)
+        else:  # every child of ``item`` is built
+            stack.pop()
+            items = built.pop()
+            if not stack:
+                return items[0]
+            open_ids.remove(id(item))
+            built[-1].append(mapping(zip(item, items))
+                             if isinstance(item, dict) else sequence(items))
+
+
+class Family(dict):
+    """What the configs of one family (``with_strategies``) share: values
+    that depend on no strategy, each kept under the function that builds
+    it.  A family holds no config, so it is freed without the collector."""
+
+    def share(self, build, source):
+        """``build(source)``, built once per family.  A build that raises
+        is not kept, so it raises on every call."""
+        if build not in self:
+            self[build] = build(source)
+        return self[build]
+
+
 # Field annotation -> (check, description), applied to every config however
 # it is built.  ``inputs`` is annotated ``object``; ``validate()`` checks it.
 _TYPE_CHECKS = {
@@ -143,12 +182,13 @@ class ScenarioConfig:
             object.__setattr__(self, "requestor_deposit", self.threshold)
         if self.node_deposit == -1:
             object.__setattr__(self, "node_deposit", self.threshold)
-        # The family's shared values (``shared``): the encoded ``inputs``,
-        # the gas schedule, the records of the seeded streams and what the
-        # runner builds or plays alike for every run.  Every config built by
-        # ``__init__`` (``replace`` too) starts a family with its own;
-        # ``with_strategies`` hands the derived config this one.
-        object.__setattr__(self, "_built", {})
+        for f in fields(self):  # lists become tuples, dicts FrozenDicts
+            if f.type in ("object", "dict"):
+                object.__setattr__(self, f.name, _rebuilt(
+                    getattr(self, f.name), tuple, FrozenDict))
+        # Every config built by ``__init__`` (``replace`` too) starts a
+        # family; ``with_strategies`` hands the derived config this one.
+        object.__setattr__(self, "family", Family())
 
     # ------------------------------------------------------------------
 
@@ -180,11 +220,11 @@ class ScenarioConfig:
         if self.max_resubmits > MAX_RESUBMITS:
             raise ConfigInvalid(
                 f"max_resubmits must be at most {MAX_RESUBMITS}")
-        self.inputs_json()  # the trace cannot hold every Python value
+        self.family.share(ScenarioConfig.inputs_json, self)  # trace is JSON
         # Each of the 1 + max_resubmits tasks can lock both deposits and
         # costs each party the gas of the calls it sends for the task; a
         # timeout refunds the payment, so only one payment is at stake.
-        schedule = self.gas_schedule()
+        schedule = self.family.share(ScenarioConfig.gas_schedule, self)
         price = schedule.gas_price_per_tier[self.tier] if self.gas_charging else 0
         gas = schedule.per_function
         gas_r = price * (gas["submitTask"]
@@ -203,7 +243,7 @@ class ScenarioConfig:
     def in_rational_regime(self) -> bool:
         """Honesty strictly dominates and both honest parties gain, with the
         gas the payoffs count at the tier's price.  Read after validate()."""
-        schedule = self.gas_schedule()
+        schedule = self.family.share(ScenarioConfig.gas_schedule, self)
         gas = schedule.per_function
         price = (schedule.gas_price_per_tier[self.tier]
                  if self.gas_charging and self.include_gas_in_payoffs else 0)
@@ -215,12 +255,8 @@ class ScenarioConfig:
                 and self.requestor_deposit > price * gas["finalizeRequestor"])
 
     def gas_schedule(self) -> GasSchedule:
-        """The defaults with the override maps merged in, built once per
-        family (``shared``): the maps must not be mutated after a run, nor
-        the schedule ever."""
-        return self.shared("gas_schedule", self._build_gas_schedule)
-
-    def _build_gas_schedule(self) -> GasSchedule:
+        """The defaults with the override maps merged in, built anew; a
+        family builds it once (``Family.share``)."""
         for name, known in (("gas_per_function", DEFAULT_GAS_PER_FUNCTION),
                             ("gas_price_per_tier", TIERS),
                             ("confirmation_delay_per_tier", TIERS)):
@@ -240,57 +276,28 @@ class ScenarioConfig:
         except ValueError as exc:
             raise ConfigInvalid(str(exc)) from None
 
-    # ------------------------------------------------------------------
-
-    def with_strategies(self, requestor: str, node: str) -> "ScenarioConfig":
-        """This config with other strategies, in its family: it shares every
-        value ``shared`` keeps: a payoff matrix builds each once, and its
-        cells after the first seed no generator and play no opening."""
-        derived = replace(self, requestor_strategy=requestor,
-                          node_strategy=node)
-        object.__setattr__(derived, "_built", self._built)
-        return derived
-
-    def shared(self, key: str, build):
-        """``build()``, called once per family and kept under ``key``.
-
-        Only for a value that depends on no strategy and that every run
-        sees alike; so the config's other fields, ``inputs`` and the
-        override maps included, must not be mutated after a run.  A build
-        that raises is not kept, so it raises on every call.
-        """
-        value = self._built.get(key)
-        if value is None:
-            value = self._built[key] = build()
-        return value
-
-    def stream(self, name: str) -> ByteStream:
-        """A fresh stream of ``random.Random(f"{rng_seed}:{name}")``'s bytes,
-        reading the family's record of them."""
-        return ByteStream(self.shared(
-            f"stream:{name}", lambda: SeededBytes(f"{self.rng_seed}:{name}")))
-
     def inputs_json(self) -> str:
-        """``inputs`` as canonical JSON, encoded once per family.
-
-        Raises ``ConfigInvalid`` for a value strict JSON cannot hold.
-        """
-        return self.shared("inputs_json", self._encode_inputs)
-
-    def _encode_inputs(self) -> str:
+        """``inputs`` as canonical JSON, encoded anew; a family encodes it
+        once.  Raises ``ConfigInvalid`` for a value strict JSON cannot hold."""
         try:
             return CANONICAL_JSON.encode(self.inputs)
         except (TypeError, ValueError, RecursionError) as exc:
             raise ConfigInvalid(f"inputs must be strict JSON: {exc}") from None
 
+    # ------------------------------------------------------------------
+
+    def with_strategies(self, requestor: str, node: str) -> "ScenarioConfig":
+        """This config with other strategies, sharing its values and family
+        unchecked until ``validate()``: a payoff matrix builds each family
+        value once; its later cells seed no generator and play no opening."""
+        derived = object.__new__(type(self))
+        derived.__dict__.update(self.__dict__, requestor_strategy=requestor,
+                                node_strategy=node)
+        return derived
+
     def to_json_obj(self) -> dict:
-        obj = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, tuple):
-                value = list(value)
-            obj[f.name] = value
-        return obj
+        return {f.name: _rebuilt(getattr(self, f.name), list, dict)
+                for f in fields(self)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
@@ -309,3 +316,4 @@ class ScenarioConfig:
 
 _TYPED_FIELDS = tuple((f.name, *_TYPE_CHECKS[f.type])
                       for f in fields(ScenarioConfig) if f.type in _TYPE_CHECKS)
+

@@ -18,17 +18,18 @@ string, a malformed hash lock, a task id that is not an integer) raises
 before its first state change, and the ledger applies nothing of it.
 
 Intentional divergences from the reference pseudo-code, which contains
-evident slips (tests/test_pseudocode_slips.py runs the first two):
+evident slips (tests/test_pseudocode_slips.py runs all but the third):
 * the preimage check compares SHA-256(secret) against the digest stored at
   submission (the pseudo-code compares a digest to its own preimage;
   ``test_the_preimage_slip_breaks_the_hash_lock``);
 * the timeout guard requires expiry AND incompleteness (the pseudo-code's
   OR would fire on any incomplete task immediately;
   ``test_the_or_timeout_guard_breaks_dominance``);
-* timeout is callable only by the requestor, who receives the refund anyway;
-  this closes a griefing-by-timing vector;
+* timeout is callable only by the requestor; the refund is the requestor's
+  whoever calls, so letting anyone call breaks no criterion while each call
+  lands at once; once a reveal can land late, a stranger could kill the task;
 * timed-out records are kept in a dead state instead of deleted, so the
-  permanently-locked deposits stay auditable.
+  locked deposits stay auditable (``test_deleted_records_break_the_audit``).
 """
 
 from __future__ import annotations

@@ -46,6 +46,7 @@ from .ledger import (
     Ledger,
     Receipt,
 )
+from .streams import ByteStream, SeededBytes
 
 PARTY_REQUESTOR = "requestor"
 PARTY_NODE = "node"
@@ -178,8 +179,7 @@ class Trace:
             f'"taskId":{task_id},"type":"message"}}\n')
 
     def scenario(self, c: ScenarioConfig) -> None:
-        head, middle, tail = c.shared("scenario_line",
-                                      lambda: _scenario_line(c))
+        head, middle, tail = c.family.share(_scenario_line, c)
         self._lines.append(f"{head}{_q(c.node_strategy)}{middle}"
                            f"{_q(c.requestor_strategy)}{tail}")
 
@@ -237,8 +237,9 @@ def _scenario_line(c: ScenarioConfig) -> tuple[str, str, str]:
         f'"gas_per_function":{_int_map(c.gas_per_function)},'
         f'"gas_price_per_tier":{_int_map(c.gas_price_per_tier)},'
         f'"include_gas_in_payoffs":{_BOOL[c.include_gas_in_payoffs]},'
-        f'"initial_balance":{c.initial_balance},'
-        f'"inputs":{c.inputs_json()},"max_resubmits":{c.max_resubmits},'
+        f'"initial_balance":{c.initial_balance},"inputs":'
+        f'{c.family.share(ScenarioConfig.inputs_json, c)},'
+        f'"max_resubmits":{c.max_resubmits},'
         f'"node_deposit":{c.node_deposit},"node_strategy":')
     middle = (f',"payment":{c.payment},'
               f'"requestor_deposit":{c.requestor_deposit},'
@@ -247,6 +248,15 @@ def _scenario_line(c: ScenarioConfig) -> tuple[str, str, str]:
             f'"tier":{_q(c.tier)},"value_of_result":{c.value_of_result}}},'
             f'"type":"scenario"}}\n')
     return head, middle, tail
+
+
+def _setup(c: ScenarioConfig) -> tuple[FunctionImage, SeededBytes, SeededBytes]:
+    """The image of ``c``'s function and the records of the requestor's and
+    the host's seeded bytes: the set-up every run of the family shares."""
+    image = FunctionImage(c.function_name, "1", c.function_name,
+                          BUILTIN_BODIES[c.function_name], c.compute_cost)
+    return (image, SeededBytes(f"{c.rng_seed}:requestor"),
+            SeededBytes(f"{c.rng_seed}:host"))
 
 
 # ----------------------------------------------------------------------
@@ -301,17 +311,18 @@ class ScenarioRunner:
     def __init__(self, config: ScenarioConfig) -> None:
         config.validate()
         self.config = config
-        self.ledger = Ledger(config.gas_schedule(),
-                             gas_charging=config.gas_charging)
+        self.ledger = Ledger(
+            config.family.share(ScenarioConfig.gas_schedule, config),
+            gas_charging=config.gas_charging)
         self.contract = EscrowContract(self.ledger, config.threshold)
         self.requestor_account = self.ledger.create_account(
             config.initial_balance)
         self.node_account = self.ledger.create_account(config.initial_balance)
         self.flow = InfoFlowLedger()
-        image = config.shared("image", self._scenario_image)
+        image, requestor_bytes, host_bytes = config.family.share(_setup, config)
         self.host = EnclaveHost({image.name: image}, self.flow,
-                                config.stream("host"))
-        self.requestor = RequestorActor(config, config.stream("requestor"),
+                                ByteStream(host_bytes))
+        self.requestor = RequestorActor(config, ByteStream(requestor_bytes),
                                         image.measurement)
         self.node = ExecutionNodeActor(config)
         self.third_party = ThirdParty()
@@ -322,17 +333,6 @@ class ScenarioRunner:
         self._last_receipt_time = 0
         self._ran = False
 
-    def _scenario_image(self) -> FunctionImage:
-        """The config's function image, built once per family."""
-        cfg = self.config
-        return FunctionImage(
-            name=cfg.function_name,
-            version="1",
-            body_id=cfg.function_name,
-            body=BUILTIN_BODIES[cfg.function_name],
-            resource_cost=cfg.compute_cost,
-        )
-
     # ------------------------------------------------------------------
 
     def run(self) -> ScenarioOutcome:
@@ -340,7 +340,7 @@ class ScenarioRunner:
             raise RuntimeError("a runner is single-use")
         self._ran = True
         self.trace.scenario(self.config)
-        opening = self.config.shared("opening", self._play_opening)
+        opening = self.config.family.share(ScenarioRunner._play_opening, self)
         if not self._queue:  # an earlier run of the family played it
             self._resume(opening)
         while True:

@@ -27,7 +27,7 @@ float cannot round a balance and mint unseen value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 ADDRESS_LENGTH = 20
 
@@ -42,17 +42,34 @@ TIERS = ("slow", "standard", "fast")
 
 EVENT_KINDS = ("TaskSubmitted", "TaskClaimed", "TaskFinished", "TaskTimedOut")
 
+
+class FrozenDict(dict):
+    """A ``dict`` that refuses every change with ``TypeError``, at dict speed."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError(f"'{type(self).__name__}' object is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+    def __hash__(self) -> int:  # a value, so it can be a field default
+        return hash(frozenset(self.items()))
+
+    def __reduce__(self):  # copy and pickle rebuild it whole, not by item
+        return type(self), (dict(self),)
+
+
 # Gas units per contract function, as measured on a public testnet.
 # queryEvents is an off-chain read and has no entry.  The timeout entry is
 # a config default: the cost table does not list one.
-DEFAULT_GAS_PER_FUNCTION = {
+DEFAULT_GAS_PER_FUNCTION = FrozenDict({
     "deploy": 1_260_850,
     "submitTask": 277_880,
     "claimTask": 145_120,
     "finalizeExecutionNode": 52_802,
     "finalizeRequestor": 106_357,
     "timeout": 60_000,
-}
+})
 
 #: Gas of one full task lifecycle: the four call functions, deploy excluded.
 PER_TASK_FUNCTIONS = (
@@ -62,18 +79,18 @@ PER_TASK_FUNCTIONS = (
     "finalizeRequestor",
 )
 
-DEFAULT_CONFIRMATION_DELAY = {"slow": 600, "standard": 300, "fast": 120}
+DEFAULT_CONFIRMATION_DELAY = FrozenDict(slow=600, standard=300, fast=120)
 
 _PER_TASK_GAS = 582_159
 
 # Price per gas unit in wei, back-computed from the measured per-task ether
 # totals (0.00006 / 0.0064 / 0.01688 ether over 582159 gas).  Config values,
 # not constants: the dollar figures they came from are exchange-rate bound.
-DEFAULT_GAS_PRICE_PER_TIER = {
+DEFAULT_GAS_PRICE_PER_TIER = FrozenDict({
     "slow": 60_000_000_000_000 // _PER_TASK_GAS,
     "standard": 6_400_000_000_000_000 // _PER_TASK_GAS,
     "fast": 16_880_000_000_000_000 // _PER_TASK_GAS,
-}
+})
 
 
 def _is_int(value) -> bool:
@@ -104,21 +121,17 @@ class ConservationViolation(LedgerError):
     """Post-transaction supply check failed; indicates a simulator bug."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class GasSchedule:
-    """Per-function gas units plus tier pricing and confirmation delays."""
+    """Per-function gas, tier prices and confirmation delays, as FrozenDicts."""
 
-    per_function: dict[str, int] = field(
-        default_factory=lambda: dict(DEFAULT_GAS_PER_FUNCTION)
-    )
-    gas_price_per_tier: dict[str, int] = field(
-        default_factory=lambda: dict(DEFAULT_GAS_PRICE_PER_TIER)
-    )
-    confirmation_delay_per_tier: dict[str, int] = field(
-        default_factory=lambda: dict(DEFAULT_CONFIRMATION_DELAY)
-    )
+    per_function: dict[str, int] = DEFAULT_GAS_PER_FUNCTION
+    gas_price_per_tier: dict[str, int] = DEFAULT_GAS_PRICE_PER_TIER
+    confirmation_delay_per_tier: dict[str, int] = DEFAULT_CONFIRMATION_DELAY
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            object.__setattr__(self, f.name, FrozenDict(getattr(self, f.name)))
         for name, gas in self.per_function.items():
             if gas <= 0:
                 raise ValueError(f"gas for {name!r} must be positive")

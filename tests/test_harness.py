@@ -174,22 +174,27 @@ def test_a_runner_runs_once():
 def test_a_finished_run_is_freed_without_the_collector(overrides):
     """No reference cycle holds a run's objects: with the cyclic collector
     off, dropping the runner frees them all at once, whether it played its
-    family's opening or resumed from the family's record of it."""
+    family's opening or resumed from the family's record of it.  Nor does
+    one hold a family: dropping its configs frees it and all it keeps."""
     family = dataclasses.replace(CFG, **overrides)
-    for _ in range(2):
-        runner = ScenarioRunner(family)
-        runner.run()
-        refs = [weakref.ref(obj) for obj in (runner, runner.requestor,
-                                             runner.node, runner.ledger,
-                                             runner.host)]
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
+    cell = family.with_strategies("no-confirm", "claim-only")
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for config in (family, cell):
+            runner = ScenarioRunner(config)
+            runner.run()
+            refs = [weakref.ref(obj) for obj in (runner, runner.requestor,
+                                                 runner.node, runner.ledger,
+                                                 runner.host)]
             del runner
             assert [ref() for ref in refs] == [None] * len(refs)
-        finally:
-            if enabled:
-                gc.enable()
+        refs = [weakref.ref(obj) for obj in (family, cell, family.family)]
+        del family, cell, config
+        assert [ref() for ref in refs] == [None] * len(refs)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_trace_determinism_same_seed():
@@ -501,7 +506,8 @@ def test_with_strategies_configs_share_one_inputs_encoding(monkeypatch):
     assert encoded == []  # deriving the configs encodes nothing
     shared_traces = [trace_of(config) for config in shared]
     assert len(encoded) == 1  # validate() encodes, the writer reuses it
-    assert shared[0].inputs_json() == crypto.CANONICAL_JSON.encode(base.inputs)
+    assert (shared[0].family.share(ScenarioConfig.inputs_json, shared[0])
+            == crypto.CANONICAL_JSON.encode(base.inputs))
     assert shared_traces == [trace_of(config) for config in alone]
     assert len(encoded) == 1 + len(pairs)
     # A config replaced after a run writes its own inputs.
@@ -530,7 +536,7 @@ def test_with_strategies_configs_share_one_gas_schedule(monkeypatch):
         confirmation_delay_per_tier={"standard": 7})
     matrix = payoff_matrix(base)
     assert len(built) == 1  # validate() and the nine runners share it
-    assert base.gas_schedule() is built[0]
+    assert base.family.share(ScenarioConfig.gas_schedule, base) is built[0]
     # A config built by replace builds its own, once.
     alone = {pair: dataclasses.replace(base, requestor_strategy=pair[0],
                                        node_strategy=pair[1])
@@ -555,7 +561,7 @@ def test_with_strategies_configs_share_one_gas_schedule(monkeypatch):
     bad_price = dataclasses.replace(base, gas_price_per_tier={"fast": 0})
     for _ in range(2):
         with pytest.raises(ConfigInvalid, match="gas price"):
-            bad_price.gas_schedule()
+            bad_price.family.share(ScenarioConfig.gas_schedule, bad_price)
 
 
 @pytest.mark.parametrize("pair", [("withhold-input", "honest"),
@@ -767,7 +773,7 @@ def test_every_strategy_pair_plays_the_same_opening(family):
     for pair in PAIRS:
         config = dataclasses.replace(family.with_strategies(*pair))
         ScenarioRunner(config).run()
-        openings.append(config._built["opening"])
+        openings.append(config.family[ScenarioRunner._play_opening])
     assert openings == [openings[0]] * len(PAIRS)
     hash(openings[0][:4])  # the four snapshots are values
 
@@ -775,11 +781,11 @@ def test_every_strategy_pair_plays_the_same_opening(family):
 def test_a_resumed_cell_checks_conservation():
     family = dataclasses.replace(CFG)
     ScenarioRunner(family).run()
-    opening = family._built["opening"]
+    opening = family.family[ScenarioRunner._play_opening]
     balances, block_height, now, *gas = opening.ledger
     balances = list(balances)
     balances[2] += 1  # the requestor's slot
-    family._built["opening"] = opening._replace(
+    family.family[ScenarioRunner._play_opening] = opening._replace(
         ledger=(tuple(balances), block_height, now, *gas))
     runner = ScenarioRunner(family.with_strategies("honest", "claim-only"))
     with pytest.raises(ConservationViolation, match="^balances sum to "):

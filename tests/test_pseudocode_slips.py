@@ -1,4 +1,4 @@
-"""Two slips in the paper's pseudo-code, each as an ``EscrowContract``
+"""Three slips in the paper's pseudo-code, each as an ``EscrowContract``
 subclass driven at ledger level: the criterion each breaks fails with the
 slip and holds with the contract as written.  The contract's docstring
 lists the slips."""
@@ -14,7 +14,7 @@ from teescrow.contract import (
     RefusalReason,
     TaskState,
 )
-from teescrow.ledger import CallContext, Ledger
+from teescrow.ledger import CONTRACT_ACCOUNT, CallContext, Ledger
 
 from conftest import call
 
@@ -72,6 +72,19 @@ class PreimageIsTheLock(EscrowContract):
 
     functions = {**EscrowContract.functions,
                  "finalizeExecutionNode": _finalize_execution_node}
+
+
+class DeadRecordsDeleted(EscrowContract):
+    """A timed-out task's record deleted, as the pseudo-code does, instead
+    of kept dead: the deposits it locked stay in the contract unrecorded."""
+
+    def _timeout(self, ctx: CallContext, task_id: int) -> CallOutcome:
+        outcome = EscrowContract._timeout(self, ctx, task_id)
+        if outcome.accepted:
+            del self.tasks[task_id]
+        return outcome
+
+    functions = {**EscrowContract.functions, "timeout": _timeout}
 
 
 def _claimed_task(contract_class):
@@ -146,3 +159,50 @@ def test_the_preimage_slip_breaks_the_hash_lock():
             assert state is TaskState.CLAIMED
             assert ledger.balance(node) == (CFG.initial_balance
                                             - CFG.node_deposit)
+
+
+def _held(task) -> int:
+    """What the contract holds for ``task``, read from its record: the
+    payment and deposits it still owes, or, once the task is dead, the
+    deposits locked for good."""
+    payment = 0 if task.state is TaskState.TIMED_OUT_DEAD else task.payment
+    node_deposit = (0 if task.state is TaskState.COMPLETED
+                    else task.execution_node_deposit)
+    return payment + task.requestor_deposit + node_deposit
+
+
+def _audit_holds(ledger, contract) -> bool:
+    """The contract's balance is what its records account for."""
+    return ledger.balance(CONTRACT_ACCOUNT) == sum(
+        map(_held, contract.tasks.values()))
+
+
+def test_deleted_records_break_the_audit():
+    """With the slip, a timed-out task's deposits (1 ether) stay in the
+    contract, but no record shows them, so nobody can audit the balance.
+    The shortest case: submit, claim, time out."""
+    for contract_class, holds in ((DeadRecordsDeleted, False),
+                                  (EscrowContract, True)):
+        ledger, contract, requestor, node, task_id, _ = _claimed_task(
+            contract_class)
+        assert _audit_holds(ledger, contract)
+        ledger.advance_time(CFG.expires + 1)
+        assert call(ledger, requestor, "timeout",
+                    task_id=task_id).outcome.accepted
+        assert ledger.balance(CONTRACT_ACCOUNT) == (CFG.threshold
+                                                    + CFG.node_deposit)
+        assert (task_id in contract.tasks) is holds
+        assert _audit_holds(ledger, contract) is holds
+        # An open and a completed task beside it: every state is read.
+        for _ in range(2):
+            submitted = call(ledger, requestor, "submitTask",
+                             value=CFG.payment + CFG.threshold,
+                             function_name=CFG.function_name,
+                             hash_lock=hashlib.sha256(SECRET).digest(),
+                             expires=CFG.expires)
+        completed = submitted.outcome.task_id
+        call(ledger, node, "claimTask", value=CFG.node_deposit,
+             task_id=completed)
+        call(ledger, node, "finalizeExecutionNode", task_id=completed,
+             secret=SECRET)
+        assert _audit_holds(ledger, contract) is holds

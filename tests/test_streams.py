@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_golden_traces import PAIRS
 
+from teescrow import harness
 from teescrow.config import ScenarioConfig
 from teescrow.harness import ScenarioRunner
 from teescrow.streams import ByteStream, SeededBytes
@@ -56,8 +57,9 @@ def test_a_config_replaced_with_another_seed_shares_no_bytes(seeds, pair):
     cell = ScenarioConfig(rng_seed=seeds[0]).with_strategies(*pair)
     trace(cell)  # the family's records now hold the first seed's bytes
     other = dataclasses.replace(cell, rng_seed=seeds[1])
-    for name in ("requestor", "host"):
-        assert (other.stream(name).randbytes(LONG + 3)
+    _, requestor, host = other.family.share(harness._setup, other)
+    for name, record in (("requestor", requestor), ("host", host)):
+        assert (ByteStream(record).randbytes(LONG + 3)
                 == random.Random(f"{seeds[1]}:{name}").randbytes(LONG + 3))
     assert trace(other) == trace(ScenarioConfig(
         rng_seed=seeds[1], requestor_strategy=pair[0], node_strategy=pair[1]))
