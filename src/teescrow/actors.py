@@ -1,13 +1,13 @@
 """Strategy-driven requestor and execution-node behaviours.
 
 Actors are deterministic state machines that act by calling the runner
-(``submit``, ``instantiate``, ``provision``, ``deliver``, ``destroy``),
-which applies the step at once and queues the handler call it produces.
-An actor never issues a dependent chain call before the previous call's
-receipt has been handled.  The runner names each handler and delivers the
-call through the party's ``step``; it queues a receipt or an event for no
-one unless a table names it.  The runner is passed in as ``run``, never
-kept, so a finished run holds no reference cycle.
+(``submit``, ``instantiate``, ``provision``, ``deliver``, ``destroy``,
+``accept``), which applies the step at once and queues the handler call it
+produces.  An actor never issues a dependent chain call before the previous
+call's receipt has been handled.  The runner names each handler and
+delivers the call through the party's ``step``; it queues a receipt or an
+event for no one unless a table names it.  The runner is passed in as
+``run``, never kept, so a finished run holds no reference cycle.
 
     handler                    party                   queued by
     on_start                   requestor               the run's start
@@ -17,6 +17,7 @@ kept, so a finished run holds no reference cycle.
     on_execution_done          node                    ``provision``
     on_delivery                requestor, third party  ``deliver``
     on_third_party_ack         requestor               ``acknowledge``
+    on_valid_result            requestor               ``accept``
     on_expiry                  requestor               the task's deadline
 
 Honest behaviour follows the protocol sequence: the requestor generates a
@@ -132,20 +133,19 @@ class RequestorActor:
         except crypto.CryptoError:
             # Bad delivery: fall through to the timeout path.
             return
-        self.received_valid_result = True
-        self._maybe_confirm(run, task_id)
+        run.accept(task_id)
 
     def on_third_party_ack(self, run: ScenarioRunner, task_id: int,
                            signature_valid: bool) -> None:
         if signature_valid:
-            self.received_valid_result = True
-            self._maybe_confirm(run, task_id)
+            run.accept(task_id)
 
     def on_expiry(self, run: ScenarioRunner, task_id: int) -> None:
         if not self.received_valid_result:
             run.submit(self, ContractCall("timeout", {"task_id": task_id}))
 
-    def _maybe_confirm(self, run: ScenarioRunner, task_id: int) -> None:
+    def on_valid_result(self, run: ScenarioRunner, task_id: int) -> None:
+        self.received_valid_result = True
         if self.config.requestor_strategy == REQUESTOR_HONEST:
             run.submit(self, ContractCall("finalizeRequestor",
                                           {"task_id": task_id}))
@@ -164,7 +164,7 @@ class ExecutionNodeActor:
             int, tuple[EnclaveInstance, ProtectedResult]] = {}
 
     def snapshot(self) -> tuple:
-        if self._done_by_task:  # the host has no snapshot
+        if self._done_by_task:  # an instance has no snapshot
             raise RuntimeError("the node holds an enclave instance")
         return tuple(self._function_by_task.items())
 

@@ -98,27 +98,30 @@ def _shown(value) -> str:
 def _rebuilt(value, sequence, mapping):
     """``value`` with its lists and tuples rebuilt by ``sequence`` and its
     dicts by ``mapping``, iteratively: deep inputs reach ``validate()``."""
-    stack, built, open_ids = [(None, iter((value,)))], [[]], set()
+    stack, built = [(None, iter((value,)))], [[]]
+    done = {}  # container id -> its one rebuilt value, None while open
     while True:
         item, children = stack[-1]
         for child in children:  # scalars are kept as they are
             if isinstance(child, (list, tuple, dict)):
-                if id(child) in open_ids:
+                if id(child) not in done:
+                    done[id(child)] = None
+                    stack.append((child, iter(
+                        child.values() if isinstance(child, dict) else child)))
+                    built.append([])
+                    break
+                if done[id(child)] is None:
                     raise ConfigInvalid("inputs must be strict JSON: a cycle")
-                open_ids.add(id(child))
-                stack.append((child, iter(
-                    child.values() if isinstance(child, dict) else child)))
-                built.append([])
-                break
+                child = done[id(child)]
             built[-1].append(child)
         else:  # every child of ``item`` is built
             stack.pop()
             items = built.pop()
             if not stack:
                 return items[0]
-            open_ids.remove(id(item))
-            built[-1].append(mapping(zip(item, items))
-                             if isinstance(item, dict) else sequence(items))
+            done[id(item)] = (mapping(zip(item, items))
+                              if isinstance(item, dict) else sequence(items))
+            built[-1].append(done[id(item)])
 
 
 class Family(dict):

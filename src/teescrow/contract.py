@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 
 from .crypto import DIGEST_LENGTH, sha256_digest
 from .ledger import ContractCall, CallContext, Ledger, NULL_ACCOUNT, _is_int
@@ -112,11 +113,12 @@ class EscrowContract:
             raise TypeError("task_id must be an integer")
         return self.tasks.get(task_id)
 
+    _task_values = attrgetter(*Task.__slots__)
+
     def snapshot(self) -> tuple:
         """``num_tasks`` and each task's id and field values."""
-        return self.num_tasks, tuple(
-            (task_id, tuple(getattr(task, name) for name in Task.__slots__))
-            for task_id, task in self.tasks.items())
+        return self.num_tasks, tuple((task_id, self._task_values(task))
+                                     for task_id, task in self.tasks.items())
 
     def restore(self, state: tuple) -> None:
         self.num_tasks, tasks = state

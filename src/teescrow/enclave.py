@@ -73,6 +73,13 @@ class InfoFlowLedger:
         self._executed: set[int] = set()
         self._leaks: set[tuple[int, int]] = set()  # (task id, HOST_LEAKS index)
 
+    def snapshot(self) -> tuple:
+        """The executed tasks and the leaks, as order-free values."""
+        return frozenset(self._executed), frozenset(self._leaks)
+
+    def restore(self, state: tuple) -> None:
+        self._executed, self._leaks = map(set, state)
+
     def executed(self, task_id: int) -> None:
         self._executed.add(task_id)
 
@@ -85,6 +92,8 @@ class InfoFlowLedger:
 
     def violations(self) -> tuple[str, ...]:
         """Each leak, by task id and then in ``HOST_LEAKS`` order."""
+        if not self._leaks:  # every run reads it
+            return ()
         return tuple(
             f"{NODE_HOST} saw task{task_id}:{HOST_LEAKS[index]}"
             + (" before execution" if HOST_LEAKS[index] == "secret" else "")
@@ -182,6 +191,16 @@ class EnclaveHost:
         self.resource_consumed = 0
         self._instance_counter = 0
         self._seen_nonces: set[bytes] = set()
+
+    def snapshot(self) -> tuple:
+        """Instances made, resource consumed, nonces seen, stream position."""
+        return (self._instance_counter, self.resource_consumed,
+                frozenset(self._seen_nonces), self.rng.pos)
+
+    def restore(self, state: tuple) -> None:
+        (self._instance_counter, self.resource_consumed, nonces,
+         self.rng.pos) = state
+        self._seen_nonces = set(nonces)
 
     # -- lifecycle ------------------------------------------------------
 

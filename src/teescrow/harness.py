@@ -24,6 +24,7 @@ from .config import (
     NODE_STRATEGIES,
     REQUESTOR_HONEST,
     REQUESTOR_STRATEGIES,
+    REQUESTOR_WITHHOLD_INPUT,
     ConfigInvalid,
     ScenarioConfig,
 )
@@ -297,12 +298,19 @@ class ScenarioOutcome:
 # runner
 
 
-#: A config family's state after the opening every strategy pair plays alike
-#: (the requestor's submit, the node's claim): the ledger's, the contract's
-#: and the actors' snapshots, the trace lines after ``scenario``, each queued
-#: call as (party attribute, handler, args) and the last receipt time.
-_Opening = namedtuple("_Opening", "ledger contract requestor node lines "
-                                  "pending last_receipt_time")
+#: A config family's state where its cells part: the snapshots, the trace
+#: lines after ``scenario``, each queued call as (party attribute, handler,
+#: args), the last receipt time and ``_steps()``.  The opening touches
+#: neither host nor flow ledger, and its resume checks no step: ``None``.
+_Fork = namedtuple("_Fork", "ledger contract requestor node host flow lines "
+                            "pending last_receipt_time steps")
+
+
+def _steps() -> tuple:
+    """The class-level steps a run takes up to the confirm decision."""
+    return (ScenarioRunner.deliver, ScenarioRunner.provision,
+            ScenarioRunner.instantiate, EnclaveHost.execute,
+            EnclaveHost.attest, EnclaveHost.provision, EnclaveHost.instantiate)
 
 
 class ScenarioRunner:
@@ -332,6 +340,16 @@ class ScenarioRunner:
         self._next_expiry = 0  # lowest task id not yet armed or skipped
         self._last_receipt_time = 0
         self._ran = False
+        self._records = False  # whether it records the confirm decision
+        # The cells that play alike up to the confirm decision count their
+        # attributes, to which a hook set later adds one (+ 1: this one).
+        self._attrs = (self._attr_count() + 1
+                       if config.node_strategy == NODE_HONEST
+                       and config.requestor_strategy != REQUESTOR_WITHHOLD_INPUT
+                       else None)
+
+    def _attr_count(self) -> int:
+        return len(vars(self)) + len(vars(self.host)) + len(vars(self.flow))
 
     # ------------------------------------------------------------------
 
@@ -340,34 +358,55 @@ class ScenarioRunner:
             raise RuntimeError("a runner is single-use")
         self._ran = True
         self.trace.scenario(self.config)
-        opening = self.config.family.share(ScenarioRunner._play_opening, self)
-        if not self._queue:  # an earlier run of the family played it
-            self._resume(opening)
+        fork = (self._decision()
+                or self.config.family.share(ScenarioRunner._play_opening, self))
+        if not self._queue:  # an earlier run of the family played to the fork
+            self._resume(fork)
         while True:
             self._drain()
             if not self._arm_expiry():
                 break
         return self._finish()
 
-    def _play_opening(self) -> _Opening:
+    def _play_opening(self) -> _Fork:
         """Step the requestor's submit and the node's claim; record them."""
         self.requestor.step(self, RequestorActor.on_start)
         party, handler, args = self._queue.popleft()  # the node's claim
         party.step(self, handler, *args)
-        return _Opening(
+        return self._fork()
+
+    def _decision(self) -> _Fork | None:
+        """The family's record of the confirm decision, if this run resumes
+        from it.  The first unhooked cell of an honest node and a requestor
+        that provisions records it, or ``None`` if it never gets there."""
+        c = self.config
+        if (self._attrs is None or self._attr_count() != self._attrs
+                or self.flow.violations()
+                or self.requestor.expected_measurement
+                != self.host.images[c.function_name].measurement):
+            return None
+        self._records = ScenarioRunner.accept not in c.family
+        fork = c.family.setdefault(ScenarioRunner.accept, None)
+        return fork if fork is not None and fork.steps == _steps() else None
+
+    def _fork(self, host=None, flow=None, steps=None) -> _Fork:
+        return _Fork(
             self.ledger.snapshot(), self.contract.snapshot(),
-            self.requestor.snapshot(), self.node.snapshot(),
+            self.requestor.snapshot(), self.node.snapshot(), host, flow,
             tuple(self.trace._lines[1:]),
             tuple(("node" if party is self.node else "requestor", handler,
                    args) for party, handler, args in self._queue),
-            self._last_receipt_time)
+            self._last_receipt_time, steps)
 
-    def _resume(self, o: _Opening) -> None:
-        """Restore the family's opening into the objects ``__init__`` built."""
+    def _resume(self, o: _Fork) -> None:
+        """Restore a family's fork into the objects ``__init__`` built."""
         self.ledger.restore(o.ledger)
         self.contract.restore(o.contract)
         self.requestor.restore(o.requestor)
         self.node.restore(o.node)
+        if o.host is not None:
+            self.host.restore(o.host)
+            self.flow.restore(o.flow)
         self.trace._lines += o.lines
         for role, handler, args in o.pending:
             self._queue.append((getattr(self, role), handler, args))
@@ -482,6 +521,15 @@ class ScenarioRunner:
         self.trace.third_party_ack(task_id, signature_valid)
         self._queue.append((self.requestor, RequestorActor.on_third_party_ack,
                             (task_id, signature_valid)))
+
+    def accept(self, task_id: int) -> None:
+        """Queue the requestor's decision on a valid result: a fork point."""
+        self._queue.append((self.requestor, RequestorActor.on_valid_result,
+                            (task_id,)))
+        if self._records:
+            self._records = False
+            self.config.family[ScenarioRunner.accept] = self._fork(
+                self.host.snapshot(), self.flow.snapshot(), _steps())
 
     # ------------------------------------------------------------------
 

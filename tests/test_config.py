@@ -231,3 +231,18 @@ def test_inputs_that_hold_themselves_are_refused():
     config = ScenarioConfig(inputs=[shared, {"b": shared}])
     assert config.inputs == ((1, 2), {"b": (1, 2)})
     ScenarioRunner(config).run()
+
+
+def test_inputs_that_repeat_one_list_are_frozen_once():
+    """A list found on many paths is frozen once and shared, and thawed
+    the same way: 16 levels of ``x = [x, x]`` hold 65,536 leaves."""
+    inputs = [1]
+    for _ in range(16):
+        inputs = [inputs, inputs]
+    config = ScenarioConfig(inputs=inputs)
+    frozen, thawed = config.inputs, config.to_json_obj()["inputs"]
+    for _ in range(16):
+        assert frozen[0] is frozen[1] and type(frozen) is tuple
+        assert thawed[0] is thawed[1] and type(thawed) is list
+        frozen, thawed = frozen[0], thawed[0]
+    assert frozen == (1,) and thawed == [1]

@@ -11,8 +11,13 @@ from itertools import product
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import FormatsAsSeven, run_claim_race
-from test_golden_traces import PAIRS, RUNNER_SETUPS, golden_configs
+from conftest import FormatsAsSeven, flip_first_ciphertext_bit, run_claim_race
+from test_golden_traces import (
+    PAIRS,
+    RUNNER_SETUPS,
+    _recording_deliveries,
+    golden_configs,
+)
 
 from teescrow import config as config_module
 from teescrow import harness as harness_module
@@ -174,14 +179,16 @@ def test_a_runner_runs_once():
 def test_a_finished_run_is_freed_without_the_collector(overrides):
     """No reference cycle holds a run's objects: with the cyclic collector
     off, dropping the runner frees them all at once, whether it played its
-    family's opening or resumed from the family's record of it.  Nor does
-    one hold a family: dropping its configs frees it and all it keeps."""
+    family's opening or resumed from the family's record of it or of the
+    confirm decision.  Nor does one hold a family: dropping its configs
+    frees it and all it keeps."""
     family = dataclasses.replace(CFG, **overrides)
     cell = family.with_strategies("no-confirm", "claim-only")
+    deciding = family.with_strategies("no-confirm", "honest")
     enabled = gc.isenabled()
     gc.disable()
     try:
-        for config in (family, cell):
+        for config in (family, cell, deciding):
             runner = ScenarioRunner(config)
             runner.run()
             refs = [weakref.ref(obj) for obj in (runner, runner.requestor,
@@ -189,8 +196,11 @@ def test_a_finished_run_is_freed_without_the_collector(overrides):
                                                  runner.host)]
             del runner
             assert [ref() for ref in refs] == [None] * len(refs)
-        refs = [weakref.ref(obj) for obj in (family, cell, family.family)]
-        del family, cell, config
+        # The family also holds the record of the confirm decision.
+        assert family.family[ScenarioRunner.accept].pending
+        refs = [weakref.ref(obj)
+                for obj in (family, cell, deciding, family.family)]
+        del family, cell, deciding, config
         assert [ref() for ref in refs] == [None] * len(refs)
     finally:
         if enabled:
@@ -713,7 +723,8 @@ def test_minimum_funding_runs_and_one_less_is_refused(pair, gas_charging):
 
 
 # ----------------------------------------------------------------------
-# the opening a config family plays once
+# the fork points a config family plays once: the opening, and the
+# requestor's confirm decision
 
 
 #: Config families as ``broad_configs`` draws them: gas on or off, 0-3
@@ -730,6 +741,19 @@ fork_families = st.builds(
     execution_delay=st.sampled_from([0, 5, 60]),
     max_resubmits=st.integers(0, 3), gas_charging=st.booleans(),
     include_gas_in_payoffs=st.booleans())
+
+#: The strategy pairs that play alike up to the requestor's confirm
+#: decision, where the family records its second fork point.
+DECIDING = (("honest", "honest"), ("no-confirm", "honest"))
+
+#: Two families: the default, and one that charges gas, allows resubmits,
+#: delays execution and delivers through the third party.
+FORK_FAMILIES = {
+    "default": CFG,
+    "gas-chain-third-party": dataclasses.replace(
+        CFG, gas_charging=True, initial_balance=10**17, max_resubmits=2,
+        deliver_to_third_party=True, execution_delay=5, tier="fast"),
+}
 
 
 def _recorded_run(config: ScenarioConfig):
@@ -749,6 +773,16 @@ def _recorded_run(config: ScenarioConfig):
     return runner.trace.to_jsonl(), outcome, delivered
 
 
+def _run(config: ScenarioConfig, hook=lambda runner: None):
+    """The run's trace bytes and outcome, and its host's and information
+    flow ledger's state at the end, ``hook`` set before ``run()``."""
+    runner = ScenarioRunner(config)
+    hook(runner)
+    outcome = runner.run()
+    return (runner.trace.to_jsonl(), outcome, runner.host.snapshot(),
+            runner.flow.snapshot())
+
+
 @settings(max_examples=25, deadline=None)
 @given(family=fork_families, order=st.permutations(PAIRS))
 def test_a_cell_resumed_from_the_opening_runs_as_in_a_fresh_family(
@@ -759,12 +793,56 @@ def test_a_cell_resumed_from_the_opening_runs_as_in_a_fresh_family(
         assert _recorded_run(cell) == _recorded_run(dataclasses.replace(cell))
 
 
-@pytest.mark.parametrize("family", [
-    CFG,
-    dataclasses.replace(CFG, gas_charging=True, initial_balance=10**17,
-                        max_resubmits=2, deliver_to_third_party=True,
-                        execution_delay=5, tier="fast"),
-], ids=["default", "gas-chain-third-party"])
+@settings(max_examples=25, deadline=None)
+@given(family=fork_families, order=st.permutations(PAIRS))
+def test_a_cell_resumed_from_a_fork_runs_as_in_a_fresh_family(family, order):
+    """With no hook on any runner, so the deciding cell after the family's
+    first resumes from its record of the confirm decision."""
+    for pair in order:
+        cell = family.with_strategies(*pair)
+        assert _run(cell) == _run(dataclasses.replace(cell))
+    assert family.family[ScenarioRunner.accept].pending
+
+
+@pytest.mark.parametrize("third_party", [False, True],
+                         ids=["requestor", "third-party"])
+def test_the_deciding_cells_verify_one_delivered_result(third_party,
+                                                        monkeypatch):
+    verified = []
+    verify = crypto.verify_result_signature
+
+    def counting(protected, verify_key):
+        verified.append(protected)
+        return verify(protected, verify_key)
+
+    monkeypatch.setattr(crypto, "verify_result_signature", counting)
+    family = dataclasses.replace(CFG, deliver_to_third_party=third_party)
+    outcomes = [run_scenario(family.with_strategies(*pair))
+                for pair in DECIDING]
+    assert len(verified) == 1
+    assert [o.received_valid_result for o in outcomes] == [True, True]
+
+
+@pytest.mark.parametrize("third_party", [False, True],
+                         ids=["requestor", "third-party"])
+@pytest.mark.parametrize("family", FORK_FAMILIES.values(),
+                         ids=FORK_FAMILIES.keys())
+def test_either_deciding_cell_records_the_same_decision(family, third_party):
+    """The record does not depend on which of the two cells got there."""
+    records = []
+    for pair in DECIDING:
+        config = dataclasses.replace(
+            family, deliver_to_third_party=third_party).with_strategies(*pair)
+        ScenarioRunner(config).run()
+        records.append(config.family[ScenarioRunner.accept])
+    assert records[0] == records[1]
+    hash(records[0][:6])  # the six snapshots are values
+    [(role, _, args)] = records[0].pending
+    assert (role, args) == ("requestor", (0,))
+
+
+@pytest.mark.parametrize("family", FORK_FAMILIES.values(),
+                         ids=FORK_FAMILIES.keys())
 def test_every_strategy_pair_plays_the_same_opening(family):
     """What a family records after its first run's opening does not depend
     on that run's strategies: a strategy that decides before the claim
@@ -775,19 +853,23 @@ def test_every_strategy_pair_plays_the_same_opening(family):
         ScenarioRunner(config).run()
         openings.append(config.family[ScenarioRunner._play_opening])
     assert openings == [openings[0]] * len(PAIRS)
-    hash(openings[0][:4])  # the four snapshots are values
+    hash(openings[0][:6])  # the six snapshots are values
 
 
-def test_a_resumed_cell_checks_conservation():
+@pytest.mark.parametrize("fork, pair", [
+    (ScenarioRunner._play_opening, ("honest", "claim-only")),
+    (ScenarioRunner.accept, ("no-confirm", "honest")),
+], ids=["opening", "decision"])
+def test_a_resumed_cell_checks_conservation(fork, pair):
     family = dataclasses.replace(CFG)
     ScenarioRunner(family).run()
-    opening = family.family[ScenarioRunner._play_opening]
-    balances, block_height, now, *gas = opening.ledger
+    record = family.family[fork]
+    balances, block_height, now, *gas = record.ledger
     balances = list(balances)
     balances[2] += 1  # the requestor's slot
-    family.family[ScenarioRunner._play_opening] = opening._replace(
+    family.family[fork] = record._replace(
         ledger=(tuple(balances), block_height, now, *gas))
-    runner = ScenarioRunner(family.with_strategies("honest", "claim-only"))
+    runner = ScenarioRunner(family.with_strategies(*pair))
     with pytest.raises(ConservationViolation, match="^balances sum to "):
         runner.run()
     # Raised at resume, before the run's next transaction or clock advance.
@@ -803,28 +885,70 @@ def _expect_another_measurement(runner):
     runner.requestor.expected_measurement = bytes(32)
 
 
-@pytest.mark.parametrize("hook, pair", [
-    (_lower_resubmit_limit, ("withhold-input", "honest")),
-    (_expect_another_measurement, ("honest", "honest")),
+def _grant_the_inputs(runner):
+    runner.flow.grant(0, "inputs")
+
+
+@pytest.mark.parametrize("hook, pair, timeouts", [
+    (_lower_resubmit_limit, ("withhold-input", "honest"), 2),
+    (_expect_another_measurement, ("honest", "honest"), 4),
+    (_expect_another_measurement, ("no-confirm", "honest"), 4),
+    (flip_first_ciphertext_bit, ("no-confirm", "honest"), 1),
+    (_grant_the_inputs, ("no-confirm", "honest"), 0),
 ])
-def test_a_hook_set_before_run_applies_to_a_resumed_cell(hook, pair):
+def test_a_hook_set_before_run_applies_to_a_resumed_cell(hook, pair,
+                                                         timeouts):
     """The requestor's snapshot leaves out what a hook sets: ``inspect``'s
-    resubmit limit and the measurement the requestor expects.  Either hook
-    makes the cell a chain of timeouts, the first one shorter."""
+    resubmit limit and the measurement the requestor expects.  A runner
+    hooked after ``__init__`` (its host's ``execute``, the measurement, a
+    leak granted before ``run()``) does not resume from the confirm
+    decision a clean honest/honest recorded: it writes what it writes in a
+    fresh family."""
     family = dataclasses.replace(CFG, max_resubmits=3)
-    ScenarioRunner(family).run()  # records the opening
-
-    def hooked_trace(config):
-        runner = ScenarioRunner(config)
-        hook(runner)
-        runner.run()
-        return runner.trace.to_jsonl()
-
+    ScenarioRunner(family).run()  # records the opening and the decision
+    assert family.family[ScenarioRunner.accept].pending
     cell = family.with_strategies(*pair)
-    trace = hooked_trace(cell)
-    assert trace == hooked_trace(dataclasses.replace(cell))
-    assert trace.count('"function":"timeout"') == (
-        2 if hook is _lower_resubmit_limit else 4)
+    trace, outcome, *state = _run(cell, hook)
+    assert (trace, outcome, *state) == _run(dataclasses.replace(cell), hook)
+    assert trace.count('"function":"timeout"') == timeouts
+    if hook is _grant_the_inputs:
+        assert outcome.infoflow_violations == ("node-host saw task0:inputs",)
+
+
+@pytest.mark.parametrize("third_party", [False, True],
+                         ids=["requestor", "third-party"])
+def test_a_step_wrapped_on_its_class_later_sees_its_call(third_party,
+                                                         monkeypatch):
+    """A delivery recorder set on the class after the family recorded the
+    confirm decision sees the delivery of the cell that would resume."""
+    family = dataclasses.replace(CFG, deliver_to_third_party=third_party)
+    ScenarioRunner(family).run()
+    delivered = _recording_deliveries(monkeypatch)
+    cell = family.with_strategies("no-confirm", "honest")
+    played = _run(cell)
+    assert len(delivered) == 1
+    assert played == _run(dataclasses.replace(cell))
+    assert delivered == [delivered[0]] * 2
+
+
+@pytest.mark.parametrize("family, hook", [
+    (CFG, flip_first_ciphertext_bit),
+    (CFG, _expect_another_measurement),
+    (CFG, _grant_the_inputs),
+    (dataclasses.replace(CFG, function_name="sum", inputs=("a", "b")),
+     lambda runner: None),
+], ids=["tampered", "measurement", "leak", "execution-fault"])
+def test_a_first_cell_hooked_or_never_deciding_records_none(family, hook):
+    """A hooked honest/honest records nothing, and one whose execution
+    faults ``None``: either way the clean no-confirm/honest after it plays
+    the whole run itself, and writes what it writes in a fresh family."""
+    family = dataclasses.replace(family)
+    _run(family, hook)
+    assert family.family.get(ScenarioRunner.accept) is None
+    cell = family.with_strategies("no-confirm", "honest")
+    assert _run(cell) == _run(dataclasses.replace(cell))
+    if family.function_name != "sum":  # the clean cell got there
+        assert family.family[ScenarioRunner.accept].pending
 
 
 def test_a_node_holding_an_instance_has_no_snapshot():
