@@ -1,13 +1,14 @@
 """Strategy-driven requestor and execution-node behaviours.
 
 Actors are deterministic state machines that act by calling the runner
-(``submit``, ``instantiate``, ``provision``, ``deliver``, ``destroy``,
-``accept``), which applies the step at once and queues the handler call it
-produces.  An actor never issues a dependent chain call before the previous
-call's receipt has been handled.  The runner names each handler and
-delivers the call through the party's ``step``; it queues a receipt or an
-event for no one unless a table names it.  The runner is passed in as
-``run``, never kept, so a finished run holds no reference cycle.
+(``submit``, ``instantiate``, ``provision``, ``revealed``, ``deliver``,
+``destroy``, ``acknowledge``, ``accept``), which applies the step at once
+and queues the handler call it produces.  An actor never issues a
+dependent chain call before the previous call's receipt has been handled.
+The runner names each handler and delivers the call through the party's
+``step``; it queues a receipt or an event for no one unless a table names
+it.  The runner is passed in as ``run``, never kept, so a finished run
+holds no reference cycle.
 
     handler                    party                   queued by
     on_start                   requestor               the run's start
@@ -15,6 +16,7 @@ event for no one unless a table names it.  The runner is passed in as
     ON_EVENT[event kind]       node                    ``submit``
     on_instance_created        requestor               ``instantiate``
     on_execution_done          node                    ``provision``
+    on_revealed                node                    ``revealed``
     on_delivery                requestor, third party  ``deliver``
     on_third_party_ack         requestor               ``acknowledge``
     on_valid_result            requestor               ``accept``
@@ -36,6 +38,7 @@ short:
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import crypto
@@ -163,14 +166,21 @@ class ExecutionNodeActor:
         self._done_by_task: dict[
             int, tuple[EnclaveInstance, ProtectedResult]] = {}
 
+    _instance_values = attrgetter(*EnclaveInstance.__slots__)
+
     def snapshot(self) -> tuple:
-        if self._done_by_task:  # an instance has no snapshot
-            raise RuntimeError("the node holds an enclave instance")
-        return tuple(self._function_by_task.items())
+        """The function of each task, and each executed instance the node
+        holds as its field values, with its protected result."""
+        return (tuple(self._function_by_task.items()),
+                tuple((task_id, self._instance_values(instance), protected)
+                      for task_id, (instance, protected)
+                      in self._done_by_task.items()))
 
     def restore(self, state: tuple) -> None:
-        self._function_by_task = dict(state)
-        self._done_by_task = {}
+        functions, done = state
+        self._function_by_task = dict(functions)
+        self._done_by_task = {task_id: (EnclaveInstance(*fields), protected)
+                              for task_id, fields, protected in done}
 
     def step(self, run: ScenarioRunner, handler, *args) -> None:
         handler(self, run, *args)
@@ -188,9 +198,10 @@ class ExecutionNodeActor:
             run.instantiate(self._function_by_task[task_id], task_id)
 
     def _on_finalized(self, run: ScenarioRunner, receipt: Receipt) -> None:
-        if not receipt.outcome.accepted:
-            return
-        task_id = receipt.call.args["task_id"]
+        if receipt.outcome.accepted:
+            run.revealed(receipt.call.args["task_id"])
+
+    def on_revealed(self, run: ScenarioRunner, task_id: int) -> None:
         instance, protected = self._done_by_task.pop(task_id)
         if self.config.node_strategy == NODE_HONEST:
             run.deliver(task_id, protected,

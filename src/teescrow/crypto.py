@@ -11,14 +11,9 @@ load it.
 
 Everything is deterministic given a seeded ``streams.ByteStream``: key and
 nonce material comes from the caller's stream, and Ed25519 signing is
-deterministic by design.  So the encrypt-then-sign step of
-``protect_result`` is a pure function of its exact inputs (plaintext, key
-pair, nonce), and it is memoized in a cache of ``_MEMO_SIZE`` entries: runs
-that share a seed (the cells of a payoff matrix) encrypt and sign once.
-Verification is never memoized.  The cache lives in the host process, so up
-to ``_MEMO_SIZE`` enclave plaintexts, with the key pairs that protected
-them, outlive the enclave instance that made them (``EnclaveHost.destroy``
-does not clear it).
+deterministic by design.  Nothing here keeps a plaintext: the cells of a
+payoff matrix share one protected result because the harness resumes them
+from their family's record of the reveal, after the enclave executed.
 """
 
 from __future__ import annotations
@@ -26,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from functools import cache, cached_property, lru_cache
+from functools import cache, cached_property
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
@@ -40,8 +35,6 @@ if TYPE_CHECKING:
 SECRET_LENGTH = 32
 DIGEST_LENGTH = 32
 _NONCE_LENGTH = 12
-#: Entries in the encrypt-and-sign memo: a payoff matrix uses one.
-_MEMO_SIZE = 4
 
 
 class CryptoError(Exception):
@@ -146,20 +139,7 @@ class ProtectedResult:
 
 def protect_result(plaintext: bytes, keys: ResultKeyPair,
                    rng: ByteStream) -> ProtectedResult:
-    # The nonce is drawn on every call, hit or miss, so the caller's RNG
-    # stream does not depend on the memo.
     nonce = rng.randbytes(_NONCE_LENGTH)
-    return _encrypt_and_sign(plaintext, keys, nonce)
-
-
-@lru_cache(maxsize=_MEMO_SIZE)
-def _encrypt_and_sign(plaintext: bytes, keys: ResultKeyPair,
-                      nonce: bytes) -> ProtectedResult:
-    """Deterministic, so a hit returns the bytes a fresh call would.
-
-    ``keys`` is a frozen dataclass, hashed and compared on its two byte
-    fields, so equal key material from different runs shares an entry.
-    """
     ciphertext = _backend().AESGCM(keys.encryption_key).encrypt(
         nonce, plaintext, keys.key_id.encode()
     )

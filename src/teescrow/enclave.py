@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from . import crypto
 from .crypto import ProtectedResult, ResultKeyPair
@@ -155,8 +156,10 @@ class EnclaveState(str, Enum):
     DESTROYED = "Destroyed"
 
 
-@dataclass(slots=True)
-class Provisioned:
+class Provisioned(NamedTuple):
+    """What an instance is provisioned with: a value, which a snapshot of
+    the node holding the instance shares."""
+
     secret: bytes
     inputs: object
     result_keys: ResultKeyPair

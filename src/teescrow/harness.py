@@ -20,6 +20,7 @@ from dataclasses import dataclass, replace
 
 from .actors import ExecutionNodeActor, RequestorActor, ThirdParty
 from .config import (
+    NODE_CLAIM_ONLY,
     NODE_HONEST,
     NODE_STRATEGIES,
     REQUESTOR_HONEST,
@@ -47,7 +48,7 @@ from .ledger import (
     Ledger,
     Receipt,
 )
-from .streams import ByteStream, SeededBytes
+from .streams import ByteStream
 
 PARTY_REQUESTOR = "requestor"
 PARTY_NODE = "node"
@@ -251,13 +252,10 @@ def _scenario_line(c: ScenarioConfig) -> tuple[str, str, str]:
     return head, middle, tail
 
 
-def _setup(c: ScenarioConfig) -> tuple[FunctionImage, SeededBytes, SeededBytes]:
-    """The image of ``c``'s function and the records of the requestor's and
-    the host's seeded bytes: the set-up every run of the family shares."""
-    image = FunctionImage(c.function_name, "1", c.function_name,
-                          BUILTIN_BODIES[c.function_name], c.compute_cost)
-    return (image, SeededBytes(f"{c.rng_seed}:requestor"),
-            SeededBytes(f"{c.rng_seed}:host"))
+def _image(c: ScenarioConfig) -> FunctionImage:
+    """The image of ``c``'s function, which every run of the family runs."""
+    return FunctionImage(c.function_name, "1", c.function_name,
+                         BUILTIN_BODIES[c.function_name], c.compute_cost)
 
 
 # ----------------------------------------------------------------------
@@ -307,7 +305,8 @@ _Fork = namedtuple("_Fork", "ledger contract requestor node host flow lines "
 
 
 def _steps() -> tuple:
-    """The class-level steps a run takes up to the confirm decision."""
+    """The class-level steps a run takes up to the reveal and the confirm
+    decision."""
     return (ScenarioRunner.deliver, ScenarioRunner.provision,
             ScenarioRunner.instantiate, EnclaveHost.execute,
             EnclaveHost.attest, EnclaveHost.provision, EnclaveHost.instantiate)
@@ -327,11 +326,12 @@ class ScenarioRunner:
             config.initial_balance)
         self.node_account = self.ledger.create_account(config.initial_balance)
         self.flow = InfoFlowLedger()
-        image, requestor_bytes, host_bytes = config.family.share(_setup, config)
+        image = config.family.share(_image, config)
         self.host = EnclaveHost({image.name: image}, self.flow,
-                                ByteStream(host_bytes))
-        self.requestor = RequestorActor(config, ByteStream(requestor_bytes),
-                                        image.measurement)
+                                ByteStream(f"{config.rng_seed}:host"))
+        self.requestor = RequestorActor(
+            config, ByteStream(f"{config.rng_seed}:requestor"),
+            image.measurement)
         self.node = ExecutionNodeActor(config)
         self.third_party = ThirdParty()
         self.trace = Trace()
@@ -340,11 +340,11 @@ class ScenarioRunner:
         self._next_expiry = 0  # lowest task id not yet armed or skipped
         self._last_receipt_time = 0
         self._ran = False
-        self._records = False  # whether it records the confirm decision
-        # The cells that play alike up to the confirm decision count their
+        self._records: list = []  # the fork points it records
+        # The cells that play alike up to the node's reveal count their
         # attributes, to which a hook set later adds one (+ 1: this one).
         self._attrs = (self._attr_count() + 1
-                       if config.node_strategy == NODE_HONEST
+                       if config.node_strategy != NODE_CLAIM_ONLY
                        and config.requestor_strategy != REQUESTOR_WITHHOLD_INPUT
                        else None)
 
@@ -358,7 +358,7 @@ class ScenarioRunner:
             raise RuntimeError("a runner is single-use")
         self._ran = True
         self.trace.scenario(self.config)
-        fork = (self._decision()
+        fork = (self._recorded()
                 or self.config.family.share(ScenarioRunner._play_opening, self))
         if not self._queue:  # an earlier run of the family played to the fork
             self._resume(fork)
@@ -375,19 +375,25 @@ class ScenarioRunner:
         party.step(self, handler, *args)
         return self._fork()
 
-    def _decision(self) -> _Fork | None:
-        """The family's record of the confirm decision, if this run resumes
-        from it.  The first unhooked cell of an honest node and a requestor
-        that provisions records it, or ``None`` if it never gets there."""
+    def _recorded(self) -> _Fork | None:
+        """The family's latest record past the opening that this run
+        resumes from: the node's reveal, or an honest node's confirm
+        decision.  The first unhooked cell of a requestor that provisions
+        and a node that executes records each of them it passes, or
+        ``None`` if it never gets there."""
         c = self.config
         if (self._attrs is None or self._attr_count() != self._attrs
                 or self.flow.violations()
                 or self.requestor.expected_measurement
                 != self.host.images[c.function_name].measurement):
             return None
-        self._records = ScenarioRunner.accept not in c.family
-        fork = c.family.setdefault(ScenarioRunner.accept, None)
-        return fork if fork is not None and fork.steps == _steps() else None
+        points = ((ScenarioRunner.revealed, ScenarioRunner.accept)
+                  if c.node_strategy == NODE_HONEST
+                  else (ScenarioRunner.revealed,))
+        self._records = [point for point in points if point not in c.family]
+        forks = [c.family.setdefault(point, None) for point in points]
+        return next((fork for fork in reversed(forks)
+                     if fork is not None and fork.steps == _steps()), None)
 
     def _fork(self, host=None, flow=None, steps=None) -> _Fork:
         return _Fork(
@@ -522,13 +528,24 @@ class ScenarioRunner:
         self._queue.append((self.requestor, RequestorActor.on_third_party_ack,
                             (task_id, signature_valid)))
 
+    def revealed(self, task_id: int) -> None:
+        """Queue the node's decision after its accepted reveal: a fork
+        point."""
+        self._queue.append((self.node, ExecutionNodeActor.on_revealed,
+                            (task_id,)))
+        self._record(ScenarioRunner.revealed)
+
     def accept(self, task_id: int) -> None:
         """Queue the requestor's decision on a valid result: a fork point."""
         self._queue.append((self.requestor, RequestorActor.on_valid_result,
                             (task_id,)))
-        if self._records:
-            self._records = False
-            self.config.family[ScenarioRunner.accept] = self._fork(
+        self._record(ScenarioRunner.accept)
+
+    def _record(self, point) -> None:
+        """Record the family's state at ``point`` if this run records it."""
+        if point in self._records:
+            self._records.remove(point)
+            self.config.family[point] = self._fork(
                 self.host.snapshot(), self.flow.snapshot(), _steps())
 
     # ------------------------------------------------------------------

@@ -5,7 +5,6 @@ import dataclasses
 import pytest
 from conftest import flip_first_ciphertext_bit
 
-from teescrow import crypto
 from teescrow.config import ScenarioConfig
 from teescrow.enclave import EnclaveState
 from teescrow.harness import ScenarioRunner
@@ -193,13 +192,11 @@ def test_tampered_third_party_delivery_is_not_confirmed():
 
 @pytest.mark.parametrize("third_party", [False, True])
 def test_tamper_after_an_honest_run_still_fails_the_checks(third_party):
-    """The honest run fills the protect-result memo; the tampered run of the
-    same config hits it, and every check still runs on what is delivered."""
+    """An honest run of the same config before it changes nothing: every
+    check still runs on what is delivered."""
     honest, _ = run(deliver_to_third_party=third_party)
     assert calls(honest)[-1] == "finalizeRequestor"
-    hits = crypto._encrypt_and_sign.cache_info().hits
     runner, outcome = run_tampered(deliver_to_third_party=third_party)
-    assert crypto._encrypt_and_sign.cache_info().hits == hits + 1
     assert not outcome.received_valid_result
     assert "finalizeRequestor" not in calls(runner)
     acks = [r["signatureValid"] for r in runner.trace.records

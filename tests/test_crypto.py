@@ -12,9 +12,9 @@ import pytest
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_golden_traces import GOLDEN_TRACE_IDS
+from test_golden_traces import GOLDEN_TRACE_IDS, PAIRS
 
-from teescrow import crypto
+from teescrow import crypto, streams
 from teescrow.config import ScenarioConfig
 from teescrow.harness import payoff_matrix
 
@@ -168,60 +168,39 @@ def test_independent_keys_never_open(message, seed_a, seed_b):
 
 
 # ----------------------------------------------------------------------
-# the encrypt-and-sign memo
+# the work a payoff matrix shares
 
 
-def test_memo_hit_and_miss_draw_one_nonce():
-    k = keys(3)
-    crypto._encrypt_and_sign.cache_clear()
-    for hits_and_misses in ((0, 1), (1, 1)):
-        rng, reference = random.Random(7), random.Random(7)
-        crypto.protect_result(b"payload", k, rng)
-        reference.randbytes(12)
-        assert rng.getstate() == reference.getstate()
-        assert crypto._encrypt_and_sign.cache_info()[:2] == hits_and_misses
+@pytest.mark.parametrize("third_party", [False, True],
+                         ids=["requestor", "third-party"])
+def test_a_payoff_matrix_draws_protects_and_verifies_once(third_party,
+                                                          monkeypatch):
+    """Only a family's first executing cell seeds its two generators,
+    protects the result and checks its signature: every other cell resumes
+    from a record the first one made (the opening, the node's reveal or the
+    requestor's confirm decision)."""
+    generators, protected, verified = [], [], []
 
+    class Counting(random.Random):
+        def __init__(self, seed):
+            generators.append(seed)
+            super().__init__(seed)
 
-def test_memo_hit_equals_a_fresh_computation():
-    k = keys(3)
-    first = crypto.protect_result(b"payload", k, random.Random(7))
-    second = crypto.protect_result(b"payload", k, random.Random(7))
-    assert second is first
-    assert first == crypto._encrypt_and_sign.__wrapped__(
-        b"payload", k, first.nonce)
+    def counting(calls, fn):
+        def counted(*args):
+            calls.append(args)
+            return fn(*args)
+        return counted
 
-
-def test_memo_keys_on_every_input():
-    k = keys(3)
-    base = (b"payload", k.encryption_key, k.signing_key_seed, bytes(12))
-
-    def protected(plaintext, encryption_key, signing_key_seed, nonce):
-        pair = crypto.ResultKeyPair(encryption_key=encryption_key,
-                                    signing_key_seed=signing_key_seed)
-        return crypto._encrypt_and_sign(plaintext, pair, nonce)
-
-    results = {protected(*base)}
-    for index in range(len(base)):
-        changed = list(base)
-        changed[index] = bytes([base[index][0] ^ 1]) + base[index][1:]
-        results.add(protected(*changed))
-    assert len(results) == len(base) + 1
-
-
-def test_matrix_cells_share_one_protected_result(monkeypatch):
-    protected = []
-    protect = crypto.protect_result
-
-    def recording(*args):
-        protected.append(protect(*args))
-        return protected[-1]
-
-    monkeypatch.setattr(crypto, "protect_result", recording)
-    payoff_matrix(ScenarioConfig())
-    # Executed by honest/honest and both compute-no-deliver cells;
-    # no-confirm/honest resumes after the delivery was checked.
-    assert len(protected) == 3
-    assert len(set(protected)) == 1
+    monkeypatch.setattr(streams, "Random", Counting)
+    monkeypatch.setattr(crypto, "protect_result",
+                        counting(protected, crypto.protect_result))
+    monkeypatch.setattr(crypto, "verify_result_signature",
+                        counting(verified, crypto.verify_result_signature))
+    cells = payoff_matrix(ScenarioConfig(deliver_to_third_party=third_party))
+    assert list(cells) == list(PAIRS)
+    assert generators == ["0:requestor", "0:host"]
+    assert (len(protected), len(verified)) == (1, 1)
 
 
 # ----------------------------------------------------------------------

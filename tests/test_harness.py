@@ -22,6 +22,7 @@ from test_golden_traces import (
 from teescrow import config as config_module
 from teescrow import harness as harness_module
 from teescrow import crypto, streams
+from teescrow.actors import ExecutionNodeActor
 from teescrow.config import (
     NODE_STRATEGIES,
     REQUESTOR_STRATEGIES,
@@ -35,7 +36,12 @@ from teescrow.contract import (
     Task,
     TaskState,
 )
-from teescrow.enclave import BUILTIN_BODIES, EnclaveInstance, FunctionImage
+from teescrow.enclave import (
+    BUILTIN_BODIES,
+    EnclaveInstance,
+    EnclaveState,
+    FunctionImage,
+)
 from teescrow.harness import (
     ScenarioOutcome,
     ScenarioRunner,
@@ -179,16 +185,17 @@ def test_a_runner_runs_once():
 def test_a_finished_run_is_freed_without_the_collector(overrides):
     """No reference cycle holds a run's objects: with the cyclic collector
     off, dropping the runner frees them all at once, whether it played its
-    family's opening or resumed from the family's record of it or of the
-    confirm decision.  Nor does one hold a family: dropping its configs
-    frees it and all it keeps."""
+    family's opening or resumed from the family's record of it, of the
+    node's reveal or of the confirm decision.  Nor does one hold a family:
+    dropping its configs frees it and all it keeps."""
     family = dataclasses.replace(CFG, **overrides)
     cell = family.with_strategies("no-confirm", "claim-only")
+    revealing = family.with_strategies("honest", "compute-no-deliver")
     deciding = family.with_strategies("no-confirm", "honest")
     enabled = gc.isenabled()
     gc.disable()
     try:
-        for config in (family, cell, deciding):
+        for config in (family, cell, revealing, deciding):
             runner = ScenarioRunner(config)
             runner.run()
             refs = [weakref.ref(obj) for obj in (runner, runner.requestor,
@@ -196,11 +203,12 @@ def test_a_finished_run_is_freed_without_the_collector(overrides):
                                                  runner.host)]
             del runner
             assert [ref() for ref in refs] == [None] * len(refs)
-        # The family also holds the record of the confirm decision.
+        # The family also holds the records of the reveal and the decision.
+        assert family.family[ScenarioRunner.revealed].pending
         assert family.family[ScenarioRunner.accept].pending
         refs = [weakref.ref(obj)
-                for obj in (family, cell, deciding, family.family)]
-        del family, cell, deciding, config
+                for obj in (family, cell, revealing, deciding, family.family)]
+        del family, cell, revealing, deciding, config
         assert [ref() for ref in refs] == [None] * len(refs)
     finally:
         if enabled:
@@ -742,8 +750,13 @@ fork_families = st.builds(
     max_resubmits=st.integers(0, 3), gas_charging=st.booleans(),
     include_gas_in_payoffs=st.booleans())
 
+#: The strategy pairs that play alike up to the node's reveal, where the
+#: family records its second fork point.
+EXECUTING = tuple(product(("honest", "no-confirm"),
+                          ("honest", "compute-no-deliver")))
+
 #: The strategy pairs that play alike up to the requestor's confirm
-#: decision, where the family records its second fork point.
+#: decision, where the family records its third fork point.
 DECIDING = (("honest", "honest"), ("no-confirm", "honest"))
 
 #: Two families: the default, and one that charges gas, allows resubmits,
@@ -796,11 +809,13 @@ def test_a_cell_resumed_from_the_opening_runs_as_in_a_fresh_family(
 @settings(max_examples=25, deadline=None)
 @given(family=fork_families, order=st.permutations(PAIRS))
 def test_a_cell_resumed_from_a_fork_runs_as_in_a_fresh_family(family, order):
-    """With no hook on any runner, so the deciding cell after the family's
-    first resumes from its record of the confirm decision."""
+    """With no hook on any runner, so every executing cell after the
+    family's first resumes from its record of the node's reveal, or of the
+    confirm decision."""
     for pair in order:
         cell = family.with_strategies(*pair)
         assert _run(cell) == _run(dataclasses.replace(cell))
+    assert family.family[ScenarioRunner.revealed].pending
     assert family.family[ScenarioRunner.accept].pending
 
 
@@ -837,8 +852,49 @@ def test_either_deciding_cell_records_the_same_decision(family, third_party):
         records.append(config.family[ScenarioRunner.accept])
     assert records[0] == records[1]
     hash(records[0][:6])  # the six snapshots are values
+    hash(config.family[ScenarioRunner.revealed][:6])
     [(role, _, args)] = records[0].pending
     assert (role, args) == ("requestor", (0,))
+
+
+@pytest.mark.parametrize("third_party", [False, True],
+                         ids=["requestor", "third-party"])
+@pytest.mark.parametrize("family", FORK_FAMILIES.values(),
+                         ids=FORK_FAMILIES.keys())
+def test_every_executing_cell_records_the_same_reveal(family, third_party):
+    """The record does not depend on which of the four cells got there; it
+    holds the executed instance the node will destroy."""
+    records = []
+    for pair in EXECUTING:
+        config = dataclasses.replace(
+            family, deliver_to_third_party=third_party).with_strategies(*pair)
+        ScenarioRunner(config).run()
+        records.append(config.family[ScenarioRunner.revealed])
+    assert records == [records[0]] * len(EXECUTING)
+    hash(records[0][:6])  # the six snapshots are values
+    [(role, _, args)] = records[0].pending
+    assert (role, args) == ("node", (0,))
+    _, [(task_id, instance, _)] = records[0].node
+    assert task_id == 0
+    assert EnclaveInstance(*instance).state is EnclaveState.EXECUTED
+
+
+@pytest.mark.parametrize("third_party", [False, True],
+                         ids=["requestor", "third-party"])
+@pytest.mark.parametrize("family", FORK_FAMILIES.values(),
+                         ids=FORK_FAMILIES.keys())
+def test_the_reveal_and_the_decision_differ_only_in_the_node(family,
+                                                             third_party):
+    """No transaction, draw or host change happens between the two points:
+    of the six snapshots only the node's differs, since it destroyed its
+    instance in between."""
+    config = dataclasses.replace(family, deliver_to_third_party=third_party)
+    ScenarioRunner(config).run()
+    reveal = config.family[ScenarioRunner.revealed]
+    decision = config.family[ScenarioRunner.accept]
+    for name in ("ledger", "contract", "requestor", "host", "flow"):
+        assert getattr(reveal, name) == getattr(decision, name), name
+    assert reveal.node != decision.node
 
 
 @pytest.mark.parametrize("family", FORK_FAMILIES.values(),
@@ -858,8 +914,9 @@ def test_every_strategy_pair_plays_the_same_opening(family):
 
 @pytest.mark.parametrize("fork, pair", [
     (ScenarioRunner._play_opening, ("honest", "claim-only")),
+    (ScenarioRunner.revealed, ("honest", "compute-no-deliver")),
     (ScenarioRunner.accept, ("no-confirm", "honest")),
-], ids=["opening", "decision"])
+], ids=["opening", "reveal", "decision"])
 def test_a_resumed_cell_checks_conservation(fork, pair):
     family = dataclasses.replace(CFG)
     ScenarioRunner(family).run()
@@ -893,19 +950,23 @@ def _grant_the_inputs(runner):
     (_lower_resubmit_limit, ("withhold-input", "honest"), 2),
     (_expect_another_measurement, ("honest", "honest"), 4),
     (_expect_another_measurement, ("no-confirm", "honest"), 4),
+    (_expect_another_measurement, ("honest", "compute-no-deliver"), 4),
     (flip_first_ciphertext_bit, ("no-confirm", "honest"), 1),
+    (flip_first_ciphertext_bit, ("honest", "compute-no-deliver"), 1),
     (_grant_the_inputs, ("no-confirm", "honest"), 0),
+    (_grant_the_inputs, ("honest", "compute-no-deliver"), 1),
 ])
 def test_a_hook_set_before_run_applies_to_a_resumed_cell(hook, pair,
                                                          timeouts):
     """The requestor's snapshot leaves out what a hook sets: ``inspect``'s
     resubmit limit and the measurement the requestor expects.  A runner
     hooked after ``__init__`` (its host's ``execute``, the measurement, a
-    leak granted before ``run()``) does not resume from the confirm
-    decision a clean honest/honest recorded: it writes what it writes in a
-    fresh family."""
+    leak granted before ``run()``) does not resume from the reveal or the
+    confirm decision a clean honest/honest recorded: it writes what it
+    writes in a fresh family."""
     family = dataclasses.replace(CFG, max_resubmits=3)
-    ScenarioRunner(family).run()  # records the opening and the decision
+    ScenarioRunner(family).run()  # records the three fork points
+    assert family.family[ScenarioRunner.revealed].pending
     assert family.family[ScenarioRunner.accept].pending
     cell = family.with_strategies(*pair)
     trace, outcome, *state = _run(cell, hook)
@@ -940,33 +1001,49 @@ def test_a_step_wrapped_on_its_class_later_sees_its_call(third_party,
 ], ids=["tampered", "measurement", "leak", "execution-fault"])
 def test_a_first_cell_hooked_or_never_deciding_records_none(family, hook):
     """A hooked honest/honest records nothing, and one whose execution
-    faults ``None``: either way the clean no-confirm/honest after it plays
-    the whole run itself, and writes what it writes in a fresh family."""
+    faults ``None`` at both points: either way the clean no-confirm/honest
+    after it plays the whole run itself, and writes what it writes in a
+    fresh family."""
     family = dataclasses.replace(family)
     _run(family, hook)
-    assert family.family.get(ScenarioRunner.accept) is None
+    for point in (ScenarioRunner.revealed, ScenarioRunner.accept):
+        assert family.family.get(point) is None
     cell = family.with_strategies("no-confirm", "honest")
     assert _run(cell) == _run(dataclasses.replace(cell))
     if family.function_name != "sum":  # the clean cell got there
-        assert family.family[ScenarioRunner.accept].pending
+        for point in (ScenarioRunner.revealed, ScenarioRunner.accept):
+            assert family.family[point].pending
 
 
-def test_a_node_holding_an_instance_has_no_snapshot():
+def test_a_node_holding_an_instance_restores_an_equal_copy():
+    """A snapshot taken while the node holds its executed instance is a
+    value, and restores an equal instance that is another object: the run
+    that took it destroys its own instance, not the copy."""
     runner = ScenarioRunner(dataclasses.replace(CFG))
     submit, held = runner.submit, []
 
     def submit_while_holding(actor, call, value=0):
         if call.function == "finalizeExecutionNode":  # the instance is held
-            with pytest.raises(RuntimeError, match="holds an enclave instance"):
-                runner.node.snapshot()
-            held.append(call)
+            [(instance, protected)] = runner.node._done_by_task.values()
+            held.append((runner.node.snapshot(), instance,
+                         dataclasses.replace(instance), protected))
         submit(actor, call, value)
 
     runner.submit = submit_while_holding
     runner.run()
-    assert held
+    [(state, original, as_held, protected)] = held
+    hash(state)
+    node = ExecutionNodeActor(CFG)
+    node.restore(state)
+    assert node.snapshot() == state
+    [(instance, restored_protected)] = node._done_by_task.values()
+    assert instance == as_held
+    assert instance is not original
+    assert restored_protected == protected
+    assert original.state is EnclaveState.DESTROYED
+    assert instance.state is EnclaveState.EXECUTED
     # The finished honest run's node destroyed, and so released, it.
-    assert runner.node.snapshot() == ((0, CFG.function_name),)
+    assert runner.node.snapshot() == (((0, CFG.function_name),), ())
 
 
 # ----------------------------------------------------------------------

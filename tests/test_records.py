@@ -1,16 +1,19 @@
-"""Record layout: slotted records on the per-transaction path, frozen memo
-records.
+"""Record layout: slotted records on the per-transaction path, and the
+records a fork record shares across runs compared and hashed as values.
 
 Every transaction builds a ``ContractCall``, a ``CallContext``, a
 ``CallOutcome``, a ``Receipt`` and its events; these, and the per-task
 records (the contract's ``Task``, the requestor's keys, the enclave
 instance and what it was provisioned with), are slotted (no per-instance
 ``__dict__``) and plain, since a frozen dataclass pays for
-``object.__setattr__`` on every field.  The requestor's keys, which its
-snapshot holds, are a ``NamedTuple``: slotted, and hashable as a value.
-Records that are hashed or handed from one run to another stay frozen: the
-encrypt-and-sign memo is keyed on a ``ResultKeyPair`` and returns one
-``ProtectedResult`` to every run that hits it.
+``object.__setattr__`` on every field.  The requestor's keys and the
+instance's provisioned material, which snapshots hold, are ``NamedTuple``s:
+slotted, and hashable as values.  A config family's fork record hands the
+same records to every run that resumes from it: the requestor's
+``ResultKeyPair`` and, at the node's reveal, the executed instance's
+``FunctionImage``, ``Provisioned`` material and ``ProtectedResult``.  So
+those compare and hash by value, and the dataclasses among them stay
+frozen.
 """
 
 from __future__ import annotations
@@ -95,10 +98,20 @@ def test_shared_records_stay_frozen(name):
     assert type(record).__hash__ is not None
 
 
-@pytest.mark.parametrize("name", ["ProtectedResult", "ResultKeyPair",
-                                  "FunctionImage"])
-def test_memo_records_hash_by_value(name):
-    first, second = FROZEN[name](), FROZEN[name]()
+#: The records a fork record shares across runs, each built twice from
+#: equal fields.
+SHARED = {
+    **{name: FROZEN[name]
+       for name in ("ProtectedResult", "ResultKeyPair", "FunctionImage")},
+    "Provisioned": lambda: Provisioned(
+        secret=bytes(32), inputs=(1, 2, 3),
+        result_keys=FROZEN["ResultKeyPair"]()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHARED))
+def test_records_a_fork_record_shares_hash_by_value(name):
+    first, second = SHARED[name](), SHARED[name]()
     assert first is not second
     assert first == second
     assert hash(first) == hash(second)
