@@ -3,7 +3,9 @@
 Actors are deterministic state machines that act by calling the runner
 (``submit``, ``instantiate``, ``provision``, ``revealed``, ``deliver``,
 ``destroy``, ``acknowledge``, ``accept``), which applies the step at once
-and queues the handler call it produces.  An actor never issues a
+and queues the handler call it produces, to run in time order: at the
+ledger's clock, ``execution_delay`` later for ``on_execution_done``, and
+at the task's deadline for ``on_expiry``.  An actor never issues a
 dependent chain call before the previous call's receipt has been handled.
 The runner names each handler and delivers the call through the party's
 ``step``; it queues a receipt or an event for no one unless a table names
@@ -20,7 +22,7 @@ holds no reference cycle.
     on_delivery                requestor, third party  ``deliver``
     on_third_party_ack         requestor               ``acknowledge``
     on_valid_result            requestor               ``accept``
-    on_expiry                  requestor               the task's deadline
+    on_expiry                  requestor               ``submit``
 
 Honest behaviour follows the protocol sequence: the requestor generates a
 secret, submits the task with payment + deposit, provisions the claimed
@@ -198,8 +200,11 @@ class ExecutionNodeActor:
             run.instantiate(self._function_by_task[task_id], task_id)
 
     def _on_finalized(self, run: ScenarioRunner, receipt: Receipt) -> None:
+        task_id = receipt.call.args["task_id"]
         if receipt.outcome.accepted:
-            run.revealed(receipt.call.args["task_id"])
+            run.revealed(task_id)
+        else:  # too late: the task timed out first
+            run.destroy(self._done_by_task.pop(task_id)[0])
 
     def on_revealed(self, run: ScenarioRunner, task_id: int) -> None:
         instance, protected = self._done_by_task.pop(task_id)

@@ -243,14 +243,23 @@ class ScenarioConfig:
             raise ConfigInvalid(f"unknown function {self.function_name!r}")
 
     @property
+    def in_time(self) -> bool:
+        """The honest result arrives by the deadline: the claim and the
+        reveal confirm and the enclave runs within ``expires``."""
+        schedule = self.family.share(ScenarioConfig.gas_schedule, self)
+        return (2 * schedule.confirmation_delay_per_tier[self.tier]
+                + self.execution_delay <= self.expires)
+
+    @property
     def in_rational_regime(self) -> bool:
-        """Honesty strictly dominates and both honest parties gain, with the
-        gas the payoffs count at the tier's price.  Read after validate()."""
+        """``in_time``, and honesty strictly dominates and both honest
+        parties gain, with the gas the payoffs count at the tier's price.
+        Read after validate()."""
         schedule = self.family.share(ScenarioConfig.gas_schedule, self)
         gas = schedule.per_function
         price = (schedule.gas_price_per_tier[self.tier]
                  if self.gas_charging and self.include_gas_in_payoffs else 0)
-        return (self.compute_cost > 0
+        return (self.in_time and self.compute_cost > 0
                 and self.value_of_result - self.payment
                 > price * (gas["submitTask"] + gas["finalizeRequestor"])
                 and self.payment - self.compute_cost

@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections import deque, namedtuple
+from collections import namedtuple
 from dataclasses import dataclass, replace
+from heapq import heappop, heappush
+from itertools import count
 
 from .actors import ExecutionNodeActor, RequestorActor, ThirdParty
 from .config import (
@@ -297,9 +299,9 @@ class ScenarioOutcome:
 
 
 #: A config family's state where its cells part: the snapshots, the trace
-#: lines after ``scenario``, each queued call as (party attribute, handler,
-#: args), the last receipt time and ``_steps()``.  The opening touches
-#: neither host nor flow ledger, and its resume checks no step: ``None``.
+#: lines after ``scenario``, the queued calls in order as (time, party,
+#: handler, args), the last receipt time and ``_steps()``.  The opening
+#: touches neither host nor flow ledger, so those and its steps are ``None``.
 _Fork = namedtuple("_Fork", "ledger contract requestor node host flow lines "
                             "pending last_receipt_time steps")
 
@@ -335,9 +337,10 @@ class ScenarioRunner:
         self.node = ExecutionNodeActor(config)
         self.third_party = ThirdParty()
         self.trace = Trace()
-        # (party, handler, args), run as party.step(self, handler, *args).
-        self._queue: deque = deque()
-        self._next_expiry = 0  # lowest task id not yet armed or skipped
+        # A heap of (time, seq, party, handler, args), each run as
+        # party.step(self, handler, *args) at max(time, ledger clock).
+        self._queue: list = []
+        self._seq = count()  # equal times run in queue order
         self._last_receipt_time = 0
         self._ran = False
         self._records: list = []  # the fork points it records
@@ -362,16 +365,28 @@ class ScenarioRunner:
                 or self.config.family.share(ScenarioRunner._play_opening, self))
         if not self._queue:  # an earlier run of the family played to the fork
             self._resume(fork)
-        while True:
-            self._drain()
-            if not self._arm_expiry():
-                break
+        queue, ledger = self._queue, self.ledger
+        while queue:
+            time, _, party, handler, args = heappop(queue)
+            if handler is RequestorActor.on_expiry:
+                task = self.contract.tasks.get(args[0])
+                if task is None or task.state is TaskState.TIMED_OUT_DEAD:
+                    continue
+                if ledger.now < time:
+                    self.trace.clock(time, f"expiry of task {args[0]}")
+            if ledger.now < time:
+                ledger.advance_time(time - ledger.now)
+            party.step(self, handler, *args)
         return self._finish()
+
+    def _queue_call(self, party, handler, *args, at: int | None = None):
+        heappush(self._queue, (self.ledger.now if at is None else at,
+                               next(self._seq), party, handler, args))
 
     def _play_opening(self) -> _Fork:
         """Step the requestor's submit and the node's claim; record them."""
         self.requestor.step(self, RequestorActor.on_start)
-        party, handler, args = self._queue.popleft()  # the node's claim
+        _, _, party, handler, args = heappop(self._queue)  # the node's claim
         party.step(self, handler, *args)
         return self._fork()
 
@@ -400,8 +415,9 @@ class ScenarioRunner:
             self.ledger.snapshot(), self.contract.snapshot(),
             self.requestor.snapshot(), self.node.snapshot(), host, flow,
             tuple(self.trace._lines[1:]),
-            tuple(("node" if party is self.node else "requestor", handler,
-                   args) for party, handler, args in self._queue),
+            tuple((time, "node" if party is self.node else "requestor",
+                   handler, args)
+                  for time, _, party, handler, args in sorted(self._queue)),
             self._last_receipt_time, steps)
 
     def _resume(self, o: _Fork) -> None:
@@ -414,37 +430,9 @@ class ScenarioRunner:
             self.host.restore(o.host)
             self.flow.restore(o.flow)
         self.trace._lines += o.lines
-        for role, handler, args in o.pending:
-            self._queue.append((getattr(self, role), handler, args))
+        self._queue = [(time, next(self._seq), getattr(self, role), h, args)
+                       for time, role, h, args in o.pending]  # sorted: a heap
         self._last_receipt_time = o.last_receipt_time
-
-    def _drain(self) -> None:
-        queue = self._queue
-        while queue:
-            party, handler, args = queue.popleft()
-            party.step(self, handler, *args)
-
-    def _arm_expiry(self) -> bool:
-        """Advance to the expiry of a still-open task, once per task.
-
-        Task ids only grow, and a task that is dead, deleted or already
-        armed never becomes eligible again, so a cursor over the ids finds
-        the lowest eligible one.
-        """
-        while self._next_expiry < self.contract.num_tasks:
-            task_id = self._next_expiry
-            self._next_expiry += 1
-            task = self.contract.tasks.get(task_id)
-            if task is None or task.state is TaskState.TIMED_OUT_DEAD:
-                continue
-            deadline = task.deadline
-            if self.ledger.now < deadline:
-                self.ledger.advance_time(deadline - self.ledger.now)
-                self.trace.clock(self.ledger.now, f"expiry of task {task_id}")
-            self._queue.append(
-                (self.requestor, RequestorActor.on_expiry, (task_id,)))
-            return True
-        return False
 
     # ------------------------------------------------------------------
     # The protocol steps the parties take.  Each applies at once, writes
@@ -453,8 +441,8 @@ class ScenarioRunner:
     def submit(self, actor: RequestorActor | ExecutionNodeActor,
                call: ContractCall, value: int = 0) -> None:
         """Submit the call and queue only what a party acts on: the receipt
-        if the sender's ``ON_RECEIPT`` names the call, and each event the
-        node's ``ON_EVENT`` names."""
+        if the sender's ``ON_RECEIPT`` names the call, each event the node's
+        ``ON_EVENT`` names, and a new task's expiry at its deadline."""
         if actor is self.requestor:
             who, sender = PARTY_REQUESTOR, self.requestor_account
         else:
@@ -463,22 +451,26 @@ class ScenarioRunner:
             sender, call, value, self.config.tier)
         self._last_receipt_time = receipt.timestamp
         self.trace.call(who, receipt)
+        queue, now, seq = self._queue, receipt.timestamp, self._seq
         handler = actor.ON_RECEIPT.get(call.function)
         if handler is not None:
-            self._queue.append((actor, handler, (receipt,)))
+            heappush(queue, (now, next(seq), actor, handler, (receipt,)))
         for event in receipt.events:
+            if event.kind == "TaskSubmitted":
+                heappush(queue, (self.contract.tasks[event.task_id].deadline,
+                                 next(seq), self.requestor,
+                                 RequestorActor.on_expiry, (event.task_id,)))
             handler = self.node.ON_EVENT.get(event.kind)
             if handler is not None:
-                self._queue.append((self.node, handler, (event,)))
+                heappush(queue, (now, next(seq), self.node, handler, (event,)))
 
     def instantiate(self, function_name: str, task_id: int) -> None:
         # validate() admits only built-in functions, and the host holds
         # the config's image, so instantiation cannot fail.
         instance = self.host.instantiate(function_name)
         self.trace.enclave("instantiate", instance)
-        self._queue.append((self.requestor,
-                            RequestorActor.on_instance_created,
-                            (instance, task_id)))
+        self._queue_call(self.requestor, RequestorActor.on_instance_created,
+                         instance, task_id)
 
     def provision(self, instance: EnclaveInstance, task_id: int,
                   expected_measurement: bytes, nonce: bytes, secret: bytes,
@@ -504,19 +496,18 @@ class ScenarioRunner:
             self.trace.enclave_failed("execute", str(exc))
             self.destroy(instance)
             return
-        if self.config.execution_delay:
-            self.ledger.advance_time(self.config.execution_delay)
         self.trace.enclave("execute", instance)
-        self._queue.append((self.node, ExecutionNodeActor.on_execution_done,
-                            (instance, task_id, protected, secret)))
+        self._queue_call(self.node, ExecutionNodeActor.on_execution_done,
+                         instance, task_id, protected, secret,
+                         at=self.ledger.now + self.config.execution_delay)
 
     def deliver(self, task_id: int, protected: ProtectedResult,
                 destination: str) -> None:
         self.trace.result_delivery(task_id, protected.key_id, destination)
         recipient = (self.third_party if destination == PARTY_THIRD
                      else self.requestor)
-        self._queue.append((recipient, type(recipient).on_delivery,
-                            (task_id, protected)))
+        self._queue_call(recipient, type(recipient).on_delivery, task_id,
+                         protected)
 
     def destroy(self, instance: EnclaveInstance) -> None:
         self.host.destroy(instance)
@@ -525,20 +516,19 @@ class ScenarioRunner:
     def acknowledge(self, task_id: int, signature_valid: bool) -> None:
         """The third party's ack of a delivered result, to the requestor."""
         self.trace.third_party_ack(task_id, signature_valid)
-        self._queue.append((self.requestor, RequestorActor.on_third_party_ack,
-                            (task_id, signature_valid)))
+        self._queue_call(self.requestor, RequestorActor.on_third_party_ack,
+                         task_id, signature_valid)
 
     def revealed(self, task_id: int) -> None:
         """Queue the node's decision after its accepted reveal: a fork
         point."""
-        self._queue.append((self.node, ExecutionNodeActor.on_revealed,
-                            (task_id,)))
+        self._queue_call(self.node, ExecutionNodeActor.on_revealed, task_id)
         self._record(ScenarioRunner.revealed)
 
     def accept(self, task_id: int) -> None:
         """Queue the requestor's decision on a valid result: a fork point."""
-        self._queue.append((self.requestor, RequestorActor.on_valid_result,
-                            (task_id,)))
+        self._queue_call(self.requestor, RequestorActor.on_valid_result,
+                         task_id)
         self._record(ScenarioRunner.accept)
 
     def _record(self, point) -> None:
@@ -598,9 +588,9 @@ def payoff_matrix(
         raise ConfigInvalid(
             "parameters outside the rational regime (need cost > 0, value - "
             "payment > g(submitTask) + g(finalizeRequestor), payment - cost > "
-            "g(claimTask) + g(finalizeExecutionNode) and threshold > "
-            "g(finalizeRequestor), g(f) being f's gas cost if payoffs count "
-            "gas)")
+            "g(claimTask) + g(finalizeExecutionNode), threshold > "
+            "g(finalizeRequestor) and 2 * confirmation delay + execution_delay"
+            " <= expires, g(f) being f's gas cost if payoffs count gas)")
     return {(r, n): run_scenario(config.with_strategies(r, n))
             for r in REQUESTOR_STRATEGIES for n in NODE_STRATEGIES}
 
@@ -665,6 +655,9 @@ def latency_report(tier: str, config: ScenarioConfig | None = None) -> dict:
                      requestor_strategy=REQUESTOR_HONEST,
                      node_strategy=NODE_HONEST)
     outcome = run_scenario(config)
+    if not config.in_time:
+        raise ConfigInvalid(f"the result arrives late at {tier}: need 2 * "
+                            "confirmation delay + execution_delay <= expires")
     return {
         "tier": tier,
         "confirmationDelaySeconds":

@@ -17,7 +17,7 @@ import time
 import pytest
 
 from teescrow import crypto
-from teescrow.config import ScenarioConfig
+from teescrow.config import ConfigInvalid, ScenarioConfig
 from teescrow.contract import EscrowContract, RefusalReason, TaskState
 from teescrow.harness import (
     ScenarioRunner,
@@ -27,7 +27,13 @@ from teescrow.harness import (
     payoff_matrix,
     run_scenario,
 )
-from teescrow.ledger import TIERS, ContractCall, GasSchedule, Ledger
+from teescrow.ledger import (
+    DEFAULT_CONFIRMATION_DELAY,
+    TIERS,
+    ContractCall,
+    GasSchedule,
+    Ledger,
+)
 
 from conftest import call, record_grants, run_claim_race, zero_delay_schedule
 
@@ -341,8 +347,19 @@ def test_criterion_8_dominance(draw_batch):
 
     # The packaged checker agrees on a subsample, and on gas-charging draws
     # inside the rational regime: each amount past its gas term, where g
-    # is the tier's price times a function's gas.
-    rng = random.Random(8)
+    # is the tier's price times a function's gas.  Each draw's execution
+    # delay falls on either side of the edge 2 * delay + e = expires, past
+    # which the honest result arrives after the deadline and the checker
+    # refuses the config.
+    rng, delays = random.Random(8), random.Random(80)
+
+    def edge(tier="standard"):
+        return ScenarioConfig.expires - 2 * DEFAULT_CONFIRMATION_DELAY[tier]
+
+    def delay_at(tier="standard"):
+        return delays.choice([edge(tier), edge(tier) + 1,
+                              delays.randint(0, 2 * edge(tier))])
+
     configs = []
     for _ in range(20):
         p = draw_params(rng)
@@ -351,7 +368,7 @@ def test_criterion_8_dominance(draw_batch):
             compute_cost=p["cost"], threshold=p["dep_r"],
             node_deposit=p["dep_e"],
             initial_balance=p["value"] + p["payment"] + p["dep_r"]
-            + p["dep_e"] + 1000,
+            + p["dep_e"] + 1000, execution_delay=delay_at(),
         ))
     schedule = GasSchedule()
     for _ in range(20):
@@ -369,9 +386,17 @@ def test_criterion_8_dominance(draw_batch):
             threshold=dep_r, node_deposit=dep_r + p["dep_e"], tier=tier,
             gas_charging=True, include_gas_in_payoffs=True,
             initial_balance=10**21, rng_seed=rng.randint(0, 2**31),
+            execution_delay=delay_at(tier),
         ))
-    for config in configs:
-        assert not dominance_check(payoff_matrix(config))
+    in_time = [config.execution_delay <= edge(config.tier)
+               for config in configs]
+    assert set(in_time) == {True, False}
+    for config, on_time in zip(configs, in_time):
+        if on_time:
+            assert not dominance_check(payoff_matrix(config))
+        else:
+            with pytest.raises(ConfigInvalid, match="execution_delay <= "):
+                payoff_matrix(config)
 
 
 def test_criterion_9_information_flow():

@@ -15,6 +15,7 @@ from hypothesis import given, note, settings
 from hypothesis import strategies as st
 from conftest import FormatsAsSeven
 from test_golden_traces import RUNNER_SETUPS, golden_configs
+from test_harness import RACES, race_config
 
 import teescrow
 from teescrow import actors, cli
@@ -29,7 +30,11 @@ from teescrow.config import (
 )
 from teescrow.enclave import BUILTIN_BODIES, EnclaveHost
 from teescrow.harness import ScenarioRunner
-from teescrow.ledger import DEFAULT_GAS_PER_FUNCTION, TIERS
+from teescrow.ledger import (
+    DEFAULT_CONFIRMATION_DELAY,
+    DEFAULT_GAS_PER_FUNCTION,
+    TIERS,
+)
 
 UNIT = 10**18
 
@@ -103,6 +108,20 @@ def test_scenario_export_and_inspect_roundtrip(capsys, tmp_path, config_file):
     obj = json.loads(out)
     assert obj["reconstructionOk"] is True
     assert obj["requestorPayoff"] == -15
+
+
+@pytest.mark.parametrize("race", RACES)
+@pytest.mark.parametrize("tier", TIERS)
+def test_inspect_replays_a_race(capsys, tmp_path, tier, race):
+    """A run whose reveal races the requestor's timeout, won by either."""
+    config, trace_file = tmp_path / "config.json", str(tmp_path / "t.jsonl")
+    config.write_text(json.dumps(race_config(tier, race).to_json_obj()))
+    code, _, _ = run_cli(capsys, "scenario", "--config", str(config),
+                         "--export-trace", trace_file)
+    assert code == 0
+    code, out, _ = run_cli(capsys, "inspect", "--trace", trace_file,
+                           "--format", "json")
+    assert (code, json.loads(out)["reconstructionOk"]) == (0, True)
 
 
 def test_export_writes_the_trace_bytes(capsys, tmp_path, config_file):
@@ -283,6 +302,34 @@ def test_latency_json(capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["onChainSeconds"] == 480
+
+
+@pytest.mark.parametrize("gas", [False, True],
+                         ids=["gas-excluded", "gas-in-payoffs"])
+@pytest.mark.parametrize("tier", TIERS)
+def test_reports_refuse_a_result_past_the_deadline(capsys, tmp_path, tier,
+                                                   gas):
+    """At 2 * delay + execution_delay = expires the honest result arrives
+    just in time; one second later the requestor's timeout is sent first."""
+    edge = ScenarioConfig.expires - 2 * DEFAULT_CONFIRMATION_DELAY[tier]
+    for delay, want in ((edge, 0), (edge + 1, 2)):
+        config = tmp_path / f"{delay}.json"
+        config.write_text(json.dumps({
+            "tier": tier, "execution_delay": delay, "gas_charging": gas,
+            "include_gas_in_payoffs": gas}))
+        for command in (["payoffs"], ["latency", "--tier", tier]):
+            code, _, err = run_cli(capsys, *command, "--config", str(config))
+            assert code == want, command
+            if want:
+                assert err.startswith("config error: ")
+                assert ("2 * confirmation delay + execution_delay <= expires"
+                        in err)
+            else:
+                assert err == ""
+    # Latency judges the config at the report's tier.
+    code, _, _ = run_cli(capsys, "latency", "--tier", "fast",
+                         "--config", str(config))
+    assert code == (0 if tier != "fast" else 2)
 
 
 def _report_invocations() -> list[tuple[str, ...]]:

@@ -63,6 +63,17 @@ def test_submit_records_start_and_expiry(funded):
     assert task.expires == 77
 
 
+def test_submit_accepts_zero_expires(funded):
+    """``validate()`` asks for ``expires > 0``, but the contract takes any
+    non-negative ``expires``; such a task can be timed out from start + 1."""
+    ledger, contract, requestor, _ = funded
+    ledger.advance_time(500)
+    receipt = submit(ledger, requestor, expires=0)
+    assert receipt.outcome.accepted
+    task = contract.tasks[receipt.outcome.task_id]
+    assert (task.expires, task.deadline) == (0, task.start + 1)
+
+
 # ----------------------------------------------------------------------
 # claimTask
 

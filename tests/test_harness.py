@@ -22,7 +22,7 @@ from test_golden_traces import (
 from teescrow import config as config_module
 from teescrow import harness as harness_module
 from teescrow import crypto, streams
-from teescrow.actors import ExecutionNodeActor
+from teescrow.actors import ExecutionNodeActor, RequestorActor
 from teescrow.config import (
     NODE_STRATEGIES,
     REQUESTOR_STRATEGIES,
@@ -53,6 +53,7 @@ from teescrow.harness import (
     run_scenario,
 )
 from teescrow.ledger import (
+    DEFAULT_CONFIRMATION_DELAY,
     DEFAULT_GAS_PER_FUNCTION,
     DEFAULT_GAS_PRICE_PER_TIER,
     NULL_ACCOUNT,
@@ -736,7 +737,9 @@ def test_minimum_funding_runs_and_one_less_is_refused(pair, gas_charging):
 
 
 #: Config families as ``broad_configs`` draws them: gas on or off, 0-3
-#: resubmits, either delivery route, an execution delay, 0, 3 or 64 inputs.
+#: resubmits, either delivery route, an execution delay, 0, 3 or 64 inputs;
+#: and an ``expires`` and a delay drawn across the edge past which the
+#: requestor's timeout beats the node's reveal (see ``_reveals``).
 fork_families = st.builds(
     ScenarioConfig,
     value_of_result=st.just(100), payment=st.integers(4, 10),
@@ -746,9 +749,18 @@ fork_families = st.builds(
     function_name=st.sampled_from(sorted(BUILTIN_BODIES)),
     inputs=st.sampled_from([0, 3, 64]).map(lambda n: tuple(range(n))),
     deliver_to_third_party=st.booleans(),
-    execution_delay=st.sampled_from([0, 5, 60]),
+    expires=st.sampled_from([3600]) | st.integers(1, 1500),
+    execution_delay=st.sampled_from([0, 5, 60]) | st.integers(0, 1500),
     max_resubmits=st.integers(0, 3), gas_charging=st.booleans(),
     include_gas_in_payoffs=st.booleans())
+
+
+def _reveals(config: ScenarioConfig) -> bool:
+    """The node's reveal lands before the requestor's timeout: the claim
+    and the reveal confirm, and the enclave runs, by the deadline."""
+    return (DEFAULT_CONFIRMATION_DELAY[config.tier] + config.execution_delay
+            <= config.expires)
+
 
 #: The strategy pairs that play alike up to the node's reveal, where the
 #: family records its second fork point.
@@ -767,6 +779,14 @@ FORK_FAMILIES = {
         CFG, gas_charging=True, initial_balance=10**17, max_resubmits=2,
         deliver_to_third_party=True, execution_delay=5, tier="fast"),
 }
+
+
+def _expiry_of_task_0(record) -> tuple:
+    """The pending expiry of task 0 that a fork record holds: a call of the
+    requestor's ``on_expiry``, at the task's deadline."""
+    [(task_id, task)] = record.contract[1]
+    assert task_id == 0
+    return (Task(*task).deadline, "requestor", RequestorActor.on_expiry, (0,))
 
 
 def _recorded_run(config: ScenarioConfig):
@@ -815,8 +835,11 @@ def test_a_cell_resumed_from_a_fork_runs_as_in_a_fresh_family(family, order):
     for pair in order:
         cell = family.with_strategies(*pair)
         assert _run(cell) == _run(dataclasses.replace(cell))
-    assert family.family[ScenarioRunner.revealed].pending
-    assert family.family[ScenarioRunner.accept].pending
+    for point in (ScenarioRunner.revealed, ScenarioRunner.accept):
+        if _reveals(family):
+            assert family.family[point].pending
+        else:  # every cell played its whole run
+            assert family.family[point] is None
 
 
 @pytest.mark.parametrize("third_party", [False, True],
@@ -853,8 +876,9 @@ def test_either_deciding_cell_records_the_same_decision(family, third_party):
     assert records[0] == records[1]
     hash(records[0][:6])  # the six snapshots are values
     hash(config.family[ScenarioRunner.revealed][:6])
-    [(role, _, args)] = records[0].pending
-    assert (role, args) == ("requestor", (0,))
+    (time, role, _, args), expiry = records[0].pending
+    assert (time, role, args) == (records[0].ledger[2], "requestor", (0,))
+    assert expiry == _expiry_of_task_0(records[0])
 
 
 @pytest.mark.parametrize("third_party", [False, True],
@@ -872,8 +896,9 @@ def test_every_executing_cell_records_the_same_reveal(family, third_party):
         records.append(config.family[ScenarioRunner.revealed])
     assert records == [records[0]] * len(EXECUTING)
     hash(records[0][:6])  # the six snapshots are values
-    [(role, _, args)] = records[0].pending
-    assert (role, args) == ("node", (0,))
+    (time, role, _, args), expiry = records[0].pending
+    assert (time, role, args) == (records[0].ledger[2], "node", (0,))
+    assert expiry == _expiry_of_task_0(records[0])
     _, [(task_id, instance, _)] = records[0].node
     assert task_id == 0
     assert EnclaveInstance(*instance).state is EnclaveState.EXECUTED
@@ -1229,6 +1254,90 @@ def test_a_config_failing_one_gas_term_is_refused_and_not_dominant(
     with pytest.raises(ConfigInvalid, match="rational regime"):
         payoff_matrix(config)
     assert dominance_check(cells_of(config))
+
+
+# ----------------------------------------------------------------------
+# the deadline: a late reveal races the honest requestor's timeout
+
+
+ETHER = 10**18
+#: honest/honest at the default amounts when the result arrives, and when
+#: the task times out first: each party loses its deposit, the node also
+#: its compute cost.
+PAID = (90 * ETHER, 7 * ETHER)
+TIMED_OUT = (-ETHER // 2, -7 * ETHER // 2)
+
+#: Each race at the default ``expires`` E, on a tier of delay d: the
+#: execution delay, each call after the claim as (function, refusal or
+#: None, time) with D = d + E + 1 the deadline, and the payoffs.  Calls of
+#: one time run in the order they were queued, so at the tie the expiry,
+#: queued with the task, goes first.
+RACES = {
+    "in-time": (lambda E, d: E - 2 * d, lambda d, D: [
+        ("finalizeExecutionNode", None, D - 1),
+        ("finalizeRequestor", None, D - 1 + d)], PAID),
+    "timeout-refused-first": (lambda E, d: E - 2 * d + 1, lambda d, D: [
+        ("finalizeExecutionNode", None, D),
+        ("timeout", "AlreadyCompleted", D + d),
+        ("finalizeRequestor", None, D + 2 * d)], PAID),
+    "timeout-refused-last": (lambda E, d: E - d, lambda d, D: [
+        ("finalizeExecutionNode", None, D - 1 + d),
+        ("timeout", "AlreadyCompleted", D - 1 + 2 * d),
+        ("finalizeRequestor", None, D - 1 + 3 * d)], PAID),
+    "tie": (lambda E, d: E - d + 1, lambda d, D: [
+        ("timeout", None, D + d),
+        ("finalizeExecutionNode", "TaskDead", D + 2 * d)], TIMED_OUT),
+    "late": (lambda E, d: E - d + 2, lambda d, D: [
+        ("timeout", None, D + d),
+        ("finalizeExecutionNode", "TaskDead", D + 2 * d)], TIMED_OUT),
+}
+
+
+def race_config(tier: str, race: str) -> ScenarioConfig:
+    """The default config, charging gas, at ``race``'s execution delay."""
+    expires = ScenarioConfig.expires
+    delay = RACES[race][0](expires, DEFAULT_CONFIRMATION_DELAY[tier])
+    return ScenarioConfig(tier=tier, execution_delay=delay, gas_charging=True)
+
+
+@pytest.mark.parametrize("race", RACES)
+@pytest.mark.parametrize("tier", TIERS)
+def test_a_reveal_past_the_deadline_loses_to_the_timeout(tier, race):
+    config = race_config(tier, race)
+    d = DEFAULT_CONFIRMATION_DELAY[tier]
+    _, after_the_claim, payoffs = RACES[race]
+    runner = ScenarioRunner(config)
+    outcome = runner.run()
+    records = runner.trace.records
+    calls = [(r["function"], r["outcome"].get("reason"), r["timestamp"])
+             for r in records if r["type"] == "call"]
+    assert calls == [("submitTask", None, d), ("claimTask", None, 2 * d),
+                     *after_the_claim(d, d + config.expires + 1)]
+    assert (outcome.requestor_payoff, outcome.node_payoff) == payoffs
+    assert outcome.end_to_end_seconds == calls[-1][2]
+    # A refused timeout costs the requestor its gas all the same.
+    price = DEFAULT_GAS_PRICE_PER_TIER[tier]
+    assert outcome.gas_by_party["requestor"] == price * sum(
+        DEFAULT_GAS_PER_FUNCTION[function] for function, _, _ in calls
+        if function in ("submitTask", "timeout", "finalizeRequestor"))
+    # A refused reveal destroys the instance the node executed.
+    ops = [r["op"] for r in records if r["type"] == "enclave"]
+    assert ops.count("instantiate") == ops.count("destroy") == 1
+    assert runner.node.snapshot()[1] == ()
+
+
+@pytest.mark.parametrize("tier", TIERS)
+def test_the_requestor_waits_for_its_result_up_to_the_edge(tier):
+    """``in_time`` holds while 2 * delay + execution_delay <= expires, with
+    the delay the config itself sets for its tier."""
+    edge = ScenarioConfig.expires - 2 * DEFAULT_CONFIRMATION_DELAY[tier]
+    assert race_config(tier, "in-time").in_time
+    assert not race_config(tier, "timeout-refused-first").in_time
+    for delay, expected in ((edge + 10, True), (edge + 11, False)):
+        config = ScenarioConfig(tier=tier, execution_delay=delay,
+                                confirmation_delay_per_tier={
+                                    tier: DEFAULT_CONFIRMATION_DELAY[tier] - 5})
+        assert config.in_time is expected
 
 
 # ----------------------------------------------------------------------

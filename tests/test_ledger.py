@@ -92,6 +92,21 @@ def test_unknown_function_rejected(funded):
         call(ledger, requestor, "mintForFree", value=0)
 
 
+def test_a_function_needs_both_a_gas_entry_and_a_handler(funded):
+    """``deploy`` has a gas entry and no contract handler; ``timeout``,
+    dropped from the schedule, a handler and no gas entry."""
+    ledger, _, requestor, _ = funded
+    with pytest.raises(UnknownFunction, match="^deploy$"):
+        call(ledger, requestor, "deploy")
+    per_function = dict(ledger.schedule.per_function)
+    del per_function["timeout"]
+    ledger.schedule = GasSchedule(per_function=per_function)
+    height = ledger.block_height
+    with pytest.raises(UnknownFunction, match="^timeout$"):
+        call(ledger, requestor, "timeout", task_id=0)
+    assert ledger.block_height == height
+
+
 def test_gas_charged_and_burned():
     ledger = Ledger(zero_delay_schedule(), gas_charging=True)
     EscrowContract(ledger, THRESHOLD)
