@@ -1,20 +1,22 @@
 """Strategy-driven requestor and execution-node behaviours.
 
 Actors are deterministic state machines that act by calling the runner
-(``submit``, ``instantiate``, ``provision``, ``revealed``, ``deliver``,
-``destroy``, ``acknowledge``, ``accept``), which applies the step at once
-and queues the handler call it produces, to run in time order: at the
-ledger's clock, ``execution_delay`` later for ``on_execution_done``, and
-at the task's deadline for ``on_expiry``.  An actor never issues a
-dependent chain call before the previous call's receipt has been handled.
-The runner names each handler and delivers the call through the party's
-``step``; it queues a receipt or an event for no one unless a table names
-it.  The runner is passed in as ``run``, never kept, so a finished run
-holds no reference cycle.
+(``submit``, ``claim``, ``instantiate``, ``provision``, ``revealed``,
+``deliver``, ``destroy``, ``acknowledge``, ``accept``), which applies the
+step at once and queues the handler call it produces, to run in time
+order: at the ledger's clock, ``execution_delay`` later for
+``on_execution_done``, and at the task's deadline for ``on_expiry``.
+``claim``, ``revealed`` and ``accept`` are the config family's fork points
+(``teescrow.harness``).  An actor never issues a dependent chain call
+before the previous call's receipt has been handled.  The runner names
+each handler and delivers the call through the party's ``step``; it
+queues a receipt or an event for no one unless a table names it.  The
+runner is passed in as ``run``, never kept, so a finished run holds no
+reference cycle.
 
     handler                    party                   queued by
     on_start                   requestor               the run's start
-    ON_RECEIPT[call function]  the sender              ``submit``
+    ON_RECEIPT[call function]  the sender              ``submit``, ``claim``
     ON_EVENT[event kind]       node                    ``submit``
     on_instance_created        requestor               ``instantiate``
     on_execution_done          node                    ``provision``
@@ -190,8 +192,7 @@ class ExecutionNodeActor:
     def _on_task_submitted(self, run: ScenarioRunner,
                            event: LedgerEvent) -> None:
         self._function_by_task[event.task_id] = event.payload["functionName"]
-        run.submit(self, ContractCall("claimTask", {"task_id": event.task_id}),
-                   self.config.node_deposit)
+        run.claim(event.task_id)
 
     def _on_claimed(self, run: ScenarioRunner, receipt: Receipt) -> None:
         if (receipt.outcome.accepted

@@ -298,24 +298,18 @@ class ScenarioOutcome:
 # runner
 
 
-#: A config family's state where its cells part: the snapshots, the trace
+#: A config family's state at a fork point: the six snapshots, the trace
 #: lines after ``scenario``, the queued calls in order as (time, party,
-#: handler, args), the last receipt time and ``_steps()``.  The opening
-#: touches neither host nor flow ledger, so those and its steps are ``None``.
+#: handler, args) and the last receipt time.
 _Fork = namedtuple("_Fork", "ledger contract requestor node host flow lines "
-                            "pending last_receipt_time steps")
-
-
-def _steps() -> tuple:
-    """The class-level steps a run takes up to the reveal and the confirm
-    decision."""
-    return (ScenarioRunner.deliver, ScenarioRunner.provision,
-            ScenarioRunner.instantiate, EnclaveHost.execute,
-            EnclaveHost.attest, EnclaveHost.provision, EnclaveHost.instantiate)
+                            "pending last_receipt_time")
 
 
 class ScenarioRunner:
-    """One deterministic protocol run for a single task."""
+    """One deterministic protocol run for a single task.  It shares every
+    step its config family's earlier runs played alike, resuming from the
+    family's record (``_record``), so a run hooked before ``run()`` needs a
+    family of its own (``dataclasses.replace``)."""
 
     def __init__(self, config: ScenarioConfig) -> None:
         config.validate()
@@ -344,15 +338,6 @@ class ScenarioRunner:
         self._last_receipt_time = 0
         self._ran = False
         self._records: list = []  # the fork points it records
-        # The cells that play alike up to the node's reveal count their
-        # attributes, to which a hook set later adds one (+ 1: this one).
-        self._attrs = (self._attr_count() + 1
-                       if config.node_strategy != NODE_CLAIM_ONLY
-                       and config.requestor_strategy != REQUESTOR_WITHHOLD_INPUT
-                       else None)
-
-    def _attr_count(self) -> int:
-        return len(vars(self)) + len(vars(self.host)) + len(vars(self.flow))
 
     # ------------------------------------------------------------------
 
@@ -361,9 +346,10 @@ class ScenarioRunner:
             raise RuntimeError("a runner is single-use")
         self._ran = True
         self.trace.scenario(self.config)
-        fork = (self._recorded()
-                or self.config.family.share(ScenarioRunner._play_opening, self))
-        if not self._queue:  # an earlier run of the family played to the fork
+        fork = self._recorded()
+        if fork is None:
+            self.requestor.step(self, RequestorActor.on_start)
+        else:
             self._resume(fork)
         queue, ledger = self._queue, self.ledger
         while queue:
@@ -383,42 +369,23 @@ class ScenarioRunner:
         heappush(self._queue, (self.ledger.now if at is None else at,
                                next(self._seq), party, handler, args))
 
-    def _play_opening(self) -> _Fork:
-        """Step the requestor's submit and the node's claim; record them."""
-        self.requestor.step(self, RequestorActor.on_start)
-        _, _, party, handler, args = heappop(self._queue)  # the node's claim
-        party.step(self, handler, *args)
-        return self._fork()
-
     def _recorded(self) -> _Fork | None:
-        """The family's latest record past the opening that this run
-        resumes from: the node's reveal, or an honest node's confirm
-        decision.  The first unhooked cell of a requestor that provisions
-        and a node that executes records each of them it passes, or
-        ``None`` if it never gets there."""
+        """The family's latest record that this run shares: the node's
+        claim, which every run plays alike; the node's reveal, if the
+        requestor provisions and the node executes; the confirm decision,
+        if the node is also honest.  The family's first run to pass each
+        point records it, or ``None`` if it never gets there."""
         c = self.config
-        if (self._attrs is None or self._attr_count() != self._attrs
-                or self.flow.violations()
-                or self.requestor.expected_measurement
-                != self.host.images[c.function_name].measurement):
-            return None
-        points = ((ScenarioRunner.revealed, ScenarioRunner.accept)
-                  if c.node_strategy == NODE_HONEST
-                  else (ScenarioRunner.revealed,))
+        points = (ScenarioRunner.claim,)
+        if (c.node_strategy != NODE_CLAIM_ONLY
+                and c.requestor_strategy != REQUESTOR_WITHHOLD_INPUT):
+            points += ((ScenarioRunner.revealed, ScenarioRunner.accept)
+                       if c.node_strategy == NODE_HONEST
+                       else (ScenarioRunner.revealed,))
         self._records = [point for point in points if point not in c.family]
         forks = [c.family.setdefault(point, None) for point in points]
-        return next((fork for fork in reversed(forks)
-                     if fork is not None and fork.steps == _steps()), None)
-
-    def _fork(self, host=None, flow=None, steps=None) -> _Fork:
-        return _Fork(
-            self.ledger.snapshot(), self.contract.snapshot(),
-            self.requestor.snapshot(), self.node.snapshot(), host, flow,
-            tuple(self.trace._lines[1:]),
-            tuple((time, "node" if party is self.node else "requestor",
-                   handler, args)
-                  for time, _, party, handler, args in sorted(self._queue)),
-            self._last_receipt_time, steps)
+        return next((fork for fork in reversed(forks) if fork is not None),
+                    None)
 
     def _resume(self, o: _Fork) -> None:
         """Restore a family's fork into the objects ``__init__`` built."""
@@ -426,9 +393,8 @@ class ScenarioRunner:
         self.contract.restore(o.contract)
         self.requestor.restore(o.requestor)
         self.node.restore(o.node)
-        if o.host is not None:
-            self.host.restore(o.host)
-            self.flow.restore(o.flow)
+        self.host.restore(o.host)
+        self.flow.restore(o.flow)
         self.trace._lines += o.lines
         self._queue = [(time, next(self._seq), getattr(self, role), h, args)
                        for time, role, h, args in o.pending]  # sorted: a heap
@@ -463,6 +429,12 @@ class ScenarioRunner:
             handler = self.node.ON_EVENT.get(event.kind)
             if handler is not None:
                 heappush(queue, (now, next(seq), self.node, handler, (event,)))
+
+    def claim(self, task_id: int) -> None:
+        """Submit the node's claim with its deposit: a fork point."""
+        self.submit(self.node, ContractCall("claimTask", {"task_id": task_id}),
+                    self.config.node_deposit)
+        self._record(ScenarioRunner.claim)
 
     def instantiate(self, function_name: str, task_id: int) -> None:
         # validate() admits only built-in functions, and the host holds
@@ -535,8 +507,15 @@ class ScenarioRunner:
         """Record the family's state at ``point`` if this run records it."""
         if point in self._records:
             self._records.remove(point)
-            self.config.family[point] = self._fork(
-                self.host.snapshot(), self.flow.snapshot(), _steps())
+            self.config.family[point] = _Fork(
+                self.ledger.snapshot(), self.contract.snapshot(),
+                self.requestor.snapshot(), self.node.snapshot(),
+                self.host.snapshot(), self.flow.snapshot(),
+                tuple(self.trace._lines[1:]),
+                tuple((time, "node" if party is self.node else "requestor",
+                       handler, args)
+                      for time, _, party, handler, args in sorted(self._queue)),
+                self._last_receipt_time)
 
     # ------------------------------------------------------------------
 

@@ -407,7 +407,9 @@ def test_criterion_9_information_flow():
     combos = 0
     for r in REQUESTOR_STRATEGIES:
         for n in NODE_STRATEGIES:
-            runner = ScenarioRunner(config.with_strategies(r, n))
+            # A family of its own: the hook sees every grant of the run.
+            runner = ScenarioRunner(dataclasses.replace(
+                config, requestor_strategy=r, node_strategy=n))
             grants = record_grants(runner.host)
             outcome = runner.run()
             assert not outcome.infoflow_violations

@@ -34,8 +34,9 @@ _MAP_FIELDS = ("gas_per_function", "gas_price_per_tier",
 
 def _recorded_run(config: ScenarioConfig):
     """The run's trace bytes, its outcome and the inputs its enclave was
-    provisioned with."""
-    runner = ScenarioRunner(config)
+    provisioned with.  The run has a family of its own, so it provisions
+    even when an earlier run of ``config`` did."""
+    runner = ScenarioRunner(dataclasses.replace(config))
     provisioned = []
     provision = runner.provision
 

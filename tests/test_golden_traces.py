@@ -8,6 +8,7 @@ delivered result's bytes are not in the trace, so they are pinned here too.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import random
 from itertools import product
@@ -21,7 +22,7 @@ from teescrow.config import (
     UNIT,
     ScenarioConfig,
 )
-from teescrow.harness import ScenarioRunner
+from teescrow.harness import ScenarioRunner, payoff_matrix
 from teescrow.ledger import TIERS
 
 PAIRS = tuple(product(REQUESTOR_STRATEGIES, NODE_STRATEGIES))
@@ -189,25 +190,6 @@ def test_delivered_bytes_unchanged(name, monkeypatch):
     assert tuple(delivered) == GOLDEN_DELIVERED.get(name, ())
 
 
-@pytest.mark.parametrize("order", ["forward", "reversed"])
-@pytest.mark.parametrize("name", sorted(golden_configs()))
-def test_pins_hold_for_a_later_cell_of_the_family(name, order, monkeypatch):
-    """The golden run as the last cell of its config family: the other
-    eight strategy pairs run first, through ``with_strategies``, so the
-    state the family shares is built by another cell."""
-    config = golden_configs()[name]
-    own = (config.requestor_strategy, config.node_strategy)
-    others = [pair for pair in PAIRS if pair != own]
-    if order == "reversed":
-        others.reverse()
-    for pair in others:
-        ScenarioRunner(config.with_strategies(*pair)).run()
-    delivered = _recording_deliveries(monkeypatch)
-    trace_id = _trace_id(name, config.with_strategies(*own))
-    assert trace_id == GOLDEN_TRACE_IDS[name]
-    assert tuple(delivered) == GOLDEN_DELIVERED.get(name, ())
-
-
 def test_trace_ids_do_not_depend_on_run_order():
     """Memo state carried from one run to the next moves no trace byte."""
     names = sorted(golden_configs())
@@ -260,3 +242,29 @@ def test_broad_trace_digest_unchanged():
             runner.run()
             digest.update(runner.trace.to_jsonl().encode())
     assert digest.hexdigest()[:16] == BROAD_TRACE_DIGEST
+
+
+def _played(config: ScenarioConfig) -> tuple:
+    """The run's trace bytes and outcome."""
+    runner = ScenarioRunner(config)
+    outcome = runner.run()
+    return runner.trace.to_jsonl(), outcome
+
+
+def test_every_cell_of_a_payoff_matrix_equals_its_fresh_run():
+    """The nine cells of one config family, in ``payoff_matrix``'s order,
+    so that each later cell resumes from what an earlier one recorded,
+    write the trace bytes and outcome of the same cell run in a family of
+    its own: on every golden config with no runner hook and every broad
+    draw.  Inside the rational regime ``payoff_matrix`` returns them."""
+    configs = [config for name, config in sorted(golden_configs().items())
+               if name not in RUNNER_SETUPS] + broad_configs()
+    for config in configs:
+        cells = {pair: _played(config.with_strategies(*pair))
+                 for pair in PAIRS}
+        for pair, played in cells.items():
+            fresh = dataclasses.replace(config.with_strategies(*pair))
+            assert played == _played(fresh), (config, pair)
+        if config.in_rational_regime:
+            assert payoff_matrix(dataclasses.replace(config)) == {
+                pair: outcome for pair, (_, outcome) in cells.items()}

@@ -11,11 +11,10 @@ from itertools import product
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import FormatsAsSeven, flip_first_ciphertext_bit, run_claim_race
+from conftest import FormatsAsSeven, run_claim_race
 from test_golden_traces import (
     PAIRS,
     RUNNER_SETUPS,
-    _recording_deliveries,
     golden_configs,
 )
 
@@ -148,7 +147,8 @@ def test_locked_funds_never_decrease_after_timeout():
     ("secret", "node-host saw task0:secret before execution"),
 ], ids=["inputs", "enc-key", "result", "secret"])
 def test_outcome_names_a_host_leak(name, violation):
-    runner = ScenarioRunner(CFG)
+    # A family of its own: no earlier run's record replaces its flow ledger.
+    runner = ScenarioRunner(dataclasses.replace(CFG))
     # Granted before the run, so also before the task is executed.
     runner.flow.grant(0, name)
     assert runner.run().infoflow_violations == (violation,)
@@ -771,6 +771,10 @@ EXECUTING = tuple(product(("honest", "no-confirm"),
 #: decision, where the family records its third fork point.
 DECIDING = (("honest", "honest"), ("no-confirm", "honest"))
 
+#: The strategy pairs that part from the others right after the opening, so
+#: a family whose first run is one of them records the opening alone.
+OPENING_ONLY = tuple(pair for pair in PAIRS if pair not in EXECUTING)
+
 #: Two families: the default, and one that charges gas, allows resubmits,
 #: delays execution and delivers through the third party.
 FORK_FAMILIES = {
@@ -817,11 +821,18 @@ def _run(config: ScenarioConfig, hook=lambda runner: None):
 
 
 @settings(max_examples=25, deadline=None)
-@given(family=fork_families, order=st.permutations(PAIRS))
+@given(family=fork_families, opener=st.sampled_from(OPENING_ONLY))
 def test_a_cell_resumed_from_the_opening_runs_as_in_a_fresh_family(
-        family, order):
-    for pair in order:
-        cell = family.with_strategies(*pair)
+        family, opener):
+    """Each cell, run after a first cell that parts right after the
+    opening, resumes from the family's record of the opening alone: a hook
+    on its delivery, a step no earlier run played, sees what a fresh run
+    delivers."""
+    for pair in PAIRS:
+        shared = dataclasses.replace(family)
+        run_scenario(shared.with_strategies(*opener))
+        assert shared.family[ScenarioRunner.claim].pending
+        cell = shared.with_strategies(*pair)
         # replace() starts a family of its own, which plays the opening.
         assert _recorded_run(cell) == _recorded_run(dataclasses.replace(cell))
 
@@ -932,13 +943,13 @@ def test_every_strategy_pair_plays_the_same_opening(family):
     for pair in PAIRS:
         config = dataclasses.replace(family.with_strategies(*pair))
         ScenarioRunner(config).run()
-        openings.append(config.family[ScenarioRunner._play_opening])
+        openings.append(config.family[ScenarioRunner.claim])
     assert openings == [openings[0]] * len(PAIRS)
     hash(openings[0][:6])  # the six snapshots are values
 
 
 @pytest.mark.parametrize("fork, pair", [
-    (ScenarioRunner._play_opening, ("honest", "claim-only")),
+    (ScenarioRunner.claim, ("honest", "claim-only")),
     (ScenarioRunner.revealed, ("honest", "compute-no-deliver")),
     (ScenarioRunner.accept, ("no-confirm", "honest")),
 ], ids=["opening", "reveal", "decision"])
@@ -963,32 +974,14 @@ def _lower_resubmit_limit(runner):
     runner.requestor.resubmit_limit = 1
 
 
-def _expect_another_measurement(runner):
-    runner.requestor.expected_measurement = bytes(32)
-
-
-def _grant_the_inputs(runner):
-    runner.flow.grant(0, "inputs")
-
-
 @pytest.mark.parametrize("hook, pair, timeouts", [
     (_lower_resubmit_limit, ("withhold-input", "honest"), 2),
-    (_expect_another_measurement, ("honest", "honest"), 4),
-    (_expect_another_measurement, ("no-confirm", "honest"), 4),
-    (_expect_another_measurement, ("honest", "compute-no-deliver"), 4),
-    (flip_first_ciphertext_bit, ("no-confirm", "honest"), 1),
-    (flip_first_ciphertext_bit, ("honest", "compute-no-deliver"), 1),
-    (_grant_the_inputs, ("no-confirm", "honest"), 0),
-    (_grant_the_inputs, ("honest", "compute-no-deliver"), 1),
 ])
 def test_a_hook_set_before_run_applies_to_a_resumed_cell(hook, pair,
                                                          timeouts):
-    """The requestor's snapshot leaves out what a hook sets: ``inspect``'s
-    resubmit limit and the measurement the requestor expects.  A runner
-    hooked after ``__init__`` (its host's ``execute``, the measurement, a
-    leak granted before ``run()``) does not resume from the reveal or the
-    confirm decision a clean honest/honest recorded: it writes what it
-    writes in a fresh family."""
+    """The requestor's snapshot leaves out ``inspect``'s resubmit limit, so
+    a limit lowered before ``run()`` binds a cell resumed from the
+    opening that a clean honest/honest recorded."""
     family = dataclasses.replace(CFG, max_resubmits=3)
     ScenarioRunner(family).run()  # records the three fork points
     assert family.family[ScenarioRunner.revealed].pending
@@ -997,47 +990,44 @@ def test_a_hook_set_before_run_applies_to_a_resumed_cell(hook, pair,
     trace, outcome, *state = _run(cell, hook)
     assert (trace, outcome, *state) == _run(dataclasses.replace(cell), hook)
     assert trace.count('"function":"timeout"') == timeouts
-    if hook is _grant_the_inputs:
-        assert outcome.infoflow_violations == ("node-host saw task0:inputs",)
 
 
 @pytest.mark.parametrize("third_party", [False, True],
                          ids=["requestor", "third-party"])
-def test_a_step_wrapped_on_its_class_later_sees_its_call(third_party,
-                                                         monkeypatch):
-    """A delivery recorder set on the class after the family recorded the
-    confirm decision sees the delivery of the cell that would resume."""
+def test_a_hook_on_a_step_the_family_already_played_never_fires(third_party):
+    """No-confirm/honest after honest/honest resumes from the confirm
+    decision, so wrappers set on its runner see none of the steps before
+    it; in a family of its own they see every one."""
     family = dataclasses.replace(CFG, deliver_to_third_party=third_party)
-    ScenarioRunner(family).run()
-    delivered = _recording_deliveries(monkeypatch)
+    run_scenario(family)
     cell = family.with_strategies("no-confirm", "honest")
-    played = _run(cell)
-    assert len(delivered) == 1
-    assert played == _run(dataclasses.replace(cell))
-    assert delivered == [delivered[0]] * 2
+    seen = []
+    for config in (cell, dataclasses.replace(cell)):
+        runner, calls = ScenarioRunner(config), []
+        for name in ("submit", "provision", "deliver"):
+            step = getattr(runner, name)
+            setattr(runner, name, lambda *args, step=step, name=name: (
+                calls.append(name), step(*args)))
+        runner.run()
+        seen.append(calls)
+    assert seen == [[], ["submit", "submit", "provision", "submit",
+                         "deliver"]]
 
 
-@pytest.mark.parametrize("family, hook", [
-    (CFG, flip_first_ciphertext_bit),
-    (CFG, _expect_another_measurement),
-    (CFG, _grant_the_inputs),
-    (dataclasses.replace(CFG, function_name="sum", inputs=("a", "b")),
-     lambda runner: None),
-], ids=["tampered", "measurement", "leak", "execution-fault"])
-def test_a_first_cell_hooked_or_never_deciding_records_none(family, hook):
-    """A hooked honest/honest records nothing, and one whose execution
-    faults ``None`` at both points: either way the clean no-confirm/honest
-    after it plays the whole run itself, and writes what it writes in a
+@pytest.mark.parametrize("family", [
+    dataclasses.replace(CFG, function_name="sum", inputs=("a", "b")),
+], ids=["execution-fault"])
+def test_a_first_cell_hooked_or_never_deciding_records_none(family):
+    """An honest/honest whose execution faults records ``None`` at the
+    reveal and the decision: the no-confirm/honest after it resumes from
+    the opening, plays the rest itself, and writes what it writes in a
     fresh family."""
     family = dataclasses.replace(family)
-    _run(family, hook)
+    _run(family)
     for point in (ScenarioRunner.revealed, ScenarioRunner.accept):
         assert family.family.get(point) is None
     cell = family.with_strategies("no-confirm", "honest")
     assert _run(cell) == _run(dataclasses.replace(cell))
-    if family.function_name != "sum":  # the clean cell got there
-        for point in (ScenarioRunner.revealed, ScenarioRunner.accept):
-            assert family.family[point].pending
 
 
 def test_a_node_holding_an_instance_restores_an_equal_copy():
