@@ -190,6 +190,33 @@ def test_delivered_bytes_unchanged(name, monkeypatch):
     assert tuple(delivered) == GOLDEN_DELIVERED.get(name, ())
 
 
+@pytest.mark.parametrize("order", ["forward", "reversed"])
+@pytest.mark.parametrize("name", sorted(golden_configs()))
+def test_pins_hold_for_a_later_cell_of_the_family(name, order, monkeypatch):
+    """The golden run as the last cell of its config family: the other
+    eight strategy pairs run first, through ``with_strategies``, so the
+    state the family shares is built by another cell.  Each run carries
+    the golden's runner hook, as every run of a hooked family must.  The
+    cell delivers the pinned bytes itself unless the family recorded the
+    confirm decision, which comes after the delivery."""
+    config = golden_configs()[name]
+    setup = RUNNER_SETUPS.get(name, lambda runner: None)
+    own = (config.requestor_strategy, config.node_strategy)
+    others = [pair for pair in PAIRS if pair != own]
+    if order == "reversed":
+        others.reverse()
+    for pair in others:
+        runner = ScenarioRunner(config.with_strategies(*pair))
+        setup(runner)
+        runner.run()
+    decided = config.family.get(ScenarioRunner.accept)
+    delivered = _recording_deliveries(monkeypatch)
+    trace_id = _trace_id(name, config.with_strategies(*own))
+    assert trace_id == GOLDEN_TRACE_IDS[name]
+    assert tuple(delivered) == (
+        () if decided else GOLDEN_DELIVERED.get(name, ()))
+
+
 def test_trace_ids_do_not_depend_on_run_order():
     """Memo state carried from one run to the next moves no trace byte."""
     names = sorted(golden_configs())
@@ -251,15 +278,25 @@ def _played(config: ScenarioConfig) -> tuple:
     return runner.trace.to_jsonl(), outcome
 
 
-def test_every_cell_of_a_payoff_matrix_equals_its_fresh_run():
+def _matrix_cases() -> dict[str, list[ScenarioConfig]]:
+    """The configs of the payoff-matrix test, by case: each golden config
+    with no runner hook, and the broad draws in ten slices of thirty."""
+    cases = {name: [config]
+             for name, config in sorted(golden_configs().items())
+             if name not in RUNNER_SETUPS}
+    broad = broad_configs()
+    cases.update({f"broad-{k}": broad[k::10] for k in range(10)})
+    return cases
+
+
+@pytest.mark.parametrize("case", list(_matrix_cases()))
+def test_every_cell_of_a_payoff_matrix_equals_its_fresh_run(case):
     """The nine cells of one config family, in ``payoff_matrix``'s order,
     so that each later cell resumes from what an earlier one recorded,
     write the trace bytes and outcome of the same cell run in a family of
     its own: on every golden config with no runner hook and every broad
     draw.  Inside the rational regime ``payoff_matrix`` returns them."""
-    configs = [config for name, config in sorted(golden_configs().items())
-               if name not in RUNNER_SETUPS] + broad_configs()
-    for config in configs:
+    for config in _matrix_cases()[case]:
         cells = {pair: _played(config.with_strategies(*pair))
                  for pair in PAIRS}
         for pair, played in cells.items():
