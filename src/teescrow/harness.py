@@ -384,8 +384,7 @@ class ScenarioRunner:
                        else (ScenarioRunner.revealed,))
         self._records = [point for point in points if point not in c.family]
         forks = [c.family.setdefault(point, None) for point in points]
-        return next((fork for fork in reversed(forks) if fork is not None),
-                    None)
+        return next(filter(None, reversed(forks)), None)
 
     def _resume(self, o: _Fork) -> None:
         """Restore a family's fork into the objects ``__init__`` built."""
@@ -434,7 +433,8 @@ class ScenarioRunner:
         """Submit the node's claim with its deposit: a fork point."""
         self.submit(self.node, ContractCall("claimTask", {"task_id": task_id}),
                     self.config.node_deposit)
-        self._record(ScenarioRunner.claim)
+        if self._records:  # skips the call once nothing is left to record
+            self._record(ScenarioRunner.claim)
 
     def instantiate(self, function_name: str, task_id: int) -> None:
         # validate() admits only built-in functions, and the host holds

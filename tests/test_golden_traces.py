@@ -27,6 +27,9 @@ from teescrow.ledger import TIERS
 
 PAIRS = tuple(product(REQUESTOR_STRATEGIES, NODE_STRATEGIES))
 
+#: The strategy pairs that share a family's record of the confirm decision.
+DECIDING = (("honest", "honest"), ("no-confirm", "honest"))
+
 
 def golden_configs() -> dict[str, ScenarioConfig]:
     cases = {
@@ -164,14 +167,18 @@ def _trace_id(name: str, config: ScenarioConfig | None = None) -> str:
     return runner.run().trace_id
 
 
+def _pinned_digest(p) -> str:
+    """What ``GOLDEN_DELIVERED`` pins of one protected result."""
+    return hashlib.sha256(p.nonce + p.ciphertext + p.signature).hexdigest()[:16]
+
+
 def _recording_deliveries(monkeypatch) -> list[str]:
     """The pinned digest of each result delivered from now on, in order."""
     deliver = ScenarioRunner.deliver
     delivered = []
 
     def recording(runner, task_id, p, destination):
-        delivered.append(hashlib.sha256(
-            p.nonce + p.ciphertext + p.signature).hexdigest()[:16])
+        delivered.append(_pinned_digest(p))
         deliver(runner, task_id, p, destination)
 
     monkeypatch.setattr(ScenarioRunner, "deliver", recording)
@@ -197,8 +204,10 @@ def test_pins_hold_for_a_later_cell_of_the_family(name, order, monkeypatch):
     eight strategy pairs run first, through ``with_strategies``, so the
     state the family shares is built by another cell.  Each run carries
     the golden's runner hook, as every run of a hooked family must.  The
-    cell delivers the pinned bytes itself unless the family recorded the
-    confirm decision, which comes after the delivery."""
+    cell delivers the pinned bytes itself unless it resumes from the
+    family's record of the confirm decision, which comes after the
+    delivery; then the protected result that the family's record of the
+    node's reveal holds, and that the cell shares, is the pinned one."""
     config = golden_configs()[name]
     setup = RUNNER_SETUPS.get(name, lambda runner: None)
     own = (config.requestor_strategy, config.node_strategy)
@@ -209,12 +218,15 @@ def test_pins_hold_for_a_later_cell_of_the_family(name, order, monkeypatch):
         runner = ScenarioRunner(config.with_strategies(*pair))
         setup(runner)
         runner.run()
-    decided = config.family.get(ScenarioRunner.accept)
+    decided = own in DECIDING and config.family.get(ScenarioRunner.accept)
     delivered = _recording_deliveries(monkeypatch)
     trace_id = _trace_id(name, config.with_strategies(*own))
     assert trace_id == GOLDEN_TRACE_IDS[name]
-    assert tuple(delivered) == (
-        () if decided else GOLDEN_DELIVERED.get(name, ()))
+    if decided:
+        assert delivered == []
+        _, done = config.family[ScenarioRunner.revealed].node
+        delivered = [_pinned_digest(p) for _, _, p in done]
+    assert tuple(delivered) == GOLDEN_DELIVERED.get(name, ())
 
 
 def test_trace_ids_do_not_depend_on_run_order():

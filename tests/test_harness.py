@@ -1014,6 +1014,22 @@ def test_a_hook_on_a_step_the_family_already_played_never_fires(third_party):
                          "deliver"]]
 
 
+def test_a_hook_on_a_family_s_first_run_reaches_every_later_cell():
+    """The family records its first run's state, hook and all: a leak
+    granted before an honest/honest's ``run()`` is in the flow ledger of
+    all three records, so every clean cell after it names the leak.  In a
+    family of its own the same cell names none."""
+    leak = ("node-host saw task0:inputs",)
+    family = dataclasses.replace(CFG)
+    runner = ScenarioRunner(family)
+    runner.flow.grant(0, "inputs")
+    assert runner.run().infoflow_violations == leak
+    for pair in PAIRS:
+        cell = family.with_strategies(*pair)
+        assert run_scenario(cell).infoflow_violations == leak, pair
+        assert run_scenario(dataclasses.replace(cell)).infoflow_violations == ()
+
+
 @pytest.mark.parametrize("family", [
     dataclasses.replace(CFG, function_name="sum", inputs=("a", "b")),
 ], ids=["execution-fault"])
