@@ -90,7 +90,7 @@ def _shown(value) -> str:
     if _is_int(value) and not _is_config_int(value):
         return f"a {value.bit_length()}-bit integer"
     if isinstance(value, dict):
-        return "{" + ", ".join(f"{key!r}: {_shown(item)}"
+        return "{" + ", ".join(f"{_shown(key)}: {_shown(item)}"
                                for key, item in value.items()) + "}"
     return repr(value)
 
@@ -105,6 +105,11 @@ def _rebuilt(value, sequence, mapping):
         for child in children:  # scalars are kept as they are
             if isinstance(child, (list, tuple, dict)):
                 if id(child) not in done:
+                    for key in child if isinstance(child, dict) else ():
+                        if not isinstance(key, str):  # as RFC 8259 asks
+                            raise ConfigInvalid("inputs must be strict JSON: "
+                                                f"the key {_shown(key)} is "
+                                                "not a string")
                     done[id(child)] = None
                     stack.append((child, iter(
                         child.values() if isinstance(child, dict) else child)))
@@ -144,7 +149,8 @@ _TYPE_CHECKS = {
     "bool": (lambda v: isinstance(v, bool), "true or false"),
     "str": (lambda v: isinstance(v, str), "a string"),
     "dict": (lambda v: (isinstance(v, dict)
-                        and all(map(_is_config_int, v.values()))),
+                        and all(isinstance(key, str) and _is_config_int(item)
+                                for key, item in v.items())),
              "an object of integers below 2**256 in magnitude"),
 }
 
@@ -223,7 +229,7 @@ class ScenarioConfig:
         if self.max_resubmits > MAX_RESUBMITS:
             raise ConfigInvalid(
                 f"max_resubmits must be at most {MAX_RESUBMITS}")
-        self.family.share(ScenarioConfig.inputs_json, self)  # trace is JSON
+        self.family.share(ScenarioConfig.json_parts, self)  # trace is JSON
         # Each of the 1 + max_resubmits tasks can lock both deposits and
         # costs each party the gas of the calls it sends for the task; a
         # timeout refunds the payment, so only one payment is at stake.
@@ -288,13 +294,21 @@ class ScenarioConfig:
         except ValueError as exc:
             raise ConfigInvalid(str(exc)) from None
 
-    def inputs_json(self) -> str:
-        """``inputs`` as canonical JSON, encoded anew; a family encodes it
-        once.  Raises ``ConfigInvalid`` for a value strict JSON cannot hold."""
+    def json_parts(self) -> tuple[str, str, str]:
+        """The config's canonical JSON around its node and requestor strategy
+        names, encoded anew; a family encodes it once.  Raises
+        ``ConfigInvalid`` for inputs strict JSON cannot hold."""
+        data = dict(vars(self), node_strategy="", requestor_strategy="")
+        del data["family"]
         try:
-            return CANONICAL_JSON.encode(self.inputs)
+            text = CANONICAL_JSON.encode(data)
         except (TypeError, ValueError, RecursionError) as exc:
             raise ConfigInvalid(f"inputs must be strict JSON: {exc}") from None
+        # Only inputs hold free text, and sort first: split at the last keys.
+        head, _, rest = text.rpartition('"node_strategy":""')
+        middle, _, tail = rest.rpartition('"requestor_strategy":""')
+        return (f'{head}"node_strategy":', f'{middle}"requestor_strategy":',
+                tail)
 
     # ------------------------------------------------------------------
 

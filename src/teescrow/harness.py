@@ -66,7 +66,8 @@ PARTY_THIRD = "third-party"
 # escaped by ``_q`` (the encoder's own ASCII escaper).  A new key or record
 # shape goes into its writer; the tests compare every line with
 # ``json.dumps``.  Names from a fixed set (function, event kind, enclave op)
-# are written unescaped.
+# are written unescaped.  The scenario line's config is the encoder's own
+# output (``ScenarioConfig.json_parts``), so a new config key needs no edit.
 _q = json.encoder.encode_basestring_ascii
 _BOOL = {True: "true", False: "false"}
 
@@ -183,9 +184,10 @@ class Trace:
             f'"taskId":{task_id},"type":"message"}}\n')
 
     def scenario(self, c: ScenarioConfig) -> None:
-        head, middle, tail = c.family.share(_scenario_line, c)
-        self._lines.append(f"{head}{_q(c.node_strategy)}{middle}"
-                           f"{_q(c.requestor_strategy)}{tail}")
+        head, middle, tail = c.family.share(ScenarioConfig.json_parts, c)
+        self._lines.append(f'{{"config":{head}{_q(c.node_strategy)}{middle}'
+                           f'{_q(c.requestor_strategy)}{tail},'
+                           f'"type":"scenario"}}\n')
 
     def contract_state(self, contract: EscrowContract) -> None:
         # Task ids are keys, so they sort as strings: "10" before "2".
@@ -225,33 +227,6 @@ class Trace:
 
     def content_id(self) -> str:
         return hashlib.sha256(self.to_jsonl().encode()).hexdigest()[:16]
-
-
-def _scenario_line(c: ScenarioConfig) -> tuple[str, str, str]:
-    """The scenario line of every run of ``c``'s family, in the three parts
-    around its node and requestor strategy names."""
-    head = (
-        f'{{"config":{{"compute_cost":{c.compute_cost},'
-        f'"confirmation_delay_per_tier":'
-        f'{_int_map(c.confirmation_delay_per_tier)},'
-        f'"deliver_to_third_party":{_BOOL[c.deliver_to_third_party]},'
-        f'"execution_delay":{c.execution_delay},"expires":{c.expires},'
-        f'"function_name":{_q(c.function_name)},'
-        f'"gas_charging":{_BOOL[c.gas_charging]},'
-        f'"gas_per_function":{_int_map(c.gas_per_function)},'
-        f'"gas_price_per_tier":{_int_map(c.gas_price_per_tier)},'
-        f'"include_gas_in_payoffs":{_BOOL[c.include_gas_in_payoffs]},'
-        f'"initial_balance":{c.initial_balance},"inputs":'
-        f'{c.family.share(ScenarioConfig.inputs_json, c)},'
-        f'"max_resubmits":{c.max_resubmits},'
-        f'"node_deposit":{c.node_deposit},"node_strategy":')
-    middle = (f',"payment":{c.payment},'
-              f'"requestor_deposit":{c.requestor_deposit},'
-              f'"requestor_strategy":')
-    tail = (f',"rng_seed":{c.rng_seed},"threshold":{c.threshold},'
-            f'"tier":{_q(c.tier)},"value_of_result":{c.value_of_result}}},'
-            f'"type":"scenario"}}\n')
-    return head, middle, tail
 
 
 def _image(c: ScenarioConfig) -> FunctionImage:
@@ -633,10 +608,11 @@ def latency_report(tier: str, config: ScenarioConfig | None = None) -> dict:
     config = replace(config, tier=tier,
                      requestor_strategy=REQUESTOR_HONEST,
                      node_strategy=NODE_HONEST)
-    outcome = run_scenario(config)
+    config.validate()
     if not config.in_time:
         raise ConfigInvalid(f"the result arrives late at {tier}: need 2 * "
                             "confirmation delay + execution_delay <= expires")
+    outcome = run_scenario(config)
     return {
         "tier": tier,
         "confirmationDelaySeconds":

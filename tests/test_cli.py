@@ -919,6 +919,15 @@ def _config_fields(draw):
         fields.update((name, fields[name] * factor) for name in amounts)
         fields["gas_price_per_tier"] = {
             tier: price * factor for tier, price in prices.items()}
+    # In one draw of eight, the inputs of ``sum`` are an object whose keys
+    # are not strings, which JSON would write as strings: the run would add
+    # the keys it has, and the replay fault on the ones the trace holds.
+    if draw(st.sampled_from([False] * 7 + [True])):
+        keys = draw(st.sampled_from(
+            [st.none(), st.booleans(), st.integers(), st.floats()]))
+        fields["function_name"] = "sum"
+        fields["inputs"] = draw(st.dictionaries(keys, _JSON_VALUES,
+                                                min_size=1, max_size=3))
     # In one draw of four, one integer field or override map subclassed.
     if draw(st.sampled_from([False, False, False, True])):
         wrapped = draw(st.sampled_from(

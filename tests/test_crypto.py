@@ -278,7 +278,8 @@ print(json.dumps([outcome.trace_id, "cryptography" in sys.modules]))
 
 def _fresh(script, *args):
     """The JSON value a script prints, run in a new interpreter."""
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
     done = subprocess.run([sys.executable, "-c", script, *args], env=env,
                           capture_output=True, text=True, check=False)
     assert done.returncode == 0, done.stderr

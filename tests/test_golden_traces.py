@@ -73,6 +73,11 @@ def golden_configs() -> dict[str, ScenarioConfig]:
         "n\u00f6n-ASCII \u2713 \U0001f600",
         [[1.5, None], [[-0.25]], []], {"b": [None], "a": 1},
         True, False, 2**64 + 1))
+    # Inputs that hold both strategy keys with empty names, as an object
+    # and as a string: the scenario writer splits at the config's own keys.
+    cases["strategy-keys-in-inputs"] = ScenarioConfig(inputs=(
+        {"node_strategy": "", "requestor_strategy": ""},
+        '"node_strategy":""'))
     return cases
 
 
@@ -131,6 +136,7 @@ GOLDEN_TRACE_IDS = {
     "claim-only-chain-3": "3f5ecbc7f798f6d8",
     "withhold-claim-only-chain-3": "efd4f4f9c63d7309",
     "compute-no-deliver-chain-3": "d4e7597f86bc096b",
+    "strategy-keys-in-inputs": "cee21dd9a930c267",
 }
 
 
@@ -151,6 +157,7 @@ GOLDEN_DELIVERED = {
     "no-confirm/honest/slow": ("e1b20e5fc19cf4d9",),
     "no-confirm/honest/standard": ("e1b20e5fc19cf4d9",),
     "sha256-hex-64": ("034167c09f28365b",),
+    "strategy-keys-in-inputs": ("74dcd51f077677f8",),
     "sum-64": ("273cb599285fc6ce",),
     "third-party": ("e1b20e5fc19cf4d9",),
 }

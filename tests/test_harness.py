@@ -501,6 +501,18 @@ def test_inputs_strict_json_cannot_hold_are_invalid(inputs):
     assert trace.to_jsonl() == ""
 
 
+@pytest.mark.parametrize("key", [1, 2.5, True, None, 2**300],
+                         ids=["int", "float", "bool", "none", "wide-int"])
+def test_inputs_with_a_key_that_is_not_a_string_are_invalid(key):
+    # JSON would write the key as a string, so the trace would not replay
+    # the run: the enclave sums the int key, the replay a string.
+    with pytest.raises(ConfigInvalid, match="^inputs must be strict JSON: "
+                                            "the key .* is not a string"):
+        ScenarioConfig(function_name="sum", inputs={key: 2})
+    with pytest.raises(ConfigInvalid, match="^inputs must be strict JSON"):
+        ScenarioConfig(function_name="sum", inputs=[1, [{"a": {key: 2}}]])
+
+
 def test_with_strategies_configs_share_one_inputs_encoding(monkeypatch):
     encoded = []
     encoder = crypto.CANONICAL_JSON
@@ -525,8 +537,11 @@ def test_with_strategies_configs_share_one_inputs_encoding(monkeypatch):
     assert encoded == []  # deriving the configs encodes nothing
     shared_traces = [trace_of(config) for config in shared]
     assert len(encoded) == 1  # validate() encodes, the writer reuses it
-    assert (shared[0].family.share(ScenarioConfig.inputs_json, shared[0])
-            == crypto.CANONICAL_JSON.encode(base.inputs))
+    head, middle, tail = shared[0].family.share(ScenarioConfig.json_parts,
+                                                shared[0])
+    r, n = (json.dumps(name) for name in pairs[0])
+    assert (head + n + middle + r + tail
+            == crypto.CANONICAL_JSON.encode(shared[0].to_json_obj()))
     assert shared_traces == [trace_of(config) for config in alone]
     assert len(encoded) == 1 + len(pairs)
     # A config replaced after a run writes its own inputs.
@@ -691,8 +706,11 @@ def test_config_validation_errors():
     ("node_deposit", -1.0),
     # Accepted, it wrote "execution_delay":seven into the trace.
     ("execution_delay", FormatsAsSeven(7)),
+    # Refused with a TypeError traceback while sorting the unknown keys.
+    ("gas_per_function", {1: 5, "bogus": 3}),
 ], ids=["string-amount", "float-seconds", "int-flag", "nan-gas",
-        "inf-delay", "float-price", "float-derive-deposit", "int-subclass"])
+        "inf-delay", "float-price", "float-derive-deposit", "int-subclass",
+        "int-key"])
 def test_wrong_typed_field_is_invalid_however_built(build, name, value):
     with pytest.raises(ConfigInvalid, match=f"^{name} must be "):
         build(**{name: value})
@@ -1391,6 +1409,16 @@ def test_latency_zero_delay_tier():
     report = latency_report("standard", config)
     assert report["totalSeconds"] == 50
     assert report["onChainSeconds"] == 0
+
+
+def test_latency_refuses_a_late_result_before_any_run(monkeypatch):
+    def no_run(runner):
+        raise AssertionError("ran a scenario")
+
+    monkeypatch.setattr(ScenarioRunner, "run", no_run)
+    config = dataclasses.replace(CFG, execution_delay=5000)
+    with pytest.raises(ConfigInvalid, match="arrives late at standard"):
+        latency_report("standard", config)
 
 
 # ----------------------------------------------------------------------

@@ -4,40 +4,31 @@ library only (Python 3.11+).
     PYTHONPATH=src python tests/tools/linecover.py [pytest arguments]
 
 Runs pytest in this process under ``sys.settrace`` and prints each line of
-a function body under ``src/`` that never ran and that ``ALLOWED`` does not
-name.  Exits 1 if it printed one, or if an entry of ``ALLOWED`` names a line
-that ran or no longer exists; otherwise with pytest's exit code.  The tests
-that start a fresh interpreter are not followed.
+a function body under ``src/`` that never ran.  Exits 1 if it printed one;
+otherwise with pytest's exit code.  The tests that start a fresh interpreter
+are followed: a ``sitecustomize`` on a directory prepended to
+``PYTHONPATH`` starts the same tracer in each child, which writes the lines
+it ran to a file in that directory, and this process merges the files.
 """
 
+import atexit
 import inspect
+import json
 import os
 import sys
+import tempfile
 from pathlib import Path
-
-import pytest
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "teescrow"
 
-_CLOSED_STDOUT = ("a closed standard output: only a fresh interpreter meets "
-                  "it (test_closed_stdout_exits_quietly)")
-_TAG = ("a tampered AEAD tag: tested only as a fresh interpreter's first "
-        "backend call (test_first_call_into_the_backend_catches_its_own_"
-        "exceptions)")
-
-#: (file, function, source text, why the test process never runs it).
-ALLOWED = {
-    ("cli.py", "main", "devnull = os.open(os.devnull, os.O_WRONLY)",
-     _CLOSED_STDOUT),
-    ("cli.py", "main", "os.dup2(devnull, sys.stdout.fileno())",
-     _CLOSED_STDOUT),
-    ("cli.py", "main", "os.close(devnull)", _CLOSED_STDOUT),
-    ("cli.py", "main", "return EXIT_CLOSED_STDOUT", _CLOSED_STDOUT),
-    ("crypto.py", "open_result", "except backend.InvalidTag:", _TAG),
-    ("crypto.py", "open_result",
-     'raise TamperDetected("authentication tag check failed") from None',
-     _TAG),
-}
+#: The ``sitecustomize`` each fresh interpreter imports as it starts.
+_SITECUSTOMIZE = """\
+import sys
+sys.path.insert(0, {tools!r})
+import linecover
+sys.path.pop(0)
+linecover.follow({site!r})
+"""
 
 
 def body_lines(path: Path) -> dict:
@@ -54,8 +45,10 @@ def body_lines(path: Path) -> dict:
     return lines
 
 
-def main(args: list[str]) -> int:
-    ran, files = set(), {}
+def tracer(ran: set):
+    """A ``sys.settrace`` function that adds (file name, line) to ``ran``
+    for each line of ``src/`` that runs."""
+    files = {}
 
     def line(frame, event, _):
         if event == "line":
@@ -69,28 +62,48 @@ def main(args: list[str]) -> int:
             files[name] = path.name if path.parent == SRC else None
         return line if files[name] else None
 
-    sys.settrace(call)
-    try:
-        status = pytest.main(args)
-    finally:
-        sys.settrace(None)
-    allowed = {entry[:3] for entry in ALLOWED}
-    unused, missed, total = set(allowed), [], 0
+    return call
+
+
+def follow(site: str) -> None:
+    """Trace this fresh interpreter, and write the lines it ran to a new
+    file in ``site`` as it exits."""
+    ran = set()
+    sys.settrace(tracer(ran))
+
+    def write():
+        handle, _ = tempfile.mkstemp(suffix=".json", dir=site)
+        with open(handle, "w") as out:
+            json.dump(sorted(ran), out)
+
+    atexit.register(write)
+
+
+def main(args: list[str]) -> int:
+    import pytest  # here, not above: every followed child imports this file
+
+    ran = set()
+    with tempfile.TemporaryDirectory() as site:
+        Path(site, "sitecustomize.py").write_text(_SITECUSTOMIZE.format(
+            tools=str(Path(__file__).resolve().parent), site=site))
+        os.environ["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (site, os.environ.get("PYTHONPATH"))))
+        sys.settrace(tracer(ran))
+        try:
+            status = pytest.main(args)
+        finally:
+            sys.settrace(None)
+        for path in Path(site).glob("*.json"):
+            ran.update(map(tuple, json.loads(path.read_text())))
+    missed, total = [], 0
     for path in sorted(SRC.glob("*.py")):
         source, lines = path.read_text().splitlines(), body_lines(path)
         total += len(lines)
-        for key, function in sorted(lines.items()):
-            entry = (path.name, function, source[key[1] - 1].strip())
-            if key in ran:
-                continue
-            if entry in allowed:
-                unused.discard(entry)
-            else:
-                missed.append(f"never ran: {path.name}:{key[1]} "
-                              f"{function}: {entry[2]}")
-    missed += [f"allowed, but ran or gone: {entry}" for entry in unused]
-    print("\n".join(missed)
-          or f"each of {total} function-body lines ran or is allowed")
+        missed += [f"never ran: {path.name}:{n} {function}: "
+                   f"{source[n - 1].strip()}"
+                   for (_, n), function in sorted(lines.items())
+                   if (path.name, n) not in ran]
+    print("\n".join(missed) or f"each of {total} function-body lines ran")
     return 1 if missed else status
 
 
