@@ -72,13 +72,15 @@ class RequestorActor:
     """The requesting device: submits, attests, provisions, confirms."""
 
     def __init__(self, config: ScenarioConfig, rng: ByteStream,
-                 expected_measurement: bytes) -> None:
+                 expected_measurement: bytes,
+                 state: tuple = ((), False, 0, 0)) -> None:
+        """Built from a ``snapshot()``, by default one before any step; it
+        sets ``rng`` to the snapshot's position."""
         self.config = config
         self.rng = rng
         self.expected_measurement = expected_measurement
-        self.received_valid_result = False
-        self._keys_by_task: dict[int, _TaskKeys] = {}
-        self.resubmits = 0
+        keys, self.received_valid_result, self.resubmits, rng.pos = state
+        self._keys_by_task: dict[int, _TaskKeys] = dict(keys)
         # Read only after an accepted timeout, so lowering it before a run
         # to the number of resubmits that run made changes nothing.
         self.resubmit_limit = config.max_resubmits
@@ -87,10 +89,6 @@ class RequestorActor:
         """What protocol steps write: not a hook's measurement or limit."""
         return (tuple(self._keys_by_task.items()), self.received_valid_result,
                 self.resubmits, self.rng.pos)
-
-    def restore(self, state: tuple) -> None:
-        keys, self.received_valid_result, self.resubmits, self.rng.pos = state
-        self._keys_by_task = dict(keys)
 
     def verify_key(self, task_id: int) -> bytes:
         """The public key that checks the signature on a task's result."""
@@ -164,11 +162,16 @@ class RequestorActor:
 class ExecutionNodeActor:
     """The executing node's untrusted host-side client."""
 
-    def __init__(self, config: ScenarioConfig) -> None:
+    def __init__(self, config: ScenarioConfig,
+                 state: tuple = ((), ())) -> None:
+        """Built from a ``snapshot()``, by default one before any step."""
         self.config = config
-        self._function_by_task: dict[int, str] = {}
+        functions, done = state
+        self._function_by_task: dict[int, str] = dict(functions)
         self._done_by_task: dict[
-            int, tuple[EnclaveInstance, ProtectedResult]] = {}
+            int, tuple[EnclaveInstance, ProtectedResult]] = {
+                task_id: (EnclaveInstance(*fields), protected)
+                for task_id, fields, protected in done}
 
     _instance_values = attrgetter(*EnclaveInstance.__slots__)
 
@@ -179,12 +182,6 @@ class ExecutionNodeActor:
                 tuple((task_id, self._instance_values(instance), protected)
                       for task_id, (instance, protected)
                       in self._done_by_task.items()))
-
-    def restore(self, state: tuple) -> None:
-        functions, done = state
-        self._function_by_task = dict(functions)
-        self._done_by_task = {task_id: (EnclaveInstance(*fields), protected)
-                              for task_id, fields, protected in done}
 
     def step(self, run: ScenarioRunner, handler, *args) -> None:
         handler(self, run, *args)

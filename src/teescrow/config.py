@@ -208,6 +208,11 @@ class ScenarioConfig:
             )
         if self.node_strategy not in NODE_STRATEGIES:
             raise ConfigInvalid(f"unknown node strategy {self.node_strategy!r}")
+        self.family.share(ScenarioConfig._validate_family, self)
+
+    def _validate_family(self) -> None:
+        """``validate()``'s checks that read no strategy, run once per
+        family (``Family.share``)."""
         if self.tier not in TIERS:
             raise ConfigInvalid(f"unknown tier {self.tier!r}")
         if self.threshold <= 0:

@@ -70,16 +70,14 @@ class InfoFlowLedger:
     """The task values granted to the node host that it may not hold,
     keyed by task id."""
 
-    def __init__(self) -> None:
-        self._executed: set[int] = set()
-        self._leaks: set[tuple[int, int]] = set()  # (task id, HOST_LEAKS index)
+    def __init__(self, state: tuple = (frozenset(), frozenset())) -> None:
+        """Built from a ``snapshot()``, by default an empty one."""
+        # Task ids, and (task id, HOST_LEAKS index) pairs.
+        self._executed, self._leaks = map(set, state)
 
     def snapshot(self) -> tuple:
         """The executed tasks and the leaks, as order-free values."""
         return frozenset(self._executed), frozenset(self._leaks)
-
-    def restore(self, state: tuple) -> None:
-        self._executed, self._leaks = map(set, state)
 
     def executed(self, task_id: int) -> None:
         self._executed.add(task_id)
@@ -185,25 +183,22 @@ class EnclaveHost:
     """
 
     def __init__(self, images: dict[str, FunctionImage], flow: InfoFlowLedger,
-                 rng: ByteStream) -> None:
+                 rng: ByteStream, state: tuple = (0, 0, frozenset(), 0)) -> None:
+        """Built from a ``snapshot()``, by default a fresh host's; it sets
+        ``rng`` to the snapshot's position."""
         self.images = images  # the instantiable images, keyed by name
         self.flow = flow
         # Drawn from at attestation and execution only, so a run that never
         # attests never seeds a generator for it.
         self.rng = rng
-        self.resource_consumed = 0
-        self._instance_counter = 0
-        self._seen_nonces: set[bytes] = set()
+        (self._instance_counter, self.resource_consumed, nonces,
+         rng.pos) = state
+        self._seen_nonces = set(nonces)
 
     def snapshot(self) -> tuple:
         """Instances made, resource consumed, nonces seen, stream position."""
         return (self._instance_counter, self.resource_consumed,
                 frozenset(self._seen_nonces), self.rng.pos)
-
-    def restore(self, state: tuple) -> None:
-        (self._instance_counter, self.resource_consumed, nonces,
-         self.rng.pos) = state
-        self._seen_nonces = set(nonces)
 
     # -- lifecycle ------------------------------------------------------
 

@@ -190,7 +190,8 @@ class Trace:
                            f'"type":"scenario"}}\n')
 
     def contract_state(self, contract: EscrowContract) -> None:
-        # Task ids are keys, so they sort as strings: "10" before "2".
+        # Task ids are keys, so they sort as strings: "10" before "2".  A
+        # state is a str enum, so ``_q`` writes its value.
         tasks = ",".join(
             f'"{task_id}":{{'
             f'"claimed":{_BOOL[t.execution_node != NULL_ACCOUNT]},'
@@ -201,7 +202,7 @@ class Trace:
             f'"hashLock":"{t.hash_lock.hex()}","payment":{t.payment},'
             f'"requestor":"{t.requestor.hex()}",'
             f'"requestorDeposit":{t.requestor_deposit},"start":{t.start},'
-            f'"state":"{t.state.value}"}}'
+            f'"state":{_q(t.state)}}}'
             for task_id, t in sorted(
                 (str(task_id), t) for task_id, t in contract.tasks.items()))
         self._lines.append(
@@ -280,39 +281,64 @@ _Fork = namedtuple("_Fork", "ledger contract requestor node host flow lines "
                             "pending last_receipt_time")
 
 
+def _start(c: ScenarioConfig) -> _Fork:
+    """The family's record before any step, where its first run resumes:
+    each account holds ``initial_balance``, and the requestor's
+    ``on_start`` is the one queued call."""
+    return _Fork(((0, 0, c.initial_balance, c.initial_balance), 0, 0, 0, ()),
+                 (0, ()), ((), False, 0, 0), ((), ()), (0, 0, frozenset(), 0),
+                 (frozenset(), frozenset()), (),
+                 ((0, "requestor", RequestorActor.on_start, ()),), 0)
+
+
 class ScenarioRunner:
     """One deterministic protocol run for a single task.  It shares every
-    step its config family's earlier runs played alike, resuming from the
-    family's record (``_record``), so a run hooked before ``run()`` needs a
-    family of its own (``dataclasses.replace``)."""
+    step its config family's earlier runs played alike: when built, it
+    picks the latest record (``_record``) of the family that it shares, or
+    the family's start record, and builds its objects from it.  So a run
+    hooked before ``run()`` needs a family of its own
+    (``dataclasses.replace``)."""
 
     def __init__(self, config: ScenarioConfig) -> None:
         config.validate()
         self.config = config
+        family = config.family
+        points = _FORK_POINTS[config.requestor_strategy, config.node_strategy]
+        self._records, fork = [], family.share(_start, config)
+        for point in points:  # a claimed point holds None until it is passed
+            if point not in family:
+                self._records.append(point)
+            fork = family.setdefault(point, None) or fork
         self.ledger = Ledger(
-            config.family.share(ScenarioConfig.gas_schedule, config),
+            family.share(ScenarioConfig.gas_schedule, config),
             gas_charging=config.gas_charging)
         self.contract = EscrowContract(self.ledger, config.threshold)
+        # The supply is the config's; run() checks the record against it.
         self.requestor_account = self.ledger.create_account(
             config.initial_balance)
         self.node_account = self.ledger.create_account(config.initial_balance)
-        self.flow = InfoFlowLedger()
-        image = config.family.share(_image, config)
+        self.ledger.restore(fork.ledger)
+        self.contract.restore(fork.contract)
+        self.flow = InfoFlowLedger(fork.flow)
+        image = family.share(_image, config)
         self.host = EnclaveHost({image.name: image}, self.flow,
-                                ByteStream(f"{config.rng_seed}:host"))
+                                ByteStream(f"{config.rng_seed}:host"),
+                                fork.host)
         self.requestor = RequestorActor(
             config, ByteStream(f"{config.rng_seed}:requestor"),
-            image.measurement)
-        self.node = ExecutionNodeActor(config)
+            image.measurement, fork.requestor)
+        self.node = ExecutionNodeActor(config, fork.node)
         self.third_party = ThirdParty()
         self.trace = Trace()
+        self.trace.scenario(config)
+        self.trace._lines += fork.lines
         # A heap of (time, seq, party, handler, args), each run as
         # party.step(self, handler, *args) at max(time, ledger clock).
-        self._queue: list = []
         self._seq = count()  # equal times run in queue order
-        self._last_receipt_time = 0
+        self._queue = [(time, next(self._seq), getattr(self, role), h, args)
+                       for time, role, h, args in fork.pending]  # a heap
+        self._last_receipt_time = fork.last_receipt_time
         self._ran = False
-        self._records: list = []  # the fork points it records
 
     # ------------------------------------------------------------------
 
@@ -320,13 +346,8 @@ class ScenarioRunner:
         if self._ran:
             raise RuntimeError("a runner is single-use")
         self._ran = True
-        self.trace.scenario(self.config)
-        fork = self._recorded()
-        if fork is None:
-            self.requestor.step(self, RequestorActor.on_start)
-        else:
-            self._resume(fork)
         queue, ledger = self._queue, self.ledger
+        ledger.assert_conservation()  # the record's balances, the supply
         while queue:
             time, _, party, handler, args = heappop(queue)
             if handler is RequestorActor.on_expiry:
@@ -343,36 +364,6 @@ class ScenarioRunner:
     def _queue_call(self, party, handler, *args, at: int | None = None):
         heappush(self._queue, (self.ledger.now if at is None else at,
                                next(self._seq), party, handler, args))
-
-    def _recorded(self) -> _Fork | None:
-        """The family's latest record that this run shares: the node's
-        claim, which every run plays alike; the node's reveal, if the
-        requestor provisions and the node executes; the confirm decision,
-        if the node is also honest.  The family's first run to pass each
-        point records it, or ``None`` if it never gets there."""
-        c = self.config
-        points = (ScenarioRunner.claim,)
-        if (c.node_strategy != NODE_CLAIM_ONLY
-                and c.requestor_strategy != REQUESTOR_WITHHOLD_INPUT):
-            points += ((ScenarioRunner.revealed, ScenarioRunner.accept)
-                       if c.node_strategy == NODE_HONEST
-                       else (ScenarioRunner.revealed,))
-        self._records = [point for point in points if point not in c.family]
-        forks = [c.family.setdefault(point, None) for point in points]
-        return next(filter(None, reversed(forks)), None)
-
-    def _resume(self, o: _Fork) -> None:
-        """Restore a family's fork into the objects ``__init__`` built."""
-        self.ledger.restore(o.ledger)
-        self.contract.restore(o.contract)
-        self.requestor.restore(o.requestor)
-        self.node.restore(o.node)
-        self.host.restore(o.host)
-        self.flow.restore(o.flow)
-        self.trace._lines += o.lines
-        self._queue = [(time, next(self._seq), getattr(self, role), h, args)
-                       for time, role, h, args in o.pending]  # sorted: a heap
-        self._last_receipt_time = o.last_receipt_time
 
     # ------------------------------------------------------------------
     # The protocol steps the parties take.  Each applies at once, writes
@@ -495,13 +486,12 @@ class ScenarioRunner:
     # ------------------------------------------------------------------
 
     def _finish(self) -> ScenarioOutcome:
-        cfg = self.config
-        gas_requestor = self.ledger.gas_cost_by_account.get(
-            self.requestor_account, 0)
-        gas_node = self.ledger.gas_cost_by_account.get(self.node_account, 0)
-        requestor_delta = (self.ledger.balance(self.requestor_account)
+        cfg, ledger = self.config, self.ledger
+        gas_requestor = ledger.gas_cost_by_account.get(self.requestor_account, 0)
+        gas_node = ledger.gas_cost_by_account.get(self.node_account, 0)
+        requestor_delta = (ledger.balance(self.requestor_account)
                            - cfg.initial_balance)
-        node_delta = self.ledger.balance(self.node_account) - cfg.initial_balance
+        node_delta = ledger.balance(self.node_account) - cfg.initial_balance
         if not cfg.include_gas_in_payoffs:
             requestor_delta += gas_requestor
             node_delta += gas_node
@@ -509,10 +499,13 @@ class ScenarioRunner:
                           if self.requestor.received_valid_result else 0)
         self.trace.contract_state(self.contract)
         trace_id = self.trace.content_id()
-        outcome = ScenarioOutcome(
+        # Its fields set at once: a frozen dataclass's __init__ pays for
+        # object.__setattr__ on each.
+        outcome = object.__new__(ScenarioOutcome)
+        outcome.__dict__.update(
             requestor_payoff=requestor_delta + value_received,
             node_payoff=node_delta - self.host.resource_consumed,
-            locked_in_contract=self.ledger.balance(CONTRACT_ACCOUNT),
+            locked_in_contract=ledger.balance(CONTRACT_ACCOUNT),
             gas_by_party={"requestor": gas_requestor, "node": gas_node},
             trace_id=trace_id,
             received_valid_result=self.requestor.received_valid_result,
@@ -524,6 +517,19 @@ class ScenarioRunner:
         )
         self.trace.outcome(outcome)
         return outcome
+
+
+#: Each strategy pair's fork points, in the order its run passes them: the
+#: node's claim, which every run plays alike; the node's reveal, if the
+#: requestor provisions and the node executes; the confirm decision, if the
+#: node is also honest.  The family's first run to pass each point records
+#: it, or ``None`` if it never gets there.
+_FORK_POINTS = {
+    (r, n): (ScenarioRunner.claim,) + (
+        () if n == NODE_CLAIM_ONLY or r == REQUESTOR_WITHHOLD_INPUT
+        else (ScenarioRunner.revealed, ScenarioRunner.accept)
+        if n == NODE_HONEST else (ScenarioRunner.revealed,))
+    for r in REQUESTOR_STRATEGIES for n in NODE_STRATEGIES}
 
 
 def run_scenario(config: ScenarioConfig) -> ScenarioOutcome:

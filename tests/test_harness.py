@@ -21,6 +21,7 @@ from test_golden_traces import (
 from teescrow import config as config_module
 from teescrow import harness as harness_module
 from teescrow import crypto, streams
+from teescrow.streams import ByteStream
 from teescrow.actors import ExecutionNodeActor, RequestorActor
 from teescrow.config import (
     NODE_STRATEGIES,
@@ -37,9 +38,11 @@ from teescrow.contract import (
 )
 from teescrow.enclave import (
     BUILTIN_BODIES,
+    EnclaveHost,
     EnclaveInstance,
     EnclaveState,
     FunctionImage,
+    InfoFlowLedger,
 )
 from teescrow.harness import (
     ScenarioOutcome,
@@ -684,12 +687,43 @@ def test_config_validation_errors():
     ]:
         with pytest.raises(ConfigInvalid, match=f"^{message}$"):
             ScenarioRunner(dataclasses.replace(CFG, **{name: value}))
-    # validate() runs in full for every cell, also once its family ran.
+
+
+@pytest.mark.parametrize("pair, message", [
+    (("bogus", "honest"), "unknown requestor strategy 'bogus'"),
+    (("honest", "bogus"), "unknown node strategy 'bogus'"),
+], ids=["requestor", "node"])
+def test_a_cell_checks_its_strategies_after_its_family_validated(pair,
+                                                                 message):
+    """The checks that read no strategy run once per family; the two
+    strategy checks run on every call, also once the family ran."""
     family = dataclasses.replace(CFG)
     payoff_matrix(family)
-    with pytest.raises(ConfigInvalid,
-                       match="^unknown requestor strategy 'bogus'$"):
-        ScenarioRunner(family.with_strategies("bogus", "honest"))
+    cell = family.with_strategies(*pair)
+    for _ in range(2):
+        with pytest.raises(ConfigInvalid, match=f"^{message}$"):
+            cell.validate()
+    with pytest.raises(ConfigInvalid, match=f"^{message}$"):
+        ScenarioRunner(cell)
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"tier": "medium"}, "unknown tier 'medium'"),
+    ({"initial_balance": 10}, "initial_balance cannot fund the requestor"),
+    ({"inputs": (float("nan"),)}, "inputs must be strict JSON: "),
+    ({"function_name": "nope"}, "unknown function 'nope'"),
+], ids=["range", "funding", "strict-json", "function"])
+def test_a_family_whose_shared_checks_fail_raises_from_every_cell(
+        overrides, message):
+    """A failed family check is not kept as passed: every call from every
+    cell raises it again."""
+    family = dataclasses.replace(CFG, **overrides)
+    for _ in range(2):
+        for pair in PAIRS:
+            with pytest.raises(ConfigInvalid, match=f"^{message}"):
+                family.with_strategies(*pair).validate()
+    with pytest.raises(ConfigInvalid, match=f"^{message}"):
+        ScenarioRunner(family)
 
 
 @pytest.mark.parametrize("build", [
@@ -966,6 +1000,84 @@ def test_every_strategy_pair_plays_the_same_opening(family):
     hash(openings[0][:6])  # the six snapshots are values
 
 
+#: The three fork points in the order a run passes them.
+FORK_POINTS = (ScenarioRunner.claim, ScenarioRunner.revealed,
+               ScenarioRunner.accept)
+
+
+@pytest.mark.parametrize("pair", PAIRS, ids="/".join)
+@pytest.mark.parametrize("family", FORK_FAMILIES.values(),
+                         ids=FORK_FAMILIES.keys())
+def test_a_pair_records_exactly_its_fork_points(family, pair):
+    """A fresh family that runs only ``pair`` records, not ``None``, each
+    point the pair passes: the claim always, the reveal if it executes, the
+    decision if it also decides.  So each pair's table of fork points
+    cannot drift from what its actors do."""
+    config = dataclasses.replace(family).with_strategies(*pair)
+    ScenarioRunner(config).run()
+    expected = tuple(point for point, passes in zip(
+        FORK_POINTS, (True, pair in EXECUTING, pair in DECIDING)) if passes)
+    assert harness_module._FORK_POINTS[pair] == expected
+    assert tuple(point for point in FORK_POINTS
+                 if config.family.get(point) is not None) == expected
+
+
+def test_the_start_record_is_what_fresh_objects_snapshot():
+    """A family's first run resumes from its start record: the state of
+    freshly built objects, with the requestor's ``on_start`` queued."""
+    start = harness_module._start(CFG)
+    ledger = Ledger()
+    for _ in range(2):
+        ledger.create_account(CFG.initial_balance)
+    flow = InfoFlowLedger()
+    assert start[:6] == (
+        ledger.snapshot(), EscrowContract(ledger, CFG.threshold).snapshot(),
+        RequestorActor(CFG, ByteStream(0), b"").snapshot(),
+        ExecutionNodeActor(CFG).snapshot(),
+        EnclaveHost({}, flow, ByteStream(0)).snapshot(), flow.snapshot())
+    assert start[6:] == ((), ((0, "requestor", RequestorActor.on_start, ()),),
+                         0)
+
+
+def test_a_runner_picks_its_record_when_it_is_built():
+    """Of two runners of a fresh family built before either runs, the
+    second finds only the start record, and the first claimed every fork
+    point: the second plays every step itself and writes what a fresh
+    family writes."""
+    family = dataclasses.replace(CFG)
+    cell = family.with_strategies("no-confirm", "honest")
+    first, second = ScenarioRunner(family), ScenarioRunner(cell)
+    calls = []
+    for name in ("submit", "provision", "deliver"):
+        step = getattr(second, name)
+        setattr(second, name, lambda *args, step=step, name=name: (
+            calls.append(name), step(*args)))
+    first.run()
+    outcome = second.run()
+    assert calls == ["submit", "submit", "provision", "submit", "deliver"]
+    assert (second.trace.to_jsonl(), outcome) == _run(
+        dataclasses.replace(cell))[:2]
+
+
+@pytest.mark.parametrize("fork, pair", [
+    (ScenarioRunner.claim, ("honest", "claim-only")),
+    (ScenarioRunner.revealed, ("honest", "compute-no-deliver")),
+    (ScenarioRunner.accept, ("no-confirm", "honest")),
+], ids=["opening", "reveal", "decision"])
+def test_a_leak_granted_after_a_resumed_cell_is_built_shows(fork, pair):
+    """A runner builds its flow ledger from its record when it is built, so
+    a leak granted before ``run()`` stays, as in a family of its own."""
+    family = dataclasses.replace(CFG)
+    run_scenario(family)
+    assert family.family[fork].pending
+    leak = ("node-host saw task0:inputs",)
+    for config in (family.with_strategies(*pair),
+                   dataclasses.replace(family.with_strategies(*pair))):
+        runner = ScenarioRunner(config)
+        runner.flow.grant(0, "inputs")
+        assert runner.run().infoflow_violations == leak
+
+
 @pytest.mark.parametrize("fork, pair", [
     (ScenarioRunner.claim, ("honest", "claim-only")),
     (ScenarioRunner.revealed, ("honest", "compute-no-deliver")),
@@ -1082,8 +1194,7 @@ def test_a_node_holding_an_instance_restores_an_equal_copy():
     runner.run()
     [(state, original, as_held, protected)] = held
     hash(state)
-    node = ExecutionNodeActor(CFG)
-    node.restore(state)
+    node = ExecutionNodeActor(CFG, state)
     assert node.snapshot() == state
     [(instance, restored_protected)] = node._done_by_task.values()
     assert instance == as_held
