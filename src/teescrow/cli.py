@@ -143,20 +143,31 @@ def _cmd_scenario(args) -> int:
     return 1 if outcome.infoflow_violations else 0
 
 
+def _payoff_matrices(args) -> list:
+    """The (config, payoff matrix) of each entry ``payoffs`` prints, all
+    built first, so a refused grid entry leaves nothing printed."""
+    if not args.grid:
+        config = _load_config(args.config, args.seed)
+        return [(config, payoff_matrix(config))]
+    entries = load_json_file(args.grid, "grid")
+    if not isinstance(entries, list):
+        raise ConfigInvalid("grid file must hold a JSON list")
+    matrices = []
+    for entry, data in enumerate(entries, 1):
+        try:
+            config = ScenarioConfig.from_dict(data)
+            if args.seed is not None:
+                config = replace(config, rng_seed=args.seed)
+            matrices.append((config, payoff_matrix(config)))
+        except ConfigInvalid as exc:
+            raise ConfigInvalid(f"entry {entry}: {exc}") from None
+    return matrices
+
+
 def _cmd_payoffs(args) -> int:
-    if args.grid:
-        entries = load_json_file(args.grid, "grid")
-        if not isinstance(entries, list):
-            raise ConfigInvalid("grid file must hold a JSON list")
-        configs = [ScenarioConfig.from_dict(entry) for entry in entries]
-        if args.seed is not None:
-            configs = [replace(c, rng_seed=args.seed) for c in configs]
-    else:
-        configs = [_load_config(args.config, args.seed)]
     exit_code = 0
     docs = []
-    for entry, config in enumerate(configs, 1):
-        cells = payoff_matrix(config)
+    for entry, (config, cells) in enumerate(_payoff_matrices(args), 1):
         if args.format == "json":
             docs.append({"config": config.to_json_obj(),
                          "cells": {f"{r}/{n}": outcome.to_json_obj()
@@ -177,7 +188,7 @@ def _cmd_payoffs(args) -> int:
 
 def _cmd_gas(args) -> int:
     config = _load_config(args.config, None)
-    report = gas_report(args.tier, config.gas_schedule())
+    report = gas_report(args.tier, config.gas_schedule)
     print(_json(report) if args.format == "json" else _gas_table(report))
     return 0
 

@@ -97,7 +97,7 @@ def _shown(value) -> str:
 
 def _rebuilt(value, sequence, mapping):
     """``value`` with its lists and tuples rebuilt by ``sequence`` and its
-    dicts by ``mapping``, iteratively: deep inputs reach ``validate()``."""
+    dicts by ``mapping``, iteratively: deep inputs reach the JSON check."""
     stack, built = [(None, iter((value,)))], [[]]
     done = {}  # container id -> its one rebuilt value, None while open
     while True:
@@ -129,21 +129,27 @@ def _rebuilt(value, sequence, mapping):
             built[-1].append(done[id(item)])
 
 
+def _check_strategies(requestor, node) -> None:
+    if requestor not in REQUESTOR_STRATEGIES:
+        raise ConfigInvalid(f"unknown requestor strategy {requestor!r}")
+    if node not in NODE_STRATEGIES:
+        raise ConfigInvalid(f"unknown node strategy {node!r}")
+
+
 class Family(dict):
-    """What the configs of one family (``with_strategies``) share: values
-    that depend on no strategy, each kept under the function that builds
-    it.  A family holds no config, so it is freed without the collector."""
+    """What the runs of one config family (``with_strategies``) share and
+    the harness builds, each kept under the function that builds it.  A
+    family holds no config, so it is freed without the collector."""
 
     def share(self, build, source):
-        """``build(source)``, built once per family.  A build that raises
-        is not kept, so it raises on every call."""
+        """``build(source)``, built once per family."""
         if build not in self:
             self[build] = build(source)
         return self[build]
 
 
 # Field annotation -> (check, description), applied to every config however
-# it is built.  ``inputs`` is annotated ``object``; ``validate()`` checks it.
+# it is built.  ``inputs`` is annotated ``object``; the JSON check reads it.
 _TYPE_CHECKS = {
     "int": (_is_config_int, "an integer below 2**256 in magnitude"),
     "bool": (lambda v: isinstance(v, bool), "true or false"),
@@ -181,6 +187,8 @@ class ScenarioConfig:
     confirmation_delay_per_tier: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        """Every check a run needs.  Keeps what they build, which
+        ``with_strategies`` shares: ``gas_schedule`` and ``json_parts``."""
         # Types first: ``-1.0 == -1`` would otherwise derive a deposit.
         for name, check, expected in _TYPED_FIELDS:
             value = getattr(self, name)
@@ -195,24 +203,7 @@ class ScenarioConfig:
             if f.type in ("object", "dict"):
                 object.__setattr__(self, f.name, _rebuilt(
                     getattr(self, f.name), tuple, FrozenDict))
-        # Every config built by ``__init__`` (``replace`` too) starts a
-        # family; ``with_strategies`` hands the derived config this one.
-        object.__setattr__(self, "family", Family())
-
-    # ------------------------------------------------------------------
-
-    def validate(self) -> None:
-        if self.requestor_strategy not in REQUESTOR_STRATEGIES:
-            raise ConfigInvalid(
-                f"unknown requestor strategy {self.requestor_strategy!r}"
-            )
-        if self.node_strategy not in NODE_STRATEGIES:
-            raise ConfigInvalid(f"unknown node strategy {self.node_strategy!r}")
-        self.family.share(ScenarioConfig._validate_family, self)
-
-    def _validate_family(self) -> None:
-        """``validate()``'s checks that read no strategy, run once per
-        family (``Family.share``)."""
+        _check_strategies(self.requestor_strategy, self.node_strategy)
         if self.tier not in TIERS:
             raise ConfigInvalid(f"unknown tier {self.tier!r}")
         if self.threshold <= 0:
@@ -222,25 +213,23 @@ class ScenarioConfig:
             raise ConfigInvalid("requestor_deposit must equal threshold")
         if self.node_deposit < self.threshold:
             raise ConfigInvalid("node_deposit must be at least the threshold")
-        for name in ("value_of_result", "payment", "compute_cost"):
+        for name in ("value_of_result", "payment", "compute_cost",
+                     "execution_delay", "max_resubmits"):
             if getattr(self, name) < 0:
                 raise ConfigInvalid(f"{name} must be non-negative")
         if self.expires <= 0:
             raise ConfigInvalid("expires must be positive")
-        if self.execution_delay < 0:
-            raise ConfigInvalid("execution_delay must be non-negative")
-        if self.max_resubmits < 0:
-            raise ConfigInvalid("max_resubmits must be non-negative")
         if self.max_resubmits > MAX_RESUBMITS:
             raise ConfigInvalid(
                 f"max_resubmits must be at most {MAX_RESUBMITS}")
-        self.family.share(ScenarioConfig.json_parts, self)  # trace is JSON
+        object.__setattr__(self, "json_parts", self._json_parts())
+        object.__setattr__(self, "gas_schedule", self._gas_schedule())
         # Each of the 1 + max_resubmits tasks can lock both deposits and
         # costs each party the gas of the calls it sends for the task; a
         # timeout refunds the payment, so only one payment is at stake.
-        schedule = self.family.share(ScenarioConfig.gas_schedule, self)
-        price = schedule.gas_price_per_tier[self.tier] if self.gas_charging else 0
-        gas = schedule.per_function
+        price = (self.gas_schedule.gas_price_per_tier[self.tier]
+                 if self.gas_charging else 0)
+        gas = self.gas_schedule.per_function
         gas_r = price * (gas["submitTask"]
                          + max(gas["finalizeRequestor"], gas["timeout"]))
         gas_n = price * (gas["claimTask"] + gas["finalizeExecutionNode"])
@@ -252,23 +241,23 @@ class ScenarioConfig:
             raise ConfigInvalid("initial_balance cannot fund the node")
         if self.function_name not in BUILTIN_BODIES:
             raise ConfigInvalid(f"unknown function {self.function_name!r}")
+        # Every config built by ``__init__`` (``replace`` too) starts a
+        # family; ``with_strategies`` hands the derived config this one.
+        object.__setattr__(self, "family", Family())
 
     @property
     def in_time(self) -> bool:
         """The honest result arrives by the deadline: the claim and the
         reveal confirm and the enclave runs within ``expires``."""
-        schedule = self.family.share(ScenarioConfig.gas_schedule, self)
-        return (2 * schedule.confirmation_delay_per_tier[self.tier]
+        return (2 * self.gas_schedule.confirmation_delay_per_tier[self.tier]
                 + self.execution_delay <= self.expires)
 
     @property
     def in_rational_regime(self) -> bool:
         """``in_time``, and honesty strictly dominates and both honest
-        parties gain, with the gas the payoffs count at the tier's price.
-        Read after validate()."""
-        schedule = self.family.share(ScenarioConfig.gas_schedule, self)
-        gas = schedule.per_function
-        price = (schedule.gas_price_per_tier[self.tier]
+        parties gain, with the gas the payoffs count at the tier's price."""
+        gas = self.gas_schedule.per_function
+        price = (self.gas_schedule.gas_price_per_tier[self.tier]
                  if self.gas_charging and self.include_gas_in_payoffs else 0)
         return (self.in_time and self.compute_cost > 0
                 and self.value_of_result - self.payment
@@ -277,9 +266,8 @@ class ScenarioConfig:
                 > price * (gas["claimTask"] + gas["finalizeExecutionNode"])
                 and self.requestor_deposit > price * gas["finalizeRequestor"])
 
-    def gas_schedule(self) -> GasSchedule:
-        """The defaults with the override maps merged in, built anew; a
-        family builds it once (``Family.share``)."""
+    def _gas_schedule(self) -> GasSchedule:
+        """The defaults with the override maps merged in."""
         for name, known in (("gas_per_function", DEFAULT_GAS_PER_FUNCTION),
                             ("gas_price_per_tier", TIERS),
                             ("confirmation_delay_per_tier", TIERS)):
@@ -299,12 +287,12 @@ class ScenarioConfig:
         except ValueError as exc:
             raise ConfigInvalid(str(exc)) from None
 
-    def json_parts(self) -> tuple[str, str, str]:
+    def _json_parts(self) -> tuple[str, str, str]:
         """The config's canonical JSON around its node and requestor strategy
-        names, encoded anew; a family encodes it once.  Raises
-        ``ConfigInvalid`` for inputs strict JSON cannot hold."""
-        data = dict(vars(self), node_strategy="", requestor_strategy="")
-        del data["family"]
+        names.  Raises ``ConfigInvalid`` for inputs strict JSON cannot
+        hold."""
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data.update(node_strategy="", requestor_strategy="")
         try:
             text = CANONICAL_JSON.encode(data)
         except (TypeError, ValueError, RecursionError) as exc:
@@ -318,9 +306,11 @@ class ScenarioConfig:
     # ------------------------------------------------------------------
 
     def with_strategies(self, requestor: str, node: str) -> "ScenarioConfig":
-        """This config with other strategies, sharing its values and family
-        unchecked until ``validate()``: a payoff matrix builds each family
-        value once; its later cells seed no generator and play no opening."""
+        """This config with other strategies, whose two names it checks; it
+        shares every other checked value and the family, so a payoff matrix
+        builds one schedule and one encoding, and its later cells seed no
+        generator and play no opening."""
+        _check_strategies(requestor, node)
         derived = object.__new__(type(self))
         derived.__dict__.update(self.__dict__, requestor_strategy=requestor,
                                 node_strategy=node)

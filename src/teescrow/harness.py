@@ -67,7 +67,7 @@ PARTY_THIRD = "third-party"
 # shape goes into its writer; the tests compare every line with
 # ``json.dumps``.  Names from a fixed set (function, event kind, enclave op)
 # are written unescaped.  The scenario line's config is the encoder's own
-# output (``ScenarioConfig.json_parts``), so a new config key needs no edit.
+# output (the config's ``json_parts``), so a new config key needs no edit.
 _q = json.encoder.encode_basestring_ascii
 _BOOL = {True: "true", False: "false"}
 
@@ -184,7 +184,7 @@ class Trace:
             f'"taskId":{task_id},"type":"message"}}\n')
 
     def scenario(self, c: ScenarioConfig) -> None:
-        head, middle, tail = c.family.share(ScenarioConfig.json_parts, c)
+        head, middle, tail = c.json_parts
         self._lines.append(f'{{"config":{head}{_q(c.node_strategy)}{middle}'
                            f'{_q(c.requestor_strategy)}{tail},'
                            f'"type":"scenario"}}\n')
@@ -300,7 +300,6 @@ class ScenarioRunner:
     (``dataclasses.replace``)."""
 
     def __init__(self, config: ScenarioConfig) -> None:
-        config.validate()
         self.config = config
         family = config.family
         points = _FORK_POINTS[config.requestor_strategy, config.node_strategy]
@@ -309,9 +308,8 @@ class ScenarioRunner:
             if point not in family:
                 self._records.append(point)
             fork = family.setdefault(point, None) or fork
-        self.ledger = Ledger(
-            family.share(ScenarioConfig.gas_schedule, config),
-            gas_charging=config.gas_charging)
+        self.ledger = Ledger(config.gas_schedule,
+                             gas_charging=config.gas_charging)
         self.contract = EscrowContract(self.ledger, config.threshold)
         # The supply is the config's; run() checks the record against it.
         self.requestor_account = self.ledger.create_account(
@@ -403,8 +401,8 @@ class ScenarioRunner:
             self._record(ScenarioRunner.claim)
 
     def instantiate(self, function_name: str, task_id: int) -> None:
-        # validate() admits only built-in functions, and the host holds
-        # the config's image, so instantiation cannot fail.
+        # A config names only built-in functions, and the host holds its
+        # image, so instantiation cannot fail.
         instance = self.host.instantiate(function_name)
         self.trace.enclave("instantiate", instance)
         self._queue_call(self.requestor, RequestorActor.on_instance_created,
@@ -543,7 +541,6 @@ def run_scenario(config: ScenarioConfig) -> ScenarioOutcome:
 def payoff_matrix(
         config: ScenarioConfig) -> dict[tuple[str, str], ScenarioOutcome]:
     """The outcome of every (requestor strategy, node strategy) pair."""
-    config.validate()
     if not config.in_rational_regime:
         raise ConfigInvalid(
             "parameters outside the rational regime (need cost > 0, value - "
@@ -614,7 +611,6 @@ def latency_report(tier: str, config: ScenarioConfig | None = None) -> dict:
     config = replace(config, tier=tier,
                      requestor_strategy=REQUESTOR_HONEST,
                      node_strategy=NODE_HONEST)
-    config.validate()
     if not config.in_time:
         raise ConfigInvalid(f"the result arrives late at {tier}: need 2 * "
                             "confirmation delay + execution_delay <= expires")
@@ -622,7 +618,7 @@ def latency_report(tier: str, config: ScenarioConfig | None = None) -> dict:
     return {
         "tier": tier,
         "confirmationDelaySeconds":
-            config.gas_schedule().confirmation_delay_per_tier[tier],
+            config.gas_schedule.confirmation_delay_per_tier[tier],
         "onChainSeconds": outcome.end_to_end_seconds - config.execution_delay,
         "executionDelaySeconds": config.execution_delay,
         "totalSeconds": outcome.end_to_end_seconds,

@@ -428,7 +428,7 @@ def test_override_map_unknown_key_exits_2(capsys, tmp_path, override,
         assert out == ""
 
 
-#: Amounts that each pass ``validate()``'s rules, but a claim-only run of
+#: Amounts that each pass the value rules, but a claim-only run of
 #: them would lock about 1.6 * 10^4300 in the contract: more digits than
 #: Python writes as a string.
 _UNWRITABLE = dict(SMALL, node_strategy="claim-only",
@@ -460,8 +460,12 @@ def test_config_integers_stop_at_2_to_the_256(field):
             value = {"slow": value}
         return ScenarioConfig(**{field: value})
 
-    config(2**256 - 1)
-    config(-(2**256) + 1)
+    for value in (2**256 - 1, -(2**256) + 1):
+        # Within the bound: refused, if at all, by a value rule.
+        try:
+            config(value)
+        except ConfigInvalid as exc:
+            assert "2**256" not in str(exc)
     for value in (2**256, -(2**256), 10**5000):
         with pytest.raises(ConfigInvalid, match="below 2\\*\\*256"):
             config(value)
@@ -512,7 +516,7 @@ def test_resubmits_past_the_cap_exit_2(capsys, tmp_path, command):
 
 
 def test_resubmits_at_the_cap_are_valid():
-    ScenarioConfig(**_LONG_RUN, max_resubmits=MAX_RESUBMITS).validate()
+    ScenarioConfig(**_LONG_RUN, max_resubmits=MAX_RESUBMITS)
 
 
 def test_scenario_strategy_from_config_file(capsys, tmp_path):
@@ -524,8 +528,41 @@ def test_scenario_strategy_from_config_file(capsys, tmp_path):
     assert json.loads(out)["requestorPayoff"] == 85  # no-confirm, not honest
 
 
+@pytest.mark.parametrize("config, message", [
+    ({"threshold": 0}, "threshold must be positive"),
+    ({"node_strategy": "bogus"}, "unknown node strategy 'bogus'"),
+], ids=["threshold", "strategy"])
+@pytest.mark.parametrize("command", ["gas", "latency"])
+def test_reports_refuse_an_invalid_config(capsys, tmp_path, command, config,
+                                          message):
+    """A config no run could use is refused by the reports too, although
+    ``latency`` runs its own strategies and ``gas`` runs nothing."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, command, "--tier", "slow", "--config",
+                             str(bad))
+    assert (code, out) == (2, "")
+    assert err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("entry, message", [
+    ({"compute_cost": 0}, "parameters outside the rational regime"),
+    ({"threshold": 0}, "threshold must be positive"),
+], ids=["outside-the-regime", "invalid"])
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_payoffs_refuses_a_grid_before_printing(capsys, tmp_path, entry,
+                                                message, fmt):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps([SMALL, entry]))
+    code, out, err = run_cli(capsys, "payoffs", "--grid", str(grid),
+                             "--format", fmt)
+    assert (code, out) == (2, "")
+    [line] = err.splitlines()
+    assert line.startswith(f"config error: entry 2: {message}")
+
+
 @pytest.mark.parametrize("text, message", [
-    ("[1, 2]", "a config must be a JSON object"),
+    ("[1, 2]", "entry 1: a config must be a JSON object"),
     ("nope", "grid is not valid JSON"),
 ], ids=["entry-not-an-object", "not-json"])
 def test_payoffs_bad_grid_exits_2(capsys, tmp_path, text, message):
@@ -825,7 +862,7 @@ def _first_line(config) -> bytes:
     (b'{"type":"scenario"}\n', "KeyError('config')"),
     (_first_line(_UNWRITABLE), "below 2**256 in magnitude"),
 ], ids=["empty", "not-utf-8", "config-not-an-object", "unknown-key",
-        "refused-by-validate", "string-amount", "no-config",
+        "out-of-range", "string-amount", "no-config",
         "unwritable-amount"])
 def test_inspect_hostile_trace_exits_1(tmp_path, data, message):
     code, out, err = _inspect_bytes(tmp_path / "t", data)
@@ -876,7 +913,7 @@ _JSON_VALUES = st.recursive(
 
 @st.composite
 def _config_fields(draw):
-    """Every field, drawn so that most configs pass ``validate()``."""
+    """Every field, drawn so that most configs can be built."""
     threshold = draw(st.integers(1, 20))
     fields = dict(
         requestor_strategy=draw(st.sampled_from(REQUESTOR_STRATEGIES)),

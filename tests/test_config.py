@@ -1,6 +1,7 @@
-"""A config is a value: nothing in it, nor in the gas schedule its family
-hands every ledger, can change after it is built, so a family's shared
-values always describe the config that reads them."""
+"""A config is a value, checked once, when it is built: no config a run
+refuses can be built, and nothing in a config, nor in the gas schedule it
+hands every ledger, can change after it is built, so the values its family
+shares always describe the config that reads them."""
 
 from __future__ import annotations
 
@@ -8,22 +9,23 @@ import copy
 import dataclasses
 import json
 import pickle
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_golden_traces import PAIRS
-from test_harness import _INT_MAPS, _JSON, _nested
+from test_harness import _INT_MAPS, _JSON, _RUNNABLE_MAPS, _nested
 
-from teescrow.config import ConfigInvalid, ScenarioConfig
+from teescrow.config import (
+    MAX_RESUBMITS,
+    UNIT,
+    ConfigInvalid,
+    ScenarioConfig,
+)
 from teescrow.enclave import BUILTIN_BODIES
 from teescrow.harness import ScenarioRunner
-from teescrow.ledger import (
-    DEFAULT_GAS_PER_FUNCTION,
-    TIERS,
-    FrozenDict,
-    GasSchedule,
-)
+from teescrow.ledger import DEFAULT_GAS_PER_FUNCTION, FrozenDict, GasSchedule
 
 #: The traceId of ``ScenarioConfig(inputs=[1, 2, 3], function_name="sum")``.
 SUM_TRACE_ID = "f198d2a3f5f72f23"
@@ -161,26 +163,10 @@ def _is_plain(value) -> bool:
     return type(value) in (str, int, float, bool, type(None))
 
 
-def _trace_or_refusal(config: ScenarioConfig) -> str:
-    try:
-        runner = ScenarioRunner(config)
-    except ConfigInvalid as exc:
-        return f"refused: {exc}"
+def _trace(config: ScenarioConfig) -> str:
+    runner = ScenarioRunner(config)
     runner.run()
     return runner.trace.to_jsonl()
-
-
-#: Override maps that a run accepts, as well as ``_INT_MAPS``, which it
-#: mostly refuses.
-_RUNNABLE_MAPS = {
-    "gas_per_function": st.dictionaries(
-        st.sampled_from(sorted(DEFAULT_GAS_PER_FUNCTION)),
-        st.integers(1, 10**6), max_size=3),
-    "gas_price_per_tier": st.dictionaries(
-        st.sampled_from(TIERS), st.integers(1, 10**12), max_size=2),
-    "confirmation_delay_per_tier": st.dictionaries(
-        st.sampled_from(TIERS), st.integers(0, 10**4), max_size=2),
-}
 
 
 @settings(max_examples=60, deadline=None)
@@ -191,15 +177,23 @@ _RUNNABLE_MAPS = {
        pair=st.sampled_from(PAIRS), gas_charging=st.booleans())
 def test_a_config_read_back_from_its_json_writes_the_same_trace(
         inputs, maps, function_name, pair, gas_charging):
-    config = ScenarioConfig(
+    given_fields = dict(
         requestor_strategy=pair[0], node_strategy=pair[1], inputs=inputs,
         function_name=function_name, gas_charging=gas_charging,
         initial_balance=10**30, **maps)
+    try:
+        config = ScenarioConfig(**given_fields)
+    except ConfigInvalid as exc:
+        # The JSON form of what was given is refused alike.
+        with pytest.raises(ConfigInvalid) as again:
+            ScenarioConfig.from_dict(json.loads(json.dumps(given_fields)))
+        assert str(again.value) == str(exc)
+        return
     obj = config.to_json_obj()
     assert _is_plain(obj)
     again = ScenarioConfig.from_dict(json.loads(json.dumps(obj)))
     assert again.to_json_obj() == obj
-    assert _trace_or_refusal(again) == _trace_or_refusal(config)
+    assert _trace(again) == _trace(config)
 
 
 def _layers(value) -> list[type]:
@@ -212,14 +206,17 @@ def _layers(value) -> list[type]:
     return types
 
 
-def test_deep_inputs_are_frozen_and_refused_without_recursion():
+def test_deep_inputs_are_frozen_and_refused_without_recursion(monkeypatch):
+    """Freezing and thawing walk without recursion: inputs deeper than the
+    encoder can follow are refused by the JSON check, not by the walk."""
+    with pytest.raises(ConfigInvalid, match="^inputs must be strict JSON"):
+        ScenarioConfig.from_dict({"inputs": _nested(5000)})
+    frozen = []
+    monkeypatch.setattr(ScenarioConfig, "_json_parts",
+                        lambda config: frozen.append(config.inputs))
     config = ScenarioConfig.from_dict({"inputs": _nested(5000)})
-    assert _layers(config.inputs) == [tuple] * 5000
+    assert _layers(frozen[0]) == [tuple] * 5000
     assert _layers(config.to_json_obj()["inputs"]) == [list] * 5000
-    with pytest.raises(ConfigInvalid, match="^inputs must be strict JSON"):
-        config.validate()
-    with pytest.raises(ConfigInvalid, match="^inputs must be strict JSON"):
-        ScenarioRunner(config.with_strategies("honest", "claim-only"))
 
 
 def test_inputs_that_hold_themselves_are_refused():
@@ -247,3 +244,75 @@ def test_inputs_that_repeat_one_list_are_frozen_once():
         assert thawed[0] is thawed[1] and type(thawed) is list
         frozen, thawed = frozen[0], thawed[0]
     assert frozen == (1,) and thawed == [1]
+
+
+#: Each value rule a config keeps: (overrides of the defaults, the message).
+_RULES = {
+    "requestor-strategy": ({"requestor_strategy": "bogus"},
+                           "unknown requestor strategy 'bogus'"),
+    "node-strategy": ({"node_strategy": "bogus"},
+                      "unknown node strategy 'bogus'"),
+    "tier": ({"tier": "medium"}, "unknown tier 'medium'"),
+    "threshold": ({"threshold": 0}, "threshold must be positive"),
+    "requestor-deposit": ({"requestor_deposit": 7},
+                          "requestor_deposit must equal threshold"),
+    "node-deposit": ({"node_deposit": 1},
+                     "node_deposit must be at least the threshold"),
+    "value": ({"value_of_result": -1}, "value_of_result must be non-negative"),
+    "payment": ({"payment": -1}, "payment must be non-negative"),
+    "cost": ({"compute_cost": -1}, "compute_cost must be non-negative"),
+    "expires": ({"expires": 0}, "expires must be positive"),
+    "execution-delay": ({"execution_delay": -1},
+                        "execution_delay must be non-negative"),
+    "negative-resubmits": ({"max_resubmits": -1},
+                           "max_resubmits must be non-negative"),
+    "resubmits-past-the-cap": ({"max_resubmits": MAX_RESUBMITS + 1},
+                               f"max_resubmits must be at most {MAX_RESUBMITS}"),
+    "strict-json": ({"inputs": [float("nan")]},
+                    "inputs must be strict JSON: "),
+    "gas-key": ({"gas_per_function": {"mint": 1}},
+                "unknown gas_per_function keys: ['mint']"),
+    "price-key": ({"gas_price_per_tier": {"medium": 1}},
+                  "unknown gas_price_per_tier keys: ['medium']"),
+    "delay-key": ({"confirmation_delay_per_tier": {"medium": 1}},
+                  "unknown confirmation_delay_per_tier keys: ['medium']"),
+    "zero-gas": ({"gas_per_function": {"timeout": 0}},
+                 "gas for 'timeout' must be positive"),
+    "zero-price": ({"gas_price_per_tier": {"fast": 0}},
+                   "missing or non-positive gas price for 'fast'"),
+    "negative-delay": ({"confirmation_delay_per_tier": {"slow": -1}},
+                       "missing or negative delay for 'slow'"),
+    "fund-requestor": ({"initial_balance": 10 * UNIT},
+                       "initial_balance cannot fund the requestor"),
+    "fund-node": ({"initial_balance": 11 * UNIT, "node_deposit": 20 * UNIT},
+                  "initial_balance cannot fund the node"),
+    "function": ({"function_name": "nope"}, "unknown function 'nope'"),
+}
+
+
+@pytest.mark.parametrize("build", [
+    lambda overrides: ScenarioConfig(**overrides),
+    lambda overrides: dataclasses.replace(ScenarioConfig(), **overrides),
+    ScenarioConfig.from_dict,
+], ids=["init", "replace", "from-dict"])
+@pytest.mark.parametrize("rule", sorted(_RULES))
+def test_a_config_no_run_could_use_is_refused_when_built(build, rule):
+    overrides, message = _RULES[rule]
+    with pytest.raises(ConfigInvalid, match=f"^{re.escape(message)}"):
+        build(overrides)
+
+
+@pytest.mark.parametrize("pair, message", [
+    (("bogus", "honest"), "unknown requestor strategy 'bogus'"),
+    (("honest", "bogus"), "unknown node strategy 'bogus'"),
+    ((None, "honest"), "unknown requestor strategy None"),
+], ids=["requestor", "node", "not-a-string"])
+def test_with_strategies_refuses_an_unknown_name(pair, message):
+    """Deriving checks the two names it sets; the rest it shares."""
+    base = ScenarioConfig()
+    with pytest.raises(ConfigInvalid, match=f"^{re.escape(message)}$"):
+        base.with_strategies(*pair)
+    derived = base.with_strategies("no-confirm", "claim-only")
+    assert derived.gas_schedule is base.gas_schedule
+    assert derived.json_parts is base.json_parts
+    assert derived.family is base.family

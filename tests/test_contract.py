@@ -64,7 +64,7 @@ def test_submit_records_start_and_expiry(funded):
 
 
 def test_submit_accepts_zero_expires(funded):
-    """``validate()`` asks for ``expires > 0``, but the contract takes any
+    """A config asks for ``expires > 0``, but the contract takes any
     non-negative ``expires``; such a task can be timed out from start + 1."""
     ledger, contract, requestor, _ = funded
     ledger.advance_time(500)

@@ -397,26 +397,42 @@ def test_trace_lines_match_json_dumps(shape, data):
 
 
 _INT_MAPS = st.dictionaries(_TEXT, _INT, min_size=1, max_size=3)
+#: Override maps that a config accepts, as well as ``_INT_MAPS``, which it
+#: mostly refuses.
+_RUNNABLE_MAPS = {
+    "gas_per_function": st.dictionaries(
+        st.sampled_from(sorted(DEFAULT_GAS_PER_FUNCTION)),
+        st.integers(1, 10**6), max_size=3),
+    "gas_price_per_tier": st.dictionaries(
+        st.sampled_from(TIERS), st.integers(1, 10**12), max_size=2),
+    "confirmation_delay_per_tier": st.dictionaries(
+        st.sampled_from(TIERS), st.integers(0, 10**4), max_size=2),
+}
 _JSON = st.recursive(
     st.none() | st.booleans() | _INT
     | st.floats(allow_nan=False, allow_infinity=False) | _TEXT,
     lambda inner: (st.lists(inner, max_size=3)
                    | st.dictionaries(_TEXT, inner, max_size=3)),
     max_leaves=12)
+#: Configs over each field's legal range, amounts up to 2**200 wide; a
+#: balance of at least 2**250 funds any of them.
 _CONFIGS = st.builds(
     ScenarioConfig,
     requestor_strategy=st.sampled_from(REQUESTOR_STRATEGIES),
     node_strategy=st.sampled_from(NODE_STRATEGIES),
-    **dict.fromkeys(
-        ("value_of_result", "payment", "compute_cost", "threshold",
-         "requestor_deposit", "node_deposit", "expires", "rng_seed",
-         "execution_delay", "initial_balance", "max_resubmits"), _INT),
+    **dict.fromkeys(("value_of_result", "payment", "compute_cost",
+                     "execution_delay"), st.integers(0, 2**200)),
+    threshold=st.integers(1, 2**200),
+    node_deposit=st.just(-1) | st.integers(2**200, 2**201),
+    expires=st.integers(1, 2**200), rng_seed=_INT,
+    initial_balance=st.integers(2**250, 2**256 - 1),
+    max_resubmits=st.integers(0, 3),
     **dict.fromkeys(("gas_charging", "include_gas_in_payoffs",
                      "deliver_to_third_party"), st.booleans()),
-    tier=_TEXT, function_name=_TEXT,
+    tier=st.sampled_from(TIERS),
+    function_name=st.sampled_from(sorted(BUILTIN_BODIES)),
     inputs=_JSON | st.lists(_JSON, max_size=4).map(tuple),
-    **dict.fromkeys(("gas_per_function", "gas_price_per_tier",
-                     "confirmation_delay_per_tier"), _INT_MAPS),
+    **_RUNNABLE_MAPS,
 )
 _TASKS = st.builds(
     Task, function_name=_TEXT, hash_lock=_BYTES, requestor=_BYTES,
@@ -495,13 +511,8 @@ def _nested(depth):
     (float("nan"), float("inf")), [-float("inf")], {1, 2}, _nested(5000),
 ], ids=["nan-inf", "minus-inf", "set", "nested-5000"])
 def test_inputs_strict_json_cannot_hold_are_invalid(inputs):
-    config = dataclasses.replace(CFG, inputs=inputs)
-    with pytest.raises(ConfigInvalid, match="inputs must be strict JSON"):
-        config.validate()
-    trace = Trace()
-    with pytest.raises(ConfigInvalid):
-        trace.scenario(config)
-    assert trace.to_jsonl() == ""
+    with pytest.raises(ConfigInvalid, match="^inputs must be strict JSON"):
+        dataclasses.replace(CFG, inputs=inputs)
 
 
 @pytest.mark.parametrize("key", [1, 2.5, True, None, 2**300],
@@ -529,32 +540,27 @@ def test_with_strategies_configs_share_one_inputs_encoding(monkeypatch):
     base = dataclasses.replace(CFG, inputs=[[1.5, None], "\u00e9", 2**70])
     pairs = list(product(REQUESTOR_STRATEGIES, NODE_STRATEGIES))
     shared = [base.with_strategies(*pair) for pair in pairs]
-    alone = [dataclasses.replace(base, requestor_strategy=r, node_strategy=n)
-             for r, n in pairs]
+    assert len(encoded) == 1  # building encodes; deriving encodes nothing
 
     def trace_of(config):
         runner = ScenarioRunner(config)
         runner.run()
         return runner.trace.to_jsonl()
 
-    assert encoded == []  # deriving the configs encodes nothing
     shared_traces = [trace_of(config) for config in shared]
-    assert len(encoded) == 1  # validate() encodes, the writer reuses it
-    head, middle, tail = shared[0].family.share(ScenarioConfig.json_parts,
-                                                shared[0])
+    assert len(encoded) == 1  # the writer reuses the config's encoding
+    head, middle, tail = shared[0].json_parts
     r, n = (json.dumps(name) for name in pairs[0])
     assert (head + n + middle + r + tail
             == crypto.CANONICAL_JSON.encode(shared[0].to_json_obj()))
+    alone = [dataclasses.replace(base, requestor_strategy=r, node_strategy=n)
+             for r, n in pairs]
+    assert len(encoded) == 1 + len(pairs)
     assert shared_traces == [trace_of(config) for config in alone]
     assert len(encoded) == 1 + len(pairs)
     # A config replaced after a run writes its own inputs.
     other = trace_of(dataclasses.replace(shared[0], inputs=[7, 8]))
     assert json.loads(other.split("\n")[0])["config"]["inputs"] == [7, 8]
-    # Inputs that fail to encode are refused by every cell that shares them.
-    bad = dataclasses.replace(base, inputs=[float("nan")])
-    for pair in pairs:
-        with pytest.raises(ConfigInvalid):
-            ScenarioRunner(bad.with_strategies(*pair))
 
 
 def test_with_strategies_configs_share_one_gas_schedule(monkeypatch):
@@ -571,16 +577,14 @@ def test_with_strategies_configs_share_one_gas_schedule(monkeypatch):
         gas_per_function={"timeout": 30_000},
         gas_price_per_tier={"standard": 2},
         confirmation_delay_per_tier={"standard": 7})
+    assert len(built) == 1  # building the config builds it
     matrix = payoff_matrix(base)
-    assert len(built) == 1  # validate() and the nine runners share it
-    assert base.family.share(ScenarioConfig.gas_schedule, base) is built[0]
+    assert len(built) == 1  # the nine runners share it
+    assert base.gas_schedule is built[0]
     # A config built by replace builds its own, once.
     alone = {pair: dataclasses.replace(base, requestor_strategy=pair[0],
                                        node_strategy=pair[1])
              for pair in matrix}
-    alone[("honest", "honest")].validate()
-    alone[("honest", "honest")].validate()
-    assert len(built) == 2
 
     def trace_of(config):
         runner = ScenarioRunner(config)
@@ -590,15 +594,6 @@ def test_with_strategies_configs_share_one_gas_schedule(monkeypatch):
     assert ([trace_of(base.with_strategies(*pair)) for pair in alone]
             == [trace_of(config) for config in alone.values()])
     assert len(built) == 1 + len(alone)
-    # A build that fails is not kept: every validate() raises.
-    bad = dataclasses.replace(base, gas_per_function={"mint": 1})
-    for config in (bad, bad, bad.with_strategies("honest", "claim-only")):
-        with pytest.raises(ConfigInvalid, match="unknown gas_per_function"):
-            config.validate()
-    bad_price = dataclasses.replace(base, gas_price_per_tier={"fast": 0})
-    for _ in range(2):
-        with pytest.raises(ConfigInvalid, match="gas price"):
-            bad_price.family.share(ScenarioConfig.gas_schedule, bad_price)
 
 
 @pytest.mark.parametrize("pair", [("withhold-input", "honest"),
@@ -666,66 +661,6 @@ def test_gas_included_when_configured():
     assert outcome.node_payoff == 7 - outcome.gas_by_party["node"]
 
 
-def test_config_validation_errors():
-    with pytest.raises(ConfigInvalid):
-        ScenarioRunner(dataclasses.replace(CFG, expires=0))
-    with pytest.raises(ConfigInvalid):
-        ScenarioRunner(dataclasses.replace(CFG, node_deposit=1))
-    with pytest.raises(ConfigInvalid):
-        ScenarioRunner(dataclasses.replace(CFG, requestor_deposit=7))
-    with pytest.raises(ConfigInvalid, match="max_resubmits"):
-        ScenarioRunner(dataclasses.replace(CFG, max_resubmits=-1))
-    for name, value, message in [
-        ("node_strategy", "bogus", "unknown node strategy 'bogus'"),
-        ("tier", "medium", "unknown tier 'medium'"),
-        ("value_of_result", -1, "value_of_result must be non-negative"),
-        ("payment", -1, "payment must be non-negative"),
-        ("compute_cost", -1, "compute_cost must be non-negative"),
-        ("execution_delay", -1, "execution_delay must be non-negative"),
-        ("confirmation_delay_per_tier", {"slow": -1},
-         "missing or negative delay for 'slow'"),
-    ]:
-        with pytest.raises(ConfigInvalid, match=f"^{message}$"):
-            ScenarioRunner(dataclasses.replace(CFG, **{name: value}))
-
-
-@pytest.mark.parametrize("pair, message", [
-    (("bogus", "honest"), "unknown requestor strategy 'bogus'"),
-    (("honest", "bogus"), "unknown node strategy 'bogus'"),
-], ids=["requestor", "node"])
-def test_a_cell_checks_its_strategies_after_its_family_validated(pair,
-                                                                 message):
-    """The checks that read no strategy run once per family; the two
-    strategy checks run on every call, also once the family ran."""
-    family = dataclasses.replace(CFG)
-    payoff_matrix(family)
-    cell = family.with_strategies(*pair)
-    for _ in range(2):
-        with pytest.raises(ConfigInvalid, match=f"^{message}$"):
-            cell.validate()
-    with pytest.raises(ConfigInvalid, match=f"^{message}$"):
-        ScenarioRunner(cell)
-
-
-@pytest.mark.parametrize("overrides, message", [
-    ({"tier": "medium"}, "unknown tier 'medium'"),
-    ({"initial_balance": 10}, "initial_balance cannot fund the requestor"),
-    ({"inputs": (float("nan"),)}, "inputs must be strict JSON: "),
-    ({"function_name": "nope"}, "unknown function 'nope'"),
-], ids=["range", "funding", "strict-json", "function"])
-def test_a_family_whose_shared_checks_fail_raises_from_every_cell(
-        overrides, message):
-    """A failed family check is not kept as passed: every call from every
-    cell raises it again."""
-    family = dataclasses.replace(CFG, **overrides)
-    for _ in range(2):
-        for pair in PAIRS:
-            with pytest.raises(ConfigInvalid, match=f"^{message}"):
-                family.with_strategies(*pair).validate()
-    with pytest.raises(ConfigInvalid, match=f"^{message}"):
-        ScenarioRunner(family)
-
-
 @pytest.mark.parametrize("build", [
     ScenarioConfig, functools.partial(dataclasses.replace, CFG),
 ], ids=["init", "replace"])
@@ -750,14 +685,9 @@ def test_wrong_typed_field_is_invalid_however_built(build, name, value):
         build(**{name: value})
 
 
-def test_unknown_function_is_invalid_before_a_run():
-    with pytest.raises(ConfigInvalid, match="unknown function 'nope'"):
-        ScenarioConfig(function_name="nope").validate()
-
-
 def minimum_balance(config: ScenarioConfig) -> int:
     """The least initial balance that funds both parties' transactions."""
-    schedule = config.gas_schedule()
+    schedule = config.gas_schedule
     price = schedule.gas_price_per_tier[config.tier] * config.gas_charging
     gas = schedule.per_function
     tasks = config.max_resubmits + 1
@@ -775,12 +705,12 @@ def minimum_balance(config: ScenarioConfig) -> int:
 def test_minimum_funding_runs_and_one_less_is_refused(pair, gas_charging):
     config = dataclasses.replace(
         CFG.with_strategies(*pair), gas_charging=gas_charging,
-        max_resubmits=2, node_deposit=8, tier="fast")
+        max_resubmits=2, node_deposit=8, tier="fast", initial_balance=10**30)
     balance = minimum_balance(config)
     # Every transaction either party sends is funded: no InsufficientBalance.
     run_scenario(dataclasses.replace(config, initial_balance=balance))
     with pytest.raises(ConfigInvalid, match="cannot fund"):
-        ScenarioRunner(dataclasses.replace(config, initial_balance=balance - 1))
+        dataclasses.replace(config, initial_balance=balance - 1)
 
 
 # ----------------------------------------------------------------------
