@@ -21,7 +21,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from itertools import zip_longest
 
 from .config import (
@@ -80,11 +79,16 @@ def _gas_table(report: dict) -> str:
                      for name, g, c in rows)
 
 
+def _config(data, seed: int | None) -> ScenarioConfig:
+    """The config ``data`` holds, built once, with ``seed`` as its
+    ``rng_seed`` if one is given."""
+    if seed is not None and isinstance(data, dict):
+        data = {**data, "rng_seed": seed}
+    return ScenarioConfig.from_dict(data)
+
+
 def _load_config(path: str | None, seed: int | None) -> ScenarioConfig:
-    config = ScenarioConfig.from_file(path) if path else ScenarioConfig()
-    if seed is not None:
-        config = replace(config, rng_seed=seed)
-    return config
+    return _config(load_json_file(path, "config") if path else {}, seed)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -155,9 +159,7 @@ def _payoff_matrices(args) -> list:
     matrices = []
     for entry, data in enumerate(entries, 1):
         try:
-            config = ScenarioConfig.from_dict(data)
-            if args.seed is not None:
-                config = replace(config, rng_seed=args.seed)
+            config = _config(data, args.seed)
             matrices.append((config, payoff_matrix(config)))
         except ConfigInvalid as exc:
             raise ConfigInvalid(f"entry {entry}: {exc}") from None

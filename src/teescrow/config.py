@@ -303,6 +303,17 @@ class ScenarioConfig:
         return (f'{head}"node_strategy":', f'{middle}"requestor_strategy":',
                 tail)
 
+    def __getstate__(self) -> dict:
+        """The config without its family, which holds what its runs built."""
+        state = dict(self.__dict__)
+        del state["family"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        """A copy or an unpickled config starts a family, as ``replace``
+        does."""
+        self.__dict__.update(state, family=Family())
+
     # ------------------------------------------------------------------
 
     def with_strategies(self, requestor: str, node: str) -> "ScenarioConfig":
@@ -329,10 +340,6 @@ class ScenarioConfig:
         if unknown:
             raise ConfigInvalid(f"unknown config keys: {sorted(unknown)}")
         return cls(**data)
-
-    @classmethod
-    def from_file(cls, path: str) -> "ScenarioConfig":
-        return cls.from_dict(load_json_file(path, "config"))
 
 
 _TYPED_FIELDS = tuple((f.name, *_TYPE_CHECKS[f.type])

@@ -46,6 +46,7 @@ from .ledger import (
     CONTRACT_ACCOUNT,
     NULL_ACCOUNT,
     ContractCall,
+    FrozenDict,
     GasSchedule,
     Ledger,
     Receipt,
@@ -109,22 +110,35 @@ _EVENT_PAYLOAD = {
 }
 
 
+#: A SHA-256 state over no bytes, and the number of bytes it covers.
+_NO_HEAD = (hashlib.sha256(), 0)
+
+
 class Trace:
-    """Append-only JSON-lines trace: each record is stored as its line.
+    """Append-only JSON-lines trace: each record is stored as its line,
+    except the run's outcome, whose line is written on each read.
 
     Every record kind has a writer method that builds its line from the
     values the run already holds: a transaction's receipt, a clock advance,
     an enclave step, a message, and the once-per-run config, contract and
-    outcome.
+    outcome.  ``head`` is a SHA-256 state over the trace's first bytes and
+    their count, which ``content_id`` copies rather than hash them again.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, head: tuple = _NO_HEAD) -> None:
         self._lines: list[str] = []
+        self._head = head
+        self._outcome: ScenarioOutcome | None = None
+
+    def _all_lines(self) -> list[str]:
+        if self._outcome is None:
+            return self._lines
+        return [*self._lines, self._outcome_line(self._outcome)]
 
     @property
     def records(self) -> list[dict]:
-        """The records, parsed from the stored lines."""
-        return [json.loads(line) for line in self._lines]
+        """The records, parsed from the lines."""
+        return [json.loads(line) for line in self._all_lines()]
 
     def call(self, sender: str, receipt: Receipt) -> None:
         """The call line, then one event line per event the call emitted."""
@@ -210,7 +224,13 @@ class Trace:
             f'"threshold":{contract.threshold}}},"type":"contract_state"}}\n')
 
     def outcome(self, o: ScenarioOutcome) -> None:
-        self._lines.append(
+        """Keep the run's outcome, whose line ends the trace.  Its fields
+        are frozen, so the line is the same whenever it is written."""
+        self._outcome = o
+
+    @staticmethod
+    def _outcome_line(o: ScenarioOutcome) -> str:
+        return (
             f'{{"endToEndSeconds":{o.end_to_end_seconds},'
             f'"gasByParty":{_int_map(o.gas_by_party)},'
             f'"infoFlowViolations":[{",".join(map(_q, o.infoflow_violations))}],'
@@ -224,10 +244,22 @@ class Trace:
             f'"traceId":{_q(o.trace_id)},"type":"outcome"}}\n')
 
     def to_jsonl(self) -> str:
-        return "".join(self._lines)
+        return "".join(self._all_lines())
 
     def content_id(self) -> str:
-        return hashlib.sha256(self.to_jsonl().encode()).hexdigest()[:16]
+        """The truncated SHA-256 of the trace: the head's state, copied, goes
+        on over the bytes after the head."""
+        digest, start = self._head
+        digest = digest.copy()
+        digest.update(memoryview(self.to_jsonl().encode())[start:])
+        return digest.hexdigest()[:16]
+
+
+def _head(c: ScenarioConfig) -> tuple:
+    """The SHA-256 state over the bytes every trace of ``c``'s family starts
+    with, the scenario line up to its node strategy, and their count."""
+    head = f'{{"config":{c.json_parts[0]}'.encode()
+    return hashlib.sha256(head), len(head)
 
 
 def _image(c: ScenarioConfig) -> FunctionImage:
@@ -245,7 +277,7 @@ class ScenarioOutcome:
     requestor_payoff: int
     node_payoff: int
     locked_in_contract: int
-    gas_by_party: dict[str, int]
+    gas_by_party: FrozenDict  # of str to int
     trace_id: str
     received_valid_result: bool
     resource_cost_consumed: int
@@ -253,6 +285,12 @@ class ScenarioOutcome:
     node_balance_delta: int
     end_to_end_seconds: int
     infoflow_violations: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        # Read-only, so that a trace writes the same outcome line at every
+        # read.  A run sets its outcome's fields without ``__init__``.
+        object.__setattr__(self, "gas_by_party",
+                           FrozenDict(self.gas_by_party))
 
     def to_json_obj(self) -> dict:
         return {
@@ -327,7 +365,7 @@ class ScenarioRunner:
             image.measurement, fork.requestor)
         self.node = ExecutionNodeActor(config, fork.node)
         self.third_party = ThirdParty()
-        self.trace = Trace()
+        self.trace = Trace(family.share(_head, config))
         self.trace.scenario(config)
         self.trace._lines += fork.lines
         # A heap of (time, seq, party, handler, args), each run as
@@ -504,7 +542,7 @@ class ScenarioRunner:
             requestor_payoff=requestor_delta + value_received,
             node_payoff=node_delta - self.host.resource_consumed,
             locked_in_contract=ledger.balance(CONTRACT_ACCOUNT),
-            gas_by_party={"requestor": gas_requestor, "node": gas_node},
+            gas_by_party=FrozenDict(requestor=gas_requestor, node=gas_node),
             trace_id=trace_id,
             received_valid_result=self.requestor.received_valid_result,
             resource_cost_consumed=self.host.resource_consumed,

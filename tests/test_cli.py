@@ -262,6 +262,58 @@ def test_payoffs_seed_applies_to_every_grid_entry(capsys, tmp_path):
         docs[0]["cells"]["honest/honest"]["traceId"]] * 2
 
 
+def _counting_builds(monkeypatch) -> list:
+    """A list that gains an item each time a config is built."""
+    builds, json_parts = [], ScenarioConfig._json_parts
+
+    def counted(config):
+        builds.append(config.rng_seed)
+        return json_parts(config)
+
+    monkeypatch.setattr(ScenarioConfig, "_json_parts", counted)
+    return builds
+
+
+@pytest.mark.parametrize("command", [["scenario"], ["payoffs"]])
+def test_seed_builds_the_config_once(capsys, monkeypatch, tmp_path, command):
+    """``--seed`` is merged into the config file's data before the config is
+    built, and prints what the same seed in the file prints."""
+    seeded = tmp_path / "seeded.json"
+    seeded.write_text(json.dumps(dict(SMALL, rng_seed=3)))
+    plain = tmp_path / "plain.json"
+    plain.write_text(json.dumps(dict(SMALL, rng_seed=8)))
+    _, expected, _ = run_cli(capsys, *command, "--config", str(seeded),
+                             "--format", "json")
+    builds = _counting_builds(monkeypatch)
+    code, out, _ = run_cli(capsys, *command, "--config", str(plain),
+                           "--seed", "3", "--format", "json")
+    assert (code, out, builds) == (0, expected, [3])
+
+
+def test_seed_builds_each_grid_entry_once(capsys, monkeypatch, tmp_path):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps([SMALL, dict(SMALL, rng_seed=3)]))
+    seeded = tmp_path / "seeded.json"
+    seeded.write_text(json.dumps([dict(SMALL, rng_seed=7)] * 2))
+    _, expected, _ = run_cli(capsys, "payoffs", "--grid", str(seeded),
+                             "--format", "json")
+    builds = _counting_builds(monkeypatch)
+    code, out, _ = run_cli(capsys, "payoffs", "--grid", str(grid),
+                           "--seed", "7", "--format", "json")
+    assert (code, out, builds) == (0, expected, [7, 7])
+
+
+@pytest.mark.parametrize("command", [["scenario"], ["payoffs"]])
+def test_seed_with_a_config_that_is_not_an_object_exits_2(
+        capsys, tmp_path, command):
+    path = tmp_path / "list.json"
+    path.write_text("[1]")
+    code, out, err = run_cli(capsys, *command, "--config", str(path),
+                             "--seed", "3")
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: a config must be a JSON object")
+
+
 @pytest.mark.parametrize("config", [dict(SMALL, value_of_result=10),
                                     GAS_IN_PAYOFFS],
                          ids=["value-is-payment", "gas-in-payoffs"])

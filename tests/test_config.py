@@ -121,16 +121,30 @@ def test_a_schedule_keeps_a_copy_of_the_maps_it_is_given():
     assert type(schedule.per_function | {}) is dict
 
 
+def _twins(config: ScenarioConfig) -> tuple:
+    return (copy.copy(config), copy.deepcopy(config),
+            pickle.loads(pickle.dumps(config)))
+
+
 def test_a_frozen_config_copies_pickles_and_hashes_as_a_value():
     config = ScenarioConfig(inputs={"a": [1, {"b": 2}]},
                             gas_price_per_tier={"fast": 9})
-    for twin in (copy.copy(config), copy.deepcopy(config),
-                 pickle.loads(pickle.dumps(config))):
+    for twin in _twins(config):
         assert twin == config and hash(twin) == hash(config)
         assert type(twin.inputs) is FrozenDict
         assert type(twin.gas_price_per_tier) is FrozenDict
         assert _recorded_run(twin)[0] == _recorded_run(config)[0]
     assert hash(config) != hash(dataclasses.replace(config, inputs={"a": 1}))
+    # A config that has run holds its family's records, keys and hash
+    # state among them; each twin starts a family of its own.
+    runner = ScenarioRunner(config)
+    runner.run()
+    for twin in _twins(config):
+        assert twin == config and twin.family is not config.family
+        assert not twin.family
+        twin_runner = ScenarioRunner(twin)
+        twin_runner.run()
+        assert twin_runner.trace.to_jsonl() == runner.trace.to_jsonl()
 
 
 def test_changing_the_given_inputs_changes_neither_run_nor_trace():

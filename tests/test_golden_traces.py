@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import json
 import random
 from itertools import product
 
@@ -234,6 +235,31 @@ def test_pins_hold_for_a_later_cell_of_the_family(name, order, monkeypatch):
         _, done = config.family[ScenarioRunner.revealed].node
         delivered = [_pinned_digest(p) for _, _, p in done]
     assert tuple(delivered) == GOLDEN_DELIVERED.get(name, ())
+
+
+@pytest.mark.parametrize("cell", ["first", "last"])
+@pytest.mark.parametrize("name", sorted(golden_configs()))
+def test_the_exported_trace_ends_with_the_outcome_its_id_covers(name, cell):
+    """The outcome line, written when the trace is read, ends the exported
+    trace, and ``traceId`` is the SHA-256 of every line before it: when
+    the run is its family's first cell, which hashes the scenario line's
+    head, and when it is the last, which goes on from the family's state."""
+    config = dataclasses.replace(golden_configs()[name])
+    setup = RUNNER_SETUPS.get(name, lambda runner: None)
+    own = (config.requestor_strategy, config.node_strategy)
+    for pair in PAIRS if cell == "last" else ():
+        if pair != own:
+            runner = ScenarioRunner(config.with_strategies(*pair))
+            setup(runner)
+            runner.run()
+    runner = ScenarioRunner(config)
+    setup(runner)
+    outcome = runner.run()
+    *body, last = runner.trace.to_jsonl().encode().splitlines(keepends=True)
+    assert json.loads(last) == {"type": "outcome", **outcome.to_json_obj()}
+    assert runner.trace.records[-1] == json.loads(last)
+    assert (hashlib.sha256(b"".join(body)).hexdigest()[:16]
+            == outcome.trace_id == GOLDEN_TRACE_IDS[name])
 
 
 def test_trace_ids_do_not_depend_on_run_order():

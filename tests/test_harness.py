@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import gc
+import hashlib
 import json
 import random
 import weakref
@@ -62,6 +63,7 @@ from teescrow.ledger import (
     TIERS,
     ConservationViolation,
     ContractCall,
+    FrozenDict,
     Ledger,
     LedgerEvent,
     Receipt,
@@ -833,6 +835,41 @@ def test_a_cell_resumed_from_a_fork_runs_as_in_a_fresh_family(family, order):
             assert family.family[point].pending
         else:  # every cell played its whole run
             assert family.family[point] is None
+
+
+@pytest.mark.parametrize("inputs", [
+    tuple(range(1024)),
+    {"z": [1, {"node_strategy": "", "y": None}], "a": {"b": "\u2713"}},
+], ids=["1024-ints", "nested-object"])
+def test_a_family_hashes_its_scenario_head_once(inputs):
+    """Every cell's trace id goes on from its family's state over the
+    scenario line's head, which the first cell builds: each cell's trace
+    and id equal those of the same cell run in a fresh family."""
+    config = ScenarioConfig(inputs=inputs)
+    head = f'{{"config":{config.json_parts[0]}'.encode()
+    for pair in PAIRS:
+        cell = config.with_strategies(*pair)
+        played = _run(cell)
+        assert played == _run(dataclasses.replace(cell))
+        *body, _ = played[0].encode().splitlines(keepends=True)
+        assert body[0].startswith(head)
+        assert played[1].trace_id == hashlib.sha256(
+            b"".join(body)).hexdigest()[:16]
+    digest, start = config.family[harness_module._head]
+    assert (digest.hexdigest(), start) == (hashlib.sha256(head).hexdigest(),
+                                           len(head))
+
+
+def test_an_outcome_s_gas_map_is_frozen_and_its_line_stays():
+    runner = ScenarioRunner(dataclasses.replace(CFG))
+    outcome = runner.run()
+    exported = runner.trace.to_jsonl()
+    with pytest.raises(TypeError):
+        outcome.gas_by_party["requestor"] = 0
+    assert runner.trace.to_jsonl() == exported
+    assert type(outcome.to_json_obj()["gasByParty"]) is dict
+    built = dataclasses.replace(outcome, gas_by_party={"node": 1})
+    assert type(built.gas_by_party) is FrozenDict
 
 
 @pytest.mark.parametrize("third_party", [False, True],
