@@ -163,25 +163,27 @@ class ExecutionNodeActor:
     """The executing node's untrusted host-side client."""
 
     def __init__(self, config: ScenarioConfig,
-                 state: tuple = ((), ())) -> None:
+                 state: tuple = ((), (), ())) -> None:
         """Built from a ``snapshot()``, by default one before any step."""
         self.config = config
-        functions, done = state
+        functions, instances, results = state
         self._function_by_task: dict[int, str] = dict(functions)
-        self._done_by_task: dict[
-            int, tuple[EnclaveInstance, ProtectedResult]] = {
-                task_id: (EnclaveInstance(*fields), protected)
-                for task_id, fields, protected in done}
+        #: Each task's instance, from the runner's ``instantiate`` until its
+        #: ``destroy``: after a failed session, after the reveal, or at the
+        #: end of the run if no requestor provisioned it.
+        self.instances: dict[int, EnclaveInstance] = {
+            task_id: EnclaveInstance(*fields) for task_id, fields in instances}
+        self._result_by_task: dict[int, ProtectedResult] = dict(results)
 
     _instance_values = attrgetter(*EnclaveInstance.__slots__)
 
     def snapshot(self) -> tuple:
-        """The function of each task, and each executed instance the node
-        holds as its field values, with its protected result."""
+        """The function of each task, each instance the node holds as its
+        field values, and each executed task's protected result."""
         return (tuple(self._function_by_task.items()),
-                tuple((task_id, self._instance_values(instance), protected)
-                      for task_id, (instance, protected)
-                      in self._done_by_task.items()))
+                tuple((task_id, self._instance_values(instance))
+                      for task_id, instance in self.instances.items()),
+                tuple(self._result_by_task.items()))
 
     def step(self, run: ScenarioRunner, handler, *args) -> None:
         handler(self, run, *args)
@@ -202,20 +204,20 @@ class ExecutionNodeActor:
         if receipt.outcome.accepted:
             run.revealed(task_id)
         else:  # too late: the task timed out first
-            run.destroy(self._done_by_task.pop(task_id)[0])
+            del self._result_by_task[task_id]
+            run.destroy(task_id)
 
     def on_revealed(self, run: ScenarioRunner, task_id: int) -> None:
-        instance, protected = self._done_by_task.pop(task_id)
+        protected = self._result_by_task.pop(task_id)
         if self.config.node_strategy == NODE_HONEST:
             run.deliver(task_id, protected,
                         "third-party" if self.config.deliver_to_third_party
                         else "requestor")
-        run.destroy(instance)
+        run.destroy(task_id)
 
-    def on_execution_done(self, run: ScenarioRunner,
-                          instance: EnclaveInstance, task_id: int,
+    def on_execution_done(self, run: ScenarioRunner, task_id: int,
                           protected: ProtectedResult, secret: bytes) -> None:
-        self._done_by_task[task_id] = instance, protected
+        self._result_by_task[task_id] = protected
         run.submit(self, ContractCall("finalizeExecutionNode",
                                       {"task_id": task_id, "secret": secret}))
 

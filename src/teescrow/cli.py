@@ -7,7 +7,8 @@ Subcommands:
 * ``gas``       per-function gas and cost for a tier
 * ``latency``   honest-run end-to-end latency for a tier
 * ``inspect``   replay the config a trace file records; exit 1 on any byte
-                difference from the replay, naming the first differing line
+                difference from the replay, naming the first differing line,
+                or on a trace of another format than this build writes
 
 Exit codes: 0 success, 1 scenario assertion failure (information-flow
 violation, dominance violation, or a trace that is malformed or not its
@@ -31,6 +32,7 @@ from .config import (
     load_json_file,
 )
 from .harness import (
+    TRACE_FORMAT,
     ScenarioRunner,
     dominance_check,
     gas_report,
@@ -210,15 +212,20 @@ def _first_difference(data: bytes, replay: bytes) -> int:
 
 
 def _cmd_inspect(args) -> int:
-    """Rerun the config on the trace's first line; the file passes only if
-    it is the replay's trace and the replay saw no information-flow
-    violation."""
+    """Rerun the config on the trace's first line, if the line names this
+    build's trace format; the file passes only if it is the replay's trace
+    and the replay saw no information-flow violation."""
     with open(args.trace, "rb") as handle:
         data = handle.read()
     try:
         text = data.decode("utf-8")
-        config = ScenarioConfig.from_dict(
-            json.loads(text.partition("\n")[0])["config"])
+        first = json.loads(text.partition("\n")[0])
+        trace_format = first.get("traceFormat", 1)
+        if trace_format != TRACE_FORMAT:
+            print(f"trace format {trace_format!r}, this build writes "
+                  f"{TRACE_FORMAT}", file=sys.stderr)
+            return 1
+        config = ScenarioConfig.from_dict(first["config"])
         runner = ScenarioRunner(config)
         # A run with k submitTask calls made k - 1 resubmits, and the replay
         # may make no more: a forged max_resubmits cannot keep it running.
@@ -227,10 +234,11 @@ def _cmd_inspect(args) -> int:
             config.max_resubmits,
             max(text.count('"function":"submitTask"') - 1, 0))
         outcome = runner.run()
-    except (ValueError, RecursionError, KeyError, TypeError,
+    except (ValueError, RecursionError, AttributeError, KeyError, TypeError,
             ConfigInvalid) as exc:
         # Not UTF-8 or not JSON (or nested too deep to parse), a first line
-        # without a config object, or a config the simulator refuses.
+        # that is not an object or holds no config object, or a config the
+        # simulator refuses.
         print(f"malformed trace: {exc!r}", file=sys.stderr)
         return 1
     replay = runner.trace.to_jsonl().encode()

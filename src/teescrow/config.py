@@ -1,8 +1,9 @@
 """Scenario and ledger configuration.
 
 A scenario is fully described by a ``ScenarioConfig``: the two strategies,
-the economic parameters (result value, payment, compute cost, deposits,
-threshold), timing (expiry, tier, execution delay) and the RNG seed.  The
+the economic parameters (result value, payment, compute cost, threshold,
+which the contract also takes as the requestor's deposit, and the node's
+deposit), timing (expiry, tier, execution delay) and the RNG seed.  The
 same structure round-trips through a JSON config file; every key is
 optional and falls back to the documented defaults.
 
@@ -169,7 +170,6 @@ class ScenarioConfig:
     payment: int = 10 * UNIT
     compute_cost: int = 3 * UNIT
     threshold: int = 5 * 10**17
-    requestor_deposit: int = -1  # -1: derive from threshold
     node_deposit: int = -1  # -1: derive from threshold
     expires: int = 3600
     tier: str = "standard"
@@ -195,8 +195,6 @@ class ScenarioConfig:
             if not check(value):
                 raise ConfigInvalid(
                     f"{name} must be {expected}, got {_shown(value)}")
-        if self.requestor_deposit == -1:
-            object.__setattr__(self, "requestor_deposit", self.threshold)
         if self.node_deposit == -1:
             object.__setattr__(self, "node_deposit", self.threshold)
         for f in fields(self):  # lists become tuples, dicts FrozenDicts
@@ -208,9 +206,6 @@ class ScenarioConfig:
             raise ConfigInvalid(f"unknown tier {self.tier!r}")
         if self.threshold <= 0:
             raise ConfigInvalid("threshold must be positive")
-        if self.requestor_deposit != self.threshold:
-            # The contract fixes the requestor deposit at the threshold.
-            raise ConfigInvalid("requestor_deposit must equal threshold")
         if self.node_deposit < self.threshold:
             raise ConfigInvalid("node_deposit must be at least the threshold")
         for name in ("value_of_result", "payment", "compute_cost",
@@ -264,7 +259,7 @@ class ScenarioConfig:
                 > price * (gas["submitTask"] + gas["finalizeRequestor"])
                 and self.payment - self.compute_cost
                 > price * (gas["claimTask"] + gas["finalizeExecutionNode"])
-                and self.requestor_deposit > price * gas["finalizeRequestor"])
+                and self.threshold > price * gas["finalizeRequestor"])
 
     def _gas_schedule(self) -> GasSchedule:
         """The defaults with the override maps merged in."""

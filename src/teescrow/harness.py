@@ -44,7 +44,6 @@ from .enclave import (
 )
 from .ledger import (
     CONTRACT_ACCOUNT,
-    NULL_ACCOUNT,
     ContractCall,
     FrozenDict,
     GasSchedule,
@@ -71,6 +70,12 @@ PARTY_THIRD = "third-party"
 # output (the config's ``json_parts``), so a new config key needs no edit.
 _q = json.encoder.encode_basestring_ascii
 _BOOL = {True: "true", False: "false"}
+
+#: The version of the line shapes below and of the config's keys, which
+#: the ``scenario`` line records: a change to either moves it, so that
+#: ``inspect`` refuses a trace of another format by name.  A trace without
+#: the key is of format 1.
+TRACE_FORMAT = 2
 
 
 def _int_map(mapping: dict[str, int]) -> str:
@@ -148,8 +153,6 @@ class Trace:
         self._lines.append(
             f'{{"args":{_CALL_ARGS[call.function](call.args)},'
             f'"blockHeight":{receipt.block_height},'
-            # submit_transaction raises otherwise.
-            f'"conservationOk":true,'
             f'"function":"{call.function}","gasCost":{receipt.gas_cost},'
             f'"gasUsed":{receipt.gas_used},"outcome":{outcome},'
             f'"sender":{_q(sender)},"tier":{_q(receipt.tier)},'
@@ -168,9 +171,6 @@ class Trace:
     def enclave(self, op: str, instance: EnclaveInstance) -> None:
         """A successful ``instantiate``, ``attest``, ``provision``,
         ``execute`` or ``destroy`` of ``instance``."""
-        if op == "destroy":
-            self._lines.append('{"ok":true,"op":"destroy","type":"enclave"}\n')
-            return
         measurement = (f'"measurement":"{instance.image.measurement.hex()}",'
                        if op == "instantiate" else "")
         cost = (f'"resourceCost":{instance.image.resource_cost},'
@@ -184,11 +184,15 @@ class Trace:
             f'{{"detail":{_q(detail)},"ok":false,"op":"{op}",'
             f'"type":"enclave"}}\n')
 
-    def result_delivery(self, task_id: int, key_id: str,
+    def result_delivery(self, task_id: int, protected: ProtectedResult,
                         destination: str) -> None:
+        """The delivery, with the SHA-256 of the bytes it carries."""
+        digest = hashlib.sha256(protected.nonce + protected.ciphertext
+                                + protected.signature).hexdigest()
         self._lines.append(
-            f'{{"destination":{_q(destination)},"keyId":{_q(key_id)},'
-            f'"kind":"result-delivery","taskId":{task_id},'
+            f'{{"destination":{_q(destination)},'
+            f'"keyId":{_q(protected.key_id)},"kind":"result-delivery",'
+            f'"resultDigest":"{digest}","taskId":{task_id},'
             f'"type":"message"}}\n')
 
     def third_party_ack(self, task_id: int, signature_valid: bool) -> None:
@@ -201,16 +205,14 @@ class Trace:
         head, middle, tail = c.json_parts
         self._lines.append(f'{{"config":{head}{_q(c.node_strategy)}{middle}'
                            f'{_q(c.requestor_strategy)}{tail},'
+                           f'"traceFormat":{TRACE_FORMAT},'
                            f'"type":"scenario"}}\n')
 
     def contract_state(self, contract: EscrowContract) -> None:
         # Task ids are keys, so they sort as strings: "10" before "2".  A
         # state is a str enum, so ``_q`` writes its value.
         tasks = ",".join(
-            f'"{task_id}":{{'
-            f'"claimed":{_BOOL[t.execution_node != NULL_ACCOUNT]},'
-            f'"completed":{_BOOL[t.state is TaskState.COMPLETED]},'
-            f'"executionNode":"{t.execution_node.hex()}",'
+            f'"{task_id}":{{"executionNode":"{t.execution_node.hex()}",'
             f'"executionNodeDeposit":{t.execution_node_deposit},'
             f'"expires":{t.expires},"functionName":{_q(t.function_name)},'
             f'"hashLock":"{t.hash_lock.hex()}","payment":{t.payment},'
@@ -324,7 +326,8 @@ def _start(c: ScenarioConfig) -> _Fork:
     each account holds ``initial_balance``, and the requestor's
     ``on_start`` is the one queued call."""
     return _Fork(((0, 0, c.initial_balance, c.initial_balance), 0, 0, 0, ()),
-                 (0, ()), ((), False, 0, 0), ((), ()), (0, 0, frozenset(), 0),
+                 (0, ()), ((), False, 0, 0), ((), (), ()),
+                 (0, 0, frozenset(), 0),
                  (frozenset(), frozenset()), (),
                  ((0, "requestor", RequestorActor.on_start, ()),), 0)
 
@@ -395,6 +398,10 @@ class ScenarioRunner:
             if ledger.now < time:
                 ledger.advance_time(time - ledger.now)
             party.step(self, handler, *args)
+        # No call is left that could provision an instance the node holds:
+        # its requestor withheld the input.
+        for task_id in tuple(self.node.instances):
+            self.destroy(task_id)
         return self._finish()
 
     def _queue_call(self, party, handler, *args, at: int | None = None):
@@ -439,9 +446,12 @@ class ScenarioRunner:
             self._record(ScenarioRunner.claim)
 
     def instantiate(self, function_name: str, task_id: int) -> None:
+        """A new instance for the task, which the node holds until
+        ``destroy``."""
         # A config names only built-in functions, and the host holds its
         # image, so instantiation cannot fail.
-        instance = self.host.instantiate(function_name)
+        instance = self.node.instances[task_id] = self.host.instantiate(
+            function_name)
         self.trace.enclave("instantiate", instance)
         self._queue_call(self.requestor, RequestorActor.on_instance_created,
                          instance, task_id)
@@ -456,7 +466,7 @@ class ScenarioRunner:
                              requestor=REQUESTOR)
         except EnclaveError as exc:
             self.trace.enclave_failed("attest", str(exc))
-            self.destroy(instance)
+            self.destroy(task_id)
             return
         self.trace.enclave("attest", instance)
         self.host.provision(instance, REQUESTOR, secret, inputs, result_keys,
@@ -468,22 +478,25 @@ class ScenarioRunner:
             # The instance holds the secret and inputs: it must not outlive
             # the failed session.
             self.trace.enclave_failed("execute", str(exc))
-            self.destroy(instance)
+            self.destroy(task_id)
             return
         self.trace.enclave("execute", instance)
         self._queue_call(self.node, ExecutionNodeActor.on_execution_done,
-                         instance, task_id, protected, secret,
+                         task_id, protected, secret,
                          at=self.ledger.now + self.config.execution_delay)
 
     def deliver(self, task_id: int, protected: ProtectedResult,
                 destination: str) -> None:
-        self.trace.result_delivery(task_id, protected.key_id, destination)
+        self.trace.result_delivery(task_id, protected, destination)
         recipient = (self.third_party if destination == PARTY_THIRD
                      else self.requestor)
         self._queue_call(recipient, type(recipient).on_delivery, task_id,
                          protected)
 
-    def destroy(self, instance: EnclaveInstance) -> None:
+    def destroy(self, task_id: int) -> None:
+        """Destroy the instance the node holds for the task, which it then
+        no longer holds."""
+        instance = self.node.instances.pop(task_id)
         self.host.destroy(instance)
         self.trace.enclave("destroy", instance)
 

@@ -30,6 +30,7 @@ from teescrow.harness import (
 from teescrow.ledger import (
     DEFAULT_CONFIRMATION_DELAY,
     TIERS,
+    ConservationViolation,
     ContractCall,
     GasSchedule,
     Ledger,
@@ -86,14 +87,15 @@ def draw_batch():
         conserved = True
         for cell in CELLS:
             runner = ScenarioRunner(config.with_strategies(*cell))
-            outcome = runner.run()
+            try:
+                # The ledger checks the supply identity after every
+                # transaction; checked once more at the end of the run.
+                outcome = runner.run()
+                runner.ledger.assert_conservation()
+            except ConservationViolation:
+                conserved = False
+                break
             outcomes[cell] = (outcome.requestor_payoff, outcome.node_payoff)
-            conserved = conserved and all(
-                record["conservationOk"]
-                for record in runner.trace.records
-                if record["type"] == "call"
-            )
-            runner.ledger.assert_conservation()
         batch.append({"params": params, "outcomes": outcomes,
                       "conserved": conserved})
     return {"draws": batch, "elapsed": time.monotonic() - started}

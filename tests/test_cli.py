@@ -29,7 +29,7 @@ from teescrow.config import (
     ScenarioConfig,
 )
 from teescrow.enclave import BUILTIN_BODIES, EnclaveHost
-from teescrow.harness import ScenarioRunner
+from teescrow.harness import TRACE_FORMAT, ScenarioRunner
 from teescrow.ledger import (
     DEFAULT_CONFIRMATION_DELAY,
     DEFAULT_GAS_PER_FUNCTION,
@@ -404,7 +404,7 @@ def _report_invocations() -> list[tuple[str, ...]]:
 
 #: SHA-256 over (argv, exit code, stdout) of every report invocation, in
 #: order: the report commands' exact output.
-REPORT_OUTPUT_DIGEST = "ba6155b5bebf691e"
+REPORT_OUTPUT_DIGEST = "cc3b1018b4d98d04"
 
 
 def test_report_output_unchanged(capsys, tmp_path, monkeypatch):
@@ -446,7 +446,9 @@ def test_config_file_unknown_key_exits_2(capsys, tmp_path):
     ({"payment": "10"}, "payment must be an integer"),
     ({"gas_per_function": {"submitTask": 0}}, "must be positive"),
     ({"expires": 1.5}, "expires must be an integer"),
-    ({"requestor_deposit": -3}, "requestor_deposit must equal threshold"),
+    # The contract takes the threshold as the requestor's deposit: a config
+    # has no key for it.
+    ({"requestor_deposit": -3}, "unknown config keys: ['requestor_deposit']"),
     ({"node_deposit": -7}, "node_deposit must be at least the threshold"),
     # -1.0 == -1, so the type check must run before -1 derives a deposit.
     ({"node_deposit": -1.0}, "node_deposit must be an integer"),
@@ -459,6 +461,19 @@ def test_config_file_bad_value_exits_2(capsys, tmp_path, override, message):
     code, _, err = run_cli(capsys, "scenario", "--config", str(bad))
     assert code == 2
     assert message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["scenario", "--config"], ["gas", "--tier", "slow", "--config"],
+    ["latency", "--tier", "slow", "--config"], ["payoffs", "--grid"],
+], ids=["scenario", "gas", "latency", "payoffs-grid"])
+def test_a_requestor_deposit_exits_2(capsys, tmp_path, argv):
+    bad = tmp_path / "bad.json"
+    data = dict(SMALL, requestor_deposit=SMALL["threshold"])
+    bad.write_text(json.dumps([data] if argv[0] == "payoffs" else data))
+    code, out, err = run_cli(capsys, *argv, str(bad))
+    assert (code, out) == (2, "")
+    assert "unknown config keys: ['requestor_deposit']" in err
 
 
 @pytest.mark.parametrize("override, message", [
@@ -901,7 +916,8 @@ def test_inspect_rejects_a_run_its_config_does_not_make(tmp_path, name):
 
 
 def _first_line(config) -> bytes:
-    return _canonical({"config": config, "type": "scenario"}).encode()
+    return _canonical({"config": config, "traceFormat": TRACE_FORMAT,
+                       "type": "scenario"}).encode()
 
 
 @pytest.mark.parametrize("data, message", [
@@ -911,16 +927,47 @@ def _first_line(config) -> bytes:
     (_first_line(dict(SMALL, fee=1)), "unknown config keys: ['fee']"),
     (_first_line(dict(SMALL, threshold=0)), "threshold must be positive"),
     (_first_line(dict(SMALL, payment="10")), "payment must be an integer"),
-    (b'{"type":"scenario"}\n', "KeyError('config')"),
+    (b'{"traceFormat":2,"type":"scenario"}\n', "KeyError('config')"),
+    (b"[1]\n", "AttributeError"),
     (_first_line(_UNWRITABLE), "below 2**256 in magnitude"),
 ], ids=["empty", "not-utf-8", "config-not-an-object", "unknown-key",
-        "out-of-range", "string-amount", "no-config",
+        "out-of-range", "string-amount", "no-config", "not-an-object",
         "unwritable-amount"])
 def test_inspect_hostile_trace_exits_1(tmp_path, data, message):
     code, out, err = _inspect_bytes(tmp_path / "t", data)
     assert (code, out) == (1, "")
     assert err.startswith("malformed trace: ")
     assert message in err
+
+
+#: An honest run of ``SMALL``, as the build before the ``traceFormat`` key
+#: exported it: a format-1 trace.
+_FORMAT_1_TRACE = Path(__file__).parent / "data" / "format-1-honest.jsonl"
+
+
+def _with_format(trace_format) -> bytes:
+    """An honest run of ``SMALL`` whose first line names ``trace_format``,
+    or no format at all for ``None``."""
+    first, *rest = _trace_lines()
+    record = json.loads(first)
+    del record["traceFormat"]
+    if trace_format is not None:
+        record["traceFormat"] = trace_format
+    return "".join([_canonical(record), *rest]).encode()
+
+
+@pytest.mark.parametrize("data, shown", [
+    (_FORMAT_1_TRACE.read_bytes, "1"),
+    (lambda: _with_format(None), "1"),
+    (lambda: _with_format(1), "1"),
+    (lambda: _with_format(3), "3"),
+    (lambda: _with_format("2"), "'2'"),
+], ids=["exported-at-format-1", "no-format", "format-1", "format-3",
+        "format-a-string"])
+def test_inspect_refuses_a_trace_of_another_format(tmp_path, data, shown):
+    code, out, err = _inspect_bytes(tmp_path / "t", data())
+    assert (code, out) == (1, "")
+    assert err == f"trace format {shown}, this build writes {TRACE_FORMAT}\n"
 
 
 def test_inspect_replays_no_more_tasks_than_the_file_submits(tmp_path,
@@ -951,10 +998,10 @@ def test_inspect_replays_no_more_tasks_than_the_file_submits(tmp_path,
 
 
 _INT_FIELDS = ("value_of_result", "payment", "compute_cost", "threshold",
-               "requestor_deposit", "node_deposit", "expires", "rng_seed",
-               "execution_delay", "initial_balance", "max_resubmits")
+               "node_deposit", "expires", "rng_seed", "execution_delay",
+               "initial_balance", "max_resubmits")
 _AMOUNT_FIELDS = ("value_of_result", "payment", "compute_cost", "threshold",
-                  "requestor_deposit", "node_deposit", "initial_balance")
+                  "node_deposit", "initial_balance")
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers()
     | st.floats(allow_nan=False, allow_infinity=False) | st.text(),
@@ -974,7 +1021,6 @@ def _config_fields(draw):
         payment=draw(st.integers(0, 40)),
         compute_cost=draw(st.integers(0, 40)),
         threshold=threshold,
-        requestor_deposit=draw(st.sampled_from([-1, threshold])),
         node_deposit=draw(st.just(-1) | st.integers(threshold, 3 * threshold)),
         expires=draw(st.integers(1, 10**6)),
         tier=draw(st.sampled_from(TIERS)),

@@ -28,7 +28,7 @@ from teescrow.harness import ScenarioRunner
 from teescrow.ledger import DEFAULT_GAS_PER_FUNCTION, FrozenDict, GasSchedule
 
 #: The traceId of ``ScenarioConfig(inputs=[1, 2, 3], function_name="sum")``.
-SUM_TRACE_ID = "f198d2a3f5f72f23"
+SUM_TRACE_ID = "b5a768e5ac7d90a2"
 
 _MAP_FIELDS = ("gas_per_function", "gas_price_per_tier",
                "confirmation_delay_per_tier")
@@ -268,8 +268,6 @@ _RULES = {
                       "unknown node strategy 'bogus'"),
     "tier": ({"tier": "medium"}, "unknown tier 'medium'"),
     "threshold": ({"threshold": 0}, "threshold must be positive"),
-    "requestor-deposit": ({"requestor_deposit": 7},
-                          "requestor_deposit must equal threshold"),
     "node-deposit": ({"node_deposit": 1},
                      "node_deposit must be at least the threshold"),
     "value": ({"value_of_result": -1}, "value_of_result must be non-negative"),

@@ -2,8 +2,9 @@
 
 Each value is the ``traceId`` of one seeded run.  A mismatch means the
 trace bytes changed, so the change is not behaviour-preserving and must
-be made on purpose (and these values re-derived) or not at all.  The
-delivered result's bytes are not in the trace, so they are pinned here too.
+be made on purpose (and these values re-derived) or not at all.  A
+delivery's line holds the SHA-256 of the bytes it carries, so the pins
+cover the delivered results too.
 """
 
 from __future__ import annotations
@@ -27,9 +28,6 @@ from teescrow.harness import ScenarioRunner, payoff_matrix
 from teescrow.ledger import TIERS
 
 PAIRS = tuple(product(REQUESTOR_STRATEGIES, NODE_STRATEGIES))
-
-#: The strategy pairs that share a family's record of the confirm decision.
-DECIDING = (("honest", "honest"), ("no-confirm", "honest"))
 
 
 def golden_configs() -> dict[str, ScenarioConfig]:
@@ -95,78 +93,54 @@ RUNNER_SETUPS = {
 
 
 GOLDEN_TRACE_IDS = {
-    "honest/honest/slow": "410d9a26d312e230",
-    "honest/honest/standard": "cd9bf4e49b47bf37",
-    "honest/honest/fast": "30baca1ba4b60483",
-    "honest/claim-only/slow": "a5d972ddd15f3532",
-    "honest/claim-only/standard": "b37cd3cfbd193d60",
-    "honest/claim-only/fast": "c5c2728975db1187",
-    "honest/compute-no-deliver/slow": "e353ef2bf971aae6",
-    "honest/compute-no-deliver/standard": "1bd2e6cdd4e40d43",
-    "honest/compute-no-deliver/fast": "580234db3777bf56",
-    "no-confirm/honest/slow": "29689c5e555ecee1",
-    "no-confirm/honest/standard": "1c525010dba70dbc",
-    "no-confirm/honest/fast": "cce4b01f3b0d8748",
-    "no-confirm/claim-only/slow": "352105633af671fe",
-    "no-confirm/claim-only/standard": "fd7ce6fc7cea4dcd",
-    "no-confirm/claim-only/fast": "8791965797baff66",
-    "no-confirm/compute-no-deliver/slow": "0f261ba263dd75cb",
-    "no-confirm/compute-no-deliver/standard": "38f1466ad9ffdb42",
-    "no-confirm/compute-no-deliver/fast": "7cb74459c207e878",
-    "withhold-input/honest/slow": "198bbd18b99f5707",
-    "withhold-input/honest/standard": "e38d620d8e5fa907",
-    "withhold-input/honest/fast": "e3bc0480dc5112c7",
-    "withhold-input/claim-only/slow": "c3cb1dcf8afd0218",
-    "withhold-input/claim-only/standard": "abec7083960515ff",
-    "withhold-input/claim-only/fast": "db0ad7a1c2684e05",
-    "withhold-input/compute-no-deliver/slow": "dc27e66876830197",
-    "withhold-input/compute-no-deliver/standard": "4df7bab0e5107993",
-    "withhold-input/compute-no-deliver/fast": "7494732587050bd9",
-    "third-party": "97e599544446e7a9",
-    "sum-64": "e16b74f0d08679ce",
-    "sha256-hex-64": "421d8e711c80231c",
-    "execution-delay-5": "da05e4cef0c03411",
-    "withhold-chain-3": "b024bf3ed0d068ee",
-    "wrong-measurement": "f55b0be73107df8d",
-    "execution-fault": "407c4de3bd62d1d7",
-    "delivery-tamper": "817c4df3be54d1d2",
-    "gas-in-payoffs": "f02c74bb93a2b73a",
-    "withhold-chain-11": "f45bce724b65ebaa",
-    "hostile-inputs": "9bde6494bd0555d7",
-    "delivery-tamper-third-party": "89aed20b3e447648",
-    "claim-only-chain-3": "3f5ecbc7f798f6d8",
-    "withhold-claim-only-chain-3": "efd4f4f9c63d7309",
-    "compute-no-deliver-chain-3": "d4e7597f86bc096b",
-    "strategy-keys-in-inputs": "cee21dd9a930c267",
-}
-
-
-#: The trace records a delivery's ``keyId`` but not its bytes, so these pin
-#: them: per delivering case, the first 16 hex digits of SHA-256 over
-#: nonce || ciphertext || signature of each delivered result, in order.  A
-#: case not listed delivers nothing.
-GOLDEN_DELIVERED = {
-    "delivery-tamper": ("e4ce41c372cf641c",),
-    "delivery-tamper-third-party": ("e4ce41c372cf641c",),
-    "execution-delay-5": ("e1b20e5fc19cf4d9",),
-    "gas-in-payoffs": ("e1b20e5fc19cf4d9",),
-    "honest/honest/fast": ("e1b20e5fc19cf4d9",),
-    "honest/honest/slow": ("e1b20e5fc19cf4d9",),
-    "honest/honest/standard": ("e1b20e5fc19cf4d9",),
-    "hostile-inputs": ("eba41a555e943481",),
-    "no-confirm/honest/fast": ("e1b20e5fc19cf4d9",),
-    "no-confirm/honest/slow": ("e1b20e5fc19cf4d9",),
-    "no-confirm/honest/standard": ("e1b20e5fc19cf4d9",),
-    "sha256-hex-64": ("034167c09f28365b",),
-    "strategy-keys-in-inputs": ("74dcd51f077677f8",),
-    "sum-64": ("273cb599285fc6ce",),
-    "third-party": ("e1b20e5fc19cf4d9",),
+    "honest/honest/slow": "bc71bad168c18530",
+    "honest/honest/standard": "9a746487c11c008c",
+    "honest/honest/fast": "68f58aa74d315007",
+    "honest/claim-only/slow": "f52ed4dd71952d0a",
+    "honest/claim-only/standard": "ebe686e9a1275943",
+    "honest/claim-only/fast": "fab355f83c8cf7f7",
+    "honest/compute-no-deliver/slow": "0c9bbdd640805885",
+    "honest/compute-no-deliver/standard": "07e67357c5ed00a9",
+    "honest/compute-no-deliver/fast": "65f22670e5d7cb1b",
+    "no-confirm/honest/slow": "2a0aa6488420d9f5",
+    "no-confirm/honest/standard": "7eac7f00cbb41d52",
+    "no-confirm/honest/fast": "aeacd951a379dd60",
+    "no-confirm/claim-only/slow": "42d369e59c2e465e",
+    "no-confirm/claim-only/standard": "c55dff8d0c213357",
+    "no-confirm/claim-only/fast": "f6b0f70fff92eb82",
+    "no-confirm/compute-no-deliver/slow": "b61975bad1ed94b5",
+    "no-confirm/compute-no-deliver/standard": "6a1a2da9a3962910",
+    "no-confirm/compute-no-deliver/fast": "13b8722790b4f6a5",
+    "withhold-input/honest/slow": "ab6786996d4c02de",
+    "withhold-input/honest/standard": "fe756afa27535864",
+    "withhold-input/honest/fast": "2a32bd25c948711f",
+    "withhold-input/claim-only/slow": "984f4e3528a54206",
+    "withhold-input/claim-only/standard": "f7e8acbabc5cceca",
+    "withhold-input/claim-only/fast": "f7cbfc77c2722d83",
+    "withhold-input/compute-no-deliver/slow": "afea4d257e485ec0",
+    "withhold-input/compute-no-deliver/standard": "844e7c02d4cc1f95",
+    "withhold-input/compute-no-deliver/fast": "54f7593326c42e5c",
+    "third-party": "2dbd0fbace02742b",
+    "sum-64": "c051248abeb60fee",
+    "sha256-hex-64": "79ecf8d3054fe7eb",
+    "execution-delay-5": "90d0856771c14611",
+    "withhold-chain-3": "24e92355f7422af1",
+    "wrong-measurement": "89ad19922a02e393",
+    "execution-fault": "a4732eebe1e80fd0",
+    "delivery-tamper": "b44b04521b82ace6",
+    "gas-in-payoffs": "91f0375d660a6950",
+    "withhold-chain-11": "d8124ccca9744f88",
+    "hostile-inputs": "86ed01601233ab43",
+    "delivery-tamper-third-party": "50a0cac828dc6ed1",
+    "claim-only-chain-3": "ca40464e7f987c74",
+    "withhold-claim-only-chain-3": "c8e7c00fbccf4ada",
+    "compute-no-deliver-chain-3": "371ecbccaf0e3855",
+    "strategy-keys-in-inputs": "2c87b15f306c2eb8",
 }
 
 
 def test_every_case_is_pinned():
     assert set(GOLDEN_TRACE_IDS) == set(golden_configs())
-    assert set(GOLDEN_DELIVERED) <= set(golden_configs())
 
 
 def _trace_id(name: str, config: ScenarioConfig | None = None) -> str:
@@ -175,47 +149,18 @@ def _trace_id(name: str, config: ScenarioConfig | None = None) -> str:
     return runner.run().trace_id
 
 
-def _pinned_digest(p) -> str:
-    """What ``GOLDEN_DELIVERED`` pins of one protected result."""
-    return hashlib.sha256(p.nonce + p.ciphertext + p.signature).hexdigest()[:16]
-
-
-def _recording_deliveries(monkeypatch) -> list[str]:
-    """The pinned digest of each result delivered from now on, in order."""
-    deliver = ScenarioRunner.deliver
-    delivered = []
-
-    def recording(runner, task_id, p, destination):
-        delivered.append(_pinned_digest(p))
-        deliver(runner, task_id, p, destination)
-
-    monkeypatch.setattr(ScenarioRunner, "deliver", recording)
-    return delivered
-
-
 @pytest.mark.parametrize("name", sorted(golden_configs()))
 def test_trace_id_unchanged(name):
     assert _trace_id(name) == GOLDEN_TRACE_IDS[name]
 
 
-@pytest.mark.parametrize("name", sorted(golden_configs()))
-def test_delivered_bytes_unchanged(name, monkeypatch):
-    delivered = _recording_deliveries(monkeypatch)
-    _trace_id(name)
-    assert tuple(delivered) == GOLDEN_DELIVERED.get(name, ())
-
-
 @pytest.mark.parametrize("order", ["forward", "reversed"])
 @pytest.mark.parametrize("name", sorted(golden_configs()))
-def test_pins_hold_for_a_later_cell_of_the_family(name, order, monkeypatch):
+def test_pins_hold_for_a_later_cell_of_the_family(name, order):
     """The golden run as the last cell of its config family: the other
     eight strategy pairs run first, through ``with_strategies``, so the
     state the family shares is built by another cell.  Each run carries
-    the golden's runner hook, as every run of a hooked family must.  The
-    cell delivers the pinned bytes itself unless it resumes from the
-    family's record of the confirm decision, which comes after the
-    delivery; then the protected result that the family's record of the
-    node's reveal holds, and that the cell shares, is the pinned one."""
+    the golden's runner hook, as every run of a hooked family must."""
     config = golden_configs()[name]
     setup = RUNNER_SETUPS.get(name, lambda runner: None)
     own = (config.requestor_strategy, config.node_strategy)
@@ -226,15 +171,8 @@ def test_pins_hold_for_a_later_cell_of_the_family(name, order, monkeypatch):
         runner = ScenarioRunner(config.with_strategies(*pair))
         setup(runner)
         runner.run()
-    decided = own in DECIDING and config.family.get(ScenarioRunner.accept)
-    delivered = _recording_deliveries(monkeypatch)
     trace_id = _trace_id(name, config.with_strategies(*own))
     assert trace_id == GOLDEN_TRACE_IDS[name]
-    if decided:
-        assert delivered == []
-        _, done = config.family[ScenarioRunner.revealed].node
-        delivered = [_pinned_digest(p) for _, _, p in done]
-    assert tuple(delivered) == GOLDEN_DELIVERED.get(name, ())
 
 
 @pytest.mark.parametrize("cell", ["first", "last"])
@@ -303,7 +241,7 @@ def broad_configs(draws: int = 300) -> list[ScenarioConfig]:
 
 #: SHA-256 over the traces of every broad draw under all nine strategy
 #: pairs, in order, each pair run in its draw's config family.
-BROAD_TRACE_DIGEST = "b1cc374887b3c9b6"
+BROAD_TRACE_DIGEST = "413650624f082296"
 
 
 def test_broad_trace_digest_unchanged():
@@ -314,6 +252,41 @@ def test_broad_trace_digest_unchanged():
             runner.run()
             digest.update(runner.trace.to_jsonl().encode())
     assert digest.hexdigest()[:16] == BROAD_TRACE_DIGEST
+
+
+def _unpaired_instances(trace: str) -> list[int]:
+    """The ``instanceId`` of each ``instantiate`` line of ``trace`` that is
+    not followed by exactly one ``destroy`` line of the same instance."""
+    live, unpaired = set(), []
+    for record in map(json.loads, trace.splitlines()):
+        if record["type"] == "enclave" and record["ok"]:
+            if record["op"] == "instantiate":
+                live.add(record["instanceId"])
+            elif record["op"] == "destroy":
+                if record["instanceId"] in live:
+                    live.remove(record["instanceId"])
+                else:  # a second destroy, or one of no instance
+                    unpaired.append(record["instanceId"])
+    return sorted(live) + unpaired
+
+
+def test_a_withholding_chain_destroys_every_instance_it_opens():
+    """No requestor provisions the four instances: the run destroys each
+    once no call is left."""
+    runner = ScenarioRunner(golden_configs()["withhold-chain-3"])
+    runner.run()
+    ops = [r["op"] for r in runner.trace.records if r["type"] == "enclave"]
+    assert ops.count("instantiate") == ops.count("destroy") == 4
+    assert runner.node.instances == {}
+
+
+@pytest.mark.parametrize("name", sorted(golden_configs()))
+def test_every_golden_instance_is_destroyed_once(name):
+    runner = ScenarioRunner(golden_configs()[name])
+    RUNNER_SETUPS.get(name, lambda runner: None)(runner)
+    runner.run()
+    assert _unpaired_instances(runner.trace.to_jsonl()) == []
+    assert runner.node.instances == {}
 
 
 def _played(config: ScenarioConfig) -> tuple:
@@ -339,14 +312,16 @@ def test_every_cell_of_a_payoff_matrix_equals_its_fresh_run(case):
     """The nine cells of one config family, in ``payoff_matrix``'s order,
     so that each later cell resumes from what an earlier one recorded,
     write the trace bytes and outcome of the same cell run in a family of
-    its own: on every golden config with no runner hook and every broad
-    draw.  Inside the rational regime ``payoff_matrix`` returns them."""
+    its own, and destroy each instance they open once: on every golden
+    config with no runner hook and every broad draw.  Inside the rational
+    regime ``payoff_matrix`` returns them."""
     for config in _matrix_cases()[case]:
         cells = {pair: _played(config.with_strategies(*pair))
                  for pair in PAIRS}
         for pair, played in cells.items():
             fresh = dataclasses.replace(config.with_strategies(*pair))
             assert played == _played(fresh), (config, pair)
+            assert _unpaired_instances(played[0]) == [], (config, pair)
         if config.in_rational_regime:
             assert payoff_matrix(dataclasses.replace(config)) == {
                 pair: outcome for pair, (_, outcome) in cells.items()}

@@ -10,18 +10,20 @@ import weakref
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from conftest import FormatsAsSeven, run_claim_race
 from test_golden_traces import (
     PAIRS,
     RUNNER_SETUPS,
+    _unpaired_instances,
     golden_configs,
 )
 
 from teescrow import config as config_module
 from teescrow import harness as harness_module
 from teescrow import crypto, streams
+from teescrow.crypto import ProtectedResult
 from teescrow.streams import ByteStream
 from teescrow.actors import ExecutionNodeActor, RequestorActor
 from teescrow.config import (
@@ -46,6 +48,7 @@ from teescrow.enclave import (
     InfoFlowLedger,
 )
 from teescrow.harness import (
+    TRACE_FORMAT,
     ScenarioOutcome,
     ScenarioRunner,
     Trace,
@@ -327,7 +330,7 @@ def _call_records(sender, receipt):
         "args": receipt.call.args, "value": receipt.value,
         "tier": receipt.tier, "blockHeight": receipt.block_height,
         "timestamp": receipt.timestamp, "gasUsed": receipt.gas_used,
-        "gasCost": receipt.gas_cost, "conservationOk": True,
+        "gasCost": receipt.gas_cost,
         "outcome": ({"accepted": True, "taskId": o.task_id} if o.accepted
                     else {"accepted": False, "reason": o.reason.value}),
     }] + [{"type": "event", "kind": e.kind, "taskId": e.task_id,
@@ -338,6 +341,8 @@ def _call_records(sender, receipt):
 _INSTANCES = st.builds(EnclaveInstance, instance_id=_INT, image=st.builds(
     FunctionImage, name=_TEXT, version=_TEXT, body_id=_TEXT, body=st.none(),
     resource_cost=_INT))
+_PROTECTED = st.builds(ProtectedResult, nonce=_BYTES, ciphertext=_BYTES,
+                       signature=_BYTES, key_id=_TEXT)
 #: Enclave op -> the fields its success record reads from the instance.
 _ENCLAVE_FIELDS = {
     "instantiate": lambda i: {"instanceId": i.instance_id,
@@ -346,7 +351,7 @@ _ENCLAVE_FIELDS = {
     "provision": lambda i: {"instanceId": i.instance_id},
     "execute": lambda i: {"instanceId": i.instance_id,
                           "resourceCost": i.image.resource_cost},
-    "destroy": lambda i: {},
+    "destroy": lambda i: {"instanceId": i.instance_id},
 }
 #: Per-transaction record shape -> (the ``Trace`` writer, its arguments as
 #: drawn from their sources, the records built from the sources' fields).
@@ -372,11 +377,12 @@ TRACE_WRITERS = {
         lambda op, detail: [
             {"type": "enclave", "op": op, "ok": False, "detail": detail}]),
     "message/result-delivery": (
-        "result_delivery", st.tuples(_INT, _TEXT, _TEXT),
-        lambda task_id, key_id, destination: [
+        "result_delivery", st.tuples(_INT, _PROTECTED, _TEXT),
+        lambda task_id, p, destination: [
             {"type": "message", "kind": "result-delivery",
              "destination": destination, "taskId": task_id,
-             "keyId": key_id}]),
+             "keyId": p.key_id, "resultDigest": hashlib.sha256(
+                 p.nonce + p.ciphertext + p.signature).hexdigest()}]),
     "message/third-party-ack": (
         "third_party_ack", st.tuples(_INT, st.booleans()),
         lambda task_id, valid: [
@@ -463,9 +469,6 @@ def _contract_state_record(contract):
             "requestorDeposit": t.requestor_deposit,
             "executionNode": t.execution_node.hex(),
             "executionNodeDeposit": t.execution_node_deposit,
-            # A timed-out task still shows whether it had been claimed.
-            "claimed": t.execution_node != NULL_ACCOUNT,
-            "completed": t.state is TaskState.COMPLETED,
             "start": t.start, "expires": t.expires, "state": t.state.value,
         } for task_id, t in contract.tasks.items()}}}
 
@@ -484,7 +487,8 @@ _SCENARIO_OUTCOMES = st.builds(
 #: record built from the source's JSON form or its fields).
 RUN_RECORDS = {
     "scenario": (_CONFIGS, lambda config: {
-        "type": "scenario", "config": config.to_json_obj()}),
+        "type": "scenario", "config": config.to_json_obj(),
+        "traceFormat": TRACE_FORMAT}),
     "contract_state": (_contracts(), _contract_state_record),
     "outcome": (_SCENARIO_OUTCOMES, lambda outcome: {
         "type": "outcome", **outcome.to_json_obj()}),
@@ -929,8 +933,8 @@ def test_every_executing_cell_records_the_same_reveal(family, third_party):
     (time, role, _, args), expiry = records[0].pending
     assert (time, role, args) == (records[0].ledger[2], "node", (0,))
     assert expiry == _expiry_of_task_0(records[0])
-    _, [(task_id, instance, _)] = records[0].node
-    assert task_id == 0
+    _, [(task_id, instance)], [(executed_task_id, _)] = records[0].node
+    assert task_id == executed_task_id == 0
     assert EnclaveInstance(*instance).state is EnclaveState.EXECUTED
 
 
@@ -1152,7 +1156,8 @@ def test_a_node_holding_an_instance_restores_an_equal_copy():
 
     def submit_while_holding(actor, call, value=0):
         if call.function == "finalizeExecutionNode":  # the instance is held
-            [(instance, protected)] = runner.node._done_by_task.values()
+            [instance] = runner.node.instances.values()
+            [protected] = runner.node._result_by_task.values()
             held.append((runner.node.snapshot(), instance,
                          dataclasses.replace(instance), protected))
         submit(actor, call, value)
@@ -1163,14 +1168,15 @@ def test_a_node_holding_an_instance_restores_an_equal_copy():
     hash(state)
     node = ExecutionNodeActor(CFG, state)
     assert node.snapshot() == state
-    [(instance, restored_protected)] = node._done_by_task.values()
+    [instance] = node.instances.values()
+    [restored_protected] = node._result_by_task.values()
     assert instance == as_held
     assert instance is not original
     assert restored_protected == protected
     assert original.state is EnclaveState.DESTROYED
     assert instance.state is EnclaveState.EXECUTED
     # The finished honest run's node destroyed, and so released, it.
-    assert runner.node.snapshot() == (((0, CFG.function_name),), ())
+    assert runner.node.snapshot() == (((0, CFG.function_name),), (), ())
 
 
 # ----------------------------------------------------------------------
@@ -1422,10 +1428,37 @@ def test_a_reveal_past_the_deadline_loses_to_the_timeout(tier, race):
     assert outcome.gas_by_party["requestor"] == price * sum(
         DEFAULT_GAS_PER_FUNCTION[function] for function, _, _ in calls
         if function in ("submitTask", "timeout", "finalizeRequestor"))
-    # A refused reveal destroys the instance the node executed.
+    # A refused reveal destroys the instance the node executed, and the
+    # node keeps neither instance nor result.
     ops = [r["op"] for r in records if r["type"] == "enclave"]
     assert ops.count("instantiate") == ops.count("destroy") == 1
-    assert runner.node.snapshot()[1] == ()
+    assert runner.node.snapshot()[1:] == ((), ())
+
+
+def test_a_refused_reveal_destroys_its_instance_at_once():
+    """Not when the run ends: before the resubmitted task's instance."""
+    config = dataclasses.replace(race_config("standard", "late"),
+                                 max_resubmits=1)
+    runner = ScenarioRunner(config)
+    runner.run()
+    ops = [(r["op"], r["instanceId"]) for r in runner.trace.records
+           if r["type"] == "enclave"]
+    assert ops.index(("destroy", 1)) < ops.index(("instantiate", 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(config=_CONFIGS)
+# The task expires before the claim lands, so the timeout lands before the
+# node instantiates: the requestor still provisions the instance, or not.
+@example(config=ScenarioConfig(expires=1, max_resubmits=1))
+@example(config=ScenarioConfig(expires=1, max_resubmits=1,
+                               requestor_strategy="withhold-input"))
+def test_every_run_destroys_each_instance_it_opens(config):
+    """Each instance is destroyed once, and the node holds none."""
+    runner = ScenarioRunner(config)
+    runner.run()
+    assert _unpaired_instances(runner.trace.to_jsonl()) == []
+    assert runner.node.instances == {}
 
 
 @pytest.mark.parametrize("tier", TIERS)
