@@ -98,9 +98,10 @@ class RequestorActor:
         handler(self, run, *args)
 
     # A single requestor driving a fresh contract gets sequential task ids,
-    # so the ordinal of the submission doubles as the task id.
+    # so the ordinal of the submission doubles as the task id: it submits
+    # once at the start and once per resubmit.
     def _submit_task(self, run: ScenarioRunner) -> None:
-        ordinal = len(self._keys_by_task)
+        ordinal = self.resubmits
         secret = crypto.generate_secret(self.rng)
         keys = _TaskKeys(secret, crypto.hash_secret(secret),
                          crypto.new_result_keys(self.rng))
@@ -115,7 +116,12 @@ class RequestorActor:
         self._submit_task(run)
 
     def _on_timeout(self, run: ScenarioRunner, receipt: Receipt) -> None:
-        if receipt.outcome.accepted and self.resubmits < self.resubmit_limit:
+        if not receipt.outcome.accepted:
+            return
+        # The task is dead: its keys go, so its instance, if the node
+        # instantiates one after all, is never provisioned.
+        del self._keys_by_task[receipt.call.args["task_id"]]
+        if self.resubmits < self.resubmit_limit:
             # A resubmission always carries a fresh secret and hash.
             self.resubmits += 1
             self.received_valid_result = False
@@ -123,9 +129,10 @@ class RequestorActor:
 
     def on_instance_created(self, run: ScenarioRunner,
                             instance: EnclaveInstance, task_id: int) -> None:
-        if self.config.requestor_strategy == REQUESTOR_WITHHOLD_INPUT:
+        keys = self._keys_by_task.get(task_id)
+        if (keys is None
+                or self.config.requestor_strategy == REQUESTOR_WITHHOLD_INPUT):
             return
-        keys = self._keys_by_task[task_id]
         run.provision(instance, task_id, self.expected_measurement,
                       self.rng.randbytes(16), keys.secret, self.config.inputs,
                       keys.result_keys)

@@ -37,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
+from typing import NamedTuple
 
 from .crypto import DIGEST_LENGTH, sha256_digest
 from .ledger import ContractCall, CallContext, Ledger, NULL_ACCOUNT, _is_int
@@ -56,11 +57,17 @@ class RefusalReason(str, Enum):
     TASK_DEAD = "TaskDead"
 
 
-@dataclass(slots=True)
-class CallOutcome:
+class CallOutcome(NamedTuple):
+    """What a call did.  Immutable, so it is shared: every refusal for one
+    reason returns the same outcome (``_REFUSED``), and every accepted call
+    on a task returns the one its submission built (``Task.accepted``)."""
+
     accepted: bool
     reason: RefusalReason | None = None
     task_id: int | None = None
+
+
+_REFUSED = {reason: CallOutcome(False, reason) for reason in RefusalReason}
 
 
 class TaskState(str, Enum):
@@ -82,6 +89,8 @@ class Task:
     start: int = 0
     expires: int = 0
     state: TaskState = TaskState.OPEN
+    #: What every accepted call on the task returns.
+    accepted: CallOutcome | None = None
 
     @property
     def deadline(self) -> int:
@@ -137,10 +146,11 @@ class EscrowContract:
         if expires < 0:
             raise ValueError("expires must be non-negative")
         if ctx.value < self.threshold:
-            return CallOutcome(False, RefusalReason.VALUE_BELOW_THRESHOLD)
+            return _REFUSED[RefusalReason.VALUE_BELOW_THRESHOLD]
         ctx.collect()
         task_id = self.num_tasks
         self.num_tasks += 1
+        outcome = CallOutcome(True, None, task_id)
         self.tasks[task_id] = Task(
             function_name=function_name,
             hash_lock=hash_lock,
@@ -149,6 +159,7 @@ class EscrowContract:
             requestor_deposit=self.threshold,
             start=ctx.now,
             expires=expires,
+            accepted=outcome,
         )
         ctx.emit("TaskSubmitted", task_id, {
             "functionName": function_name,
@@ -158,18 +169,18 @@ class EscrowContract:
             "requestorDeposit": self.threshold,
             "expires": expires,
         })
-        return CallOutcome(True, None, task_id)
+        return outcome
 
     def _claim_task(self, ctx: CallContext, task_id: int) -> CallOutcome:
         task = self._task(task_id)
         if task is None:
-            return CallOutcome(False, RefusalReason.NO_SUCH_TASK)
+            return _REFUSED[RefusalReason.NO_SUCH_TASK]
         if task.state is TaskState.TIMED_OUT_DEAD:
-            return CallOutcome(False, RefusalReason.TASK_DEAD)
+            return _REFUSED[RefusalReason.TASK_DEAD]
         if ctx.value < self.threshold:
-            return CallOutcome(False, RefusalReason.VALUE_BELOW_THRESHOLD)
+            return _REFUSED[RefusalReason.VALUE_BELOW_THRESHOLD]
         if task.state is not TaskState.OPEN:
-            return CallOutcome(False, RefusalReason.ALREADY_CLAIMED)
+            return _REFUSED[RefusalReason.ALREADY_CLAIMED]
         ctx.collect()
         task.execution_node = ctx.sender
         task.execution_node_deposit = ctx.value
@@ -178,7 +189,7 @@ class EscrowContract:
             "executionNode": ctx.sender.hex(),
             "executionNodeDeposit": ctx.value,
         })
-        return CallOutcome(True, None, task_id)
+        return task.accepted
 
     def _finalize_execution_node(self, ctx: CallContext, task_id: int,
                                  secret: bytes) -> CallOutcome:
@@ -188,46 +199,46 @@ class EscrowContract:
             # A missing record behaves like the zeroed default: nobody is
             # its claimant.  Only a claim fills the slot, so the sender
             # matching it means the task was claimed.
-            return CallOutcome(False, RefusalReason.NOT_CLAIMANT)
+            return _REFUSED[RefusalReason.NOT_CLAIMANT]
         if task.state is TaskState.TIMED_OUT_DEAD:
-            return CallOutcome(False, RefusalReason.TASK_DEAD)
+            return _REFUSED[RefusalReason.TASK_DEAD]
         if task.state is TaskState.COMPLETED:
-            return CallOutcome(False, RefusalReason.ALREADY_COMPLETED)
+            return _REFUSED[RefusalReason.ALREADY_COMPLETED]
         if sha256_digest(secret) != task.hash_lock:
-            return CallOutcome(False, RefusalReason.BAD_SECRET)
+            return _REFUSED[RefusalReason.BAD_SECRET]
         task.state = TaskState.COMPLETED
         ctx.transfer_from_contract(ctx.sender, task.execution_node_deposit)
         ctx.emit("TaskFinished", task_id, {
             "executionNode": ctx.sender.hex(),
             "depositReturned": task.execution_node_deposit,
         })
-        return CallOutcome(True, None, task_id)
+        return task.accepted
 
     def _finalize_requestor(self, ctx: CallContext, task_id: int) -> CallOutcome:
         task = self._task(task_id)
         if task is None or task.requestor != ctx.sender:
-            return CallOutcome(False, RefusalReason.NOT_REQUESTOR)
+            return _REFUSED[RefusalReason.NOT_REQUESTOR]
         if task.state is TaskState.TIMED_OUT_DEAD:
-            return CallOutcome(False, RefusalReason.TASK_DEAD)
+            return _REFUSED[RefusalReason.TASK_DEAD]
         if task.state is TaskState.OPEN:
-            return CallOutcome(False, RefusalReason.NOT_CLAIMED)
+            return _REFUSED[RefusalReason.NOT_CLAIMED]
         if task.state is TaskState.CLAIMED:
-            return CallOutcome(False, RefusalReason.NOT_COMPLETED)
+            return _REFUSED[RefusalReason.NOT_COMPLETED]
         ctx.transfer_from_contract(task.requestor, task.requestor_deposit)
         ctx.transfer_from_contract(task.execution_node, task.payment)
         del self.tasks[task_id]
-        return CallOutcome(True, None, task_id)
+        return task.accepted
 
     def _timeout(self, ctx: CallContext, task_id: int) -> CallOutcome:
         task = self._task(task_id)
         if task is None or task.requestor != ctx.sender:
-            return CallOutcome(False, RefusalReason.NOT_REQUESTOR)
+            return _REFUSED[RefusalReason.NOT_REQUESTOR]
         if task.state is TaskState.TIMED_OUT_DEAD:
-            return CallOutcome(False, RefusalReason.TASK_DEAD)
+            return _REFUSED[RefusalReason.TASK_DEAD]
         if task.state is TaskState.COMPLETED:
-            return CallOutcome(False, RefusalReason.ALREADY_COMPLETED)
+            return _REFUSED[RefusalReason.ALREADY_COMPLETED]
         if ctx.now < task.deadline:
-            return CallOutcome(False, RefusalReason.NOT_EXPIRED)
+            return _REFUSED[RefusalReason.NOT_EXPIRED]
         task.state = TaskState.TIMED_OUT_DEAD
         ctx.transfer_from_contract(task.requestor, task.payment)
         ctx.emit("TaskTimedOut", task_id, {
@@ -235,7 +246,7 @@ class EscrowContract:
             "lockedRequestorDeposit": task.requestor_deposit,
             "lockedExecutionNodeDeposit": task.execution_node_deposit,
         })
-        return CallOutcome(True, None, task_id)
+        return task.accepted
 
     #: Function name -> method; the ledger refuses any name not listed.
     functions = {

@@ -32,7 +32,7 @@ from .config import (
     ScenarioConfig,
 )
 from .contract import EscrowContract, TaskState
-from .crypto import ProtectedResult, ResultKeyPair
+from .crypto import CANONICAL_JSON, ProtectedResult, ResultKeyPair
 from .enclave import (
     REQUESTOR,
     BUILTIN_BODIES,
@@ -66,8 +66,10 @@ PARTY_THIRD = "third-party"
 # escaped by ``_q`` (the encoder's own ASCII escaper).  A new key or record
 # shape goes into its writer; the tests compare every line with
 # ``json.dumps``.  Names from a fixed set (function, event kind, enclave op)
-# are written unescaped.  The scenario line's config is the encoder's own
-# output (the config's ``json_parts``), so a new config key needs no edit.
+# are written unescaped.  The scenario line's config (the config's
+# ``json_parts``) and the outcome line, which is written only when the
+# trace is read, are the encoder's own output, so a new config or outcome
+# key needs no edit.
 _q = json.encoder.encode_basestring_ascii
 _BOOL = {True: "true", False: "false"}
 
@@ -76,14 +78,6 @@ _BOOL = {True: "true", False: "false"}
 #: ``inspect`` refuses a trace of another format by name.  A trace without
 #: the key is of format 1.
 TRACE_FORMAT = 2
-
-
-def _int_map(mapping: dict[str, int]) -> str:
-    """An object of integers with string keys."""
-    if not mapping:
-        return "{}"
-    items = ",".join(f"{_q(key)}:{mapping[key]}" for key in sorted(mapping))
-    return f"{{{items}}}"
 
 
 _CALL_ARGS = {
@@ -118,6 +112,9 @@ _EVENT_PAYLOAD = {
 #: A SHA-256 state over no bytes, and the number of bytes it covers.
 _NO_HEAD = (hashlib.sha256(), 0)
 
+#: The characters of a trace ``content_id`` encodes and hashes at a time.
+_DIGEST_SLICE = 32 * 1024
+
 
 class Trace:
     """Append-only JSON-lines trace: each record is stored as its line,
@@ -138,7 +135,8 @@ class Trace:
     def _all_lines(self) -> list[str]:
         if self._outcome is None:
             return self._lines
-        return [*self._lines, self._outcome_line(self._outcome)]
+        outcome = {**self._outcome.to_json_obj(), "type": "outcome"}
+        return [*self._lines, CANONICAL_JSON.encode(outcome) + "\n"]
 
     @property
     def records(self) -> list[dict]:
@@ -230,30 +228,19 @@ class Trace:
         are frozen, so the line is the same whenever it is written."""
         self._outcome = o
 
-    @staticmethod
-    def _outcome_line(o: ScenarioOutcome) -> str:
-        return (
-            f'{{"endToEndSeconds":{o.end_to_end_seconds},'
-            f'"gasByParty":{_int_map(o.gas_by_party)},'
-            f'"infoFlowViolations":[{",".join(map(_q, o.infoflow_violations))}],'
-            f'"lockedInContract":{o.locked_in_contract},'
-            f'"nodeBalanceDelta":{o.node_balance_delta},'
-            f'"nodePayoff":{o.node_payoff},'
-            f'"receivedValidResult":{_BOOL[o.received_valid_result]},'
-            f'"requestorBalanceDelta":{o.requestor_balance_delta},'
-            f'"requestorPayoff":{o.requestor_payoff},'
-            f'"resourceCostConsumed":{o.resource_cost_consumed},'
-            f'"traceId":{_q(o.trace_id)},"type":"outcome"}}\n')
-
     def to_jsonl(self) -> str:
         return "".join(self._all_lines())
 
     def content_id(self) -> str:
         """The truncated SHA-256 of the trace: the head's state, copied, goes
-        on over the bytes after the head."""
+        on over the text after the head, encoded one slice at a time, so no
+        second full-size copy is made.  The head is ASCII, so its byte
+        count is its character count."""
         digest, start = self._head
         digest = digest.copy()
-        digest.update(memoryview(self.to_jsonl().encode())[start:])
+        text = self.to_jsonl()
+        for i in range(start, len(text), _DIGEST_SLICE):
+            digest.update(text[i:i + _DIGEST_SLICE].encode())
         return digest.hexdigest()[:16]
 
 
@@ -399,7 +386,7 @@ class ScenarioRunner:
                 ledger.advance_time(time - ledger.now)
             party.step(self, handler, *args)
         # No call is left that could provision an instance the node holds:
-        # its requestor withheld the input.
+        # its requestor withheld the input, or had timed its task out.
         for task_id in tuple(self.node.instances):
             self.destroy(task_id)
         return self._finish()

@@ -176,7 +176,7 @@ class Receipt:
     timestamp: int
     gas_used: int
     gas_cost: int
-    events: list[LedgerEvent]
+    events: tuple[LedgerEvent, ...]
     outcome: object  # contract.CallOutcome
 
 
@@ -200,7 +200,8 @@ class CallContext:
         self.value = value
         self.block_height = block_height
         self.now = now
-        self.events: list[LedgerEvent] = []
+        # A tuple, so a call that emits nothing shares the empty one.
+        self.events: tuple[LedgerEvent, ...] = ()
 
     def collect(self) -> None:
         """Move the attached value from the sender into the contract."""
@@ -226,8 +227,8 @@ class CallContext:
     def emit(self, kind: str, task_id: int, payload: dict) -> None:
         if kind not in EVENT_KINDS:
             raise ValueError(f"unknown event kind {kind!r}")
-        self.events.append(LedgerEvent(
-            kind, task_id, self.block_height, payload))
+        self.events += (LedgerEvent(kind, task_id, self.block_height,
+                                    payload),)
 
 
 class Ledger:

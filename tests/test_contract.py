@@ -546,3 +546,59 @@ def observe(function, state, sender):
 def test_refusal_table(row):
     function, state, sender, *expected = row.split()
     assert observe(function, state, sender) == expected
+
+
+def test_every_refusal_of_one_reason_returns_one_shared_outcome(funded):
+    """Whatever the function, task state or sender, a refused call returns
+    its reason's one outcome, so it builds none; outcomes are immutable,
+    so sharing one is safe."""
+    outcomes = []
+    for row in REFUSAL_TABLE.strip().splitlines():
+        function, state, sender, *_ = row.split()
+        ledger, _, party = task_in_state(state)
+        value, args = CALLS[function]
+        outcomes.append(call(ledger, party[sender], function, value=value,
+                             **args).outcome)
+    # The three reasons the table, made past expiry with enough value,
+    # never meets.
+    ledger, _, requestor, node = funded
+    task_id = submit(ledger, requestor).outcome.task_id
+    outcomes += [
+        submit(ledger, requestor, value=THRESHOLD - 1).outcome,
+        call(ledger, node, "claimTask", value=THRESHOLD - 1,
+             task_id=task_id).outcome,
+        call(ledger, requestor, "timeout", task_id=task_id).outcome,
+    ]
+    call(ledger, node, "claimTask", value=THRESHOLD, task_id=task_id)
+    outcomes.append(call(ledger, node, "finalizeExecutionNode",
+                         task_id=task_id, secret=bytes(32)).outcome)
+    shared = {}
+    for outcome in outcomes:
+        if not outcome.accepted:
+            assert shared.setdefault(outcome.reason, outcome) is outcome
+    assert set(shared) == set(RefusalReason)
+    # Neither a refusal nor an accepted outcome (the table's first row's)
+    # can be changed.
+    for outcome in (shared[RefusalReason.ALREADY_CLAIMED], outcomes[0]):
+        for field in outcome._fields:
+            with pytest.raises(AttributeError):
+                setattr(outcome, field, None)
+
+
+@pytest.mark.parametrize("path", ["complete", "timeout"])
+def test_every_accepted_call_on_a_task_returns_its_one_outcome(funded, path):
+    """A task's submission builds its accepted outcome; every later
+    accepted call on the task returns that one, and builds none."""
+    ledger, _, requestor, node = funded
+    submitted = submit(ledger, requestor, expires=100).outcome
+    assert submitted == (True, None, 0)
+    calls = [(node, "claimTask", {"value": THRESHOLD})]
+    if path == "complete":
+        calls += [(node, "finalizeExecutionNode", {"secret": SECRET}),
+                  (requestor, "finalizeRequestor", {})]
+    else:
+        ledger.advance_time(101)
+        calls.append((requestor, "timeout", {}))
+    for sender, function, args in calls:
+        assert call(ledger, sender, function, task_id=0,
+                    **args).outcome is submitted

@@ -864,6 +864,19 @@ def test_a_family_hashes_its_scenario_head_once(inputs):
                                            len(head))
 
 
+def test_a_long_trace_s_id_is_the_sha256_of_its_whole_text():
+    """``content_id`` encodes and hashes the text after the head one slice
+    at a time: over a trace of many slices, its id is still the SHA-256 of
+    every byte before the outcome line."""
+    runner = ScenarioRunner(ScenarioConfig(
+        requestor_strategy="withhold-input", max_resubmits=200))
+    outcome = runner.run()
+    *body, _ = runner.trace.to_jsonl().encode().splitlines(keepends=True)
+    text = b"".join(body)
+    assert len(text) > 10 * harness_module._DIGEST_SLICE
+    assert outcome.trace_id == hashlib.sha256(text).hexdigest()[:16]
+
+
 def test_an_outcome_s_gas_map_is_frozen_and_its_line_stays():
     runner = ScenarioRunner(dataclasses.replace(CFG))
     outcome = runner.run()
@@ -1449,7 +1462,7 @@ def test_a_refused_reveal_destroys_its_instance_at_once():
 @settings(max_examples=150, deadline=None)
 @given(config=_CONFIGS)
 # The task expires before the claim lands, so the timeout lands before the
-# node instantiates: the requestor still provisions the instance, or not.
+# node instantiates: the requestor never provisions the instance.
 @example(config=ScenarioConfig(expires=1, max_resubmits=1))
 @example(config=ScenarioConfig(expires=1, max_resubmits=1,
                                requestor_strategy="withhold-input"))
@@ -1459,6 +1472,28 @@ def test_every_run_destroys_each_instance_it_opens(config):
     runner.run()
     assert _unpaired_instances(runner.trace.to_jsonl()) == []
     assert runner.node.instances == {}
+
+
+@pytest.mark.parametrize("requestor", REQUESTOR_STRATEGIES)
+def test_a_requestor_never_provisions_a_task_it_timed_out(requestor):
+    """Each claim lands after its task's deadline, so the requestor handles
+    its accepted timeout before the node's instance is created: the dead
+    task's instance is never attested, provisioned or executed, and the
+    run destroys it once, at its end."""
+    runner = ScenarioRunner(ScenarioConfig(
+        expires=1, max_resubmits=1, requestor_strategy=requestor))
+    outcome = runner.run()
+    records = runner.trace.records
+    calls = [(r["function"], r["outcome"].get("taskId"))
+             for r in records if r["type"] == "call"]
+    assert calls == [("submitTask", 0), ("claimTask", 0), ("timeout", 0),
+                     ("submitTask", 1), ("claimTask", 1), ("timeout", 1)]
+    ops = [r["op"] for r in records if r["type"] == "enclave"]
+    assert ops == ["instantiate"] * 2 + ["destroy"] * 2
+    assert _unpaired_instances(runner.trace.to_jsonl()) == []
+    assert outcome.resource_cost_consumed == 0
+    assert runner.node.instances == {}
+    assert runner.requestor.snapshot()[0] == ()  # a dead task's keys go
 
 
 @pytest.mark.parametrize("tier", TIERS)

@@ -176,6 +176,20 @@ def test_submitted_events_match_created_tasks(funded):
     assert [e.kind for e in events] == ["TaskSubmitted"] * contract.num_tasks
 
 
+def test_a_call_that_emits_nothing_has_no_events(funded):
+    """A receipt's events are a tuple: the empty one for a call that emits
+    nothing (here a refused one), else the events the call emitted."""
+    ledger, _, requestor, _ = funded
+    refused = call(ledger, requestor, "submitTask", value=2,
+                   function_name="f", hash_lock=bytes(32), expires=100)
+    assert not refused.outcome.accepted
+    assert refused.events == () and type(refused.events) is tuple
+    accepted = call(ledger, requestor, "submitTask", value=15,
+                    function_name="f", hash_lock=bytes(32), expires=100)
+    assert [e.kind for e in accepted.events] == ["TaskSubmitted"]
+    assert type(accepted.events) is tuple
+
+
 def test_conservation_holds_with_value_moves(funded):
     ledger, _, requestor, node = funded
     task_id = call(ledger, requestor, "submitTask", value=15,

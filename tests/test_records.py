@@ -1,16 +1,19 @@
 """Record layout: slotted records on the per-transaction path, and the
-records a fork record shares across runs compared and hashed as values.
+records shared across calls or runs compared and hashed as values.
 
-Every transaction builds a ``ContractCall``, a ``CallContext``, a
-``CallOutcome``, a ``Receipt`` and its events; these, and the per-task
-records (the contract's ``Task``, the requestor's keys, the enclave
-instance and what it was provisioned with), are slotted (no per-instance
-``__dict__``) and plain, since a frozen dataclass pays for
-``object.__setattr__`` on every field.  The requestor's keys and the
-instance's provisioned material, which snapshots hold, are ``NamedTuple``s:
-slotted, and hashable as values.  A config family's fork record hands the
-same records to every run that resumes from it: the requestor's
-``ResultKeyPair`` and, at the node's reveal, the executed instance's
+Every transaction builds a ``ContractCall``, a ``CallContext`` and a
+``Receipt``, and each event it emits; these, and the per-task records (the
+contract's ``Task``, the requestor's keys, the enclave instance and what
+it was provisioned with), are slotted (no per-instance ``__dict__``) and
+plain, since a frozen dataclass pays for ``object.__setattr__`` on every
+field.  Only a submission builds a ``CallOutcome``: every accepted call on
+a task returns the one its submission built, and a refused call its
+reason's one shared outcome.  The outcome, the requestor's
+keys and the instance's provisioned material, which snapshots hold, are
+``NamedTuple``s: slotted, immutable and hashable as values.  A config
+family's fork record hands the same records to every run that resumes from
+it: the requestor's ``ResultKeyPair``, the outcomes of the receipts it
+queues and, at the node's reveal, the executed instance's
 ``FunctionImage``, ``Provisioned`` material and ``ProtectedResult``.  So
 those compare and hash by value, and the dataclasses among them stay
 frozen.
@@ -24,7 +27,7 @@ import pytest
 
 from teescrow.actors import _TaskKeys
 from teescrow.config import ScenarioConfig
-from teescrow.contract import CallOutcome, Task
+from teescrow.contract import CallOutcome, RefusalReason, Task
 from teescrow.crypto import ProtectedResult, ResultKeyPair
 from teescrow.enclave import (
     BUILTIN_BODIES,
@@ -98,11 +101,12 @@ def test_shared_records_stay_frozen(name):
     assert type(record).__hash__ is not None
 
 
-#: The records a fork record shares across runs, each built twice from
-#: equal fields.
+#: The records a fork record shares across runs, and the refusal every
+#: refused call of one reason shares, each built twice from equal fields.
 SHARED = {
     **{name: FROZEN[name]
        for name in ("ProtectedResult", "ResultKeyPair", "FunctionImage")},
+    "CallOutcome": lambda: CallOutcome(False, RefusalReason.ALREADY_CLAIMED),
     "Provisioned": lambda: Provisioned(
         secret=bytes(32), inputs=(1, 2, 3),
         result_keys=FROZEN["ResultKeyPair"]()),
