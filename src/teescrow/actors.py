@@ -10,21 +10,24 @@ order: at the ledger's clock, ``execution_delay`` later for
 (``teescrow.harness``).  An actor never issues a dependent chain call
 before the previous call's receipt has been handled.  The runner names
 each handler and delivers the call through the party's ``step``; it
-queues a receipt or an event for no one unless a table names it.  The
-runner is passed in as ``run``, never kept, so a finished run holds no
-reference cycle.
+queues a receipt or an event for no one unless a table names it.  A call
+carries only the values its handler reads (task ids, verdicts, bytes and
+frozen records), never a receipt, an event or an enclave instance, so a
+fork record that holds queued calls is a value.  The runner is passed in
+as ``run``, never kept, so a finished run holds no reference cycle.
 
-    handler                    party                   queued by
-    on_start                   requestor               the run's start
-    ON_RECEIPT[call function]  the sender              ``submit``, ``claim``
-    ON_EVENT[event kind]       node                    ``submit``
-    on_instance_created        requestor               ``instantiate``
-    on_execution_done          node                    ``provision``
-    on_revealed                node                    ``revealed``
-    on_delivery                requestor, third party  ``deliver``
-    on_third_party_ack         requestor               ``acknowledge``
-    on_valid_result            requestor               ``accept``
-    on_expiry                  requestor               ``submit``
+    handler                    party        args                  queued by
+    on_start                   requestor    -                     run start
+    ON_RECEIPT[call function]  the sender   task, accepted        submit
+    ON_EVENT[event kind]       node         task                  submit
+    on_instance_created        requestor    task                  instantiate
+    on_execution_done          node         task, result, secret  provision
+    on_revealed                node         task                  revealed
+    on_delivery                requestor    task, result          deliver
+                               or third party
+    on_third_party_ack         requestor    task, valid           acknowledge
+    on_valid_result            requestor    task                  accept
+    on_expiry                  requestor    task                  submit
 
 Honest behaviour follows the protocol sequence: the requestor generates a
 secret, submits the task with payment + deposit, provisions the claimed
@@ -55,7 +58,7 @@ from .config import (
 )
 from .crypto import ProtectedResult, ResultKeyPair
 from .enclave import EnclaveInstance
-from .ledger import ContractCall, LedgerEvent, Receipt
+from .ledger import ContractCall
 from .streams import ByteStream
 
 if TYPE_CHECKING:
@@ -115,25 +118,25 @@ class RequestorActor:
     def on_start(self, run: ScenarioRunner) -> None:
         self._submit_task(run)
 
-    def _on_timeout(self, run: ScenarioRunner, receipt: Receipt) -> None:
-        if not receipt.outcome.accepted:
+    def _on_timeout(self, run: ScenarioRunner, task_id: int,
+                    accepted: bool) -> None:
+        if not accepted:
             return
         # The task is dead: its keys go, so its instance, if the node
         # instantiates one after all, is never provisioned.
-        del self._keys_by_task[receipt.call.args["task_id"]]
+        del self._keys_by_task[task_id]
         if self.resubmits < self.resubmit_limit:
             # A resubmission always carries a fresh secret and hash.
             self.resubmits += 1
             self.received_valid_result = False
             self._submit_task(run)
 
-    def on_instance_created(self, run: ScenarioRunner,
-                            instance: EnclaveInstance, task_id: int) -> None:
+    def on_instance_created(self, run: ScenarioRunner, task_id: int) -> None:
         keys = self._keys_by_task.get(task_id)
         if (keys is None
                 or self.config.requestor_strategy == REQUESTOR_WITHHOLD_INPUT):
             return
-        run.provision(instance, task_id, self.expected_measurement,
+        run.provision(task_id, self.expected_measurement,
                       self.rng.randbytes(16), keys.secret, self.config.inputs,
                       keys.result_keys)
 
@@ -170,11 +173,10 @@ class ExecutionNodeActor:
     """The executing node's untrusted host-side client."""
 
     def __init__(self, config: ScenarioConfig,
-                 state: tuple = ((), (), ())) -> None:
+                 state: tuple = ((), ())) -> None:
         """Built from a ``snapshot()``, by default one before any step."""
         self.config = config
-        functions, instances, results = state
-        self._function_by_task: dict[int, str] = dict(functions)
+        instances, results = state
         #: Each task's instance, from the runner's ``instantiate`` until its
         #: ``destroy``: after a failed session, after the reveal, or at the
         #: end of the run if no requestor provisioned it.
@@ -185,30 +187,26 @@ class ExecutionNodeActor:
     _instance_values = attrgetter(*EnclaveInstance.__slots__)
 
     def snapshot(self) -> tuple:
-        """The function of each task, each instance the node holds as its
-        field values, and each executed task's protected result."""
-        return (tuple(self._function_by_task.items()),
-                tuple((task_id, self._instance_values(instance))
+        """Each instance the node holds as its field values, and each
+        executed task's protected result."""
+        return (tuple((task_id, self._instance_values(instance))
                       for task_id, instance in self.instances.items()),
                 tuple(self._result_by_task.items()))
 
     def step(self, run: ScenarioRunner, handler, *args) -> None:
         handler(self, run, *args)
 
-    def _on_task_submitted(self, run: ScenarioRunner,
-                           event: LedgerEvent) -> None:
-        self._function_by_task[event.task_id] = event.payload["functionName"]
-        run.claim(event.task_id)
+    def _on_task_submitted(self, run: ScenarioRunner, task_id: int) -> None:
+        run.claim(task_id)
 
-    def _on_claimed(self, run: ScenarioRunner, receipt: Receipt) -> None:
-        if (receipt.outcome.accepted
-                and self.config.node_strategy != NODE_CLAIM_ONLY):
-            task_id = receipt.call.args["task_id"]
-            run.instantiate(self._function_by_task[task_id], task_id)
+    def _on_claimed(self, run: ScenarioRunner, task_id: int,
+                    accepted: bool) -> None:
+        if accepted and self.config.node_strategy != NODE_CLAIM_ONLY:
+            run.instantiate(task_id)
 
-    def _on_finalized(self, run: ScenarioRunner, receipt: Receipt) -> None:
-        task_id = receipt.call.args["task_id"]
-        if receipt.outcome.accepted:
+    def _on_finalized(self, run: ScenarioRunner, task_id: int,
+                      accepted: bool) -> None:
+        if accepted:
             run.revealed(task_id)
         else:  # too late: the task timed out first
             del self._result_by_task[task_id]
@@ -217,9 +215,7 @@ class ExecutionNodeActor:
     def on_revealed(self, run: ScenarioRunner, task_id: int) -> None:
         protected = self._result_by_task.pop(task_id)
         if self.config.node_strategy == NODE_HONEST:
-            run.deliver(task_id, protected,
-                        "third-party" if self.config.deliver_to_third_party
-                        else "requestor")
+            run.deliver(task_id, protected)
         run.destroy(task_id)
 
     def on_execution_done(self, run: ScenarioRunner, task_id: int,

@@ -29,10 +29,6 @@ class EnclaveError(Exception):
     pass
 
 
-class UnknownFunction(EnclaveError):
-    pass
-
-
 class MeasurementMismatch(EnclaveError):
     pass
 
@@ -182,11 +178,11 @@ class EnclaveHost:
     is the secret released at execution time.
     """
 
-    def __init__(self, images: dict[str, FunctionImage], flow: InfoFlowLedger,
+    def __init__(self, image: FunctionImage, flow: InfoFlowLedger,
                  rng: ByteStream, state: tuple = (0, 0, frozenset(), 0)) -> None:
         """Built from a ``snapshot()``, by default a fresh host's; it sets
         ``rng`` to the snapshot's position."""
-        self.images = images  # the instantiable images, keyed by name
+        self.image = image  # the one image its config names
         self.flow = flow
         # Drawn from at attestation and execution only, so a run that never
         # attests never seeds a generator for it.
@@ -202,13 +198,9 @@ class EnclaveHost:
 
     # -- lifecycle ------------------------------------------------------
 
-    def instantiate(self, function_name: str) -> EnclaveInstance:
-        try:
-            image = self.images[function_name]
-        except KeyError:
-            raise UnknownFunction(function_name) from None
+    def instantiate(self) -> EnclaveInstance:
         self._instance_counter += 1
-        return EnclaveInstance(instance_id=self._instance_counter, image=image)
+        return EnclaveInstance(self._instance_counter, self.image)
 
     def attest(self, instance: EnclaveInstance, expected_measurement: bytes,
                nonce: bytes, requestor: str = REQUESTOR) -> None:

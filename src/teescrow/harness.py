@@ -303,7 +303,8 @@ class ScenarioOutcome:
 
 #: A config family's state at a fork point: the six snapshots, the trace
 #: lines after ``scenario``, the queued calls in order as (time, party,
-#: handler, args) and the last receipt time.
+#: handler, args) and the last receipt time.  Every field is a hashable
+#: value, the queued calls' arguments included.
 _Fork = namedtuple("_Fork", "ledger contract requestor node host flow lines "
                             "pending last_receipt_time")
 
@@ -313,7 +314,7 @@ def _start(c: ScenarioConfig) -> _Fork:
     each account holds ``initial_balance``, and the requestor's
     ``on_start`` is the one queued call."""
     return _Fork(((0, 0, c.initial_balance, c.initial_balance), 0, 0, 0, ()),
-                 (0, ()), ((), False, 0, 0), ((), (), ()),
+                 (0, ()), ((), False, 0, 0), ((), ()),
                  (0, 0, frozenset(), 0),
                  (frozenset(), frozenset()), (),
                  ((0, "requestor", RequestorActor.on_start, ()),), 0)
@@ -347,7 +348,7 @@ class ScenarioRunner:
         self.contract.restore(fork.contract)
         self.flow = InfoFlowLedger(fork.flow)
         image = family.share(_image, config)
-        self.host = EnclaveHost({image.name: image}, self.flow,
+        self.host = EnclaveHost(image, self.flow,
                                 ByteStream(f"{config.rng_seed}:host"),
                                 fork.host)
         self.requestor = RequestorActor(
@@ -401,9 +402,10 @@ class ScenarioRunner:
 
     def submit(self, actor: RequestorActor | ExecutionNodeActor,
                call: ContractCall, value: int = 0) -> None:
-        """Submit the call and queue only what a party acts on: the receipt
-        if the sender's ``ON_RECEIPT`` names the call, each event the node's
-        ``ON_EVENT`` names, and a new task's expiry at its deadline."""
+        """Submit the call and queue only what a party acts on: the call's
+        task id and verdict if the sender's ``ON_RECEIPT`` names the call,
+        the task id of each event the node's ``ON_EVENT`` names, and a new
+        task's expiry at its deadline."""
         if actor is self.requestor:
             who, sender = PARTY_REQUESTOR, self.requestor_account
         else:
@@ -415,7 +417,8 @@ class ScenarioRunner:
         queue, now, seq = self._queue, receipt.timestamp, self._seq
         handler = actor.ON_RECEIPT.get(call.function)
         if handler is not None:
-            heappush(queue, (now, next(seq), actor, handler, (receipt,)))
+            heappush(queue, (now, next(seq), actor, handler,
+                             (call.args["task_id"], receipt.outcome.accepted)))
         for event in receipt.events:
             if event.kind == "TaskSubmitted":
                 heappush(queue, (self.contract.tasks[event.task_id].deadline,
@@ -423,7 +426,8 @@ class ScenarioRunner:
                                  RequestorActor.on_expiry, (event.task_id,)))
             handler = self.node.ON_EVENT.get(event.kind)
             if handler is not None:
-                heappush(queue, (now, next(seq), self.node, handler, (event,)))
+                heappush(queue, (now, next(seq), self.node, handler,
+                                 (event.task_id,)))
 
     def claim(self, task_id: int) -> None:
         """Submit the node's claim with its deposit: a fork point."""
@@ -432,22 +436,21 @@ class ScenarioRunner:
         if self._records:  # skips the call once nothing is left to record
             self._record(ScenarioRunner.claim)
 
-    def instantiate(self, function_name: str, task_id: int) -> None:
+    def instantiate(self, task_id: int) -> None:
         """A new instance for the task, which the node holds until
         ``destroy``."""
-        # A config names only built-in functions, and the host holds its
-        # image, so instantiation cannot fail.
-        instance = self.node.instances[task_id] = self.host.instantiate(
-            function_name)
+        instance = self.node.instances[task_id] = self.host.instantiate()
         self.trace.enclave("instantiate", instance)
         self._queue_call(self.requestor, RequestorActor.on_instance_created,
-                         instance, task_id)
+                         task_id)
 
-    def provision(self, instance: EnclaveInstance, task_id: int,
-                  expected_measurement: bytes, nonce: bytes, secret: bytes,
-                  inputs: object, result_keys: ResultKeyPair) -> None:
-        """The attested session: attest, provision, execute; stops at the
-        first enclave error and destroys the instance."""
+    def provision(self, task_id: int, expected_measurement: bytes,
+                  nonce: bytes, secret: bytes, inputs: object,
+                  result_keys: ResultKeyPair) -> None:
+        """The attested session on the instance the node holds for the
+        task: attest, provision, execute; stops at the first enclave error
+        and destroys the instance."""
+        instance = self.node.instances[task_id]
         try:
             self.host.attest(instance, expected_measurement, nonce,
                              requestor=REQUESTOR)
@@ -472,11 +475,14 @@ class ScenarioRunner:
                          task_id, protected, secret,
                          at=self.ledger.now + self.config.execution_delay)
 
-    def deliver(self, task_id: int, protected: ProtectedResult,
-                destination: str) -> None:
+    def deliver(self, task_id: int, protected: ProtectedResult) -> None:
+        """The node's result, to the third party if the config says so,
+        else to the requestor."""
+        if self.config.deliver_to_third_party:
+            destination, recipient = PARTY_THIRD, self.third_party
+        else:
+            destination, recipient = PARTY_REQUESTOR, self.requestor
         self.trace.result_delivery(task_id, protected, destination)
-        recipient = (self.third_party if destination == PARTY_THIRD
-                     else self.requestor)
         self._queue_call(recipient, type(recipient).on_delivery, task_id,
                          protected)
 

@@ -39,8 +39,8 @@ def record_instances(runner):
     created = []
     instantiate = runner.host.instantiate
 
-    def recording(function_name):
-        created.append(instantiate(function_name))
+    def recording():
+        created.append(instantiate())
         return created[-1]
 
     runner.host.instantiate = recording

@@ -42,11 +42,9 @@ def _recorded_run(config: ScenarioConfig):
     provisioned = []
     provision = runner.provision
 
-    def recording(instance, task_id, measurement, nonce, secret, inputs,
-                  keys):
+    def recording(task_id, measurement, nonce, secret, inputs, keys):
         provisioned.append(inputs)
-        provision(instance, task_id, measurement, nonce, secret, inputs,
-                  keys)
+        provision(task_id, measurement, nonce, secret, inputs, keys)
 
     runner.provision = recording
     outcome = runner.run()

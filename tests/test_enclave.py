@@ -23,21 +23,22 @@ from teescrow.enclave import (
     MeasurementMismatch,
     NotAttested,
     StaleNonce,
-    UnknownFunction,
     WrongPrincipal,
 )
 
 
+#: The host's one image, and another whose measurement attestation refuses.
+IMAGES = {name: FunctionImage(name, "1", name, BUILTIN_BODIES[name], cost)
+          for name, cost in (("identity", 3), ("sum", 5))}
+
+
 @pytest.fixture
 def host():
-    images = {name: FunctionImage(name, "1", name, BUILTIN_BODIES[name], cost)
-              for name, cost in (("identity", 3), ("sum", 5),
-                                 ("sha256-hex", 7))}
-    return EnclaveHost(images, InfoFlowLedger(), random.Random(0))
+    return EnclaveHost(IMAGES["identity"], InfoFlowLedger(), random.Random(0))
 
 
-def measurement(host, name):
-    return host.images[name].measurement
+def measurement(name):
+    return IMAGES[name].measurement
 
 
 def provisioning_material(seed=0):
@@ -45,9 +46,9 @@ def provisioning_material(seed=0):
     return crypto.generate_secret(rng), [1, 2, 3], crypto.new_result_keys(rng)
 
 
-def attested(host, name="identity", requestor=REQUESTOR):
-    instance = host.instantiate(name)
-    expected = measurement(host, name)
+def attested(host, requestor=REQUESTOR):
+    instance = host.instantiate()
+    expected = host.image.measurement
     host.attest(instance, expected, host.rng.randbytes(16),
                 requestor=requestor)
     return instance
@@ -66,15 +67,12 @@ def provisioned(host, seed=0):
 
 
 def test_instantiate_twice_same_measurement(host):
-    a = host.instantiate("identity")
-    b = host.instantiate("identity")
+    a = host.instantiate()
+    b = host.instantiate()
     assert a is not b
+    assert (a.instance_id, b.instance_id) == (1, 2)
     assert a.image.measurement == b.image.measurement
-
-
-def test_instantiate_unknown_function(host):
-    with pytest.raises(UnknownFunction):
-        host.instantiate("nonexistent")
+    assert a.image is b.image is host.image
 
 
 def test_measurement_tracks_body_identifier():
@@ -105,25 +103,25 @@ def test_measurement_hashes_the_measured_fields(name, body_ids, version):
 
 
 def test_attest_success_binds_channel(host):
-    instance = host.instantiate("identity")
-    host.attest(instance, measurement(host, "identity"), b"nonce-1")
+    instance = host.instantiate()
+    host.attest(instance, measurement("identity"), b"nonce-1")
     assert instance.state is EnclaveState.ATTESTED
     assert instance.channel_requestor == REQUESTOR
     assert len(instance.channel_binding_key) == 32
 
 
 def test_attest_measurement_mismatch(host):
-    instance = host.instantiate("identity")
+    instance = host.instantiate()
     with pytest.raises(MeasurementMismatch):
-        host.attest(instance, measurement(host, "sum"), b"nonce-1")
+        host.attest(instance, measurement("sum"), b"nonce-1")
     assert instance.state is EnclaveState.CREATED
 
 
 def test_attest_replayed_nonce(host):
-    first = host.instantiate("identity")
-    expected = measurement(host, "identity")
+    first = host.instantiate()
+    expected = measurement("identity")
     host.attest(first, expected, b"nonce-1")
-    second = host.instantiate("identity")
+    second = host.instantiate()
     with pytest.raises(StaleNonce):
         host.attest(second, expected, b"nonce-1")
     assert second.state is EnclaveState.CREATED
@@ -134,7 +132,7 @@ def test_attest_replayed_nonce(host):
 
 
 def test_provision_before_attest(host):
-    instance = host.instantiate("identity")
+    instance = host.instantiate()
     secret, inputs, keys = provisioning_material()
     with pytest.raises(NotAttested):
         host.provision(instance, REQUESTOR, secret, inputs, keys,
@@ -245,9 +243,8 @@ def test_execution_fault_propagates(host):
     # A body that raises, and one whose result canonical JSON cannot hold.
     for body in (lambda _: 1 / 0, lambda _: {1, 2}):
         image = FunctionImage("boom", "1", "boom", body, 1)
-        failing = EnclaveHost({"boom": image}, InfoFlowLedger(),
-                              random.Random(0))
-        instance = failing.instantiate("boom")
+        failing = EnclaveHost(image, InfoFlowLedger(), random.Random(0))
+        instance = failing.instantiate()
         failing.attest(instance, image.measurement, b"n")
         secret, inputs, keys = provisioning_material()
         failing.provision(instance, REQUESTOR, secret, inputs, keys,
@@ -284,7 +281,7 @@ def test_destroy_erases_enclave_visibility(host):
 
 def test_only_forward_sequences_accepted(host):
     instance, *_ = provisioned(host)
-    expected = measurement(host, "identity")
+    expected = measurement("identity")
     with pytest.raises(BadState):
         host.attest(instance, expected, host.rng.randbytes(16))
     host.execute(instance)

@@ -7,6 +7,7 @@ import hashlib
 import json
 import random
 import weakref
+from heapq import heappush
 from itertools import product
 
 import pytest
@@ -626,8 +627,8 @@ def test_host_rng_stream_unchanged_by_lazy_seeding():
     instances = []
     instantiate = runner.host.instantiate
 
-    def keep(function_name):
-        instances.append(instantiate(function_name))
+    def keep():
+        instances.append(instantiate())
         return instances[-1]
 
     runner.host.instantiate = keep
@@ -788,10 +789,10 @@ def _recorded_run(config: ScenarioConfig):
     delivered = []
     deliver = runner.deliver
 
-    def recording(task_id, protected, destination):
+    def recording(task_id, protected):
         delivered.append(protected.nonce + protected.ciphertext
                          + protected.signature)
-        deliver(task_id, protected, destination)
+        deliver(task_id, protected)
 
     runner.deliver = recording
     outcome = runner.run()
@@ -946,7 +947,7 @@ def test_every_executing_cell_records_the_same_reveal(family, third_party):
     (time, role, _, args), expiry = records[0].pending
     assert (time, role, args) == (records[0].ledger[2], "node", (0,))
     assert expiry == _expiry_of_task_0(records[0])
-    _, [(task_id, instance)], [(executed_task_id, _)] = records[0].node
+    [(task_id, instance)], [(executed_task_id, _)] = records[0].node
     assert task_id == executed_task_id == 0
     assert EnclaveInstance(*instance).state is EnclaveState.EXECUTED
 
@@ -1006,6 +1007,63 @@ def test_a_pair_records_exactly_its_fork_points(family, pair):
                  if config.family.get(point) is not None) == expected
 
 
+#: The golden runs, and runs whose claims land after their task's deadline,
+#: so that each accepted timeout's receipt is handled before the instance
+#: of its task is created.
+QUEUED_CALL_CASES = {
+    **golden_configs(),
+    **{f"expired-claims/{r}": ScenarioConfig(
+        expires=1, max_resubmits=1, requestor_strategy=r)
+       for r in REQUESTOR_STRATEGIES},
+}
+
+
+@pytest.mark.parametrize("name", sorted(QUEUED_CALL_CASES))
+def test_every_queued_call_carries_hashable_values(name, monkeypatch):
+    """Each handler call the runner queues carries values, never a receipt,
+    an event or an enclave instance, so a fork record that holds it hashes.
+    The run has a family of its own, so it queues every call itself."""
+    pushed, unhashable = [], []
+
+    def checked(queue, item):
+        *_, handler, args = item
+        pushed.append(handler.__name__)
+        try:
+            hash(args)
+        except TypeError:
+            unhashable.append(handler.__name__)
+        heappush(queue, item)
+
+    monkeypatch.setattr(harness_module, "heappush", checked)
+    runner = ScenarioRunner(dataclasses.replace(QUEUED_CALL_CASES[name]))
+    RUNNER_SETUPS.get(name, lambda runner: None)(runner)
+    runner.run()
+    assert "on_expiry" in pushed
+    assert unhashable == []
+
+
+@pytest.mark.parametrize("name", sorted(golden_configs()))
+def test_every_fork_record_of_a_golden_family_hashes(name):
+    """Each record a golden config's family makes over its nine cells is a
+    hashable value, equal, with an equal hash, to the record of a fresh
+    family of the same config that plays the cells in reverse order."""
+    setup = RUNNER_SETUPS.get(name, lambda runner: None)
+    families = []
+    for order in (PAIRS, PAIRS[::-1]):
+        family = dataclasses.replace(golden_configs()[name])
+        for pair in order:
+            runner = ScenarioRunner(family.with_strategies(*pair))
+            setup(runner)
+            runner.run()
+        families.append(family.family)
+    first, fresh = families
+    assert first[ScenarioRunner.claim] is not None
+    for point in FORK_POINTS:
+        assert first[point] == fresh[point], point.__name__
+        if first[point] is not None:
+            assert hash(first[point]) == hash(fresh[point]), point.__name__
+
+
 def test_the_start_record_is_what_fresh_objects_snapshot():
     """A family's first run resumes from its start record: the state of
     freshly built objects, with the requestor's ``on_start`` queued."""
@@ -1018,7 +1076,8 @@ def test_the_start_record_is_what_fresh_objects_snapshot():
         ledger.snapshot(), EscrowContract(ledger, CFG.threshold).snapshot(),
         RequestorActor(CFG, ByteStream(0), b"").snapshot(),
         ExecutionNodeActor(CFG).snapshot(),
-        EnclaveHost({}, flow, ByteStream(0)).snapshot(), flow.snapshot())
+        EnclaveHost(harness_module._image(CFG), flow,
+                    ByteStream(0)).snapshot(), flow.snapshot())
     assert start[6:] == ((), ((0, "requestor", RequestorActor.on_start, ()),),
                          0)
 
@@ -1189,7 +1248,7 @@ def test_a_node_holding_an_instance_restores_an_equal_copy():
     assert original.state is EnclaveState.DESTROYED
     assert instance.state is EnclaveState.EXECUTED
     # The finished honest run's node destroyed, and so released, it.
-    assert runner.node.snapshot() == (((0, CFG.function_name),), (), ())
+    assert runner.node.snapshot() == ((), ())
 
 
 # ----------------------------------------------------------------------
@@ -1445,7 +1504,7 @@ def test_a_reveal_past_the_deadline_loses_to_the_timeout(tier, race):
     # node keeps neither instance nor result.
     ops = [r["op"] for r in records if r["type"] == "enclave"]
     assert ops.count("instantiate") == ops.count("destroy") == 1
-    assert runner.node.snapshot()[1:] == ((), ())
+    assert runner.node.snapshot() == ((), ())
 
 
 def test_a_refused_reveal_destroys_its_instance_at_once():

@@ -12,11 +12,11 @@ reason's one shared outcome.  The outcome, the requestor's
 keys and the instance's provisioned material, which snapshots hold, are
 ``NamedTuple``s: slotted, immutable and hashable as values.  A config
 family's fork record hands the same records to every run that resumes from
-it: the requestor's ``ResultKeyPair``, the outcomes of the receipts it
-queues and, at the node's reveal, the executed instance's
-``FunctionImage``, ``Provisioned`` material and ``ProtectedResult``.  So
-those compare and hash by value, and the dataclasses among them stay
-frozen.
+it: the requestor's ``ResultKeyPair``, the values of the calls it queues
+(task ids, verdicts, bytes and ``ProtectedResult``s) and, at the node's
+reveal, the executed instance's ``FunctionImage``, ``Provisioned``
+material and ``ProtectedResult``.  So those compare and hash by value,
+and the dataclasses among them stay frozen.
 """
 
 from __future__ import annotations
